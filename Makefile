@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test check bench bench-diff obs-smoke obs-bench par-check par-bench conv-check conv-smoke conv-bench cache-check cache-smoke cache-bench asm-check asm-smoke asm-bench server-check server-smoke server-bench models-check models-smoke models-bench corpus-check corpus-bless repro clean
+.PHONY: all build test check bench bench-check bench-diff obs-smoke obs-bench par-check par-bench conv-check conv-smoke conv-bench cache-check cache-smoke cache-bench asm-check asm-smoke asm-bench server-check server-smoke server-bench models-check models-smoke models-bench corpus-check corpus-bless repro clean
 
 all: build
 
@@ -14,6 +14,19 @@ test:
 check:
 	dune build @all
 	dune runtest
+
+# cnt-bench's own output checks as a gate: every workload, 1 s timed
+# passes (about 45 s).  The last stdout line is the run's JSON summary;
+# it must say "correct":true — the ring51 pins (483 Newton iterations,
+# 49 266 device evals, <= 1 mV against cntbench/ref/ring51_tran.csv),
+# the Table I RMS pins, the ladder Thomas check and the cntd offline =
+# daemon digest check all feed it.
+bench-check:
+	@last=$$(dune exec --root . --display quiet -- ./cntbench/bench.exe --workload all --seconds 1 | tail -n 1); \
+	case "$$last" in \
+	  *'"correct":true'*) echo "bench-check: every output check passed" ;; \
+	  *) echo "bench-check: failed: $$last"; exit 1 ;; \
+	esac
 
 # Compare two BENCH_*.json artefacts: every timing leaf (keys ending
 # in _s) present in both is checked for relative regressions.

@@ -27,6 +27,8 @@ type t = {
   solver : Scv_solver.t;
   kt_ev : float;
   current_scale : float; (* 2 q k T / (pi hbar), Amperes *)
+  c_g : float; (* Device.c_gate / c_drain, hoisted: F/m *)
+  c_d : float;
   identity : string;
   mutable cache : Eval_cache.store;
       (* per-slot memo of (V_SC, I_DS) solves; disabled unless the
@@ -81,6 +83,8 @@ let make ?(polarity = N_type) ?(spec = Charge_fit.model2_spec)
     current_scale =
       2.0 *. Constants.elementary_charge *. Constants.thermal_energy temp
       /. (Float.pi *. Constants.hbar);
+    c_g = Device.c_gate device;
+    c_d = Device.c_drain device;
     identity;
     cache = Eval_cache.create ~identity (Eval_cache.default_config ());
   }
@@ -123,6 +127,8 @@ let of_parts ?(polarity = N_type) ?(charge_rms = nan) ~device ~approx () =
     current_scale =
       2.0 *. Constants.elementary_charge *. Constants.thermal_energy temp
       /. (Float.pi *. Constants.hbar);
+    c_g = Device.c_gate device;
+    c_d = Device.c_drain device;
     identity;
     cache = Eval_cache.create ~identity (Eval_cache.default_config ());
   }
@@ -151,6 +157,14 @@ let cache_stats t = Eval_cache.stats t.cache
 let oriented t ~vgs ~vds =
   match t.polarity with N_type -> (vgs, vds) | P_type -> (-.vgs, -.vds)
 
+(* Paper eq. 14 at a solved V_SC, on oriented voltages with the n-type
+   current sign. *)
+let current t ~vsc ~vds =
+  let eta_s = (t.device.Device.fermi -. vsc) /. t.kt_ev in
+  let eta_d = eta_s -. (vds /. t.kt_ev) in
+  t.current_scale
+  *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
+
 (* The full closed-form point solve on oriented voltages: (V_SC, I_DS)
    with the n-type current sign.  This is the unit of work the cache
    memoises — both values come out of the one solve, so a hit saves the
@@ -158,13 +172,7 @@ let oriented t ~vgs ~vds =
 let solve_point t ~vgs ~vds =
   let qt = Device.terminal_charge t.device ~vgs ~vds in
   let vsc = Scv_solver.solve t.solver ~qt ~vds in
-  let eta_s = (t.device.Device.fermi -. vsc) /. t.kt_ev in
-  let eta_d = eta_s -. (vds /. t.kt_ev) in
-  let i =
-    t.current_scale
-    *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
-  in
-  (vsc, i)
+  (vsc, current t ~vsc ~vds)
 
 let cached_point t ~ovgs ~ovds =
   Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:ovds (fun ~vgs ~vds ->
@@ -263,126 +271,94 @@ let transfer t ~vds ~vgs_points =
   let g = eval_batch t ~vgs:vgs_points ~vds:[| vds |] in
   Array.init (Array.length vgs_points) (fun i -> Bigarray.Array2.get g i 0)
 
-(* Numerical transconductance and output conductance (central
-   differences), for small-signal work. *)
-let gm ?(dv = 1e-4) t ~vgs ~vds =
-  (ids t ~vgs:(vgs +. dv) ~vds -. ids t ~vgs:(vgs -. dv) ~vds) /. (2.0 *. dv)
-
-let gds ?(dv = 1e-4) t ~vgs ~vds =
-  (ids t ~vgs ~vds:(vds +. dv) -. ids t ~vgs ~vds:(vds -. dv)) /. (2.0 *. dv)
-
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* The three reusable solver plans behind one stencil evaluation (bias
-   point, vds + dv, vds - dv).  One workspace serves one domain at a
-   time: assembly code keeps a workspace per device per cloned system,
-   never sharing across concurrently-solving clones. *)
-type stencil_ws = {
-  sw0 : Scv_solver.plan;
-  swp : Scv_solver.plan;
-  swm : Scv_solver.plan;
-}
+(* The one solver plan a stencil evaluation retargets.  One workspace
+   serves one domain at a time: assembly code keeps a workspace per
+   device per cloned system, never sharing across concurrently-solving
+   clones. *)
+type stencil_ws = Scv_solver.plan
 
-let stencil_ws t =
-  {
-    sw0 = Scv_solver.plan t.solver ~vds:0.0;
-    swp = Scv_solver.plan t.solver ~vds:0.0;
-    swm = Scv_solver.plan t.solver ~vds:0.0;
-  }
+let stencil_ws t = Scv_solver.plan t.solver ~vds:0.0
 
-(* The MNA stencil — [ids] at the bias point plus the four
-   central-difference evaluations behind [gm]/[gds] — as one batched
-   kernel writing slot [k] of three output columns.  The per-point
-   program is [solve_point] with the gate/drain capacitances hoisted
-   (they are pure per-device values, recomputed per call by
-   [Device.terminal_charge]) and [Scv_solver.solve] replaced by the
-   bitwise-equal [solve_plan]; the three solver plans (vds, vds+dv,
-   vds-dv) are built at the cache-quantised drain bias exactly as
-   [eval_batch] does, so the cache composes identically in both
-   directions: batched assembly populates and hits the same per-slot
-   store as scalar assembly, key for key.
+(* The MNA stencil: [ids] and its closed-form [gm]/[gds] from one
+   bias-point solve, written into slot [k] of three output columns.
 
-   [fault_i0] reproduces the scalar assembly's [Fault.Nan_eval] site:
-   the bias-point current becomes NaN {e without} evaluating the model
-   there (no counter tick, no cache insertion), while the four
-   derivative points still evaluate — [Fault.fires] is stateless, so
-   hoisting the decision out of the assembly loop cannot change it. *)
-let eval_stencil ?(dv = 1e-4) ?ws t ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
-  let use_cache = Eval_cache.enabled t.cache in
-  let cg = Device.c_gate t.device and cd = Device.c_drain t.device in
-  let fermi = t.device.Device.fermi in
-  let kt = t.kt_ev and scale = t.current_scale in
-  let point plan ~ovgs ~qvds =
-    Obs.incr c_ids_evals;
-    let i =
-      if use_cache then
-        let compute ~vgs ~vds =
-          let qt = (cg *. vgs) +. (cd *. vds) in
-          let vsc = Scv_solver.solve_plan plan ~qt in
-          let eta_s = (fermi -. vsc) /. kt in
-          let eta_d = eta_s -. (vds /. kt) in
-          ( vsc,
-            scale
-            *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d) )
-        in
-        snd (Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:qvds compute)
-      else begin
-        (* the cache closure's program, inlined so the uncached hot
-           path allocates neither the closure nor its result pair *)
-        let qt = (cg *. ovgs) +. (cd *. qvds) in
-        let vsc = Scv_solver.solve_plan plan ~qt in
-        let eta_s = (fermi -. vsc) /. kt in
-        let eta_d = eta_s -. (qvds /. kt) in
-        scale *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
-      end
-    in
-    match t.polarity with N_type -> i | P_type -> -.i
-  in
+   The solve is [solve_point] with [Scv_solver.solve] replaced by the
+   bitwise-equal [solve_plan] on the workspace plan, retargeted at the
+   cache-quantised drain bias exactly as [eval_batch] builds its plans
+   (so the same-vds memo of [Scv_solver.replan] fires whenever a
+   device's drain bias is unchanged, and batched assembly populates and
+   hits the same per-slot store as scalar evaluation, key for key).
+   With the cache on, [V_SC] comes from the store and the current below
+   is the expression of [current], so it equals the stored value.
+
+   The conductances are implicit differentiation of eq. 7,
+     F = C_Sigma V_SC + C_G V_GS + C_D V_DS - Q_S(V_SC) - Q_S(V_SC + V_DS) = 0,
+   which gives dV_SC/dV_GS = -C_G / D and
+   dV_SC/dV_DS = -(C_D - Q_S'(V_SC + V_DS)) / D with
+   D = C_Sigma - Q_S'(V_SC) - Q_S'(V_SC + V_DS) > 0, carried through
+   eq. 14 with dF_0/deta the logistic [Fermi.integral_order0'].  They
+   are taken on oriented voltages: I_p(v) = -I_n(-v) makes the
+   mirror's derivatives the n-type ones at the oriented bias, so p-type
+   needs no sign flip.  Everything after the solve is straight-line
+   float code writing into the columns: no tuple, no closure.
+
+   [fault_i0] is the [Fault.Nan_eval] site: the bias point is evaluated
+   as usual and only the current written to [i0] becomes NaN. *)
+let eval_stencil t ~ws ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
+  Obs.incr c_ids_evals;
   (* [oriented] without its tuple: the sign flip is the same [-.] the
      tuple form applies *)
   let flip = match t.polarity with N_type -> false | P_type -> true in
-  let ori v = if flip then -.v else v in
-  let ovgs0 = ori vgs and ovds0 = ori vds in
-  let q0 = Eval_cache.quantise t.cache ovds0 in
-  let plan0 =
-    match ws with
-    | Some w ->
-        Scv_solver.replan w.sw0 ~vds:q0;
-        w.sw0
-    | None -> Scv_solver.plan t.solver ~vds:q0
+  let ovgs = if flip then -.vgs else vgs in
+  let qvds = Eval_cache.quantise t.cache (if flip then -.vds else vds) in
+  Scv_solver.replan ws ~vds:qvds;
+  let vsc =
+    if Eval_cache.enabled t.cache then
+      fst
+        (Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:qvds (fun ~vgs ~vds ->
+             let vsc =
+               Scv_solver.solve_plan ws ~qt:((t.c_g *. vgs) +. (t.c_d *. vds))
+             in
+             (vsc, current t ~vsc ~vds)))
+    else Scv_solver.solve_plan ws ~qt:((t.c_g *. ovgs) +. (t.c_d *. qvds))
   in
-  let i0v = if fault_i0 then Float.nan else point plan0 ~ovgs:ovgs0 ~qvds:q0 in
-  let ovgs_p = ori (vgs +. dv) in
-  let ovgs_m = ori (vgs -. dv) in
-  let gmv =
-    (point plan0 ~ovgs:ovgs_p ~qvds:q0 -. point plan0 ~ovgs:ovgs_m ~qvds:q0)
-    /. (2.0 *. dv)
+  let kt = t.kt_ev and scale = t.current_scale in
+  let eta_s = (t.device.Device.fermi -. vsc) /. kt in
+  let eta_d = eta_s -. (qvds /. kt) in
+  let i =
+    scale *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
   in
-  let ovds_p = ori (vds +. dv) in
-  let ovds_m = ori (vds -. dv) in
-  let qp = Eval_cache.quantise t.cache ovds_p in
-  let qm = Eval_cache.quantise t.cache ovds_m in
-  let plan_p =
-    match ws with
-    | Some w ->
-        Scv_solver.replan w.swp ~vds:qp;
-        w.swp
-    | None -> Scv_solver.plan t.solver ~vds:qp
+  let sig_d = Fermi.integral_order0' eta_d in
+  let dqd = Scv_solver.qs_slope t.solver (vsc +. qvds) in
+  let d =
+    Scv_solver.c_sigma t.solver -. Scv_solver.qs_slope t.solver vsc -. dqd
   in
-  let plan_m =
-    match ws with
-    | Some w ->
-        Scv_solver.replan w.swm ~vds:qm;
-        w.swm
-    | None -> Scv_solver.plan t.solver ~vds:qm
-  in
-  let gdsv =
-    (point plan_p ~ovgs:ovgs0 ~qvds:qp -. point plan_m ~ovgs:ovgs0 ~qvds:qm)
-    /. (2.0 *. dv)
-  in
-  Bigarray.Array1.unsafe_set i0 k i0v;
-  Bigarray.Array1.unsafe_set gm k gmv;
-  Bigarray.Array1.unsafe_set gds k gdsv
+  let a = scale *. (Fermi.integral_order0' eta_s -. sig_d) /. (kt *. d) in
+  Bigarray.Array1.unsafe_set i0 k
+    (if fault_i0 then Float.nan else if flip then -.i else i);
+  Bigarray.Array1.unsafe_set gm k (a *. t.c_g);
+  Bigarray.Array1.unsafe_set gds k
+    ((a *. (t.c_d -. dqd)) +. (scale *. sig_d /. kt))
+
+(* The scalar entry point: the stencil itself on a fresh workspace and
+   one-slot columns, so scalar and batched evaluation agree bitwise by
+   construction. *)
+let small_signal t ~vgs ~vds =
+  let col () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1 in
+  let i0 = col () and gm = col () and gds = col () in
+  eval_stencil t ~ws:(stencil_ws t) ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds
+    ~k:0;
+  Bigarray.Array1.(get i0 0, get gm 0, get gds 0)
+
+let gm t ~vgs ~vds =
+  let _, g, _ = small_signal t ~vgs ~vds in
+  g
+
+let gds t ~vgs ~vds =
+  let _, _, g = small_signal t ~vgs ~vds in
+  g
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%s model (%s, %d pieces, charge RMS %.3f%%)@ %a@]"

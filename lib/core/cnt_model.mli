@@ -110,16 +110,28 @@ val output_family :
 val transfer : t -> vds:float -> vgs_points:float array -> float array
 (** Transfer characteristic, evaluated through {!eval_batch}. *)
 
-val gm : ?dv:float -> t -> vgs:float -> vds:float -> float
-(** Transconductance [dI/dV_GS] by central difference. *)
+val small_signal : t -> vgs:float -> vds:float -> float * float * float
+(** [(I_DS, gm, gds)] at a bias point from one closed-form solve: the
+    current of {!ids} and its derivatives [dI/dV_GS], [dI/dV_DS] by
+    implicit differentiation of eq. (7) at the solved self-consistent
+    voltage,
+    [gm = A C_G] and [gds = A (C_D - Q_S'(V_SC + V_DS)) + s sigma(eta_D)/kT]
+    with [A = s (sigma(eta_S) - sigma(eta_D)) / (kT D)],
+    [D = C_Sigma - Q_S'(V_SC) - Q_S'(V_SC + V_DS) > 0], [sigma] the
+    logistic [dF_0/deta] and [s] the current prefactor.  This is
+    {!eval_stencil} on a fresh workspace, so it is bitwise-equal to the
+    batched assembly's values. *)
 
-val gds : ?dv:float -> t -> vgs:float -> vds:float -> float
-(** Output conductance [dI/dV_DS] by central difference. *)
+val gm : t -> vgs:float -> vds:float -> float
+(** Transconductance [dI/dV_GS] (A/V), from {!small_signal}. *)
+
+val gds : t -> vgs:float -> vds:float -> float
+(** Output conductance [dI/dV_DS] (A/V), from {!small_signal}. *)
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type stencil_ws
-(** Reusable workspace for {!eval_stencil}: the three solver plans one
+(** Reusable workspace for {!eval_stencil}: the one solver plan a
     stencil evaluation retargets each call.  A workspace belongs to the
     model that created it and must not be shared between domains
     evaluating concurrently (keep one per device per cloned system). *)
@@ -127,9 +139,8 @@ type stencil_ws
 val stencil_ws : t -> stencil_ws
 
 val eval_stencil :
-  ?dv:float ->
-  ?ws:stencil_ws ->
   t ->
+  ws:stencil_ws ->
   fault_i0:bool ->
   vgs:float ->
   vds:float ->
@@ -139,16 +150,14 @@ val eval_stencil :
   k:int ->
   unit
 (** The MNA assembly stencil as one batched kernel: writes slot [k] of
-    the three output columns with [ids t ~vgs ~vds] and the
-    central-difference [gm]/[gds] at step [dv], hoisting the three
-    per-drain-bias solver plans and the device capacitances out of the
-    five point evaluations.  With [ws] the plans reuse the workspace's
-    storage ({!Scv_solver.replan}) instead of allocating.  Each value
-    is {e bitwise-equal} to the scalar calls under any cache
-    configuration, and cache entries are shared key-for-key with the
-    scalar path (pinned by [test/test_assembly.ml]).  [fault_i0]
-    reproduces the scalar assembly's [Fault.Nan_eval] behaviour: the
-    bias-point current is NaN and that point is not evaluated, while
-    the derivative points still are. *)
+    the three output columns with the {!small_signal} triple, from one
+    bias-point solve on the workspace's plan (retargeted in place by
+    {!Scv_solver.replan}, a no-op when the drain bias is unchanged).
+    [i0] is bitwise-equal to {!ids} under any cache configuration, and
+    cache entries are shared key-for-key with the scalar path (pinned
+    by [test/test_models.ml] and [test/test_assembly.ml]); with the
+    cache on, the derivatives come from the cached [V_SC].  [fault_i0]
+    is the scalar assembly's [Fault.Nan_eval] site: the bias point is
+    evaluated once as usual and only [i0] becomes NaN. *)
 
 val pp : Format.formatter -> t -> unit

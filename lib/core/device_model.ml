@@ -45,8 +45,7 @@ type t = {
       (* canonical resolved card attributes (including "model"), plain
          float syntax — [remodel] re-parses these under another backend *)
   ids : vgs:float -> vds:float -> float;
-  gm : vgs:float -> vds:float -> float;
-  gds : vgs:float -> vds:float -> float;
+  small_signal : vgs:float -> vds:float -> float * float * float;
   charges : vgs:float -> vds:float -> float * float * float;
   stencil : unit -> stencil;
   intrinsic_caps : length:float -> (float * float) option;
@@ -63,8 +62,15 @@ let polarity t = t.polarity
 let device t = t.device
 let card t = t.card
 let ids t = t.ids
-let gm t = t.gm
-let gds t = t.gds
+let small_signal t = t.small_signal
+
+let gm t ~vgs ~vds =
+  let _, g, _ = t.small_signal ~vgs ~vds in
+  g
+
+let gds t ~vgs ~vds =
+  let _, _, g = t.small_signal ~vgs ~vds in
+  g
 let charges t = t.charges
 let stencil t = t.stencil ()
 let intrinsic_caps t = t.intrinsic_caps
@@ -224,14 +230,13 @@ let of_piecewise ?(card = []) m =
     device = dev;
     card;
     ids = (fun ~vgs ~vds -> Cnt_model.ids m ~vgs ~vds);
-    gm = (fun ~vgs ~vds -> Cnt_model.gm m ~vgs ~vds);
-    gds = (fun ~vgs ~vds -> Cnt_model.gds m ~vgs ~vds);
+    small_signal = (fun ~vgs ~vds -> Cnt_model.small_signal m ~vgs ~vds);
     charges = (fun ~vgs ~vds -> Cnt_model.charges m ~vgs ~vds);
     stencil =
       (fun () ->
         let ws = Cnt_model.stencil_ws m in
         fun ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k ->
-          Cnt_model.eval_stencil ~ws m ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k);
+          Cnt_model.eval_stencil m ~ws ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k);
     intrinsic_caps = (fun ~length -> caps_of_device dev ~length);
     set_cache = Cnt_model.set_cache m;
     cache_config = (fun () -> Cnt_model.cache_config m);
@@ -332,23 +337,14 @@ let of_vs ?(card = []) m =
     device = dev;
     card;
     ids = (fun ~vgs ~vds -> Vs_model.ids m ~vgs ~vds);
-    gm = (fun ~vgs ~vds -> Vs_model.gm m ~vgs ~vds);
-    gds = (fun ~vgs ~vds -> Vs_model.gds m ~vgs ~vds);
+    small_signal = (fun ~vgs ~vds -> Vs_model.small_signal m ~vgs ~vds);
     charges = (fun ~vgs ~vds -> Vs_model.charges m ~vgs ~vds);
     stencil =
       (fun () ->
-        (* the VS evaluation is closed-form with no per-drain-bias plan
-           to hoist, so the batched stencil is exactly the five scalar
-           calls — bitwise equality with scalar assembly is free *)
+        (* closed-form with no per-drain-bias plan to hoist, so the
+           stencil needs no workspace *)
         fun ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k ->
-          let i0v =
-            if fault_i0 then Float.nan else Vs_model.ids m ~vgs ~vds
-          in
-          let gmv = Vs_model.gm m ~vgs ~vds in
-          let gdsv = Vs_model.gds m ~vgs ~vds in
-          Bigarray.Array1.unsafe_set i0 k i0v;
-          Bigarray.Array1.unsafe_set gm k gmv;
-          Bigarray.Array1.unsafe_set gds k gdsv);
+          Vs_model.eval_stencil m ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k);
     intrinsic_caps = (fun ~length -> caps_of_device dev ~length);
     set_cache = Vs_model.set_cache m;
     cache_config = (fun () -> Vs_model.cache_config m);

@@ -31,14 +31,14 @@ type stencil =
   k:int ->
   unit
 (** One workspace-backed MNA stencil evaluation: writes slot [k] of the
-    three output columns with the bias-point current and the
-    central-difference [gm]/[gds].  Must be {e bitwise-equal} to the
-    corresponding scalar {!ids}/{!gm}/{!gds} calls under any cache
-    configuration.  [fault_i0] makes the bias-point current NaN without
-    evaluating the model there (the scalar assembly's [Fault.Nan_eval]
-    site); the derivative points still evaluate.  A stencil closure
-    owns its scratch state: keep one per device per cloned system,
-    never share across concurrently solving domains. *)
+    three output columns with the bias-point current and its
+    closed-form [gm]/[gds], all from one evaluation of the bias point.
+    Must be {e bitwise-equal} to {!small_signal} (and its current to
+    {!ids}) under any cache configuration.  [fault_i0] is the
+    [Fault.Nan_eval] site: the bias point is evaluated as usual and
+    only the current written becomes NaN.  A stencil closure owns its
+    scratch state: keep one per device per cloned system, never share
+    across concurrently solving domains. *)
 
 type t
 (** A circuit-ready device model. *)
@@ -64,8 +64,19 @@ val ids : t -> vgs:float -> vds:float -> float
 (** Drain current, A.  Negative for p-type devices under positive
     bias. *)
 
+val small_signal : t -> vgs:float -> vds:float -> float * float * float
+(** [(I_DS, gm, gds)] at a bias point: the current and its closed-form
+    derivatives [dI/dV_GS], [dI/dV_DS] (A/V) from one evaluation — the
+    backend's {!stencil} kernel on one-slot columns, so scalar and
+    batched assembly agree bitwise by construction.  Every backend
+    supplies its conductances in closed form; finite differences live
+    only in the test oracle. *)
+
 val gm : t -> vgs:float -> vds:float -> float
+(** Transconductance, the second component of {!small_signal}. *)
+
 val gds : t -> vgs:float -> vds:float -> float
+(** Output conductance, the third component of {!small_signal}. *)
 
 val charges : t -> vgs:float -> vds:float -> float * float * float
 (** [(v_sc, q_s, q_d)]: backend-defined bias-point charge summary

@@ -3,9 +3,11 @@
     The closed-form piecewise solve already makes one bias-point
     evaluation cheap; this layer makes the {e repeated} evaluations
     that dominate circuit workloads (DC-sweep warm starts re-evaluating
-    the previous solution, [gm]/[gds] stencils revisiting the centre
-    point, characterisation corners sharing grids) nearly free by
-    caching [(V_SC, I_DS)] per device against the bias tuple.
+    the previous solution, [id()] prints re-evaluating solved operating
+    points, characterisation corners sharing grids) nearly free by
+    caching [(V_SC, I_DS)] per device against the bias tuple.  The
+    closed-form [gm]/[gds] of a bias point derive from its cached
+    [V_SC], so a Newton stencil costs one lookup.
 
     A store is {e per-model} — temperature and Fermi level are fixed by
     the owning device, so the key is the oriented [(V_GS, V_DS)] pair.

@@ -292,7 +292,7 @@ let solve t ~qt ~vds = (solve_stats t ~qt ~vds).vsc
    values fill on first touch of each scan position and the interval
    records (pieces pre-negated, drain piece pre-shifted) materialise
    on first solve landing in them.  The MNA batched assembly path
-   builds three plans per device per Newton iteration, so plan
+   retargets one plan per device per Newton iteration, so plan
    construction sits on the hot path alongside [solve_plan].
 
    Each precomputed part is produced by the same function calls on the
@@ -320,6 +320,16 @@ let qs_eval t x =
   let acc = ref 0.0 in
   for j = Array.length p - 1 downto 0 do
     acc := (!acc *. x) +. Array.unsafe_get p j
+  done;
+  !acc
+
+(* dQ_S/dV by the derivative Horner over the same piece: the sum of
+   j p_j x^(j-1). *)
+let qs_slope t x =
+  let p = Array.unsafe_get t.qpieces (qs_piece_index t x) in
+  let acc = ref 0.0 in
+  for j = Array.length p - 1 downto 1 do
+    acc := (!acc *. x) +. (float_of_int j *. Array.unsafe_get p j)
   done;
   !acc
 

@@ -40,6 +40,13 @@ val solve : t -> qt:float -> vds:float -> float
 (** The self-consistent voltage for terminal charge [qt] (C/m) and
     drain bias [vds] (V). *)
 
+val qs_slope : t -> float -> float
+(** [dQ_S/dV] (F/m) at a point, from the piece containing it (a
+    boundary point belongs to the piece on its left, as in
+    {!Piecewise.piece_index}).  The fitted curves are C{^1}, so at a
+    boundary the side chosen moves the slope only by the fit's
+    continuity defect. *)
+
 (** {1 Batched evaluation plans}
 
     A plan hoists everything in the closed-form solve that depends only

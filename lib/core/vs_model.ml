@@ -132,11 +132,71 @@ let charges t ~vgs ~vds =
   let qd = fst (cached_point t ~ovgs:(ovgs -. ovds) ~ovds:(-.ovds)) in
   (0.0, qs, qd)
 
-let gm ?(dv = 1e-4) t ~vgs ~vds =
-  (ids t ~vgs:(vgs +. dv) ~vds -. ids t ~vgs:(vgs -. dv) ~vds) /. (2.0 *. dv)
+type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let gds ?(dv = 1e-4) t ~vgs ~vds =
-  (ids t ~vgs ~vds:(vds +. dv) -. ids t ~vgs ~vds:(vds -. dv)) /. (2.0 *. dv)
+(* [ids] and its closed-form [gm]/[gds] at one bias point, written into
+   slot [k] of three output columns.  The forward quantities are the
+   expressions of [forward]; the partial derivatives of the forward
+   current I_f = Q_ix0 v_x0 F_sat go through the softplus (whose clamp
+   makes its slope exactly 1 above 40), through DIBL
+   (dV_T/dV_DS = -delta, so dQ_ix0/dV_DS = delta dQ_ix0/dV_GS) and
+   through dF_sat/dx = (1 + x^beta)^(-1/beta - 1).  The S/D swap
+   I(V_GS, V_DS) = -I_f(V_GS - V_DS, -V_DS) turns them into
+   gm = -dI_f/dV_GS and gds = dI_f/dV_GS + dI_f/dV_DS at the swapped
+   point.  Derivatives are taken on oriented voltages — the mirror's
+   derivatives at the oriented bias are the n-type ones — so p-type
+   needs no sign flip.  Both voltages are cache-quantised first, so
+   the derivatives belong to the bias [ids] evaluates; with the cache
+   on, the current itself comes from the store.  [fault_i0] makes only
+   the current written to [i0] NaN. *)
+let eval_stencil t ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
+  Obs.incr c_ids_evals;
+  let flip = match t.polarity with N_type -> false | P_type -> true in
+  let ovgs = Eval_cache.quantise t.cache (if flip then -.vgs else vgs) in
+  let ovds = Eval_cache.quantise t.cache (if flip then -.vds else vds) in
+  let rev = ovds < 0.0 in
+  let fvgs = if rev then ovgs -. ovds else ovgs in
+  let fvds = if rev then -.ovds else ovds in
+  let p = t.p in
+  let vt = p.vt0 -. (p.dibl *. fvds) in
+  let nphi = p.n_ss *. t.phi_t in
+  let u = (fvgs -. vt) /. nphi in
+  let qix0 = p.cinv *. nphi *. softplus u in
+  let x = fvds /. p.vdsat in
+  let s = 1.0 +. (x ** p.beta) in
+  let fsat = x /. (s ** (1.0 /. p.beta)) in
+  let i =
+    if Eval_cache.enabled t.cache then snd (cached_point t ~ovgs ~ovds)
+    else
+      let i_f = qix0 *. p.vxo *. fsat in
+      if rev then -.i_f else i_f
+  in
+  let dq = p.cinv *. (if u > 40.0 then 1.0 else Fermi.integral_order0' u) in
+  let g_f = p.vxo *. fsat *. dq in
+  let d_f =
+    (g_f *. p.dibl)
+    +. (p.vxo *. qix0 *. (s ** ((-1.0 /. p.beta) -. 1.0)) /. p.vdsat)
+  in
+  Bigarray.Array1.unsafe_set i0 k
+    (if fault_i0 then Float.nan else if flip then -.i else i);
+  Bigarray.Array1.unsafe_set gm k (if rev then -.g_f else g_f);
+  Bigarray.Array1.unsafe_set gds k (if rev then g_f +. d_f else d_f)
+
+(* The scalar entry point: the stencil itself on one-slot columns, so
+   scalar and batched evaluation agree bitwise by construction. *)
+let small_signal t ~vgs ~vds =
+  let col () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1 in
+  let i0 = col () and gm = col () and gds = col () in
+  eval_stencil t ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds ~k:0;
+  Bigarray.Array1.(get i0 0, get gm 0, get gds 0)
+
+let gm t ~vgs ~vds =
+  let _, g, _ = small_signal t ~vgs ~vds in
+  g
+
+let gds t ~vgs ~vds =
+  let _, _, g = small_signal t ~vgs ~vds in
+  g
 
 let pp fmt t =
   Format.fprintf fmt

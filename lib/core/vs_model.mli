@@ -64,7 +64,34 @@ val charges : t -> vgs:float -> vds:float -> float * float * float
     and at the source/drain-swapped point.  The first slot is 0 — this
     model has no self-consistent voltage. *)
 
-val gm : ?dv:float -> t -> vgs:float -> vds:float -> float
-val gds : ?dv:float -> t -> vgs:float -> vds:float -> float
+val small_signal : t -> vgs:float -> vds:float -> float * float * float
+(** [(I_DS, gm, gds)] at a bias point, all closed-form: the current of
+    {!ids} and its softplus/DIBL/saturation-function derivatives,
+    carried through the source/drain swap for [V_DS < 0].  With a
+    quantising cache the derivatives are those of the quantised bias
+    {!ids} evaluates.  This is {!eval_stencil} on one-slot columns. *)
+
+val gm : t -> vgs:float -> vds:float -> float
+(** Transconductance [dI/dV_GS] (A/V), from {!small_signal}. *)
+
+val gds : t -> vgs:float -> vds:float -> float
+(** Output conductance [dI/dV_DS] (A/V), from {!small_signal}. *)
+
+type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val eval_stencil :
+  t ->
+  fault_i0:bool ->
+  vgs:float ->
+  vds:float ->
+  i0:vec ->
+  gm:vec ->
+  gds:vec ->
+  k:int ->
+  unit
+(** The MNA assembly stencil: writes slot [k] of the three columns
+    with the {!small_signal} triple.  There is no per-bias plan to
+    hoist, so it needs no workspace.  [i0] is bitwise-equal to {!ids}
+    under any cache configuration; [fault_i0] makes only [i0] NaN. *)
 
 val pp : Format.formatter -> t -> unit

@@ -272,23 +272,31 @@ let handle_run t conn ~id ~deck ~config_json ~progress =
                 ~finally:(fun () ->
                   locked t.state_mutex (fun () -> conn.busy <- false))
               @@ fun () ->
+              (* [run_s] starts before the run mutex, so it includes the
+                 wait for it *)
               let t0 = now () in
-              let chits0, _ = Mna.compile_cache_stats () in
-              let result =
+              let result, compile_hit =
                 locked t.run_mutex @@ fun () ->
+                (* the compile-cache counter is process-wide: only reads
+                   taken while holding the run mutex belong to this
+                   request *)
+                let chits0, _ = Mna.compile_cache_stats () in
                 let run () =
                   Engine.run_deck_result ~config entry.Deck_cache.deck
                 in
-                if progress then
-                  Progress.with_sink
-                    (Progress.lines (fun event_json ->
-                         send_line conn
-                           (Protocol.progress_line ~id ~event_json)))
-                    run
-                else run ()
+                let result =
+                  if progress then
+                    Progress.with_sink
+                      (Progress.lines (fun event_json ->
+                           send_line conn
+                             (Protocol.progress_line ~id ~event_json)))
+                      run
+                  else run ()
+                in
+                let chits1, _ = Mna.compile_cache_stats () in
+                (result, chits1 > chits0)
               in
               let run_s = now () -. t0 in
-              let chits1, _ = Mna.compile_cache_stats () in
               t.requests_served <- t.requests_served + 1;
               (match result with
               | Ok tables ->
@@ -303,7 +311,7 @@ let handle_run t conn ~id ~deck ~config_json ~progress =
                         ( "deck_cache",
                           Json.Str (if deck_hit then "hit" else "miss") );
                         ( "compile_cache",
-                          Json.Str (if chits1 > chits0 then "hit" else "miss")
+                          Json.Str (if compile_hit then "hit" else "miss")
                         );
                         ("run_s", Json.Num run_s);
                       ]

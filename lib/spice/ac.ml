@@ -75,8 +75,7 @@ let assemble compiled ~gmin ~x_op f =
           let model = params.Circuit.model in
           let vgs = v_of gate -. v_of source in
           let vds = v_of drain -. v_of source in
-          let gm = Cnt_core.Device_model.gm model ~vgs ~vds in
-          let gds = Cnt_core.Device_model.gds model ~vgs ~vds in
+          let _, gm, gds = Cnt_core.Device_model.small_signal model ~vgs ~vds in
           (* transconductance: current gm * v_gs flowing d -> s *)
           add_j d g (complex gm);
           add_j d s (complex (-.gm));

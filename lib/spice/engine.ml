@@ -301,7 +301,7 @@ let apply_model_override config circuit =
           try Circuit.remodel circuit ~backend
           with Circuit.Bad_circuit msg -> raise (Dc.Analysis_error msg)))
 
-(* Raising core shared by the result and shim entry points. *)
+(* The raising core behind [run_deck_result]. *)
 let run_deck_exn ~config (deck : Parser.deck) =
   let circuit = apply_model_override config deck.Parser.circuit in
   apply_cache_config config circuit;
@@ -338,19 +338,6 @@ let run_deck_result ?(config = default_config) deck =
       Error (Diag.Bad_deck msg)
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
   | exception e -> Error (Diag.Internal (Printexc.to_string e))
-
-(* Back-compat shim: the historical raising interface, now a thin layer
-   over [config].  Prefer {!run_deck_result}. *)
-let run_deck ?backend ?jobs deck =
-  let config =
-    {
-      default_config with
-      backend =
-        (match backend with Some b -> b | None -> default_config.backend);
-      jobs;
-    }
-  in
-  run_deck_exn ~config deck
 
 let pp_table ?(max_rows = max_int) ?(stats = false) fmt t =
   Format.fprintf fmt "* %s@." t.analysis_label;

@@ -98,18 +98,6 @@ val run_deck_result :
     [Stack_overflow] still propagate).  {!Diag.exit_code} maps the
     error to the CLI exit contract. *)
 
-val run_deck :
-  ?backend:Cnt_numerics.Linear_solver.backend ->
-  ?jobs:int ->
-  Parser.deck ->
-  table list
-[@@deprecated "use run_deck_result (structured errors, full config)"]
-(** Raising shim over {!run_deck_result} with the historical
-    signature: [backend]/[jobs] override {!default_config} and errors
-    propagate as the underlying exceptions
-    ({!Diag.Convergence_failure}, [Analysis_error], ...).
-    @deprecated Use {!run_deck_result}. *)
-
 val pp_table : ?max_rows:int -> ?stats:bool -> Format.formatter -> table -> unit
 (** Pretty-print a table; [~stats:true] appends a solver-statistics
     footer. *)

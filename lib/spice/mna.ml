@@ -322,6 +322,14 @@ let capacitors c =
 (* Stamping                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Where the CNFET branch of [stamp_system] gets (I_0, g_m, g_ds). *)
+type cnfet_values =
+  | Symbolic
+      (* the compile-time pattern recording: zeros, no device evaluated
+         (the stamp sequence does not depend on the values) *)
+  | In_place (* scalar assembly: one small-signal evaluation per stamp *)
+  | Columns of cnfet_table (* batched assembly: this refill's outputs *)
+
 (* Emit every Jacobian and right-hand-side contribution at candidate
    solution [x].  The [add_j] call sequence is value-independent:
    capacitors and inductors are always stamped (with zero companions at
@@ -329,14 +337,13 @@ let capacitors c =
    pass replays one-for-one.  Any structural change must keep the two
    passes emitting identical sequences.
 
-   [table], when provided, carries this iteration's batched CNFET
-   kernel outputs: the Dcnfet branch reads row [ti] of the output
-   columns instead of evaluating the model in place.  The bias voltages
-   are recomputed here with the same expressions the gather pass used,
-   so the [ieq] linearisation and the stamp sequence are identical to
-   the scalar mode's. *)
-let stamp_system ?table ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave ~caps
-    ~inds ~gmin x =
+   With [Columns tb] the Dcnfet branch reads row [ti] of the batched
+   kernel's output columns instead of evaluating the model in place.
+   The bias voltages are recomputed here with the same expressions the
+   gather pass used, so the [ieq] linearisation and the stamp sequence
+   are identical to the scalar mode's. *)
+let stamp_system ~cnfets ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave
+    ~caps ~inds ~gmin x =
   let v_of i = if i < 0 then 0.0 else x.(i) in
   let stamp_conductance a b g =
     add_j a a g;
@@ -387,22 +394,26 @@ let stamp_system ?table ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave ~caps
       | Dcnfet { d; g; s; model; cgs_i; cgd_i; ti } ->
           let vgs = v_of g -. v_of s and vds = v_of d -. v_of s in
           let i0, gm, gds =
-            match table with
-            | Some tb ->
+            match cnfets with
+            | Symbolic -> (0.0, 0.0, 0.0)
+            | Columns tb ->
                 ( Bigarray.Array1.unsafe_get tb.ct_i0 ti,
                   Bigarray.Array1.unsafe_get tb.ct_gm ti,
                   Bigarray.Array1.unsafe_get tb.ct_gds ti )
-            | None ->
-                let i0 =
-                  if Fault.fires Fault.Nan_eval then Float.nan
-                  else Cnt_core.Device_model.ids model ~vgs ~vds
+            | In_place ->
+                (* the batched stencil's [fault_i0] semantics: the bias
+                   point is evaluated, only the current becomes NaN *)
+                let i0, gm, gds =
+                  Cnt_core.Device_model.small_signal model ~vgs ~vds
                 in
-                let gm = Cnt_core.Device_model.gm model ~vgs ~vds in
-                let gds = Cnt_core.Device_model.gds model ~vgs ~vds in
+                let i0 = if Fault.fires Fault.Nan_eval then Float.nan else i0 in
                 (i0, gm, gds)
           in
-          stats.device_evals <- stats.device_evals + 1;
-          Obs.incr c_device_evals;
+          (match cnfets with
+          | Symbolic -> ()
+          | In_place | Columns _ ->
+              stats.device_evals <- stats.device_evals + 1;
+              Obs.incr c_device_evals);
           (* linearised drain current i = ieq + gm*vgs + gds*vds *)
           let ieq = i0 -. (gm *. vgs) -. (gds *. vds) in
           add_j d g gm;
@@ -514,7 +525,8 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
     end
   in
   let scratch_stats = fresh_stats ~backend:"" ~unknowns:n ~nonzeros:0 in
-  stamp_system ~stats:scratch_stats ~devices ~n_nodes ~add_j:record
+  stamp_system ~cnfets:Symbolic ~stats:scratch_stats ~devices ~n_nodes
+    ~add_j:record
     ~add_b:(fun _ _ -> ())
     ~eval_wave:(fun _ _ -> 0.0)
     ~caps:zero_caps ~inds:zero_inds ~gmin:0.0 (Array.make n 0.0);
@@ -529,8 +541,8 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
     Array.map (fun (i, j) -> solver.Linear_solver.slot i j) pattern
   in
   (* lower the CNFETs into the structure-of-arrays table; the symbolic
-     pass above always runs with [table:None], so the recorded pattern
-     and slot program are identical in both assembly modes *)
+     pass above evaluates no device in either mode, so the recorded
+     pattern and slot program are identical in both assembly modes *)
   let table =
     if assembly = Scalar || !n_cnfets = 0 then None
     else begin
@@ -787,8 +799,9 @@ let refill c ~eval_wave ~caps ~inds ~gmin x =
     end
   in
   let add_b i v = if i >= 0 then c.rhs.(i) <- c.rhs.(i) +. v in
-  stamp_system ?table:c.table ~stats:c.stats ~devices:c.devices
-    ~n_nodes:c.n_nodes ~add_j ~add_b ~eval_wave ~caps ~inds ~gmin x;
+  let cnfets = match c.table with Some tb -> Columns tb | None -> In_place in
+  stamp_system ~cnfets ~stats:c.stats ~devices:c.devices ~n_nodes:c.n_nodes
+    ~add_j ~add_b ~eval_wave ~caps ~inds ~gmin x;
   Option.iter Obs.end_span span_s;
   if !cursor <> Array.length program then
     invalid_arg "Mna.refill: stamp sequence diverged from compiled program"

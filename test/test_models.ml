@@ -1,7 +1,8 @@
 (* The pluggable device-model tier: registry dispatch, deck [model=]
    parsing, per-backend evaluation invariants (batched stencil bitwise
    equal to scalar calls, jobs-count and assembly-mode independence,
-   I_DS monotone in V_DS), the --model / CNT_MODEL run override, the
+   I_DS monotone in V_DS), closed-form gm/gds against a
+   central-difference oracle, the --model / CNT_MODEL run override, the
    cache-identity contract (two decks differing only in model never
    share entries), and per-backend golden CSVs for a DC sweep and a
    transient.
@@ -177,9 +178,10 @@ let model_of_backend backend =
   | Ok m -> m
   | Error msg -> Alcotest.failf "%s: of_card failed: %s" backend msg
 
-(* Small negative V_DS points included deliberately: the stencil's
-   central differences step below zero near the origin, so both paths
-   must agree there too. *)
+(* Small negative V_DS points included deliberately: they take the
+   reverse-bias branches (vs's source/drain swap, the piecewise drain
+   curve shifted past the source one), so both paths must agree there
+   too. *)
 let bias_grid =
   List.concat_map
     (fun vgs ->
@@ -198,9 +200,16 @@ let test_stencil_matches_scalar backend () =
       stencil ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds ~k:0;
       let at (v : DM.vec) = Bigarray.Array1.get v 0 in
       let tag p = Printf.sprintf "%s %s vgs=%g vds=%g" backend p vgs vds in
+      let ids, gmv, gdsv = DM.small_signal m ~vgs ~vds in
       check_bits (tag "i0") (DM.ids m ~vgs ~vds) (at i0);
-      check_bits (tag "gm") (DM.gm m ~vgs ~vds) (at gm);
-      check_bits (tag "gds") (DM.gds m ~vgs ~vds) (at gds))
+      check_bits (tag "small_signal i0") ids (at i0);
+      check_bits (tag "gm") gmv (at gm);
+      check_bits (tag "gds") gdsv (at gds);
+      (* an injected NaN fault poisons only the current *)
+      stencil ~fault_i0:true ~vgs ~vds ~i0 ~gm ~gds ~k:0;
+      Alcotest.(check bool) (tag "fault i0 is NaN") true (Float.is_nan (at i0));
+      check_bits (tag "fault gm") gmv (at gm);
+      check_bits (tag "fault gds") gdsv (at gds))
     bias_grid
 
 let test_monotone_ids backend () =
@@ -239,6 +248,242 @@ let test_assembly_invariance backend () =
   check_tables_bitwise
     (backend ^ ": scalar = batched")
     (run Mna.Scalar) (run Mna.Batched)
+
+(* ------------------------------------------------------------------ *)
+(* Closed-form conductances against the finite-difference oracle       *)
+(* ------------------------------------------------------------------ *)
+
+(* The central difference the Newton stencil used before every backend
+   had closed-form conductances, at its step dv = 1e-4: now only an
+   oracle. *)
+let fd_dv = 1e-4
+
+let central_difference ~h m ~vgs ~vds =
+  ( (DM.ids m ~vgs:(vgs +. h) ~vds -. DM.ids m ~vgs:(vgs -. h) ~vds)
+    /. (2.0 *. h),
+    (DM.ids m ~vgs ~vds:(vds +. h) -. DM.ids m ~vgs ~vds:(vds -. h))
+    /. (2.0 *. h) )
+
+let fd_conductances = central_difference ~h:fd_dv
+
+(* At a C^1 seam the curvature jumps inside the stencil, so a central
+   difference centred on the seam is off by O(h); one Richardson step,
+   2 D(h/2) - D(h), cancels that term. *)
+let fd_richardson m ~vgs ~vds =
+  let gm1, gds1 = fd_conductances m ~vgs ~vds in
+  let gm2, gds2 = central_difference ~h:(fd_dv /. 2.0) m ~vgs ~vds in
+  ((2.0 *. gm2) -. gm1, (2.0 *. gds2) -. gds1)
+
+(* Tolerance: the relative error of the device's Jacobian row in the
+   1-norm, |dgm| + |dgds| <= 1e-4 (|gm| + |gds|).  The oracle's own
+   truncation error at dv = 1e-4 is about dv^2 / (6 kT^2), at most
+   1.5e-5 over the corner set (150 K); the closed form agrees with a
+   1e-6 step to 5e-8. *)
+let jacobian_rtol = 1e-4
+
+let check_jacobian ?(oracle = fd_conductances) label m ~vgs ~vds =
+  let _, gm, gds = DM.small_signal m ~vgs ~vds in
+  let fgm, fgds = oracle m ~vgs ~vds in
+  let err =
+    (Float.abs (gm -. fgm) +. Float.abs (gds -. fgds))
+    /. (Float.abs gm +. Float.abs gds)
+  in
+  if not (err <= jacobian_rtol) then
+    Alcotest.failf
+      "%s vgs=%.17g vds=%.17g: gm %g (oracle %g), gds %g (oracle %g), \
+       relative error %g > %g"
+      label vgs vds gm fgm gds fgds err jacobian_rtol
+
+(* The paper's corner set: T in {150, 300, 450} K x E_F in {-0.5,
+   -0.32, 0} eV, through the card attributes.  Builds are memoised on
+   the card, so each card kind fits at most 9 models per polarity. *)
+let corner_temps = [ 150.0; 300.0; 450.0 ]
+let corner_efs = [ -0.5; -0.32; 0.0 ]
+
+(* Every registered backend on its default card, plus piecewise Model 1
+   (the default piecewise card is Model 2). *)
+let jacobian_cards =
+  List.map (fun (b : DM.backend_info) -> (b.DM.name, b.DM.name, []))
+    (DM.backends ())
+  @ [ ("piecewise model=1", "piecewise", [ ("model", "1") ]) ]
+
+let corner_model (_, backend, attrs) ~polarity ~temp ~ef =
+  let num v = Printf.sprintf "%.17g" v in
+  match
+    DM.of_card ~backend ~polarity ~number:float_of_string
+      (("temp", num temp) :: ("ef", num ef) :: attrs)
+  with
+  | Ok m -> m
+  | Error msg -> Alcotest.failf "of_card %s failed: %s" backend msg
+
+let polarity_sign = function DM.N_type -> 1.0 | DM.P_type -> -1.0
+let polarity_name = function DM.N_type -> "n" | DM.P_type -> "p"
+
+let boundaries pm =
+  Cnt_core.Piecewise.boundaries (Cnt_core.Cnt_model.charge_approx pm)
+
+(* Within 2 dv of a C^1 seam — a piecewise charge boundary under V_SC or
+   V_SC + V_DS, or vs's source/drain swap at V_DS = 0 — the central
+   difference straddles a curvature jump and is itself off by O(dv)
+   (up to ~5e-4 relative).  Neither V_SC nor V_SC + V_DS moves by more
+   than dv across the stencil, so such points are left to the explicit
+   seam cases below. *)
+let near_seam m ~vgs ~vds =
+  let margin = 2.0 *. fd_dv in
+  match DM.as_piecewise m with
+  | None -> Float.abs vds < margin
+  | Some pm ->
+      let vsc = Cnt_core.Cnt_model.solve_vsc pm ~vgs ~vds in
+      let ovds = polarity_sign (DM.polarity m) *. vds in
+      let near x = Float.abs x < margin in
+      Array.exists
+        (fun b -> near (vsc -. b) || near (vsc +. ovds -. b))
+        (boundaries pm)
+
+let jacobian_case_gen =
+  QCheck2.Gen.(
+    tup6 (oneofl jacobian_cards)
+      (oneofl [ DM.N_type; DM.P_type ])
+      (oneofl corner_temps) (oneofl corner_efs) (float_range 0.0 0.6)
+      (float_range (-0.1) 0.6))
+
+let print_jacobian_case ((label, _, _), polarity, temp, ef, vgs, vds) =
+  Printf.sprintf "%s %s T=%g E_F=%g V_GS=%.17g V_DS=%.17g" label
+    (polarity_name polarity) temp ef vgs vds
+
+(* Biases are drawn for the n-type orientation and mirrored for p-type,
+   so both polarities are exercised in the same regimes. *)
+let prop_jacobian_matches_fd =
+  QCheck2.Test.make
+    ~name:"closed-form gm/gds = central difference (dv = 1e-4)" ~count:2000
+    ~print:print_jacobian_case jacobian_case_gen
+    (fun ((label, _, _) as card, polarity, temp, ef, vgs, vds) ->
+      let m = corner_model card ~polarity ~temp ~ef in
+      let sign = polarity_sign polarity in
+      let vgs = sign *. vgs and vds = sign *. vds in
+      if not (near_seam m ~vgs ~vds) then
+        check_jacobian
+          (Printf.sprintf "%s %s T=%g E_F=%g" label (polarity_name polarity)
+             temp ef)
+          m ~vgs ~vds;
+      true)
+
+(* Bisection on V_GS for the bias whose self-consistent voltage, plus
+   [shift], sits on [target]: V_SC is monotone in V_GS. *)
+let vgs_on_boundary pm ~vds ~shift ~target =
+  let f vgs = Cnt_core.Cnt_model.solve_vsc pm ~vgs ~vds +. shift -. target in
+  let lo = ref (-5.0) and hi = ref 5.0 in
+  let flo = f !lo in
+  if flo *. f !hi > 0.0 then None
+  else begin
+    for _ = 1 to 100 do
+      let mid = 0.5 *. (!lo +. !hi) in
+      if f mid > 0.0 = (flo > 0.0) then lo := mid else hi := mid
+    done;
+    Some (0.5 *. (!lo +. !hi))
+  end
+
+(* Every (polarity, T, E_F) of the corner set. *)
+let corner_cases =
+  List.concat_map
+    (fun polarity ->
+      List.concat_map
+        (fun temp -> List.map (fun ef -> (polarity, temp, ef)) corner_efs)
+        corner_temps)
+    [ DM.N_type; DM.P_type ]
+
+(* The C^1 seams of Models 1 and 2: V_SC (source side) or V_SC + V_DS
+   (drain side) within 1e-9 V of every piece boundary, at every corner
+   and both polarities, against the Richardson-corrected oracle at the
+   same tolerance. *)
+let test_jacobian_piece_boundaries () =
+  let sides = [ (0.05, false); (0.4, false); (0.05, true); (0.4, true) ] in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun (polarity, temp, ef) ->
+          let m =
+            corner_model ("", "piecewise", [ ("model", model) ]) ~polarity
+              ~temp ~ef
+          in
+          let pm = Option.get (DM.as_piecewise m) in
+          let tag =
+            Printf.sprintf "model %s %s T=%g E_F=%g" model
+              (polarity_name polarity) temp ef
+          in
+          let check_seam b (ovds, drain_side) =
+            let vds = polarity_sign polarity *. ovds in
+            let shift = if drain_side then ovds else 0.0 in
+            match vgs_on_boundary pm ~vds ~shift ~target:b with
+            | None -> Alcotest.failf "%s: boundary %g unreachable" tag b
+            | Some vgs ->
+                let vsc = Cnt_core.Cnt_model.solve_vsc pm ~vgs ~vds in
+                if Float.abs (vsc +. shift -. b) > 1e-9 then
+                  Alcotest.failf "%s: bisection missed boundary %g" tag b;
+                check_jacobian ~oracle:fd_richardson
+                  (Printf.sprintf "%s boundary %g (%s side)" tag b
+                     (if drain_side then "drain" else "source"))
+                  m ~vgs ~vds
+          in
+          Array.iter (fun b -> List.iter (check_seam b) sides) (boundaries pm))
+        corner_cases)
+    [ "1"; "2" ]
+
+(* vs's source/drain swap: at V_DS = 0 the current is C^1 but its
+   curvature jumps, hence the Richardson-corrected oracle.  Above
+   u = (V_GS - V_T) / (n phi_t) = 40 (V_GS > ~1.44 V at the defaults)
+   the softplus clamps to its argument with slope exactly 1. *)
+let test_jacobian_vs_seams () =
+  List.iter
+    (fun (polarity, temp, ef) ->
+      let m = corner_model ("vs", "vs", []) ~polarity ~temp ~ef in
+      let sign = polarity_sign polarity in
+      let tag = Printf.sprintf "vs %s T=%g" (polarity_name polarity) temp in
+      List.iter
+        (fun vgs ->
+          check_jacobian ~oracle:fd_richardson (tag ^ " V_DS=0") m
+            ~vgs:(sign *. vgs) ~vds:0.0)
+        [ -0.2; 0.0; 0.1; 0.3; 0.45; 0.6 ];
+      List.iter
+        (fun (vgs, vds) ->
+          check_jacobian (tag ^ " softplus clamp") m ~vgs:(sign *. vgs)
+            ~vds:(sign *. vds))
+        [ (1.6, 0.3); (2.0, 0.05); (2.0, -0.3) ])
+    (List.filter (fun (_, _, ef) -> ef = -0.32) corner_cases)
+
+(* The closed form divides by D = C_Sigma - Q_S'(V_SC) - Q_S'(V_SC + V_DS).
+   The physical charge curve is non-increasing, so D >= C_Sigma; a
+   least-squares piece may overshoot to a small positive slope, so pin
+   C_Sigma - 2 max Q_S' > 0 — D bounded away from zero at any bias — for
+   every fitted corner. *)
+let test_jacobian_denominator () =
+  List.iter
+    (fun model ->
+      List.iter
+        (fun (polarity, temp, ef) ->
+          let pm =
+            Option.get
+              (DM.as_piecewise
+                 (corner_model ("", "piecewise", [ ("model", model) ])
+                    ~polarity ~temp ~ef))
+          in
+          let solver = Cnt_core.Cnt_model.solver pm in
+          let bs = boundaries pm in
+          let lo = bs.(0) -. 1.0 and hi = bs.(Array.length bs - 1) +. 1.0 in
+          let worst = ref neg_infinity in
+          for k = 0 to 4000 do
+            let x = lo +. ((hi -. lo) *. float_of_int k /. 4000.0) in
+            worst :=
+              Float.max !worst (Cnt_core.Scv_solver.qs_slope solver x)
+          done;
+          let c_sigma = Cnt_core.Scv_solver.c_sigma solver in
+          if not (c_sigma -. (2.0 *. !worst) > 0.0) then
+            Alcotest.failf
+              "model %s T=%g E_F=%g: max Q_S' %g leaves D unbounded \
+               (C_Sigma %g)"
+              model temp ef !worst c_sigma)
+        (List.filter (fun (p, _, _) -> p = DM.N_type) corner_cases))
+    [ "1"; "2" ]
 
 (* ------------------------------------------------------------------ *)
 (* The run-level override                                              *)
@@ -400,6 +645,43 @@ let test_golden_csv backend deck () =
   let csv = String.concat "" (List.map Engine.table_to_csv tables) in
   check_golden ~name:(Printf.sprintf "%s_%s" deck backend) csv
 
+(* models_dc_vs.csv as blessed under the finite-difference Jacobian.
+   The closed-form conductances move the Newton iterate, so the
+   converged VIN = 0.6 row moved in its ninth digit when the golden was
+   rebased; every cell must stay within 2e-8 relative (two units of the
+   ninth significant digit the CSV prints) of these bytes. *)
+let models_dc_vs_fd_golden =
+  "vin,v(out),id(mn)\n\
+   0,0.599999399,1.3179928e-10\n\
+   0.2,0.598069542,1.42885536e-07\n\
+   0.4,0.00193044991,1.42885536e-07\n\
+   0.6,5.98688619e-07,1.31799279e-10\n"
+
+let test_vs_golden_near_fd () =
+  let tables =
+    run_ok
+      ~config:(Engine.config ~model:"vs" ())
+      (Parser.parse (read_file (deck_path "models_dc")))
+  in
+  let cells text =
+    List.map (String.split_on_char ',')
+      (String.split_on_char '\n' (String.trim text))
+  in
+  match
+    ( cells models_dc_vs_fd_golden,
+      cells (String.concat "" (List.map Engine.table_to_csv tables)) )
+  with
+  | old_header :: old_rows, header :: rows ->
+      Alcotest.(check (list string)) "header" old_header header;
+      Alcotest.(check int) "rows" (List.length old_rows) (List.length rows);
+      List.iter2
+        (List.iter2 (fun o l ->
+             let a = float_of_string o and b = float_of_string l in
+             if Float.abs (a -. b) > 2e-8 *. Float.abs a then
+               Alcotest.failf "cell %s moved to %s" o l))
+        old_rows rows
+  | _ -> Alcotest.fail "empty CSV"
+
 (* ------------------------------------------------------------------ *)
 (* The cspice flag, end to end                                         *)
 (* ------------------------------------------------------------------ *)
@@ -450,6 +732,13 @@ let () =
         @ per_backend "ids monotone in vds" test_monotone_ids
         @ per_backend "jobs invariance" test_jobs_invariance
         @ per_backend "assembly invariance" test_assembly_invariance );
+      ( "jacobians",
+        [
+          QCheck_alcotest.to_alcotest prop_jacobian_matches_fd;
+          tc "piece boundaries (C1 seams)" test_jacobian_piece_boundaries;
+          tc "vs swap and clamp" test_jacobian_vs_seams;
+          tc "denominator bounded away from zero" test_jacobian_denominator;
+        ] );
       ( "override",
         [
           tc "matching override is a no-op" test_override_matching_is_noop;
@@ -467,6 +756,8 @@ let () =
         [
           tc "dc csv (piecewise)" (test_golden_csv "piecewise" "models_dc");
           tc "dc csv (vs)" (test_golden_csv "vs" "models_dc");
+          tc "dc csv (vs) within 2e-8 of the FD-Jacobian bytes"
+            test_vs_golden_near_fd;
           tc "tran csv (piecewise)" (test_golden_csv "piecewise" "models_tran");
           tc "tran csv (vs)" (test_golden_csv "vs" "models_tran");
           tc "cspice --model" test_cspice_model_flag;

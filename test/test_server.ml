@@ -516,6 +516,57 @@ let test_warm_cache_reported () =
     "manifest names the daemon version" true
     (contains ~needle:"\"version\":\"" second)
 
+(* The per-request compile_cache echo under contention.  A slow request
+   holds the run mutex through a long DC sweep, then compiles its
+   circuit again for its second analysis — a compile-cache hit.  A
+   fresh deck queued behind it is a compile miss, and its reply must
+   say so: the process-wide hit counter moves while the fresh request
+   waits, so a counter read taken before the run mutex credits it with
+   the slow request's hit. *)
+let test_compile_echo_queued () =
+  with_daemon @@ fun sock ->
+  let slow =
+    String.concat "\n"
+      ([ "slow chain"; ".subckt inv in out vdd"; "MP out in vdd PCNFET";
+         "MN out in 0 CNFET"; ".ends"; "VDD vdd 0 0.6"; "VIN n0 0 0" ]
+      @ List.init 200 (fun i ->
+            Printf.sprintf "X%d n%d n%d vdd inv" (i + 1) i (i + 1))
+      @ [ ".dc VIN 0 0.6 0.005"; ".op"; ".print v(n200)"; ".end"; "" ])
+  in
+  let fresh = "fresh divider\nV1 a 0 1\nR1 a b 1k\nR2 b 0 1k\n.op\n.end\n" in
+  let send ~progress ~id text =
+    let fd = raw_connect sock in
+    raw_send fd
+      (Protocol.encode_run ~id ~deck:(Protocol.Deck_text { text; file = None })
+         ~config:Cnt_spice.Engine.default_config ~progress);
+    fd
+  in
+  let rec read_frame fd kind =
+    match raw_read_line fd with
+    | None -> Alcotest.failf "connection closed before a %s frame" kind
+    | Some line ->
+        if contains ~needle:(Printf.sprintf "\"frame\":\"%s\"" kind) line
+        then line
+        else read_frame fd kind
+  in
+  let echo_is label fd outcome =
+    let line = read_frame fd "result" in
+    Unix.close fd;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s reports compile_cache %s" label outcome)
+      true
+      (contains
+         ~needle:(Printf.sprintf "\"compile_cache\":\"%s\"" outcome)
+         line)
+  in
+  let fd_slow = send ~progress:true ~id:"slow" slow in
+  (* progress frames come from inside the run mutex *)
+  ignore (read_frame fd_slow "progress");
+  let fd_fresh = send ~progress:false ~id:"fresh" fresh in
+  ignore (read_frame fd_fresh "accepted");
+  echo_is "slow deck (second analysis recompiles)" fd_slow "hit";
+  echo_is "fresh deck queued behind it" fd_fresh "miss"
+
 let test_busy_drain () =
   (* SIGTERM with a request in flight: the result must still arrive and
      the daemon must still exit 0 (checked by with_daemon) *)
@@ -605,6 +656,8 @@ let () =
             test_deadline_offline;
           Alcotest.test_case "warm caches reported" `Quick
             test_warm_cache_reported;
+          Alcotest.test_case "queued compile_cache echo" `Quick
+            test_compile_echo_queued;
           Alcotest.test_case "busy SIGTERM drain" `Quick test_busy_drain;
         ] );
       ( "version",
