@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test check bench bench-check bench-diff obs-smoke obs-bench par-check par-bench conv-check conv-smoke conv-bench cache-check cache-smoke cache-bench asm-check asm-smoke asm-bench server-check server-smoke server-bench models-check models-smoke models-bench corpus-check corpus-bless repro clean
+.PHONY: all build test check bench bench-check bench-diff obs-smoke obs-bench par-check par-bench conv-check conv-smoke conv-bench server-check server-smoke server-bench models-check models-smoke models-bench corpus-check corpus-bless repro clean
 
 all: build
 
@@ -71,36 +71,6 @@ conv-bench:
 	dune exec bench/main.exe -- convergence-json > results/BENCH_convergence.json
 	@tail -n +2 results/BENCH_convergence.json | head -n 5
 
-# Cache invisibility gate: the full suite with every CNFET cache forced
-# on (exact keys), sequential and wide (see docs/CACHING.md).
-cache-check:
-	CNT_CACHE=4096 CNT_JOBS=1 dune runtest --force
-	CNT_CACHE=4096 CNT_JOBS=4 dune runtest --force
-
-# Assembly equivalence gate: the full suite with CNFET stamp assembly
-# forced scalar and forced batched (see docs/ASSEMBLY.md).
-asm-check:
-	CNT_ASSEMBLY=scalar dune runtest --force
-	CNT_ASSEMBLY=batched dune runtest --force
-
-# Quick assembly-mode smoke run (1 repeat; prints JSON to stdout).
-asm-smoke:
-	@dune exec bench/main.exe -- assembly-json --smoke
-
-# Full assembly-mode benchmark; refreshes the committed artefact.
-asm-bench:
-	dune exec bench/main.exe -- assembly-json > results/BENCH_assembly.json
-	@tail -n +2 results/BENCH_assembly.json | head -n 8
-
-# Quick cache/batch smoke run (2 repeats; prints JSON to stdout).
-cache-smoke:
-	@dune exec bench/main.exe -- cache-json --smoke
-
-# Full cache/batch benchmark; refreshes the committed artefact.
-cache-bench:
-	dune exec bench/main.exe -- cache-json > results/BENCH_cache.json
-	@tail -n +2 results/BENCH_cache.json | head -n 6
-
 # Daemon/protocol gate: wire round-trips, byte parity offline vs
 # --connect, edge cases, graceful drain (see docs/SERVER.md).
 server-check:
@@ -118,8 +88,8 @@ server-bench:
 
 # Device-model gate: the full suite with every CNFET forced onto each
 # registered backend (see docs/MODELS.md).  Suites that pin bytes for
-# deck-declared models neutralise the variable; the bitwise-invariance
-# suites (jobs, assembly, cache) genuinely run under the forced backend.
+# deck-declared models neutralise or override the variable; the jobs
+# bitwise-invariance suite genuinely runs under the forced backend.
 models-check:
 	CNT_MODEL=piecewise dune runtest --force
 	CNT_MODEL=vs dune runtest --force

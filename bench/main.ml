@@ -697,328 +697,6 @@ let convergence_json ~repeats =
   Buffer.add_string buf "\n  ]\n}\n";
   print_string (Buffer.contents buf)
 
-(* Bias-point cache and batched kernels: the cost of the paper's
-   family workload (7 x 61 bias points) through the scalar path with
-   the cache off, with a warm cache (steady-state hits), and through
-   the batched kernel; plus a single cached point hit.  `main
-   cache-json` measures the circuit-level payoff (repeated-bias sweeps,
-   inverter VTC) standalone and emits JSON (committed as
-   results/BENCH_cache.json). *)
-let scalar_family model =
-  List.iter
-    (fun vgs ->
-      Array.iter (fun vds -> ignore (Cnt_model.ids model ~vgs ~vds)) vds_points)
-    family_vgs
-
-let cache_group =
-  let cached_model =
-    lazy
-      (let m = Cnt_model.model2 () in
-       Cnt_model.set_cache m { Eval_cache.size = 4096; quantum = 0.0 };
-       scalar_family m;
-       (* warm: every grid point resident *)
-       m)
-  in
-  Test.make_grouped ~name:"cache"
-    [
-      Test.make ~name:"family_7x61_scalar_nocache"
-        (stage_unit (fun () -> scalar_family model2));
-      Test.make ~name:"family_7x61_scalar_warm_cache"
-        (stage_unit (fun () -> scalar_family (Lazy.force cached_model)));
-      Test.make ~name:"family_7x61_batch_nocache"
-        (stage_unit (fun () ->
-             Cnt_model.eval_batch model2
-               ~vgs:(Array.of_list family_vgs)
-               ~vds:vds_points));
-      Test.make ~name:"point_warm_hit"
-        (stage_unit (fun () ->
-             Cnt_model.ids (Lazy.force cached_model) ~vgs:0.5 ~vds:0.3));
-    ]
-
-let cache_json ~repeats =
-  let open Cnt_spice in
-  let sample ~inner f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to inner do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int inner
-  in
-  (* paired best-of alternation, as in convergence-json, so host drift
-     hits both arms equally *)
-  let best2 ~inner f g =
-    let bf = ref infinity and bg = ref infinity in
-    ignore (sample ~inner f);
-    ignore (sample ~inner g);
-    for _ = 1 to repeats do
-      let df = sample ~inner f in
-      if df < !bf then bf := df;
-      let dg = sample ~inner g in
-      if dg < !bg then bg := dg
-    done;
-    (!bf, !bg)
-  in
-  let cache_cfg = { Eval_cache.size = 4096; quantum = 0.0 } in
-  (* one fresh-cache pass for the hit/miss profile of a workload *)
-  let profile_stats ~cfg models work =
-    List.iter (fun m -> Cnt_model.set_cache m cfg) models;
-    work ();
-    let s =
-      List.fold_left
-        (fun acc m ->
-          let s = Cnt_model.cache_stats m in
-          {
-            Eval_cache.hits = acc.Eval_cache.hits + s.Eval_cache.hits;
-            misses = acc.Eval_cache.misses + s.Eval_cache.misses;
-            evictions = acc.Eval_cache.evictions + s.Eval_cache.evictions;
-          })
-        { Eval_cache.hits = 0; misses = 0; evictions = 0 }
-        models
-    in
-    List.iter (fun m -> Cnt_model.set_cache m Eval_cache.disabled) models;
-    s
-  in
-  let entry ?(cfg = cache_cfg) ~name ~inner ~models ~off_arm ~on_arm
-      ~stats_work () =
-    let off_s, on_s =
-      best2 ~inner
-        (fun () ->
-          List.iter (fun m -> Cnt_model.set_cache m Eval_cache.disabled) models;
-          off_arm ())
-        (fun () ->
-          List.iter (fun m -> Cnt_model.set_cache m cfg) models;
-          on_arm ())
-    in
-    let s = profile_stats ~cfg models stats_work in
-    let total = s.Eval_cache.hits + s.Eval_cache.misses in
-    Printf.sprintf
-      "    {\"workload\": \"%s\", \"cache\": \"%s\", \"cache_off_s\": %.6g, \
-       \"cache_on_s\": %.6g, \"speedup\": %.3g, \"hits\": %d, \"misses\": \
-       %d, \"evictions\": %d, \"hit_rate\": %.3f}"
-      name
-      (Eval_cache.config_to_string cfg)
-      off_s on_s (off_s /. on_s) s.Eval_cache.hits s.Eval_cache.misses
-      s.Eval_cache.evictions
-      (if total = 0 then 0.0 else float_of_int s.Eval_cache.hits /. float_of_int total)
-  in
-  (* 1. repeated-bias sweep: the paper's 7x61 family evaluated 5 times
-     over (a characterisation loop revisiting one grid) *)
-  let family_model = Cnt_model.model2 () in
-  let repeated_family () =
-    for _ = 1 to 5 do
-      scalar_family family_model
-    done
-  in
-  let repeated =
-    entry ~name:"family_7x61_x5_scalar" ~inner:2 ~models:[ family_model ]
-      ~off_arm:repeated_family ~on_arm:repeated_family
-      ~stats_work:repeated_family ()
-  in
-  (* 2. batch kernel vs scalar loop, single cold pass, no cache *)
-  let batch_entry =
-    let vgs = Array.of_list family_vgs in
-    let scalar () = scalar_family family_model in
-    let batch () = ignore (Cnt_model.eval_batch family_model ~vgs ~vds:vds_points) in
-    Cnt_model.set_cache family_model Eval_cache.disabled;
-    let scalar_s, batch_s = best2 ~inner:4 scalar batch in
-    Printf.sprintf
-      "    {\"workload\": \"family_7x61_batch_vs_scalar\", \"scalar_s\": \
-       %.6g, \"batch_s\": %.6g, \"speedup\": %.3g}"
-      scalar_s batch_s (scalar_s /. batch_s)
-  in
-  (* 3. circuit level: 61-point inverter VTC; Newton warm starts and
-     gm/gds stencils revisit bias points within and across steps *)
-  let n_model = Cnt_model.model2 () in
-  let p_model = Cnt_model.model2 ~polarity:Cnt_model.P_type () in
-  let inverter () =
-    Circuit.create
-      [
-        Circuit.vdc "vdd" "vdd" "0" 0.6;
-        Circuit.vdc "vin" "in" "0" 0.0;
-        Circuit.cnfet "mn" ~drain:"out" ~gate:"in" ~source:"0" n_model;
-        Circuit.cnfet "mp" ~drain:"out" ~gate:"in" ~source:"vdd" p_model;
-      ]
-  in
-  let vtc () =
-    ignore
-      (Dc.sweep (inverter ()) ~source:"vin" ~start:0.0 ~stop:0.6 ~step:0.01)
-  in
-  let vtc_entry =
-    entry ~name:"inverter_vtc_61pt" ~inner:2 ~models:[ n_model; p_model ]
-      ~off_arm:vtc ~on_arm:vtc ~stats_work:vtc ()
-  in
-  (* quantisation's target: near-repeated biases (re-measured grids,
-     jittered sweeps) that exact keys always miss.  Five passes over
-     the family grid with a sub-quantum jitter per pass: exact keys
-     miss every pass, 1 uV snapping hits from the second pass on.
-     (Do NOT quantise inside Newton solves: the induced I-V steps stall
-     the update-based convergence test — see docs/CACHING.md.) *)
-  let jittered_family () =
-    for pass = 0 to 4 do
-      let jitter = 1e-8 *. float_of_int pass in
-      List.iter
-        (fun vgs ->
-          Array.iter
-            (fun vds ->
-              ignore (Cnt_model.ids family_model ~vgs ~vds:(vds +. jitter)))
-            vds_points)
-        family_vgs
-    done
-  in
-  let quantised_entry =
-    entry
-      ~cfg:{ Eval_cache.size = 4096; quantum = 1e-6 }
-      ~name:"family_7x61_x5_jittered_quantised" ~inner:2
-      ~models:[ family_model ] ~off_arm:jittered_family
-      ~on_arm:jittered_family ~stats_work:jittered_family ()
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"benchmark\": \"eval_cache\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"repeats\": %d,\n" repeats);
-  Buffer.add_string buf "  \"time_metric\": \"best_wall_clock_s\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cache_config\": \"%s\",\n"
-       (Eval_cache.config_to_string cache_cfg));
-  Buffer.add_string buf
-    "  \"note\": \"quantum 0 keys make cached results bitwise-identical to \
-     uncached ones (pinned by test_property/test_golden); the repeated-bias \
-     workload is the cache's target and must show speedup >= 2.  \
-     inverter_vtc_61pt quantifies the miss overhead instead: Newton \
-     iterates almost never repeat a bias bitwise, so exact-key caching \
-     inside a raw sweep is a small net cost -- which is why caching is \
-     opt-in.  Quantised keys must never be used inside Newton solves (the \
-     induced I-V steps stall convergence); the jittered workload shows \
-     their actual target, near-repeated bias grids\",\n";
-  Buffer.add_string buf "  \"results\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n"
-       [ repeated; batch_entry; vtc_entry; quantised_entry ]);
-  Buffer.add_string buf "\n  ]\n}\n";
-  print_string (Buffer.contents buf)
-
-(* Batched SoA assembly vs the scalar per-device path: the 51-stage
-   ring transient at the scaling-bench operating point (sparse backend,
-   tstep 1 ps, tstop 100 ps).  Both modes produce byte-identical
-   waveforms (pinned by test/test_assembly.ml); only assembly cost
-   differs.  `main assembly-json` runs the comparison standalone with
-   wall-clock timing, an OBS-instrumented gather/batch_eval/scatter
-   span breakdown and a bitwise waveform digest check, and emits JSON
-   (committed as results/BENCH_assembly.json). *)
-let assembly_group =
-  let open Cnt_numerics in
-  let circuit = lazy (List.assoc 51 (Lazy.force ring_circuits)) in
-  Test.make_grouped ~name:"assembly"
-    (List.map
-       (fun mode ->
-         Test.make
-           ~name:
-             (Printf.sprintf "ring51_tran_%s" (Cnt_spice.Mna.assembly_name mode))
-           (stage_unit (fun () ->
-                Cnt_spice.Transient.run ~backend:Linear_solver.Sparse_backend
-                  ~assembly:mode (Lazy.force circuit) ~tstep:1e-12 ~tstop:2e-11)))
-       [ Cnt_spice.Mna.Scalar; Cnt_spice.Mna.Batched ])
-
-let assembly_json ~repeats =
-  let open Cnt_numerics in
-  let open Cnt_obs in
-  let tstep = 1e-12 and tstop = 1e-10 in
-  (* pre-refactor sparse end-to-end time at these exact parameters,
-     from results/BENCH_sparse.json (stages = 51) *)
-  let baseline_sparse_s = 0.388961 in
-  let circuit = List.assoc 51 (Lazy.force ring_circuits) in
-  let run assembly =
-    Cnt_spice.Transient.run ~backend:Linear_solver.Sparse_backend ~assembly
-      circuit ~tstep ~tstop
-  in
-  let measure assembly =
-    let best = ref infinity and stats = ref None and result = ref None in
-    for k = 1 to 1 + repeats do
-      (* first run warms caches and is discarded *)
-      let t0 = Unix.gettimeofday () in
-      let r = run assembly in
-      let dt = Unix.gettimeofday () -. t0 in
-      if k > 1 && dt < !best then begin
-        best := dt;
-        stats := Some (Cnt_spice.Transient.stats r)
-      end;
-      if Option.is_none !result then result := Some r
-    done;
-    (!best, Option.get !stats, Option.get !result)
-  in
-  let digest (r : Cnt_spice.Transient.result) =
-    Array.fold_left
-      (fun acc sol ->
-        Array.fold_left
-          (fun acc v -> (acc * 31) + Int64.to_int (Int64.bits_of_float v))
-          acc sol)
-      0 r.Cnt_spice.Transient.solutions
-  in
-  (* one instrumented run per mode for the per-phase span totals; the
-     telemetry run's wall clock is not used (spans cost time) *)
-  let spans assembly =
-    Obs.reset ();
-    Obs.enable ();
-    ignore (run assembly);
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun e ->
-        let t = try Hashtbl.find tbl e.Obs.ev_name with Not_found -> 0.0 in
-        Hashtbl.replace tbl e.Obs.ev_name (t +. e.Obs.ev_dur))
-      (Obs.events ());
-    Obs.disable ();
-    Obs.reset ();
-    fun name -> try Hashtbl.find tbl name with Not_found -> 0.0
-  in
-  let scalar_s, sstats, sres = measure Cnt_spice.Mna.Scalar in
-  let batched_s, bstats, bres = measure Cnt_spice.Mna.Batched in
-  let identical = digest sres = digest bres in
-  let bspan = spans Cnt_spice.Mna.Batched in
-  let mode_json name wall (st : Cnt_spice.Mna.stats) extra =
-    Printf.sprintf
-      "  \"%s\": {\"wall_s\": %.6g, \"assemble_s\": %.6g, \"solve_s\": %.6g, \
-       \"newton_iterations\": %d, \"device_evals\": %d%s}"
-      name wall st.Cnt_spice.Mna.assemble_s st.Cnt_spice.Mna.solve_s
-      st.Cnt_spice.Mna.newton_iterations st.Cnt_spice.Mna.device_evals extra
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"benchmark\": \"cnfet_assembly_modes\",\n";
-  Buffer.add_string buf "  \"circuit\": \"ring51_tran\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"tstep_s\": %g,\n  \"tstop_s\": %g,\n  \"repeats\": %d,\n"
-       tstep tstop repeats);
-  Buffer.add_string buf "  \"time_metric\": \"best_wall_clock_s\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"baseline_sparse_s\": %.6g,\n" baseline_sparse_s);
-  Buffer.add_string buf
-    "  \"note\": \"baseline_sparse_s is the pre-refactor end-to-end time from \
-     results/BENCH_sparse.json at identical parameters; \
-     waveforms_bitwise_identical compares every solution vector of the two \
-     modes bit for bit (the invariant pinned by test/test_assembly.ml); the \
-     batched span breakdown comes from a separate telemetry-enabled run\",\n";
-  Buffer.add_string buf (mode_json "scalar" scalar_s sstats "");
-  Buffer.add_string buf ",\n";
-  Buffer.add_string buf
-    (mode_json "batched" batched_s bstats
-       (Printf.sprintf
-          ", \"spans\": {\"gather_s\": %.6g, \"batch_eval_s\": %.6g, \
-           \"scatter_s\": %.6g}"
-          (bspan "assemble.gather")
-          (bspan "assemble.batch_eval")
-          (bspan "assemble.scatter")));
-  Buffer.add_string buf ",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"speedup_batched_vs_scalar\": %.3g,\n"
-       (scalar_s /. batched_s));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"speedup_vs_baseline\": %.3g,\n"
-       (baseline_sparse_s /. batched_s));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"waveforms_bitwise_identical\": %b\n" identical);
-  Buffer.add_string buf "}\n";
-  print_string (Buffer.contents buf)
-
 (* ------------------------------------------------------------------ *)
 (* Daemon round-trip throughput (ISSUE 8).
 
@@ -1255,7 +933,7 @@ let all_tests =
     [
       table1; table2; table3; table4; table5; fig23; fig45; fig69; fig1011;
       ablation; spice_group; scaling_group; obs_overhead_group; parallel_group;
-      convergence_group; cache_group; assembly_group; models_group;
+      convergence_group; models_group;
     ]
 
 let benchmark () =
@@ -1290,16 +968,6 @@ let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "convergence-json" then begin
     let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
     convergence_json ~repeats:(if smoke then 2 else 10);
-    exit 0
-  end;
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "cache-json" then begin
-    let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
-    cache_json ~repeats:(if smoke then 2 else 10);
-    exit 0
-  end;
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "assembly-json" then begin
-    let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
-    assembly_json ~repeats:(if smoke then 1 else 5);
     exit 0
   end;
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "server-json" then begin

@@ -42,24 +42,6 @@ let ordering_arg =
     & opt (some ordering_conv) None
     & info [ "ordering" ] ~docv:"ORD" ~doc ~env:(Cmd.Env.info "CNT_ORDERING"))
 
-let assembly_arg =
-  let assembly_conv =
-    Arg.enum
-      [
-        ("scalar", Cnt_spice.Mna.Scalar); ("batched", Cnt_spice.Mna.Batched);
-      ]
-  in
-  let doc =
-    "CNFET stamp assembly: $(b,batched) (default) gathers all device bias \
-     points per Newton iteration and evaluates them through one batched \
-     kernel; $(b,scalar) evaluates each device inside the stamping loop.  \
-     Waveforms are byte-identical in either mode.  See docs/ASSEMBLY.md."
-  in
-  Arg.(
-    value
-    & opt (some assembly_conv) None
-    & info [ "assembly" ] ~docv:"MODE" ~doc ~env:(Cmd.Env.info "CNT_ASSEMBLY"))
-
 let gmin_arg =
   let doc = "Target minimum node-to-ground conductance, siemens." in
   Arg.(value & opt float 1e-12 & info [ "gmin" ] ~docv:"G" ~doc)
@@ -92,31 +74,6 @@ let source_steps_arg =
   let doc = "Points in the source-stepping ramp." in
   Arg.(value & opt int 20 & info [ "source-steps" ] ~docv:"N" ~doc)
 
-let cache_conv =
-  let parse s =
-    match Cnt_core.Eval_cache.config_of_string s with
-    | Ok c -> Ok c
-    | Error msg -> Error (`Msg msg)
-  in
-  let print fmt c =
-    Format.pp_print_string fmt (Cnt_core.Eval_cache.config_to_string c)
-  in
-  Arg.conv (parse, print)
-
-let cache_arg =
-  let doc =
-    "Bias-point evaluation cache per CNFET: $(docv) is \
-     $(i,SIZE)[:$(i,QUANTUM)], e.g. $(b,4096) or $(b,4096:1e-4).  SIZE 0 \
-     disables caching.  With no QUANTUM (exact keys) results are \
-     bitwise-identical to uncached runs; a positive QUANTUM snaps biases to \
-     that grid before solving, trading exactness for hit rate.  See \
-     docs/CACHING.md."
-  in
-  Arg.(
-    value
-    & opt (some cache_conv) None
-    & info [ "cache" ] ~docv:"SPEC" ~doc ~env:(Cmd.Env.info "CNT_CACHE"))
-
 let deadline_arg =
   let doc =
     "Abort the run after $(docv) seconds of wall clock with a structured \
@@ -140,10 +97,9 @@ let model_arg =
     & opt (some string) None
     & info [ "model" ] ~docv:"BACKEND" ~doc ~env:(Cmd.Env.info "CNT_MODEL"))
 
-let make solver ordering assembly jobs gmin tol max_iter no_homotopy
-    gmin_start gmin_steps source_steps cache deadline model =
-  Cnt_spice.Engine.config ~backend:solver ?ordering ?assembly ?jobs ~gmin ~tol
-    ~max_iter
+let make solver ordering jobs gmin tol max_iter no_homotopy gmin_start
+    gmin_steps source_steps deadline model =
+  Cnt_spice.Engine.config ~backend:solver ?ordering ?jobs ~gmin ~tol ~max_iter
     ~homotopy:
       (if no_homotopy then Cnt_spice.Homotopy.plain_only
        else
@@ -153,14 +109,13 @@ let make solver ordering assembly jobs gmin tol max_iter no_homotopy
            gmin_steps;
            source_steps;
          })
-    ?cache ?deadline ?model ()
+    ?deadline ?model ()
 
 let term_with model_term =
   Term.(
-    const make $ solver_arg $ ordering_arg $ assembly_arg $ Cli_jobs.arg
-    $ gmin_arg $ tol_arg $ max_iter_arg $ no_homotopy_arg $ gmin_start_arg
-    $ gmin_steps_arg $ source_steps_arg $ cache_arg $ deadline_arg
-    $ model_term)
+    const make $ solver_arg $ ordering_arg $ Cli_jobs.arg $ gmin_arg $ tol_arg
+    $ max_iter_arg $ no_homotopy_arg $ gmin_start_arg $ gmin_steps_arg
+    $ source_steps_arg $ deadline_arg $ model_term)
 
 let term = term_with model_arg
 

@@ -41,8 +41,6 @@ let run which temp fermi diameter tox vgs_csv vds_max points format optimise
   in
   Cnt_obs.Manifest.set manifest "config"
     (Cnt_spice.Engine.config_manifest config);
-  (* models built below adopt the ambient default cache config *)
-  Option.iter Cnt_core.Eval_cache.set_default config.Cnt_spice.Engine.cache;
   let device =
     Device.create ~temp ~fermi ~diameter:(diameter *. 1e-9)
       ~oxide_thickness:(tox *. 1e-9) ()

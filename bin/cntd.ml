@@ -1,14 +1,14 @@
 (* cntd: the always-on simulation daemon.
 
      cntd --listen /tmp/cntd.sock
-     cntd --listen tcp:127.0.0.1:9797 --jobs-budget 4 --cache 4096
+     cntd --listen tcp:127.0.0.1:9797 --jobs-budget 4 --ordering amd
      cspice --connect /tmp/cntd.sock ring.cir
 
    Accepts cnt-rpc/1 requests (one JSON document per line) on a
    Unix-domain socket or TCP, multiplexes them onto the shared engine,
    and keeps two caches warm across requests: one canonical parsed deck
-   per content hash (anchoring the per-CNFET bias-point evaluation
-   caches) and the Mna compile cache over those canonical circuits.
+   per content hash and the Mna compile cache over those canonical
+   circuits.
    SIGTERM and SIGINT drain gracefully: in-flight requests finish,
    idle connections are shut, then the process exits 0.  See
    docs/SERVER.md for the protocol. *)
@@ -95,7 +95,7 @@ let max_request_arg =
 let deck_cache_arg =
   let doc =
     "Parsed decks kept per content hash — the anchor for cross-request \
-     evaluation- and compile-cache sharing."
+     compile-cache sharing."
   in
   Arg.(value & opt int 64 & info [ "deck-cache" ] ~docv:"N" ~doc)
 

@@ -39,8 +39,6 @@ let run_repro list_only quiet profile dir obs config ids =
     finish ok_outcome 0
   end
   else begin
-    (* models built inside the experiments adopt the ambient default *)
-    Option.iter Cnt_core.Eval_cache.set_default config.Cnt_spice.Engine.cache;
     let ids =
       match ids with
       | [] | [ "all" ] -> Cnt_experiments.Repro.experiment_ids

@@ -30,18 +30,14 @@ type t = {
   c_g : float; (* Device.c_gate / c_drain, hoisted: F/m *)
   c_d : float;
   identity : string;
-  mutable cache : Eval_cache.store;
-      (* per-slot memo of (V_SC, I_DS) solves; disabled unless the
-         ambient Eval_cache default or set_cache says otherwise *)
 }
 
 (* Canonical identity of a fitted model: polarity, the full device
    parameter set, and the fitted boundary offsets/degrees (which also
    separate Model 1 from Model 2 and optimised from stock boundaries).
    Floats print as hex so distinct parameter sets can never collide
-   through rounding.  This string keys manifests, eval caches and the
-   server-side deck caches — anything where two different models must
-   never alias. *)
+   through rounding.  This string keys manifests and anything else
+   where two different models must never alias. *)
 let identity_of ~polarity ~(device : Device.t) ~(spec : Charge_fit.spec) =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
@@ -86,7 +82,6 @@ let make ?(polarity = N_type) ?(spec = Charge_fit.model2_spec)
     c_g = Device.c_gate device;
     c_d = Device.c_drain device;
     identity;
-    cache = Eval_cache.create ~identity (Eval_cache.default_config ());
   }
 
 (* The paper's Model 1 (three pieces) on a device (default: the FETToy
@@ -130,7 +125,6 @@ let of_parts ?(polarity = N_type) ?(charge_rms = nan) ~device ~approx () =
     c_g = Device.c_gate device;
     c_d = Device.c_drain device;
     identity;
-    cache = Eval_cache.create ~identity (Eval_cache.default_config ());
   }
 
 let model1 ?polarity ?optimise ?(device = Device.default) () =
@@ -148,10 +142,6 @@ let charge_approx t = t.fit.Charge_fit.approx
 let charge_rms t = t.fit.Charge_fit.charge_rms
 let solver t = t.solver
 
-let set_cache t cfg = t.cache <- Eval_cache.create ~identity:t.identity cfg
-let cache_config t = Eval_cache.config t.cache
-let cache_stats t = Eval_cache.stats t.cache
-
 (* Map terminal voltages through the device polarity: a p-type device
    is the electron-hole mirror of the n-type one. *)
 let oriented t ~vgs ~vds =
@@ -165,25 +155,14 @@ let current t ~vsc ~vds =
   t.current_scale
   *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
 
-(* The full closed-form point solve on oriented voltages: (V_SC, I_DS)
-   with the n-type current sign.  This is the unit of work the cache
-   memoises — both values come out of the one solve, so a hit saves the
-   breakpoint scan, the root extraction and both Fermi integrals. *)
-let solve_point t ~vgs ~vds =
+(* The closed-form V_SC solve on oriented voltages. *)
+let oriented_vsc t ~vgs ~vds =
   let qt = Device.terminal_charge t.device ~vgs ~vds in
-  let vsc = Scv_solver.solve t.solver ~qt ~vds in
-  (vsc, current t ~vsc ~vds)
-
-let cached_point t ~ovgs ~ovds =
-  Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:ovds (fun ~vgs ~vds ->
-      solve_point t ~vgs ~vds)
+  Scv_solver.solve t.solver ~qt ~vds
 
 let solve_vsc t ~vgs ~vds =
-  let ovgs, ovds = oriented t ~vgs ~vds in
-  if Eval_cache.enabled t.cache then fst (cached_point t ~ovgs ~ovds)
-  else
-    let qt = Device.terminal_charge t.device ~vgs:ovgs ~vds:ovds in
-    Scv_solver.solve t.solver ~qt ~vds:ovds
+  let vgs, vds = oriented t ~vgs ~vds in
+  oriented_vsc t ~vgs ~vds
 
 let solve_stats t ~vgs ~vds =
   let vgs, vds = oriented t ~vgs ~vds in
@@ -194,23 +173,18 @@ let solve_stats t ~vgs ~vds =
    device polarity. *)
 let ids t ~vgs ~vds =
   Obs.incr c_ids_evals;
-  let ovgs, ovds = oriented t ~vgs ~vds in
-  let i = snd (cached_point t ~ovgs ~ovds) in
+  let vgs, vds = oriented t ~vgs ~vds in
+  let i = current t ~vsc:(oriented_vsc t ~vgs ~vds) ~vds in
   match t.polarity with N_type -> i | P_type -> -.i
 
 (* Mobile charges at a bias point (for charge-conserving transient
    stamps): total tube charge and its split between source and drain
    (C/m). *)
 let charges t ~vgs ~vds =
-  let ovgs, ovds = oriented t ~vgs ~vds in
-  let vsc =
-    if Eval_cache.enabled t.cache then fst (cached_point t ~ovgs ~ovds)
-    else
-      let qt = Device.terminal_charge t.device ~vgs:ovgs ~vds:ovds in
-      Scv_solver.solve t.solver ~qt ~vds:ovds
-  in
+  let vgs, vds = oriented t ~vgs ~vds in
+  let vsc = oriented_vsc t ~vgs ~vds in
   let qs = Piecewise.eval (charge_approx t) vsc in
-  let qd = Piecewise.eval (charge_approx t) (vsc +. ovds) in
+  let qd = Piecewise.eval (charge_approx t) (vsc +. vds) in
   (vsc, qs, qd)
 
 (* -------------------------------------------------------------- *)
@@ -219,40 +193,23 @@ let charges t ~vgs ~vds =
 
 type grid = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
 
-(* One drain column evaluated through a hoisted Scv_solver plan.  The
-   plan is built at the quantised drain bias, so cached and plan-only
-   evaluations agree; the per-point program below is the same
-   floating-point program as [solve_point] with [Scv_solver.solve]
-   replaced by the bitwise-equal [solve_plan]. *)
+(* One drain column evaluated through a hoisted Scv_solver plan: the
+   per-point program below is the same floating-point program as
+   [ids] with [Scv_solver.solve] replaced by the bitwise-equal
+   [solve_plan]. *)
 let eval_batch t ~vgs ~vds =
   Obs.span "cnt_model.eval_batch" @@ fun () ->
   let ni = Array.length vgs and nj = Array.length vds in
   let out = Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout ni nj in
-  let use_cache = Eval_cache.enabled t.cache in
   let sign = match t.polarity with N_type -> 1.0 | P_type -> -1.0 in
   for j = 0 to nj - 1 do
     let _, ovds = oriented t ~vgs:0.0 ~vds:vds.(j) in
-    let qvds = Eval_cache.quantise t.cache ovds in
-    let plan = Scv_solver.plan t.solver ~vds:qvds in
-    let compute ~vgs ~vds =
-      let qt = Device.terminal_charge t.device ~vgs ~vds in
-      let vsc = Scv_solver.solve_plan plan ~qt in
-      let eta_s = (t.device.Device.fermi -. vsc) /. t.kt_ev in
-      let eta_d = eta_s -. (vds /. t.kt_ev) in
-      let i =
-        t.current_scale
-        *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
-      in
-      (vsc, i)
-    in
+    let plan = Scv_solver.plan t.solver ~vds:ovds in
     for i = 0 to ni - 1 do
       let ovgs, _ = oriented t ~vgs:vgs.(i) ~vds:0.0 in
-      let ids =
-        if use_cache then
-          snd (Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:qvds compute)
-        else snd (compute ~vgs:ovgs ~vds:qvds)
-      in
-      Bigarray.Array2.unsafe_set out i j (sign *. ids)
+      let qt = Device.terminal_charge t.device ~vgs:ovgs ~vds:ovds in
+      let vsc = Scv_solver.solve_plan plan ~qt in
+      Bigarray.Array2.unsafe_set out i j (sign *. current t ~vsc ~vds:ovds)
     done
   done;
   Obs.incr ~by:(ni * nj) c_ids_evals;
@@ -284,14 +241,11 @@ let stencil_ws t = Scv_solver.plan t.solver ~vds:0.0
 (* The MNA stencil: [ids] and its closed-form [gm]/[gds] from one
    bias-point solve, written into slot [k] of three output columns.
 
-   The solve is [solve_point] with [Scv_solver.solve] replaced by the
+   The solve is [ids]'s with [Scv_solver.solve] replaced by the
    bitwise-equal [solve_plan] on the workspace plan, retargeted at the
-   cache-quantised drain bias exactly as [eval_batch] builds its plans
-   (so the same-vds memo of [Scv_solver.replan] fires whenever a
-   device's drain bias is unchanged, and batched assembly populates and
-   hits the same per-slot store as scalar evaluation, key for key).
-   With the cache on, [V_SC] comes from the store and the current below
-   is the expression of [current], so it equals the stored value.
+   drain bias exactly as [eval_batch] builds its plans (so the same-vds
+   memo of [Scv_solver.replan] fires whenever a device's drain bias is
+   unchanged).  The current below is the expression of [current].
 
    The conductances are implicit differentiation of eq. 7,
      F = C_Sigma V_SC + C_G V_GS + C_D V_DS - Q_S(V_SC) - Q_S(V_SC + V_DS) = 0,
@@ -312,26 +266,19 @@ let eval_stencil t ~ws ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
      tuple form applies *)
   let flip = match t.polarity with N_type -> false | P_type -> true in
   let ovgs = if flip then -.vgs else vgs in
-  let qvds = Eval_cache.quantise t.cache (if flip then -.vds else vds) in
-  Scv_solver.replan ws ~vds:qvds;
-  let vsc =
-    if Eval_cache.enabled t.cache then
-      fst
-        (Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:qvds (fun ~vgs ~vds ->
-             let vsc =
-               Scv_solver.solve_plan ws ~qt:((t.c_g *. vgs) +. (t.c_d *. vds))
-             in
-             (vsc, current t ~vsc ~vds)))
-    else Scv_solver.solve_plan ws ~qt:((t.c_g *. ovgs) +. (t.c_d *. qvds))
-  in
+  let ovds = if flip then -.vds else vds in
+  (* [vds] itself when unflipped: [ovds] is an unboxed local, so
+     passing it here would box it once per evaluation *)
+  Scv_solver.replan ws ~vds:(if flip then ovds else vds);
+  let vsc = Scv_solver.solve_plan ws ~qt:((t.c_g *. ovgs) +. (t.c_d *. ovds)) in
   let kt = t.kt_ev and scale = t.current_scale in
   let eta_s = (t.device.Device.fermi -. vsc) /. kt in
-  let eta_d = eta_s -. (qvds /. kt) in
+  let eta_d = eta_s -. (ovds /. kt) in
   let i =
     scale *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
   in
   let sig_d = Fermi.integral_order0' eta_d in
-  let dqd = Scv_solver.qs_slope t.solver (vsc +. qvds) in
+  let dqd = Scv_solver.qs_slope t.solver (vsc +. ovds) in
   let d =
     Scv_solver.c_sigma t.solver -. Scv_solver.qs_slope t.solver vsc -. dqd
   in

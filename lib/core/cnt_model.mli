@@ -49,7 +49,7 @@ val identity : t -> string
 (** Canonical identity string: polarity, full device parameter set and
     the fitted boundary offsets/degrees, floats in hex.  Two models
     with the same identity are interchangeable; anything keyed on a
-    model (eval caches, manifests, server deck caches) must use it. *)
+    model (manifests, for one) must use it. *)
 
 val charge_approx : t -> Piecewise.t
 (** The fitted [Q_S(V_SC)] curve. *)
@@ -58,22 +58,6 @@ val charge_rms : t -> float
 (** Relative RMS error of the charge fit over its window. *)
 
 val solver : t -> Scv_solver.t
-
-(** {1 Bias-point evaluation cache}
-
-    Every model owns an {!Eval_cache.store} memoising its
-    [(V_SC, I_DS)] solves against the oriented bias tuple.  Models are
-    born with {!Eval_cache.default_config} (disabled unless [--cache] /
-    [CNT_CACHE] / {!Eval_cache.set_default} says otherwise).  With
-    [quantum = 0] cached and uncached evaluation are bitwise-identical;
-    see [docs/CACHING.md]. *)
-
-val set_cache : t -> Eval_cache.config -> unit
-(** Replace the model's cache with a fresh store of the given
-    configuration (drops any cached entries and statistics). *)
-
-val cache_config : t -> Eval_cache.config
-val cache_stats : t -> Eval_cache.stats
 
 val solve_vsc : t -> vgs:float -> vds:float -> float
 (** Self-consistent voltage at a bias point, in closed form. *)
@@ -92,10 +76,8 @@ val charges : t -> vgs:float -> vds:float -> float * float * float
     [eval_batch] evaluates a whole bias grid in one pass over a
     [Bigarray] result, hoisting the per-drain-bias solver plan
     ({!Scv_solver.plan}) out of the inner loop.  Every element is
-    {e bitwise-equal} to the corresponding scalar {!ids} call under the
-    same cache configuration (pinned by [test/test_property.ml]), and
-    the cache composes: batch evaluations populate and hit the same
-    per-slot store as scalar ones. *)
+    {e bitwise-equal} to the corresponding scalar {!ids} call (pinned
+    by [test/test_property.ml]). *)
 
 type grid = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
 
@@ -120,7 +102,7 @@ val small_signal : t -> vgs:float -> vds:float -> float * float * float
     [D = C_Sigma - Q_S'(V_SC) - Q_S'(V_SC + V_DS) > 0], [sigma] the
     logistic [dF_0/deta] and [s] the current prefactor.  This is
     {!eval_stencil} on a fresh workspace, so it is bitwise-equal to the
-    batched assembly's values. *)
+    assembly's values. *)
 
 val gm : t -> vgs:float -> vds:float -> float
 (** Transconductance [dI/dV_GS] (A/V), from {!small_signal}. *)
@@ -153,11 +135,8 @@ val eval_stencil :
     the three output columns with the {!small_signal} triple, from one
     bias-point solve on the workspace's plan (retargeted in place by
     {!Scv_solver.replan}, a no-op when the drain bias is unchanged).
-    [i0] is bitwise-equal to {!ids} under any cache configuration, and
-    cache entries are shared key-for-key with the scalar path (pinned
-    by [test/test_models.ml] and [test/test_assembly.ml]); with the
-    cache on, the derivatives come from the cached [V_SC].  [fault_i0]
-    is the scalar assembly's [Fault.Nan_eval] site: the bias point is
+    [i0] is bitwise-equal to {!ids} (pinned by [test/test_models.ml]).
+    [fault_i0] is the [Fault.Nan_eval] site: the bias point is
     evaluated once as usual and only [i0] becomes NaN. *)
 
 val pp : Format.formatter -> t -> unit

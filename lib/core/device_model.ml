@@ -1,8 +1,8 @@
 (* The pluggable device-model tier.
 
    A [t] is a capability record: everything the MNA compiler, the
-   batched assembly pipeline, the eval-cache plumbing and the
-   manifest/export layers need from a CNFET model, with no reference to
+   batched assembly pipeline and the manifest/export layers need from
+   a CNFET model, with no reference to
    any concrete physics.  Backends register themselves in a global
    registry under a short name ("piecewise", "vs") together with the
    parameter schema their deck cards accept; decks pick a backend with
@@ -49,9 +49,6 @@ type t = {
   charges : vgs:float -> vds:float -> float * float * float;
   stencil : unit -> stencil;
   intrinsic_caps : length:float -> (float * float) option;
-  set_cache : Eval_cache.config -> unit;
-  cache_config : unit -> Eval_cache.config;
-  cache_stats : unit -> Eval_cache.stats;
   as_piecewise : Cnt_model.t option;
   pp : Format.formatter -> unit;
 }
@@ -74,9 +71,6 @@ let gds t ~vgs ~vds =
 let charges t = t.charges
 let stencil t = t.stencil ()
 let intrinsic_caps t = t.intrinsic_caps
-let set_cache t cfg = t.set_cache cfg
-let cache_config t = t.cache_config ()
-let cache_stats t = t.cache_stats ()
 let as_piecewise t = t.as_piecewise
 let pp t fmt = t.pp fmt
 
@@ -238,9 +232,6 @@ let of_piecewise ?(card = []) m =
         fun ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k ->
           Cnt_model.eval_stencil m ~ws ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k);
     intrinsic_caps = (fun ~length -> caps_of_device dev ~length);
-    set_cache = Cnt_model.set_cache m;
-    cache_config = (fun () -> Cnt_model.cache_config m);
-    cache_stats = (fun () -> Cnt_model.cache_stats m);
     as_piecewise = Some m;
     pp = (fun fmt -> Cnt_model.pp fmt m);
   }
@@ -346,9 +337,6 @@ let of_vs ?(card = []) m =
         fun ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k ->
           Vs_model.eval_stencil m ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k);
     intrinsic_caps = (fun ~length -> caps_of_device dev ~length);
-    set_cache = Vs_model.set_cache m;
-    cache_config = (fun () -> Vs_model.cache_config m);
-    cache_stats = (fun () -> Vs_model.cache_stats m);
     as_piecewise = None;
     pp = (fun fmt -> Vs_model.pp fmt m);
   }

@@ -3,9 +3,8 @@
     backends for deck cards ([model=...]), run overrides
     ([--model] / [CNT_MODEL]) and per-request server config.
 
-    The MNA compiler, the batched gather/eval/scatter assembly, the
-    eval-cache plumbing and the manifest/export layers consume only
-    this interface; concrete physics ({!Cnt_model}, {!Vs_model}) plugs
+    The MNA compiler, the batched gather/eval/scatter assembly and the
+    manifest/export layers consume only this interface; concrete physics ({!Cnt_model}, {!Vs_model}) plugs
     in through {!register}.  Two backends ship in-tree: ["piecewise"]
     (the paper's Model 1/Model 2, the reference backend — bitwise
     identical through this interface to the direct calls it replaced)
@@ -34,7 +33,7 @@ type stencil =
     three output columns with the bias-point current and its
     closed-form [gm]/[gds], all from one evaluation of the bias point.
     Must be {e bitwise-equal} to {!small_signal} (and its current to
-    {!ids}) under any cache configuration.  [fault_i0] is the
+    {!ids}).  [fault_i0] is the
     [Fault.Nan_eval] site: the bias point is evaluated as usual and
     only the current written becomes NaN.  A stencil closure owns its
     scratch state: keep one per device per cloned system, never share
@@ -48,9 +47,8 @@ val backend : t -> string
 
 val identity : t -> string
 (** Canonical identity string (starts with a backend tag, floats in
-    hex).  Everything keyed on a model — eval caches, manifests, the
-    server deck caches — must use it; equal identity means
-    interchangeable models. *)
+    hex).  Everything keyed on a model (manifests, for one) must use
+    it; equal identity means interchangeable models. *)
 
 val polarity : t -> polarity
 val device : t -> Device.t
@@ -67,8 +65,8 @@ val ids : t -> vgs:float -> vds:float -> float
 val small_signal : t -> vgs:float -> vds:float -> float * float * float
 (** [(I_DS, gm, gds)] at a bias point: the current and its closed-form
     derivatives [dI/dV_GS], [dI/dV_DS] (A/V) from one evaluation — the
-    backend's {!stencil} kernel on one-slot columns, so scalar and
-    batched assembly agree bitwise by construction.  Every backend
+    backend's {!stencil} kernel on one-slot columns, so it agrees
+    bitwise with the assembly's values by construction.  Every backend
     supplies its conductances in closed form; finite differences live
     only in the test oracle. *)
 
@@ -88,13 +86,6 @@ val stencil : t -> stencil
 val intrinsic_caps : t -> length:float -> (float * float) option
 (** Meyer-style [(c_gs, c_gd)] intrinsic terminal capacitances for a
     tube of [length] metres; [None] when [length <= 0]. *)
-
-val set_cache : t -> Eval_cache.config -> unit
-(** Replace the model's eval cache (fresh store, salted with the
-    model's identity). *)
-
-val cache_config : t -> Eval_cache.config
-val cache_stats : t -> Eval_cache.stats
 
 val as_piecewise : t -> Cnt_model.t option
 (** The underlying piecewise model, for piecewise-only consumers

@@ -45,7 +45,6 @@ type t = {
   p : params;
   phi_t : float;  (* thermal voltage kT/q at the device temperature, V *)
   identity : string;
-  mutable cache : Eval_cache.store;
 }
 
 let identity_of ~polarity ~(device : Device.t) ~(p : params) =
@@ -68,32 +67,19 @@ let make ?(polarity = N_type) ?(vt0 = 0.3) ?(dibl = 0.05) ?(n_ss = 1.1)
   check "vdsat" vdsat;
   check "cinv" cinv;
   let p = { vt0; dibl; n_ss; vxo; beta; vdsat; cinv } in
-  let identity = identity_of ~polarity ~device ~p in
-  {
-    device;
-    polarity;
-    p;
-    phi_t;
-    identity;
-    cache = Eval_cache.create ~identity (Eval_cache.default_config ());
-  }
+  { device; polarity; p; phi_t; identity = identity_of ~polarity ~device ~p }
 
 let device t = t.device
 let polarity t = t.polarity
 let params t = t.p
 let identity t = t.identity
 
-let set_cache t cfg = t.cache <- Eval_cache.create ~identity:t.identity cfg
-let cache_config t = Eval_cache.config t.cache
-let cache_stats t = Eval_cache.stats t.cache
-
 (* Numerically safe ln(1 + exp x): for large x the exp overflows but
    the limit is x itself. *)
 let softplus x = if x > 40.0 then x else Float.log1p (Float.exp x)
 
-(* Forward current for oriented, non-negative V_DS.  Also returns the
-   virtual-source charge (C/m) — the pair the cache memoises, mirroring
-   the (V_SC, I_DS) pair of the piecewise store. *)
+(* Forward current for oriented, non-negative V_DS, together with the
+   virtual-source charge (C/m). *)
 let forward t ~vgs ~vds =
   let vt = t.p.vt0 -. (t.p.dibl *. vds) in
   let nphi = t.p.n_ss *. t.phi_t in
@@ -114,22 +100,18 @@ let solve_point t ~vgs ~vds =
 let oriented t ~vgs ~vds =
   match t.polarity with N_type -> (vgs, vds) | P_type -> (-.vgs, -.vds)
 
-let cached_point t ~ovgs ~ovds =
-  Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:ovds (fun ~vgs ~vds ->
-      solve_point t ~vgs ~vds)
-
 let ids t ~vgs ~vds =
   Obs.incr c_ids_evals;
   let ovgs, ovds = oriented t ~vgs ~vds in
-  let i = snd (cached_point t ~ovgs ~ovds) in
+  let _, i = solve_point t ~vgs:ovgs ~vds:ovds in
   match t.polarity with N_type -> i | P_type -> -.i
 
 (* Virtual-source charge and its drain-swapped counterpart, playing the
    role of the piecewise model's source/drain mobile charges. *)
 let charges t ~vgs ~vds =
   let ovgs, ovds = oriented t ~vgs ~vds in
-  let qs = fst (cached_point t ~ovgs ~ovds) in
-  let qd = fst (cached_point t ~ovgs:(ovgs -. ovds) ~ovds:(-.ovds)) in
+  let qs, _ = solve_point t ~vgs:ovgs ~vds:ovds in
+  let qd, _ = solve_point t ~vgs:(ovgs -. ovds) ~vds:(-.ovds) in
   (0.0, qs, qd)
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -145,15 +127,13 @@ type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
    gm = -dI_f/dV_GS and gds = dI_f/dV_GS + dI_f/dV_DS at the swapped
    point.  Derivatives are taken on oriented voltages — the mirror's
    derivatives at the oriented bias are the n-type ones — so p-type
-   needs no sign flip.  Both voltages are cache-quantised first, so
-   the derivatives belong to the bias [ids] evaluates; with the cache
-   on, the current itself comes from the store.  [fault_i0] makes only
-   the current written to [i0] NaN. *)
+   needs no sign flip.  [fault_i0] makes only the current written to
+   [i0] NaN. *)
 let eval_stencil t ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
   Obs.incr c_ids_evals;
   let flip = match t.polarity with N_type -> false | P_type -> true in
-  let ovgs = Eval_cache.quantise t.cache (if flip then -.vgs else vgs) in
-  let ovds = Eval_cache.quantise t.cache (if flip then -.vds else vds) in
+  let ovgs = if flip then -.vgs else vgs in
+  let ovds = if flip then -.vds else vds in
   let rev = ovds < 0.0 in
   let fvgs = if rev then ovgs -. ovds else ovgs in
   let fvds = if rev then -.ovds else ovds in
@@ -165,12 +145,8 @@ let eval_stencil t ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
   let x = fvds /. p.vdsat in
   let s = 1.0 +. (x ** p.beta) in
   let fsat = x /. (s ** (1.0 /. p.beta)) in
-  let i =
-    if Eval_cache.enabled t.cache then snd (cached_point t ~ovgs ~ovds)
-    else
-      let i_f = qix0 *. p.vxo *. fsat in
-      if rev then -.i_f else i_f
-  in
+  let i_f = qix0 *. p.vxo *. fsat in
+  let i = if rev then -.i_f else i_f in
   let dq = p.cinv *. (if u > 40.0 then 1.0 else Fermi.integral_order0' u) in
   let g_f = p.vxo *. fsat *. dq in
   let d_f =

@@ -51,10 +51,6 @@ val identity : t -> string
 (** Canonical identity string ("vs|..."), hex floats; see
     {!Cnt_model.identity} for the contract. *)
 
-val set_cache : t -> Eval_cache.config -> unit
-val cache_config : t -> Eval_cache.config
-val cache_stats : t -> Eval_cache.stats
-
 val ids : t -> vgs:float -> vds:float -> float
 (** Drain current (A).  Negative for p-type devices under positive
     bias, matching {!Cnt_model.ids}. *)
@@ -67,9 +63,8 @@ val charges : t -> vgs:float -> vds:float -> float * float * float
 val small_signal : t -> vgs:float -> vds:float -> float * float * float
 (** [(I_DS, gm, gds)] at a bias point, all closed-form: the current of
     {!ids} and its softplus/DIBL/saturation-function derivatives,
-    carried through the source/drain swap for [V_DS < 0].  With a
-    quantising cache the derivatives are those of the quantised bias
-    {!ids} evaluates.  This is {!eval_stencil} on one-slot columns. *)
+    carried through the source/drain swap for [V_DS < 0].  This is
+    {!eval_stencil} on one-slot columns. *)
 
 val gm : t -> vgs:float -> vds:float -> float
 (** Transconductance [dI/dV_GS] (A/V), from {!small_signal}. *)
@@ -91,7 +86,7 @@ val eval_stencil :
   unit
 (** The MNA assembly stencil: writes slot [k] of the three columns
     with the {!small_signal} triple.  There is no per-bias plan to
-    hoist, so it needs no workspace.  [i0] is bitwise-equal to {!ids}
-    under any cache configuration; [fault_i0] makes only [i0] NaN. *)
+    hoist, so it needs no workspace.  [i0] is bitwise-equal to {!ids};
+    [fault_i0] makes only [i0] NaN. *)
 
 val pp : Format.formatter -> t -> unit

@@ -8,16 +8,10 @@
    engine's own override application then finds every device already on
    the right backend and leaves the circuit physically unchanged.
 
-   Keeping a single canonical deck value per key is what makes the two
-   pool-wide cache layers work across requests:
-
-   - {!Cnt_spice.Mna}'s compile cache is keyed by the {e physical}
-     identity of the circuit value, so only repeated runs of the same
-     canonical deck share a symbolic compilation;
-   - each CNFET's bias-point evaluation cache lives on the model record
-     inside the circuit, so reusing the circuit value reuses the warm
-     cache (the daemon runs the engine with [config.cache = None],
-     which leaves the attached stores alone).
+   Keeping a single canonical deck value per key is what makes
+   {!Cnt_spice.Mna}'s compile cache work across requests: it is keyed
+   by the {e physical} identity of the circuit value, so only repeated
+   runs of the same canonical deck share a symbolic compilation.
 
    Parse failures are not cached — malformed text is cheap to reject
    and the message must reflect the request that sent it.  Thread-safe;
@@ -38,31 +32,15 @@ type entry = {
 type t = {
   mutable entries : entry list;  (* newest first *)
   max_entries : int;
-  eval_cache : Cnt_core.Eval_cache.config option;
   mutex : Mutex.t;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create ?(max_entries = 64) ?eval_cache () =
+let create ?(max_entries = 64) () =
   if max_entries < 1 then
     invalid_arg "Deck_cache.create: max_entries must be >= 1";
-  { entries = []; max_entries; eval_cache; mutex = Mutex.create ();
-    hits = 0; misses = 0 }
-
-(* Attach the server's eval-cache config to every CNFET once, at
-   insert, so each subsequent request over this deck value starts from
-   the warm store instead of a fresh one. *)
-let apply_eval_cache t deck =
-  match t.eval_cache with
-  | None -> ()
-  | Some cfg ->
-      List.iter
-        (function
-          | Circuit.Cnfet { params; _ } ->
-              Cnt_core.Device_model.set_cache params.Circuit.model cfg
-          | _ -> ())
-        (Circuit.elements deck.Parser.circuit)
+  { entries = []; max_entries; mutex = Mutex.create (); hits = 0; misses = 0 }
 
 let find_or_parse ?model ?file t text =
   let md5 = Digest.to_hex (Digest.string text) in
@@ -94,7 +72,6 @@ let find_or_parse ?model ?file t text =
           | Error _ as e -> e
           | Ok deck ->
               t.misses <- t.misses + 1;
-              apply_eval_cache t deck;
               let e = { md5; model; file; deck; runs = 1 } in
               t.entries <-
                 e :: List.filteri (fun i _ -> i < t.max_entries - 1) t.entries;

@@ -1,12 +1,11 @@
 (** The daemon's deck cache: one canonical parsed {!Cnt_spice.Parser}
     deck per (content MD5, device-model override) pair.
 
-    The canonical value is the anchor for cross-request cache sharing:
+    The canonical value is the anchor for cross-request sharing:
     {!Cnt_spice.Mna}'s compile cache keys on the circuit value's
-    physical identity, and the per-CNFET bias-point evaluation caches
-    live on the model records inside it — so every request whose deck
-    text hashes to a cached entry reuses both the symbolic compilation
-    and the warm evaluation caches.  A request's [model] override
+    physical identity, so every request whose deck text hashes to a
+    cached entry reuses its symbolic compilation as well as the parse.
+    A request's [model] override
     rewrites every CNFET, so overrides are part of the key and the
     remodel runs once, at insert — two requests differing only in model
     never share an entry.  Thread-safe; FIFO eviction; parse failures
@@ -24,15 +23,8 @@ type entry = {
 
 type t
 
-val create :
-  ?max_entries:int ->
-  ?eval_cache:Cnt_core.Eval_cache.config ->
-  unit ->
-  t
-(** [max_entries] defaults to 64 (raises [Invalid_argument] below 1).
-    [eval_cache] is attached to every CNFET of a deck once, when it
-    enters the cache — the daemon then runs the engine with
-    [cache = None] so the stores stay warm across requests. *)
+val create : ?max_entries:int -> unit -> t
+(** [max_entries] defaults to 64 (raises [Invalid_argument] below 1). *)
 
 val find_or_parse :
   ?model:string ->

@@ -59,7 +59,6 @@ let config_to_json (c : Engine.config) =
         opt
           (fun o -> Json.Str (Cnt_numerics.Linear_solver.ordering_name o))
           c.ordering );
-      ("assembly", opt (fun a -> Json.Str (Mna.assembly_name a)) c.assembly);
       ("jobs", opt (fun j -> Json.Num (float_of_int j)) c.jobs);
       ("gmin", Json.Num c.gmin);
       ("tol", Json.Num c.tol);
@@ -75,10 +74,6 @@ let config_to_json (c : Engine.config) =
             ("gmin_steps", Json.Num (float_of_int c.homotopy.gmin_steps));
             ("source_steps", Json.Num (float_of_int c.homotopy.source_steps));
           ] );
-      ( "cache",
-        opt
-          (fun cc -> Json.Str (Cnt_core.Eval_cache.config_to_string cc))
-          c.cache );
       ("deadline_s", opt (fun s -> Json.Num s) c.deadline);
       ("model", opt (fun m -> Json.Str m) c.model);
     ]
@@ -93,13 +88,33 @@ let get name conv j fallback =
       | Some x -> x
       | None -> raise (Bad (Printf.sprintf "bad value for %S" name)))
 
+(* The keys [config_of_json] accepts: exactly those [config_to_json]
+   writes.  Anything else is rejected rather than ignored, since a
+   misspelt or retired key would otherwise run silently on the base
+   value. *)
+let config_keys, homotopy_keys =
+  let keys = function Json.Obj fields -> List.map fst fields | _ -> [] in
+  let j = config_to_json Engine.default_config in
+  (keys j, keys (Option.get (Json.member "homotopy" j)))
+
+let check_keys ~what ~prefix keys = function
+  | Json.Obj fields ->
+      List.iter
+        (fun (k, _) ->
+          if not (List.mem k keys) then
+            raise (Bad (Printf.sprintf "unknown key %S" (prefix ^ k))))
+        fields
+  | _ -> raise (Bad (what ^ " must be an object"))
+
 let config_of_json ~(base : Engine.config) j =
   try
+    check_keys ~what:"config" ~prefix:"" config_keys j;
     let hbase = base.homotopy in
     let homotopy =
       match Json.member "homotopy" j with
       | None | Some Json.Null -> hbase
       | Some h ->
+          check_keys ~what:"\"homotopy\"" ~prefix:"homotopy." homotopy_keys h;
           {
             Homotopy.damped = get "damped" Json.to_bool h hbase.damped;
             gmin_stepping =
@@ -125,26 +140,12 @@ let config_of_json ~(base : Engine.config) j =
                   Option.map Option.some
                     (Cnt_numerics.Linear_solver.ordering_of_string s)))
             j base.ordering;
-        assembly =
-          get "assembly"
-            (fun v ->
-              Option.bind (Json.to_str v) (fun s ->
-                  Option.map Option.some (Mna.assembly_of_string s)))
-            j base.assembly;
         jobs = get "jobs" (fun v -> Option.map Option.some (Json.to_int v)) j
             base.jobs;
         gmin = get "gmin" Json.to_float j base.gmin;
         tol = get "tol" Json.to_float j base.tol;
         max_iter = get "max_iter" Json.to_int j base.max_iter;
         homotopy;
-        cache =
-          get "cache"
-            (fun v ->
-              Option.bind (Json.to_str v) (fun s ->
-                  match Cnt_core.Eval_cache.config_of_string s with
-                  | Ok c -> Some (Some c)
-                  | Error _ -> None))
-            j base.cache;
         deadline =
           get "deadline_s"
             (fun v -> Option.map Option.some (Json.to_float v))
@@ -310,7 +311,13 @@ let parse_request line =
                 | Some b -> b
                 | None -> false
               in
-              let config_json = Json.member "config" j in
+              let config_json =
+                (* a null config inherits the daemon's base, like a
+                   null field inside it *)
+                match Json.member "config" j with
+                | Some Json.Null -> None
+                | c -> c
+              in
               match Json.member "deck" j with
               | None ->
                   Error

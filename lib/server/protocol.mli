@@ -47,14 +47,17 @@ val parse_request : string -> (request, request_error) result
 
     Every field of {!Cnt_spice.Engine.config} has a JSON spelling;
     absent or [null] fields keep the daemon's base value, so a client
-    sends only what it wants to override. *)
+    sends only what it wants to override.  The [homotopy] field is an
+    object of the {!Cnt_spice.Homotopy.policy} fields, with the same
+    rule. *)
 
 val config_to_json : Engine.config -> Json.t
 
 val config_of_json :
   base:Engine.config -> Json.t -> (Engine.config, string) result
-(** Decode onto [base]; unknown fields are ignored (forward
-    compatibility), malformed values are an error. *)
+(** Decode onto [base].  An error names the first unknown key (a
+    [homotopy] key as ["homotopy.KEY"]), a [config] or [homotopy] that
+    is not an object, or a malformed value. *)
 
 (** {1 Tables on the wire} *)
 

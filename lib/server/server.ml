@@ -13,10 +13,10 @@
    engine aborts, the daemon logs and keeps serving.
 
    Cross-request cache sharing happens through {!Deck_cache}: one
-   canonical parsed deck per content hash keeps the per-CNFET
-   evaluation caches warm, and {!Cnt_spice.Mna.enable_compile_cache}
-   (keyed on that canonical circuit's physical identity) shares the
-   symbolic compilation.  See docs/SERVER.md. *)
+   canonical parsed deck per content hash, on which
+   {!Cnt_spice.Mna.enable_compile_cache} (keyed on that canonical
+   circuit's physical identity) shares the symbolic compilation.  See
+   docs/SERVER.md. *)
 
 open Cnt_spice
 module Progress = Cnt_obs.Progress
@@ -90,7 +90,6 @@ type conn = {
 
 type t = {
   cfg : config;
-  engine_base : Engine.config;  (* cfg.base with [cache] pulled out *)
   listen_fd : Unix.file_descr;
   decks : Deck_cache.t;
   run_mutex : Mutex.t;
@@ -235,8 +234,8 @@ let handle_run t conn ~id ~deck ~config_json ~progress =
          part of the deck-cache key *)
       let config =
         match config_json with
-        | None -> Ok t.engine_base
-        | Some j -> Protocol.config_of_json ~base:t.engine_base j
+        | None -> Ok t.cfg.base
+        | Some j -> Protocol.config_of_json ~base:t.cfg.base j
       in
       match config with
       | Error msg ->
@@ -463,14 +462,8 @@ let start cfg =
   let t =
     {
       cfg;
-      (* the base eval-cache config is applied once per deck at cache
-         insert (see Deck_cache), not per run — per-run application
-         would replace the warm stores with fresh ones *)
-      engine_base = { cfg.base with Engine.cache = None };
       listen_fd;
-      decks =
-        Deck_cache.create ~max_entries:cfg.deck_cache_entries
-          ?eval_cache:cfg.base.Engine.cache ();
+      decks = Deck_cache.create ~max_entries:cfg.deck_cache_entries ();
       run_mutex = Mutex.create ();
       state_mutex = Mutex.create ();
       conns = [];

@@ -5,9 +5,9 @@
     request still fans out across the pool up to the jobs budget).
 
     Cross-request cache sharing: a {!Deck_cache} keeps one canonical
-    parsed deck per content hash (anchoring the per-CNFET evaluation
-    caches), and {!Cnt_spice.Mna.enable_compile_cache} shares symbolic
-    compilations keyed on those canonical circuit values.  See
+    parsed deck per content hash, and
+    {!Cnt_spice.Mna.enable_compile_cache} shares symbolic compilations
+    keyed on those canonical circuit values.  See
     [docs/SERVER.md] for the wire protocol and operational notes. *)
 
 open Cnt_spice
@@ -29,9 +29,7 @@ type config = {
   listen : listen;
   base : Engine.config;
       (** per-request defaults; a request's [config] object overrides
-          field-wise.  The [cache] field is applied once per deck when
-          it enters the deck cache (keeping stores warm across
-          requests), never per run. *)
+          field-wise *)
   jobs_budget : int;
       (** hard per-request cap on [jobs]; requests asking for more are
           clamped *)

@@ -26,14 +26,13 @@ val run :
   ?max_iter:int ->
   ?policy:Homotopy.policy ->
   ?ordering:Cnt_numerics.Linear_solver.ordering ->
-  ?assembly:Mna.assembly ->
   Circuit.t ->
   freqs:float array ->
   result
 (** The operating-point solve runs through the {!Homotopy} ladder; its
     {!Diag.Convergence_failure} carries [analysis = "ac"].  [ordering]
-    and [assembly] apply to that DC linearisation solve (the
-    per-frequency complex systems use the dense complex solver). *)
+    applies to that DC linearisation solve (the per-frequency complex
+    systems use the dense complex solver). *)
 
 val voltage : result -> string -> Complex.t array
 (** Node-voltage phasor across the sweep. *)

@@ -158,9 +158,9 @@ let characterize_corners ?jobs ?t_edge ?width ?tstep ?policy ~vdd_name ~build
   (* The cell's node names are fixed and its element list does not
      depend on the corner (only the stimulus and supply do), so the
      potentially expensive model fits inside [build] happen once here
-     instead of once per corner.  Model evaluation is read-only with
-     slot-sharded caches, so sharing the elements across pool workers
-     is safe. *)
+     instead of once per corner.  Model evaluation is read-only (each
+     compile owns its stencil workspaces), so sharing the elements
+     across pool workers is safe. *)
   let elements = build ~input:input_node ~output:output_node in
   let build ~input:_ ~output:_ = elements in
   Pool.with_pool ~jobs (fun pool ->

@@ -20,13 +20,11 @@ val operating_point :
   ?policy:Homotopy.policy ->
   ?backend:Cnt_numerics.Linear_solver.backend ->
   ?ordering:Cnt_numerics.Linear_solver.ordering ->
-  ?assembly:Mna.assembly ->
   ?analysis:string ->
   Circuit.t ->
   op_result
 (** Nonlinear operating point via {!Homotopy.solve} (default policy:
-    {!Homotopy.default}).  [ordering] and [assembly] are forwarded to
-    {!Mna.compile}.  [analysis] labels any resulting
+    {!Homotopy.default}).  [ordering] is forwarded to {!Mna.compile}.  [analysis] labels any resulting
     {!Diag.Convergence_failure} (default ["op"]; AC passes ["ac"]). *)
 
 val voltage : op_result -> string -> float
@@ -65,7 +63,6 @@ val sweep :
   ?policy:Homotopy.policy ->
   ?backend:Cnt_numerics.Linear_solver.backend ->
   ?ordering:Cnt_numerics.Linear_solver.ordering ->
-  ?assembly:Mna.assembly ->
   ?jobs:int ->
   Circuit.t ->
   source:string ->

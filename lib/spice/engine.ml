@@ -19,14 +19,11 @@ type config = {
   backend : Cnt_numerics.Linear_solver.backend;
   ordering : Cnt_numerics.Linear_solver.ordering option;
       (* None: Linear_solver.default_ordering () *)
-  assembly : Mna.assembly option; (* None: Mna.default_assembly () *)
   jobs : int option; (* None: Cnt_par.Pool.default_jobs () *)
   gmin : float;
   tol : float;
   max_iter : int;
   homotopy : Homotopy.policy;
-  cache : Cnt_core.Eval_cache.config option;
-      (* None: leave each model's cache as constructed *)
   deadline : float option;
       (* wall-clock budget in seconds for the whole deck; None: none *)
   model : string option;
@@ -39,13 +36,11 @@ let default_config =
   {
     backend = Cnt_numerics.Linear_solver.Auto;
     ordering = None;
-    assembly = None;
     jobs = None;
     gmin = 1e-12;
     tol = 1e-9;
     max_iter = 200;
     homotopy = Homotopy.default;
-    cache = None;
     deadline = None;
     model = None;
   }
@@ -53,18 +48,16 @@ let default_config =
 (* The one way to build a config without spelling the whole record:
    every knob defaults to its [default_config] value, so adding a field
    never breaks builder call sites. *)
-let config ?backend ?ordering ?assembly ?jobs ?gmin ?tol ?max_iter ?homotopy
-    ?cache ?deadline ?model () =
+let config ?backend ?ordering ?jobs ?gmin ?tol ?max_iter ?homotopy ?deadline
+    ?model () =
   {
     backend = Option.value backend ~default:default_config.backend;
     ordering;
-    assembly;
     jobs;
     gmin = Option.value gmin ~default:default_config.gmin;
     tol = Option.value tol ~default:default_config.tol;
     max_iter = Option.value max_iter ~default:default_config.max_iter;
     homotopy = Option.value homotopy ~default:default_config.homotopy;
-    cache;
     deadline;
     model;
   }
@@ -120,8 +113,7 @@ let op_table ?(config = default_config) circuit prints =
   let r =
     Dc.operating_point ~gmin:config.gmin ~tol:config.tol
       ~max_iter:config.max_iter ~policy:config.homotopy
-      ~backend:config.backend ?ordering:config.ordering
-      ?assembly:config.assembly circuit
+      ~backend:config.backend ?ordering:config.ordering circuit
   in
   let prints = default_prints circuit prints in
   let columns = Array.of_list (List.map print_label prints) in
@@ -148,8 +140,8 @@ let dc_table ?(config = default_config) circuit prints ~source ~start ~stop
     try
       Dc.sweep ~gmin:config.gmin ~tol:config.tol ~max_iter:config.max_iter
         ~policy:config.homotopy ~backend:config.backend
-        ?ordering:config.ordering ?assembly:config.assembly ?jobs:config.jobs
-        circuit ~source ~start ~stop ~step
+        ?ordering:config.ordering ?jobs:config.jobs circuit ~source ~start
+        ~stop ~step
     with Invalid_argument msg -> raise (Dc.Analysis_error msg)
   in
   let prints = default_prints circuit prints in
@@ -181,8 +173,7 @@ let ac_table ?(config = default_config) circuit prints ~per_decade ~fstart
   let freqs = Ac.decade_frequencies ~start:fstart ~stop:fstop ~per_decade in
   let r =
     Ac.run ~gmin:config.gmin ~tol:config.tol ~max_iter:config.max_iter
-      ~policy:config.homotopy ?ordering:config.ordering
-      ?assembly:config.assembly circuit ~freqs
+      ~policy:config.homotopy ?ordering:config.ordering circuit ~freqs
   in
   let prints = default_prints circuit prints in
   let columns =
@@ -225,8 +216,7 @@ let tran_table ?(config = default_config) circuit prints ~tstep ~tstop =
   with_progress ~analysis:"tran" ~label @@ fun () ->
   let r =
     Transient.run ~gmin:config.gmin ~tol:config.tol ~policy:config.homotopy
-      ~backend:config.backend ?ordering:config.ordering
-      ?assembly:config.assembly circuit ~tstep ~tstop
+      ~backend:config.backend ?ordering:config.ordering circuit ~tstep ~tstop
   in
   let prints = default_prints circuit prints in
   let columns = Array.of_list ("time" :: List.map print_label prints) in
@@ -247,20 +237,6 @@ let tran_table ?(config = default_config) circuit prints ~tstep ~tstop =
       r.Transient.times
   in
   { analysis_label = label; columns; rows; stats = Transient.stats r }
-
-(* Give every CNFET of the deck a fresh evaluation cache of the
-   configured size before any analysis runs (no-op when the config
-   leaves the cache unset). *)
-let apply_cache_config config circuit =
-  match config.cache with
-  | None -> ()
-  | Some cfg ->
-      List.iter
-        (function
-          | Circuit.Cnfet { params; _ } ->
-              Cnt_core.Device_model.set_cache params.Circuit.model cfg
-          | _ -> ())
-        (Circuit.elements circuit)
 
 (* Wall-clock deadline enforcement.  The budget covers the whole deck:
    a check runs before every analysis, and a progress sink checks on
@@ -304,7 +280,6 @@ let apply_model_override config circuit =
 (* The raising core behind [run_deck_result]. *)
 let run_deck_exn ~config (deck : Parser.deck) =
   let circuit = apply_model_override config deck.Parser.circuit in
-  apply_cache_config config circuit;
   let run check =
     List.map
       (fun analysis ->
@@ -376,12 +351,6 @@ let config_manifest (c : config) =
              (match c.ordering with
              | Some o -> o
              | None -> Cnt_numerics.Linear_solver.default_ordering ())) );
-      ( "assembly",
-        Manifest.String
-          (Mna.assembly_name
-             (match c.assembly with
-             | Some a -> a
-             | None -> Mna.default_assembly ())) );
       ( "jobs",
         Manifest.Int
           (match c.jobs with
@@ -401,11 +370,6 @@ let config_manifest (c : config) =
             ("gmin_steps", Manifest.Int p.Homotopy.gmin_steps);
             ("source_steps", Manifest.Int p.Homotopy.source_steps);
           ] );
-      ( "cache",
-        match c.cache with
-        | None -> Manifest.Null
-        | Some cfg -> Manifest.String (Cnt_core.Eval_cache.config_to_string cfg)
-      );
       ( "deadline_s",
         match c.deadline with
         | None -> Manifest.Null

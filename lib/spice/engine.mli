@@ -21,10 +21,6 @@ type config = {
       (** sparse fill-reducing ordering ([--ordering] / [CNT_ORDERING]);
           [None] means {!Cnt_numerics.Linear_solver.default_ordering}
           (natural).  Dense solves ignore it. *)
-  assembly : Mna.assembly option;
-      (** CNFET stamp assembly mode ([--assembly] / [CNT_ASSEMBLY]);
-          [None] means {!Mna.default_assembly} (batched).  Waveforms are
-          byte-identical in either mode — see [docs/ASSEMBLY.md]. *)
   jobs : int option;
       (** DC-sweep fan-out domains; [None] means
           [Cnt_par.Pool.default_jobs ()] ([CNT_JOBS] or 1).  Results
@@ -33,12 +29,6 @@ type config = {
   tol : float;  (** Newton convergence tolerance (default 1e-9) *)
   max_iter : int;  (** Newton iteration budget per solve (default 200) *)
   homotopy : Homotopy.policy;  (** convergence-ladder policy *)
-  cache : Cnt_core.Eval_cache.config option;
-      (** bias-point evaluation cache given to every CNFET of the deck
-          before analyses run ([--cache] / [CNT_CACHE]); [None] leaves
-          each model's cache as constructed.  With [quantum = 0]
-          results are bitwise-identical to uncached runs; see
-          [docs/CACHING.md]. *)
   deadline : float option;
       (** wall-clock budget in seconds for the whole deck
           ([--deadline], or the [deadline_s] field of a [cntd]
@@ -64,13 +54,11 @@ val default_config : config
 val config :
   ?backend:Cnt_numerics.Linear_solver.backend ->
   ?ordering:Cnt_numerics.Linear_solver.ordering ->
-  ?assembly:Mna.assembly ->
   ?jobs:int ->
   ?gmin:float ->
   ?tol:float ->
   ?max_iter:int ->
   ?homotopy:Homotopy.policy ->
-  ?cache:Cnt_core.Eval_cache.config ->
   ?deadline:float ->
   ?model:string ->
   unit ->
@@ -110,9 +98,9 @@ val table_to_csv : table -> string
     [--report] (see {!Cnt_obs.Manifest}). *)
 
 val config_manifest : config -> Cnt_obs.Manifest.json
-(** The configuration {e as resolved}: [None] knobs (ordering,
-    assembly, jobs) render as the ambient default they will actually
-    use, so two manifests differ exactly when the runs could. *)
+(** The configuration {e as resolved}: [None] knobs (ordering, jobs,
+    model) render as the ambient default they will actually use, so
+    two manifests differ exactly when the runs could. *)
 
 val table_manifest : table -> Cnt_obs.Manifest.json
 (** Analysis label, column names, row count, per-analysis solver stats

@@ -41,51 +41,6 @@ let c_fill_natural = Obs.counter "ordering.fill_natural"
 let c_fill_applied = Obs.counter "ordering.fill_applied"
 
 (* ------------------------------------------------------------------ *)
-(* Assembly modes                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* How CNFET stamps are produced each Newton iteration.
-
-   [Scalar] evaluates each device in place inside the stamping loop
-   (the historical path).  [Batched] lowers the circuit's CNFETs into a
-   structure-of-arrays table at compile time and splits every refill
-   into three passes — gather all bias points from the solution vector
-   into contiguous columns, evaluate them through each device's
-   workspace-backed {!Cnt_core.Device_model.stencil}, scatter the
-   stamps back through the recorded slot program.  Both modes are
-   the same floating-point program device for device, so all waveforms
-   and tables are byte-identical; [Batched] exists purely to make the
-   assembly phase cheap. *)
-type assembly =
-  | Scalar
-  | Batched
-
-let assembly_name = function Scalar -> "scalar" | Batched -> "batched"
-
-let assembly_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "scalar" -> Some Scalar
-  | "batched" -> Some Batched
-  | _ -> None
-
-let default_assembly_lazy =
-  lazy
-    (match Sys.getenv_opt "CNT_ASSEMBLY" with
-    | None | Some "" -> Batched
-    | Some s -> (
-        match assembly_of_string s with
-        | Some a -> a
-        | None ->
-            Printf.eprintf
-              "warning: CNT_ASSEMBLY: unknown assembly mode %S (expected \
-               scalar | batched); using batched\n\
-               %!"
-              s;
-            Batched))
-
-let default_assembly () = Lazy.force default_assembly_lazy
-
-(* ------------------------------------------------------------------ *)
 (* Solver statistics                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -234,8 +189,7 @@ type compiled = {
   program : int array; (* backend slots in stamp emission order *)
   rhs : float array; (* refilled in place each iteration *)
   stats : stats;
-  assembly : assembly;
-  table : cnfet_table option; (* Some iff batched and the circuit has CNFETs *)
+  table : cnfet_table option; (* Some iff the circuit has CNFETs *)
   (* kept so [clone] can allocate an identical solver workspace *)
   sym_backend : Linear_solver.backend;
   sym_ordering : Linear_solver.ordering;
@@ -243,7 +197,6 @@ type compiled = {
 }
 
 let size c = c.n_nodes + c.n_branches
-let assembly_mode c = c.assembly
 
 let circuit c = c.circuit
 let node_count c = c.n_nodes
@@ -322,14 +275,6 @@ let capacitors c =
 (* Stamping                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Where the CNFET branch of [stamp_system] gets (I_0, g_m, g_ds). *)
-type cnfet_values =
-  | Symbolic
-      (* the compile-time pattern recording: zeros, no device evaluated
-         (the stamp sequence does not depend on the values) *)
-  | In_place (* scalar assembly: one small-signal evaluation per stamp *)
-  | Columns of cnfet_table (* batched assembly: this refill's outputs *)
-
 (* Emit every Jacobian and right-hand-side contribution at candidate
    solution [x].  The [add_j] call sequence is value-independent:
    capacitors and inductors are always stamped (with zero companions at
@@ -337,11 +282,12 @@ type cnfet_values =
    pass replays one-for-one.  Any structural change must keep the two
    passes emitting identical sequences.
 
-   With [Columns tb] the Dcnfet branch reads row [ti] of the batched
-   kernel's output columns instead of evaluating the model in place.
-   The bias voltages are recomputed here with the same expressions the
-   gather pass used, so the [ieq] linearisation and the stamp sequence
-   are identical to the scalar mode's. *)
+   [cnfets] is where the Dcnfet branch gets (I_0, g_m, g_ds): row [ti]
+   of this refill's batched-kernel output columns, or [None] in the
+   compile-time pattern recording, which stamps zeros and evaluates no
+   device (the stamp sequence does not depend on the values).  The bias
+   voltages are recomputed here with the same expressions the gather
+   pass used. *)
 let stamp_system ~cnfets ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave
     ~caps ~inds ~gmin x =
   let v_of i = if i < 0 then 0.0 else x.(i) in
@@ -391,29 +337,18 @@ let stamp_system ~cnfets ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave
           (* SPICE convention: positive current flows p -> m through
              the source, i.e. it is extracted from p and injected at m *)
           stamp_current p m (eval_wave name wave)
-      | Dcnfet { d; g; s; model; cgs_i; cgd_i; ti } ->
+      | Dcnfet { d; g; s; cgs_i; cgd_i; ti; _ } ->
           let vgs = v_of g -. v_of s and vds = v_of d -. v_of s in
           let i0, gm, gds =
             match cnfets with
-            | Symbolic -> (0.0, 0.0, 0.0)
-            | Columns tb ->
+            | None -> (0.0, 0.0, 0.0)
+            | Some tb ->
+                stats.device_evals <- stats.device_evals + 1;
+                Obs.incr c_device_evals;
                 ( Bigarray.Array1.unsafe_get tb.ct_i0 ti,
                   Bigarray.Array1.unsafe_get tb.ct_gm ti,
                   Bigarray.Array1.unsafe_get tb.ct_gds ti )
-            | In_place ->
-                (* the batched stencil's [fault_i0] semantics: the bias
-                   point is evaluated, only the current becomes NaN *)
-                let i0, gm, gds =
-                  Cnt_core.Device_model.small_signal model ~vgs ~vds
-                in
-                let i0 = if Fault.fires Fault.Nan_eval then Float.nan else i0 in
-                (i0, gm, gds)
           in
-          (match cnfets with
-          | Symbolic -> ()
-          | In_place | Columns _ ->
-              stats.device_evals <- stats.device_evals + 1;
-              Obs.incr c_device_evals);
           (* linearised drain current i = ieq + gm*vgs + gds*vds *)
           let ieq = i0 -. (gm *. vgs) -. (gds *. vds) in
           add_j d g gm;
@@ -433,16 +368,12 @@ let stamp_system ~cnfets ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave
 (* Compilation: symbolic pass                                          *)
 (* ------------------------------------------------------------------ *)
 
-let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
-    circuit =
+let compile_uncached ?(backend = Linear_solver.Auto) ?ordering circuit =
   Obs.span "mna.compile" @@ fun () ->
   let ordering =
     match ordering with
     | Some o -> o
     | None -> Linear_solver.default_ordering ()
-  in
-  let assembly =
-    match assembly with Some a -> a | None -> default_assembly ()
   in
   let node_of_name = Hashtbl.create 16 in
   let names = Circuit.nodes circuit in
@@ -525,7 +456,7 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
     end
   in
   let scratch_stats = fresh_stats ~backend:"" ~unknowns:n ~nonzeros:0 in
-  stamp_system ~cnfets:Symbolic ~stats:scratch_stats ~devices ~n_nodes
+  stamp_system ~cnfets:None ~stats:scratch_stats ~devices ~n_nodes
     ~add_j:record
     ~add_b:(fun _ _ -> ())
     ~eval_wave:(fun _ _ -> 0.0)
@@ -540,11 +471,10 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
   let program =
     Array.map (fun (i, j) -> solver.Linear_solver.slot i j) pattern
   in
-  (* lower the CNFETs into the structure-of-arrays table; the symbolic
-     pass above evaluates no device in either mode, so the recorded
-     pattern and slot program are identical in both assembly modes *)
+  (* lower the CNFETs into the structure-of-arrays table the refill's
+     gather, batch-eval and scatter passes work on *)
   let table =
-    if assembly = Scalar || !n_cnfets = 0 then None
+    if !n_cnfets = 0 then None
     else begin
       let nt = !n_cnfets in
       let ct_d = Array.make nt (-1)
@@ -595,7 +525,6 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
     stats =
       fresh_stats ~backend:solver.Linear_solver.backend_name ~unknowns:n
         ~nonzeros:solver.Linear_solver.nnz;
-    assembly;
     table;
     sym_backend = backend;
     sym_ordering = ordering;
@@ -654,8 +583,8 @@ let clone c =
    and stays safe to clone from any future request.
 
    Physical keying is deliberate: value-equality over a netlist is
-   both expensive and hazardous (two structurally equal circuits can
-   still diverge through their mutable model caches).  The daemon's
+   expensive, and impossible over device models, which are records of
+   closures that structural equality raises on.  The daemon's
    deck cache keeps one canonical [Parser.deck] per deck-content hash
    alive, so repeated requests for the same deck text present the same
    circuit value and hit here.  One-shot CLI runs never enable this.
@@ -670,7 +599,6 @@ type compile_cache_entry = {
   cc_circuit : Circuit.t;
   cc_backend : Linear_solver.backend;
   cc_ordering : Linear_solver.ordering;
-  cc_assembly : assembly;
   cc_template : compiled;
 }
 
@@ -695,14 +623,11 @@ let disable_compile_cache () =
 
 let compile_cache_stats () = (!compile_cache_hits, !compile_cache_misses)
 
-let compile ?(backend = Linear_solver.Auto) ?ordering ?assembly circuit =
-  if !compile_cache_max = 0 then compile_uncached ~backend ?ordering ?assembly circuit
+let compile ?(backend = Linear_solver.Auto) ?ordering circuit =
+  if !compile_cache_max = 0 then compile_uncached ~backend ?ordering circuit
   else begin
     let ordering =
       match ordering with Some o -> o | None -> Linear_solver.default_ordering ()
-    in
-    let assembly =
-      match assembly with Some a -> a | None -> default_assembly ()
     in
     Mutex.lock compile_cache_mutex;
     Fun.protect
@@ -712,7 +637,7 @@ let compile ?(backend = Linear_solver.Auto) ?ordering ?assembly circuit =
           List.find_opt
             (fun e ->
               e.cc_circuit == circuit && e.cc_backend = backend
-              && e.cc_ordering = ordering && e.cc_assembly = assembly)
+              && e.cc_ordering = ordering)
             !compile_cache
         with
         | Some e ->
@@ -722,15 +647,12 @@ let compile ?(backend = Linear_solver.Auto) ?ordering ?assembly circuit =
         | None ->
             incr compile_cache_misses;
             Obs.incr c_compile_cache_misses;
-            let template =
-              compile_uncached ~backend ~ordering ~assembly circuit
-            in
+            let template = compile_uncached ~backend ~ordering circuit in
             let entry =
               {
                 cc_circuit = circuit;
                 cc_backend = backend;
                 cc_ordering = ordering;
-                cc_assembly = assembly;
                 cc_template = template;
               }
             in
@@ -747,18 +669,16 @@ let compile ?(backend = Linear_solver.Auto) ?ordering ?assembly circuit =
 (* ------------------------------------------------------------------ *)
 
 (* Overwrite matrix values and rhs in place by replaying the recorded
-   slot program.  Allocation-free apart from the two small closures.
+   slot program.
 
-   In batched mode the CNFET work runs first as two table passes —
-   gather every device's (vgs, vds) from the solution vector into the
-   contiguous bias columns, then evaluate all stencils through the
-   plan-sharing batched kernel — and the stamp replay (the scatter
-   pass) reads the output columns instead of calling the model.  The
-   [Fault.Nan_eval] decision is hoisted out of the device loop:
-   [Fault.fires] is a pure function of the installed spec and the
-   domain-local rung/point context, none of which change within one
-   refill, so one decision for all devices equals the scalar mode's
-   per-device decisions. *)
+   The CNFET work runs first as two table passes — gather every
+   device's (vgs, vds) from the solution vector into the contiguous
+   bias columns, then evaluate all stencils through the plan-sharing
+   batched kernel — and the stamp replay (the scatter pass) reads the
+   output columns.  The [Fault.Nan_eval] decision is made once per
+   refill: [Fault.fires] is a pure function of the installed spec and
+   the domain-local rung/point context, none of which change within
+   one refill. *)
 let refill c ~eval_wave ~caps ~inds ~gmin x =
   (match c.table with
   | None -> ()
@@ -799,8 +719,7 @@ let refill c ~eval_wave ~caps ~inds ~gmin x =
     end
   in
   let add_b i v = if i >= 0 then c.rhs.(i) <- c.rhs.(i) +. v in
-  let cnfets = match c.table with Some tb -> Columns tb | None -> In_place in
-  stamp_system ~cnfets ~stats:c.stats ~devices:c.devices ~n_nodes:c.n_nodes
+  stamp_system ~cnfets:c.table ~stats:c.stats ~devices:c.devices ~n_nodes:c.n_nodes
     ~add_j ~add_b ~eval_wave ~caps ~inds ~gmin x;
   Option.iter Obs.end_span span_s;
   if !cursor <> Array.length program then

@@ -49,46 +49,22 @@ val add_stats : into:stats -> stats -> unit
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** How CNFET stamps are produced each Newton iteration.  [Scalar]
-    evaluates every device in place inside the stamping loop; [Batched]
-    lowers the CNFETs into a structure-of-arrays table at compile time
-    and refills in three passes (gather bias points, evaluate all
-    stencils through each device's {!Cnt_core.Device_model.stencil},
-    scatter stamps through the recorded program).  Both modes run the same
-    floating-point program device for device, so every waveform and
-    table is byte-identical between them at any jobs count and cache
-    setting (pinned by [test/test_assembly.ml]); [Batched] is the
-    default because it makes the dominant assembly phase cheap — see
-    [docs/ASSEMBLY.md]. *)
-type assembly =
-  | Scalar
-  | Batched
-
-val assembly_name : assembly -> string
-
-val assembly_of_string : string -> assembly option
-(** Recognises ["scalar"] and ["batched"] (case-insensitive). *)
-
-val default_assembly : unit -> assembly
-(** The ambient assembly mode: [CNT_ASSEMBLY] when set to a valid name
-    (warning otherwise), else {!Batched}. *)
-
 type compiled
 
 val compile :
   ?backend:Linear_solver.backend ->
   ?ordering:Linear_solver.ordering ->
-  ?assembly:assembly ->
   Circuit.t ->
   compiled
 (** Symbolic compilation: pattern, stamp program, solver workspace and
-    (in batched mode) the CNFET device table are allocated here, once.
-    [backend] defaults to [Linear_solver.Auto]; [ordering] to
-    {!Linear_solver.default_ordering} (fill-reducing permutation,
-    sparse backend only); [assembly] to {!default_assembly}. *)
-
-val assembly_mode : compiled -> assembly
-(** The assembly mode this circuit was compiled with. *)
+    the CNFET device table are allocated here, once.  Each Newton
+    iteration then refills CNFET stamps in three passes over that
+    structure-of-arrays table: gather bias points, evaluate every
+    stencil through each device's {!Cnt_core.Device_model.stencil},
+    scatter stamps through the recorded program (see
+    [docs/ASSEMBLY.md]).  [backend] defaults to [Linear_solver.Auto];
+    [ordering] to {!Linear_solver.default_ordering} (fill-reducing
+    permutation, sparse backend only). *)
 
 (** {2 Compile cache}
 

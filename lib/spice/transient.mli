@@ -24,7 +24,6 @@ val run :
   ?policy:Homotopy.policy ->
   ?backend:Cnt_numerics.Linear_solver.backend ->
   ?ordering:Cnt_numerics.Linear_solver.ordering ->
-  ?assembly:Mna.assembly ->
   ?initial_condition:float array ->
   Circuit.t ->
   tstep:float ->

@@ -1,45 +1,36 @@
-(* Batched-assembly equivalence and ordering tests.
+(* CNFET assembly and ordering tests.
 
-   The PR-6 hard invariant: every waveform and table is byte-identical
-   between scalar and batched MNA assembly, at any job count and any
-   cache setting.  These tests compare solution vectors through
-   [Int64.bits_of_float] — no tolerances anywhere — across DC operating
-   points, DC sweeps, transients and AC runs, plus the supporting
-   bitwise pins (plan replanning, allocation-free shift) and the AMD
-   fill-reducing ordering properties. *)
+   The batched gather / batch-eval / scatter pipeline is pinned two
+   independent ways:
+
+   - Frozen digests.  Each "scalar=batched" case pins the MD5
+     ({!Cnt_obs.Manifest.digest_rows}) of the exact solution bits that
+     the former scalar assembly, which evaluated every CNFET in place
+     inside the stamping loop, produced for that run.  The batched
+     pipeline matched those bits at any job count, so a digest change
+     means the pipeline changed its floating-point program.  The bits
+     include libm's exp/log1p results: on a platform whose libm rounds
+     differently these pins move while the KCL checks below still hold.
+   - KCL.  At every solved DC point, each node's net current is rebuilt
+     here from the circuit's elements alone ([Device_model.ids] at the
+     solved terminal voltages, Ohm's law, gmin * v and the solved
+     source branch currents) and must vanish.
+
+   Alongside: the supporting bitwise pins (plan replanning,
+   allocation-free shift) and the AMD fill-reducing ordering
+   properties. *)
 
 open Cnt_numerics
 open Cnt_spice
 
 let bits = Int64.bits_of_float
+let digest = Cnt_obs.Manifest.digest_rows
 
-let check_bits_arr name (a : float array) (b : float array) =
-  Alcotest.(check int) (name ^ ": length") (Array.length a) (Array.length b);
-  Array.iteri
-    (fun i x ->
-      if not (Int64.equal (bits x) (bits b.(i))) then
-        Alcotest.failf "%s: element %d differs bitwise: %h vs %h" name i x
-          b.(i))
-    a
+let check_digest name expected rows =
+  Alcotest.(check string) (name ^ ": solution-bits MD5") expected (digest rows)
 
-let check_bits_mat name (a : float array array) (b : float array array) =
-  Alcotest.(check int) (name ^ ": rows") (Array.length a) (Array.length b);
-  Array.iteri (fun i r -> check_bits_arr (Printf.sprintf "%s row %d" name i) r b.(i)) a
-
-(* One fitted model pair shared by every circuit in this file; cache
-   configuration is mutated per test and restored to disabled. *)
-let fam =
-  lazy (Stdcells.family ~length:100e-9 ())
-
-let with_cache config f =
-  let fam = Lazy.force fam in
-  Cnt_core.Cnt_model.set_cache fam.Stdcells.n_model config;
-  Cnt_core.Cnt_model.set_cache fam.Stdcells.p_model config;
-  Fun.protect
-    ~finally:(fun () ->
-      Cnt_core.Cnt_model.set_cache fam.Stdcells.n_model Cnt_core.Eval_cache.disabled;
-      Cnt_core.Cnt_model.set_cache fam.Stdcells.p_model Cnt_core.Eval_cache.disabled)
-    f
+(* One fitted model pair shared by every circuit in this file. *)
+let fam = lazy (Stdcells.family ~length:100e-9 ())
 
 let inverter_circuit ?(vin = 0.27) () =
   let fam = Lazy.force fam in
@@ -52,131 +43,168 @@ let ring_circuit ~stages =
   let cells, _ = Stdcells.ring_oscillator fam ~prefix:"r" ~stages ~vdd_node:"vdd" in
   Stdcells.bench fam ~stimuli:[] ~cells
 
+let ac_circuit () =
+  let fam = Lazy.force fam in
+  Circuit.create
+    [
+      Circuit.vdc "vdd" "vdd" "0" 0.6;
+      Circuit.vsource ~ac:1.0 "vin" "g" "0" (Waveform.dc 0.45);
+      Circuit.resistor "rl" "vdd" "d" 50e3;
+      Circuit.cnfet "m1" ~drain:"d" ~gate:"g" ~source:"0" fam.Stdcells.n_model;
+    ]
+
+(* The inverter VTC deck on one backend (both devices declare it). *)
+let sweep_deck backend =
+  Parser.parse
+    (Printf.sprintf
+       "t\nVDD vdd 0 0.6\nVIN in 0 0\nMP out in vdd PCNFET model=%s\nMN out \
+        in 0 CNFET model=%s\n.dc VIN 0 0.6 0.05\n.print v(out) id(MN)\n.end"
+       backend backend)
+
+let sweep_rows (r : Dc.sweep_result) =
+  Array.append [| r.Dc.sweep_values |]
+    (Array.map (fun (p : Dc.op_result) -> p.Dc.solution) r.Dc.points)
+
+let tran_rows (r : Transient.result) =
+  Array.append [| r.Transient.times |] r.Transient.solutions
+
 (* ------------------------------------------------------------------ *)
-(* Scalar vs batched, bitwise                                          *)
+(* Frozen scalar-assembly digests                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_op_equivalence () =
-  let c = inverter_circuit () in
-  let s = Dc.operating_point ~assembly:Mna.Scalar c in
-  let b = Dc.operating_point ~assembly:Mna.Batched c in
-  check_bits_arr "op solution" s.Dc.solution b.Dc.solution
-
-let sweep_solutions (r : Dc.sweep_result) =
-  Array.map (fun (p : Dc.op_result) -> p.Dc.solution) r.Dc.points
+  check_digest "op" "a98ca268dd1f2130e57a0542ea21aa9f"
+    [| (Dc.operating_point (inverter_circuit ())).Dc.solution |]
 
 let test_dc_sweep_equivalence () =
   let c = inverter_circuit () in
   List.iter
     (fun jobs ->
-      let s =
-        Dc.sweep ~assembly:Mna.Scalar ~jobs c ~source:"vin" ~start:0.0
-          ~stop:0.6 ~step:0.05
-      in
-      let b =
-        Dc.sweep ~assembly:Mna.Batched ~jobs c ~source:"vin" ~start:0.0
-          ~stop:0.6 ~step:0.05
-      in
-      check_bits_arr "sweep values" s.Dc.sweep_values b.Dc.sweep_values;
-      check_bits_mat
-        (Printf.sprintf "sweep solutions (jobs=%d)" jobs)
-        (sweep_solutions s) (sweep_solutions b))
+      check_digest
+        (Printf.sprintf "sweep (jobs=%d)" jobs)
+        "22d585db43b42bee2205d808c21792e6"
+        (sweep_rows
+           (Dc.sweep ~jobs c ~source:"vin" ~start:0.0 ~stop:0.6 ~step:0.05)))
     [ 1; 4 ]
 
 let test_transient_equivalence () =
-  let c = ring_circuit ~stages:5 in
-  let s =
-    Transient.run ~assembly:Mna.Scalar c ~tstep:1e-12 ~tstop:2e-11
-  in
-  let b =
-    Transient.run ~assembly:Mna.Batched c ~tstep:1e-12 ~tstop:2e-11
-  in
-  check_bits_arr "times" s.Transient.times b.Transient.times;
-  check_bits_mat "transient solutions" s.Transient.solutions
-    b.Transient.solutions
+  check_digest "dense transient" "c4d4a0ce26eeaac68b5bc8fe9e1fb0ac"
+    (tran_rows
+       (Transient.run (ring_circuit ~stages:5) ~tstep:1e-12 ~tstop:2e-11))
 
 let test_transient_equivalence_sparse () =
-  let c = ring_circuit ~stages:5 in
-  let s =
-    Transient.run ~backend:Linear_solver.Sparse_backend ~assembly:Mna.Scalar c
-      ~tstep:1e-12 ~tstop:2e-11
-  in
-  let b =
-    Transient.run ~backend:Linear_solver.Sparse_backend ~assembly:Mna.Batched c
-      ~tstep:1e-12 ~tstop:2e-11
-  in
-  check_bits_mat "sparse transient solutions" s.Transient.solutions
-    b.Transient.solutions
-
-let complex_bits name (a : Complex.t array array) (b : Complex.t array array) =
-  Alcotest.(check int) (name ^ ": rows") (Array.length a) (Array.length b);
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j z ->
-          let w = b.(i).(j) in
-          if
-            not
-              (Int64.equal (bits z.Complex.re) (bits w.Complex.re)
-              && Int64.equal (bits z.Complex.im) (bits w.Complex.im))
-          then Alcotest.failf "%s: (%d,%d) differs bitwise" name i j)
-        row)
-    a
+  check_digest "sparse transient" "137303dc7807cddf381b3f378919df47"
+    (tran_rows
+       (Transient.run ~backend:Linear_solver.Sparse_backend
+          ~ordering:Linear_solver.Natural (ring_circuit ~stages:5) ~tstep:1e-12
+          ~tstop:2e-11))
 
 let test_ac_equivalence () =
-  let fam = Lazy.force fam in
-  let c =
-    Circuit.create
-      [
-        Circuit.vdc "vdd" "vdd" "0" 0.6;
-        Circuit.vsource ~ac:1.0 "vin" "g" "0" (Waveform.dc 0.45);
-        Circuit.resistor "rl" "vdd" "d" 50e3;
-        Circuit.cnfet "m1" ~drain:"d" ~gate:"g" ~source:"0" fam.Stdcells.n_model;
-      ]
-  in
-  let freqs = [| 1e3; 1e6; 1e9 |] in
-  let s = Ac.run ~assembly:Mna.Scalar c ~freqs in
-  let b = Ac.run ~assembly:Mna.Batched c ~freqs in
-  check_bits_arr "ac op" s.Ac.op.Dc.solution b.Ac.op.Dc.solution;
-  complex_bits "ac solutions" s.Ac.solutions b.Ac.solutions
-
-let test_equivalence_with_cache () =
-  (* the bias-point cache composes with batched assembly: entries are
-     shared key-for-key with the scalar path, so scalar and batched
-     stay bitwise-identical with the cache on (exact keys) as well *)
-  with_cache { Cnt_core.Eval_cache.size = 4096; quantum = 0.0 } @@ fun () ->
-  let c = inverter_circuit () in
-  let s = Dc.operating_point ~assembly:Mna.Scalar c in
-  let b = Dc.operating_point ~assembly:Mna.Batched c in
-  check_bits_arr "cached op solution" s.Dc.solution b.Dc.solution;
-  let st = Transient.run ~assembly:Mna.Scalar c ~tstep:1e-12 ~tstop:1e-11 in
-  let bt = Transient.run ~assembly:Mna.Batched c ~tstep:1e-12 ~tstop:1e-11 in
-  check_bits_mat "cached transient" st.Transient.solutions
-    bt.Transient.solutions
+  let r = Ac.run (ac_circuit ()) ~freqs:[| 1e3; 1e6; 1e9 |] in
+  check_digest "ac op" "3e3f27879b58e6ee449465211cb56a04"
+    [| r.Ac.op.Dc.solution |];
+  check_digest "ac solutions" "4272d75a07d601c0210fed0ce2845be8"
+    (Array.map
+       (fun row ->
+         Array.concat
+           (Array.to_list
+              (Array.map (fun (z : Complex.t) -> [| z.re; z.im |]) row)))
+       r.Ac.solutions)
 
 let test_ordering_equivalence_dense_circuits () =
-  (* AMD vs natural ordering must agree on the dense backend (there is
-     nothing to permute) and batched assembly must stay bitwise under
-     either ordering of the sparse backend's rows *)
+  (* batched assembly keeps the scalar bits under the sparse backend's
+     AMD row permutation too *)
   let c = inverter_circuit () in
-  let nat = Dc.operating_point ~ordering:Linear_solver.Natural c in
-  let amd = Dc.operating_point ~ordering:Linear_solver.Amd c in
-  ignore amd;
-  let s =
+  let amd =
     Dc.operating_point ~backend:Linear_solver.Sparse_backend
-      ~ordering:Linear_solver.Amd ~assembly:Mna.Scalar c
+      ~ordering:Linear_solver.Amd c
   in
-  let b =
-    Dc.operating_point ~backend:Linear_solver.Sparse_backend
-      ~ordering:Linear_solver.Amd ~assembly:Mna.Batched c
-  in
-  check_bits_arr "amd scalar vs batched" s.Dc.solution b.Dc.solution;
+  check_digest "amd sparse op" "5fef74f6224be968a58a9650f8176162"
+    [| amd.Dc.solution |];
   (* sanity, not bitwise: orderings solve the same physics *)
+  let nat = Dc.operating_point ~ordering:Linear_solver.Natural c in
   Array.iteri
     (fun i v ->
-      if Float.abs (v -. s.Dc.solution.(i)) > 1e-9 then
+      if Float.abs (v -. amd.Dc.solution.(i)) > 1e-9 then
         Alcotest.failf "ordering changed the solution beyond 1e-9 at %d" i)
     nat.Dc.solution
+
+(* The VTC table through the engine on each backend.  Naming the
+   deck's own backend as the run override is a physical no-op that
+   shields the pin from an ambient CNT_MODEL. *)
+let test_sweep_table_equivalence (backend, expected) () =
+  match
+    Engine.run_deck_result
+      ~config:(Engine.config ~model:backend ())
+      (sweep_deck backend)
+  with
+  | Ok [ t ] ->
+      Alcotest.(check (array string))
+        "columns" [| "vin"; "v(out)"; "id(mn)" |] t.Engine.columns;
+      check_digest (backend ^ " sweep table") expected t.Engine.rows
+  | Ok _ -> Alcotest.fail "expected one table"
+  | Error e -> Alcotest.failf "engine error: %s" (Diag.error_message e)
+
+(* ------------------------------------------------------------------ *)
+(* Kirchhoff's current law, rebuilt from the elements                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Bound on any node's net current, in amperes: far below the gmin
+   current of a node at 0.6 V (6e-13 A) and the microampere device
+   currents.  The worst residual measured over these cases is 2.1e-20 A
+   (vs backend, V_IN = 0.05 V). *)
+let kcl_bound = 1e-15
+
+(* Largest |net current leaving a node| at DC solution [x], with the
+   default gmin of 1e-12 S from every node to ground. *)
+let kcl_worst compiled x =
+  let r = Array.init (Mna.node_count compiled) (fun k -> 1e-12 *. x.(k)) in
+  let v = Mna.voltage compiled x in
+  let flows a b i =
+    (* [i] leaves node [a] and enters node [b] *)
+    let add node i =
+      let k = Mna.node_id compiled node in
+      if k >= 0 then r.(k) <- r.(k) +. i
+    in
+    add a i;
+    add b (-.i)
+  in
+  List.iter
+    (function
+      | Circuit.Resistor { n1; n2; ohms; _ } ->
+          flows n1 n2 ((v n1 -. v n2) /. ohms)
+      | Circuit.Vsource { name; npos; nneg; _ } ->
+          flows npos nneg (Mna.vsource_current compiled x name)
+      | Circuit.Cnfet { drain; gate; source; params; _ } ->
+          flows drain source
+            (Cnt_core.Device_model.ids params.Circuit.model
+               ~vgs:(v gate -. v source) ~vds:(v drain -. v source))
+      | Circuit.Capacitor _ -> () (* open at DC *)
+      | Circuit.Inductor _ | Circuit.Isource _ ->
+          Alcotest.fail "kcl_worst: element kind not modelled")
+    (Circuit.elements (Mna.circuit compiled));
+  Array.fold_left (fun acc i -> Float.max acc (Float.abs i)) 0.0 r
+
+let check_kcl name compiled x =
+  let worst = kcl_worst compiled x in
+  if not (worst <= kcl_bound) then
+    Alcotest.failf "%s: KCL residual %g A exceeds %g A" name worst kcl_bound
+
+let test_kcl_sweep backend () =
+  let r =
+    Dc.sweep (sweep_deck backend).Parser.circuit ~source:"vin" ~start:0.0
+      ~stop:0.6 ~step:0.05
+  in
+  Array.iteri
+    (fun i (p : Dc.op_result) ->
+      check_kcl
+        (Printf.sprintf "%s vin=%g" backend r.Dc.sweep_values.(i))
+        r.Dc.compiled p.Dc.solution)
+    r.Dc.points
+
+let test_kcl_ac_op () =
+  let r = Ac.run (ac_circuit ()) ~freqs:[| 1e6 |] in
+  check_kcl "ac operating point" r.Ac.op.Dc.compiled r.Ac.op.Dc.solution
 
 (* ------------------------------------------------------------------ *)
 (* Plan replanning and shift_into bitwise pins                         *)
@@ -299,10 +327,21 @@ let () =
           Alcotest.test_case "transient scalar=batched (sparse)" `Quick
             test_transient_equivalence_sparse;
           Alcotest.test_case "ac scalar=batched" `Quick test_ac_equivalence;
-          Alcotest.test_case "scalar=batched with cache on" `Quick
-            test_equivalence_with_cache;
           Alcotest.test_case "amd ordering keeps scalar=batched" `Quick
             test_ordering_equivalence_dense_circuits;
+          Alcotest.test_case "sweep table scalar=batched (piecewise)" `Quick
+            (test_sweep_table_equivalence
+               ("piecewise", "acba2b51484981c928a340cb787558f0"));
+          Alcotest.test_case "sweep table scalar=batched (vs)" `Quick
+            (test_sweep_table_equivalence
+               ("vs", "21312ce7479229489f06899ec9cc8af6"));
+        ] );
+      ( "kcl",
+        [
+          Alcotest.test_case "inverter sweep (piecewise)" `Quick
+            (test_kcl_sweep "piecewise");
+          Alcotest.test_case "inverter sweep (vs)" `Quick (test_kcl_sweep "vs");
+          Alcotest.test_case "ac operating point" `Quick test_kcl_ac_op;
         ] );
       ( "plans",
         [

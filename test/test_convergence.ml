@@ -458,6 +458,10 @@ let test_cli_exit_codes () =
     (fst (run_cspice "/nonexistent/deck.cir"));
   Alcotest.(check int) "parse error is 2" 2 (fst (run_cspice garbage));
   Alcotest.(check int) "internal error is 4" 4 (fst (run_cspice internal));
+  Alcotest.(check int) "unknown option --cache is 2" 2
+    (fst (run_cspice ("--cache 1 " ^ easy)));
+  Alcotest.(check int) "unknown option --assembly is 2" 2
+    (fst (run_cspice ("--assembly scalar " ^ easy)));
   let code, err = run_cspice ~env:"CNT_FAULT=exhaust" easy in
   Alcotest.(check int) "convergence failure is 3" 3 code;
   Alcotest.(check bool) "trail printed to stderr" true

@@ -158,17 +158,6 @@ let test_repro_list_golden () =
   check_golden ~name:"repro_list"
     (capture_stdout (Printf.sprintf "%s --list" (exe "repro")))
 
-(* The golden decks must produce identical bytes with the cache forced
-   on (quantum 0): the cache is observationally invisible. *)
-let test_cspice_cache_invariant () =
-  let deck = in_test_dir (Filename.concat "decks" "golden_inverter.cir") in
-  let base = capture_stdout (Printf.sprintf "%s %s" (exe "cspice") deck) in
-  let cached =
-    capture_stdout
-      (Printf.sprintf "%s --cache 4096 %s" (exe "cspice") deck)
-  in
-  Alcotest.(check string) "cache on = cache off" base cached
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "cnt_golden"
@@ -183,6 +172,5 @@ let () =
           tc "cspice golden_divider" (test_cspice_golden "golden_divider");
           tc "cspice golden_inverter" (test_cspice_golden "golden_inverter");
           tc "repro --list" test_repro_list_golden;
-          tc "cache invariance" test_cspice_cache_invariant;
         ] );
     ]

@@ -1,11 +1,10 @@
 (* The pluggable device-model tier: registry dispatch, deck [model=]
    parsing, per-backend evaluation invariants (batched stencil bitwise
-   equal to scalar calls, jobs-count and assembly-mode independence,
-   I_DS monotone in V_DS), closed-form gm/gds against a
-   central-difference oracle, the --model / CNT_MODEL run override, the
-   cache-identity contract (two decks differing only in model never
-   share entries), and per-backend golden CSVs for a DC sweep and a
-   transient.
+   equal to scalar calls, jobs-count independence, I_DS monotone in
+   V_DS), closed-form gm/gds against a central-difference oracle, the
+   --model / CNT_MODEL run override, the deck-cache identity contract
+   (two decks differing only in model never share entries), and
+   per-backend golden CSVs for a DC sweep and a transient.
 
    To regenerate the golden CSVs after an intentional change, run from
    the project root:
@@ -238,16 +237,6 @@ let test_jobs_invariance backend () =
     run_ok ~config:(Engine.config ~jobs ()) (Parser.parse (sweep_deck_text backend))
   in
   check_tables_bitwise (backend ^ ": jobs 1 = jobs 4") (run 1) (run 4)
-
-let test_assembly_invariance backend () =
-  let run assembly =
-    run_ok
-      ~config:(Engine.config ~assembly ())
-      (Parser.parse (sweep_deck_text backend))
-  in
-  check_tables_bitwise
-    (backend ^ ": scalar = batched")
-    (run Mna.Scalar) (run Mna.Batched)
 
 (* ------------------------------------------------------------------ *)
 (* Closed-form conductances against the finite-difference oracle       *)
@@ -577,37 +566,6 @@ let test_deck_cache_model_keyed () =
   Alcotest.(check bool) "plain re-lookup hits" true hit2;
   Alcotest.(check bool) "vs re-lookup hits" true hit3
 
-let test_eval_cache_identity_salt () =
-  (* same device card under both backends: distinct instances,
-     distinct identities — their eval caches can never alias; and a
-     warm cache replays bitwise what the cold model computed *)
-  let pcm = parse_mn1 "" in
-  let vs =
-    match DM.remodel pcm ~backend:"vs" with
-    | Ok m -> m
-    | Error msg -> Alcotest.failf "remodel: %s" msg
-  in
-  Alcotest.(check bool) "distinct instances" true (pcm != vs);
-  Alcotest.(check bool) "distinct identities" true
-    (DM.identity pcm <> DM.identity vs);
-  List.iter
-    (fun m ->
-      let reference =
-        List.map (fun (vgs, vds) -> DM.ids m ~vgs ~vds) bias_grid
-      in
-      DM.set_cache m { Cnt_core.Eval_cache.size = 512; quantum = 0.0 };
-      List.iter2
-        (fun (vgs, vds) r ->
-          check_bits
-            (Printf.sprintf "%s cached vgs=%g vds=%g" (DM.backend m) vgs vds)
-            r (DM.ids m ~vgs ~vds);
-          check_bits
-            (Printf.sprintf "%s warm vgs=%g vds=%g" (DM.backend m) vgs vds)
-            r (DM.ids m ~vgs ~vds))
-        bias_grid reference;
-      DM.set_cache m Cnt_core.Eval_cache.disabled)
-    [ pcm; vs ]
-
 (* ------------------------------------------------------------------ *)
 (* Golden CSVs per backend                                             *)
 (* ------------------------------------------------------------------ *)
@@ -730,8 +688,7 @@ let () =
       ( "invariants",
         per_backend "stencil = scalar bitwise" test_stencil_matches_scalar
         @ per_backend "ids monotone in vds" test_monotone_ids
-        @ per_backend "jobs invariance" test_jobs_invariance
-        @ per_backend "assembly invariance" test_assembly_invariance );
+        @ per_backend "jobs invariance" test_jobs_invariance );
       ( "jacobians",
         [
           QCheck_alcotest.to_alcotest prop_jacobian_matches_fd;
@@ -750,7 +707,6 @@ let () =
       ( "cache identity",
         [
           tc "deck cache is model-keyed" test_deck_cache_model_keyed;
-          tc "eval cache identity salt" test_eval_cache_identity_salt;
         ] );
       ( "golden",
         [

@@ -1,6 +1,6 @@
 (* Tests for the numerical substrate: quadrature, root finding,
-   polynomials, linear algebra, fitting, optimisation, interpolation,
-   ODE integration and statistics. *)
+   polynomials, linear algebra, fitting, optimisation, interpolation
+   and statistics. *)
 
 open Cnt_numerics
 
@@ -516,31 +516,6 @@ let test_interp_validation () =
     (match Interp.linear [| 0.0; 0.0 |] [| 1.0; 2.0 |] with
     | exception Interp.Bad_table _ -> true
     | _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* ODE                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_rk4_exponential () =
-  let f _ y = [| -.y.(0) |] in
-  let traj = Ode.rk4 f ~t0:0.0 ~t1:1.0 ~y0:[| 1.0 |] ~steps:100 in
-  let _, y_final = traj.(Array.length traj - 1) in
-  check_close ~eps:1e-8 "e^-1" (exp (-1.0)) y_final.(0)
-
-let test_rk4_harmonic_energy () =
-  (* x'' = -x as a system; energy conserved to O(h^4) *)
-  let f _ y = [| y.(1); -.y.(0) |] in
-  let traj = Ode.rk4 f ~t0:0.0 ~t1:(2.0 *. Float.pi) ~y0:[| 1.0; 0.0 |] ~steps:200 in
-  let _, y = traj.(Array.length traj - 1) in
-  check_close ~eps:1e-6 "x after full period" 1.0 y.(0);
-  check_close ~eps:1e-6 "v after full period" 0.0 y.(1)
-
-let test_rkf45_adaptive () =
-  let f _ y = [| -.(10.0 *. y.(0)) |] in
-  let traj = Ode.rkf45 ~tol:1e-10 f ~t0:0.0 ~t1:1.0 ~y0:[| 1.0 |] in
-  let t_final, y_final = traj.(Array.length traj - 1) in
-  check_close ~eps:1e-9 "t reaches end" 1.0 t_final;
-  check_close ~eps:1e-7 "decay" (exp (-10.0)) y_final.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
@@ -1112,12 +1087,6 @@ let () =
           tc "pchip monotonicity" test_pchip_monotone;
           tc "pchip derivative" test_pchip_derivative_consistency;
           tc "table validation" test_interp_validation;
-        ] );
-      ( "ode",
-        [
-          tc "rk4 exponential decay" test_rk4_exponential;
-          tc "rk4 harmonic oscillator" test_rk4_harmonic_energy;
-          tc "rkf45 stiff-ish decay" test_rkf45_adaptive;
         ] );
       ( "stats",
         [

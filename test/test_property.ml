@@ -1,14 +1,11 @@
-(* Property layer locking down the closed-form solver and the batched /
-   cached evaluation paths:
+(* Property layer locking down the closed-form solver and the batched
+   evaluation path:
 
    - the closed-form V_SC root agrees with a bisection oracle on the
      monotone residual to 1e-9, over random (T, E_F, V_GS, V_DS)
      tuples for both paper models;
    - [Cnt_model.eval_batch] is bitwise-equal to the scalar [ids] loop,
-     cache off, cache on, quantised, and for p-type devices;
-   - the evaluation cache is invisible ([quantum = 0] results are
-     bitwise-identical on/off) and its hit/miss/eviction statistics
-     behave as documented even under forced evictions. *)
+     for n- and p-type devices. *)
 
 open Cnt_numerics
 open Cnt_physics
@@ -90,7 +87,7 @@ let test_plan_bitwise () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* eval_batch vs scalar ids, across cache configurations               *)
+(* eval_batch vs scalar ids                                            *)
 (* ------------------------------------------------------------------ *)
 
 let vgs_grid = [| 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.33 |]
@@ -109,65 +106,11 @@ let check_batch_matches_scalar msg model =
         vds_grid)
     vgs_grid
 
-let grid_currents model =
-  Array.map
-    (fun vgs -> Array.map (fun vds -> Cnt_model.ids model ~vgs ~vds) vds_grid)
-    vgs_grid
-
-let check_grids_bitwise msg a b =
-  Array.iteri
-    (fun i row -> Array.iteri (fun j x -> check_bitwise msg x b.(i).(j)) row)
-    a
-
 let test_batch_bitwise polarity () =
-  let model = Cnt_model.model2 ~polarity () in
-  Cnt_model.set_cache model Eval_cache.disabled;
-  check_batch_matches_scalar "cache off" model;
-  Cnt_model.set_cache model { Eval_cache.size = 256; quantum = 0.0 };
-  check_batch_matches_scalar "cache on" model
-
-let test_cache_transparent () =
-  let model = Cnt_model.model1 () in
-  Cnt_model.set_cache model Eval_cache.disabled;
-  let uncached = grid_currents model in
-  Cnt_model.set_cache model { Eval_cache.size = 512; quantum = 0.0 };
-  (* first pass populates, second pass replays hits *)
-  check_grids_bitwise "cache populate" (grid_currents model) uncached;
-  check_grids_bitwise "cache hit" (grid_currents model) uncached;
-  let stats = Cnt_model.cache_stats model in
-  Alcotest.(check bool) "second pass hit" true (stats.Eval_cache.hits > 0);
-  (* the vsc/charges paths go through the same cache *)
-  Cnt_model.set_cache model Eval_cache.disabled;
-  let v_off = Cnt_model.solve_vsc model ~vgs:0.42 ~vds:0.37 in
-  let _, qs_off, qd_off = Cnt_model.charges model ~vgs:0.42 ~vds:0.37 in
-  Cnt_model.set_cache model { Eval_cache.size = 64; quantum = 0.0 };
-  check_bitwise "solve_vsc cached" v_off (Cnt_model.solve_vsc model ~vgs:0.42 ~vds:0.37);
-  let _, qs_on, qd_on = Cnt_model.charges model ~vgs:0.42 ~vds:0.37 in
-  check_bitwise "charges qs" qs_off qs_on;
-  check_bitwise "charges qd" qd_off qd_on
-
-(* With a positive quantum, a cached (or batched) evaluation equals the
-   uncached evaluation at the snapped bias — results are a pure
-   function of the quantised bias, never of cache state. *)
-let test_quantised_semantics () =
-  let q = 1e-3 in
-  let snap v = Float.round (v /. q) *. q in
-  let model = Cnt_model.model2 () in
-  let rng = Prng.create ~seed:0xdeadL () in
-  for _ = 1 to 40 do
-    let vgs, vds = sample_bias rng in
-    Cnt_model.set_cache model Eval_cache.disabled;
-    let exact_at_snap = Cnt_model.ids model ~vgs:(snap vgs) ~vds:(snap vds) in
-    Cnt_model.set_cache model { Eval_cache.size = 256; quantum = q };
-    check_bitwise "quantised scalar" exact_at_snap (Cnt_model.ids model ~vgs ~vds)
-  done;
-  (* batch under quantisation matches the scalar quantised path *)
-  Cnt_model.set_cache model { Eval_cache.size = 256; quantum = q };
-  check_batch_matches_scalar "quantised batch" model
+  check_batch_matches_scalar "batch" (Cnt_model.model2 ~polarity ())
 
 let test_family_and_transfer_consistent () =
   let model = Cnt_model.model2 () in
-  Cnt_model.set_cache model Eval_cache.disabled;
   let vgs_list = [ 0.3; 0.45; 0.6 ] in
   let fam = Cnt_model.output_family model ~vgs_list ~vds_points:vds_grid in
   List.iter
@@ -182,49 +125,6 @@ let test_family_and_transfer_consistent () =
     (fun i vgs ->
       check_bitwise "transfer" (Cnt_model.ids model ~vgs ~vds:0.5) tr.(i))
     vgs_grid
-
-(* ------------------------------------------------------------------ *)
-(* Cache statistics under forced evictions                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_eviction_counters () =
-  let model = Cnt_model.model1 () in
-  Cnt_model.set_cache model { Eval_cache.size = 2; quantum = 0.0 };
-  (* same point twice: second is a hit *)
-  ignore (Cnt_model.ids model ~vgs:0.5 ~vds:0.4);
-  ignore (Cnt_model.ids model ~vgs:0.5 ~vds:0.4);
-  let s1 = Cnt_model.cache_stats model in
-  Alcotest.(check bool) "repeat hits" true (s1.Eval_cache.hits >= 1);
-  (* 50 distinct keys through 2 lines force evictions, and results stay
-     bitwise-correct throughout *)
-  let reference = Cnt_model.model1 () in
-  Cnt_model.set_cache reference Eval_cache.disabled;
-  for i = 0 to 49 do
-    let vgs = 0.1 +. (0.01 *. float_of_int i) in
-    check_bitwise "evicting cache correctness"
-      (Cnt_model.ids reference ~vgs ~vds:0.3)
-      (Cnt_model.ids model ~vgs ~vds:0.3)
-  done;
-  let s2 = Cnt_model.cache_stats model in
-  Alcotest.(check bool) "misses counted" true (s2.Eval_cache.misses >= 50);
-  Alcotest.(check bool) "evictions counted" true (s2.Eval_cache.evictions >= 1);
-  Alcotest.(check bool) "monotone hits" true (s2.Eval_cache.hits >= s1.Eval_cache.hits)
-
-let test_config_strings () =
-  let round s =
-    match Eval_cache.config_of_string s with
-    | Ok c -> Eval_cache.config_to_string c
-    | Error msg -> Alcotest.failf "parse %S: %s" s msg
-  in
-  Alcotest.(check string) "size only" "4096" (round "4096");
-  Alcotest.(check string) "size+quantum" "512:0.001" (round "512:1e-3");
-  Alcotest.(check string) "disabled" "0" (round "0");
-  List.iter
-    (fun s ->
-      match Eval_cache.config_of_string s with
-      | Ok _ -> Alcotest.failf "expected %S to be rejected" s
-      | Error _ -> ())
-    [ "-1"; "abc"; "4096:"; "4096:-2"; "4096:nan"; ":1e-3" ]
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -241,12 +141,5 @@ let () =
           tc "n-type bitwise" (test_batch_bitwise Cnt_model.N_type);
           tc "p-type bitwise" (test_batch_bitwise Cnt_model.P_type);
           tc "family and transfer" test_family_and_transfer_consistent;
-        ] );
-      ( "cache",
-        [
-          tc "transparent" test_cache_transparent;
-          tc "quantised semantics" test_quantised_semantics;
-          tc "eviction counters" test_eviction_counters;
-          tc "config strings" test_config_strings;
         ] );
     ]

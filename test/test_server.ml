@@ -105,7 +105,6 @@ let test_config_roundtrip () =
       ordering = Some Cnt_numerics.Linear_solver.Amd;
       jobs = Some 3;
       tol = 1e-7;
-      cache = Some { Cnt_core.Eval_cache.size = 512; quantum = 1e-4 };
       deadline = Some 2.5;
       homotopy = { Cnt_spice.Homotopy.default with gmin_steps = 17 };
     }
@@ -128,6 +127,46 @@ let test_config_partial_override () =
         "rest is base" true
         ({ c with Cnt_spice.Engine.tol = Cnt_spice.Engine.default_config.tol }
         = Cnt_spice.Engine.default_config)
+
+(* Keys outside the decoded set are an error naming the key, never a
+   silent run on the base config: a misspelling, the retired [cache] and
+   [assembly] keys, an unknown homotopy field, and a [config] or
+   [homotopy] that is not an object.  [null] still means "inherit". *)
+let bad_configs =
+  [
+    ("{\"modle\":\"vs\"}", "modle");
+    ("{\"cache\":\"4096\"}", "cache");
+    ("{\"assembly\":\"scalar\"}", "assembly");
+    ("{\"homotopy\":{\"gmin_step\":3}}", "homotopy.gmin_step");
+    ("5", "config");
+    ("{\"homotopy\":true}", "homotopy");
+  ]
+
+let test_config_unknown_keys () =
+  let base = Cnt_spice.Engine.default_config in
+  let decode text =
+    match Json.parse text with
+    | Ok j -> Protocol.config_of_json ~base j
+    | Error msg -> Alcotest.failf "test config %s: %s" text msg
+  in
+  List.iter
+    (fun (text, key) ->
+      match decode text with
+      | Ok _ -> Alcotest.failf "config %s was accepted" text
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "error for %s names %S" text key)
+            true (contains ~needle:key msg))
+    bad_configs;
+  List.iter
+    (fun text ->
+      match decode text with
+      | Ok c -> Alcotest.(check bool) (text ^ " inherits") true (c = base)
+      | Error msg -> Alcotest.failf "config %s rejected: %s" text msg)
+    [
+      "{}"; "{\"model\":null}"; "{\"homotopy\":null}";
+      "{\"homotopy\":{\"damped\":null}}";
+    ]
 
 let test_table_roundtrip () =
   let stats =
@@ -447,6 +486,43 @@ let test_edge_cases () =
   Unix.close fd;
   ping_works sock "after edge cases"
 
+(* The same rejections end to end: the daemon answers a run with a bad
+   config by a [bad_request] error frame that names the key, before it
+   accepts the deck, and a [null] config runs on the daemon's base. *)
+let test_unknown_config_over_wire () =
+  with_daemon @@ fun sock ->
+  let run_frame config =
+    Printf.sprintf
+      "{\"rpc\":\"cnt-rpc/1\",\"op\":\"run\",\"id\":\"k\",\"deck\":{\"text\":%s},\"config\":%s}"
+      (Json.to_string (Json.Str "t\nV1 a 0 1\nR1 a 0 1k\n.op\n.end\n"))
+      config
+  in
+  let fd = raw_connect sock in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  List.iter
+    (fun (config, key) ->
+      raw_send fd (run_frame config);
+      match raw_read_line fd with
+      | Some line ->
+          Alcotest.(check string) (config ^ " kind") "bad_request"
+            (error_kind_of_frame line);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s reply names %S" config key)
+            true (contains ~needle:key line)
+      | None -> Alcotest.failf "no reply to config %s" config)
+    bad_configs;
+  raw_send fd (run_frame "null");
+  (match raw_read_line fd with
+  | Some line ->
+      Alcotest.(check bool) "null config accepted" true
+        (contains ~needle:"\"frame\":\"accepted\"" line)
+  | None -> Alcotest.fail "no reply to a null config");
+  match raw_read_line fd with
+  | Some line ->
+      Alcotest.(check bool) "null config runs" true
+        (contains ~needle:"\"status\":\"ok\"" line)
+  | None -> Alcotest.fail "no result for a null config"
+
 let test_disconnect_mid_request () =
   with_daemon @@ fun sock ->
   let text = read_file (deck "golden_inverter") in
@@ -630,6 +706,8 @@ let () =
           Alcotest.test_case "config round-trip" `Quick test_config_roundtrip;
           Alcotest.test_case "config partial override" `Quick
             test_config_partial_override;
+          Alcotest.test_case "config rejects unknown keys" `Quick
+            test_config_unknown_keys;
           Alcotest.test_case "table round-trip" `Quick test_table_roundtrip;
           Alcotest.test_case "request errors" `Quick test_request_errors;
           Alcotest.test_case "progress event round-trip" `Quick
@@ -648,6 +726,8 @@ let () =
           Alcotest.test_case "connect refused -> exit 4" `Quick
             test_connect_refused;
           Alcotest.test_case "protocol edge cases" `Quick test_edge_cases;
+          Alcotest.test_case "unknown config keys over the wire" `Quick
+            test_unknown_config_over_wire;
           Alcotest.test_case "disconnect mid-request" `Quick
             test_disconnect_mid_request;
           Alcotest.test_case "deadline over the wire (exit 5)" `Quick
