@@ -97,25 +97,37 @@ let model_arg =
     & opt (some string) None
     & info [ "model" ] ~docv:"BACKEND" ~doc ~env:(Cmd.Env.info "CNT_MODEL"))
 
+(* An out-of-range knob is a usage error (exit 2, like [--jobs 0]),
+   reported under the flag's spelling: record label [max_iter] is flag
+   [--max-iter]. *)
 let make solver ordering jobs gmin tol max_iter no_homotopy gmin_start
     gmin_steps source_steps deadline model =
-  Cnt_spice.Engine.config ~backend:solver ?ordering ?jobs ~gmin ~tol ~max_iter
-    ~homotopy:
-      (if no_homotopy then Cnt_spice.Homotopy.plain_only
-       else
-         {
-           Cnt_spice.Homotopy.default with
-           gmin_start;
-           gmin_steps;
-           source_steps;
-         })
-    ?deadline ?model ()
+  let config =
+    Cnt_spice.Engine.config ~backend:solver ?ordering ?jobs ~gmin ~tol
+      ~max_iter
+      ~homotopy:
+        (if no_homotopy then Cnt_spice.Homotopy.plain_only
+         else
+           {
+             Cnt_spice.Homotopy.default with
+             gmin_start;
+             gmin_steps;
+             source_steps;
+           })
+      ?deadline ?model ()
+  in
+  match Cnt_spice.Engine.check_config config with
+  | Ok () -> Ok config
+  | Error (field, reason) ->
+      let flag = String.map (function '_' -> '-' | c -> c) field in
+      Error (`Msg (Printf.sprintf "option '--%s': %s" flag reason))
 
 let term_with model_term =
   Term.(
-    const make $ solver_arg $ ordering_arg $ Cli_jobs.arg $ gmin_arg $ tol_arg
-    $ max_iter_arg $ no_homotopy_arg $ gmin_start_arg $ gmin_steps_arg
-    $ source_steps_arg $ deadline_arg $ model_term)
+    cli_parse_result
+      (const make $ solver_arg $ ordering_arg $ Cli_jobs.arg $ gmin_arg
+     $ tol_arg $ max_iter_arg $ no_homotopy_arg $ gmin_start_arg
+     $ gmin_steps_arg $ source_steps_arg $ deadline_arg $ model_term))
 
 let term = term_with model_arg
 

@@ -2,8 +2,8 @@
 
    Validation goes through Cnt_par.Pool.jobs_of_string, the same parser
    the CNT_JOBS environment variable uses, so zero, negative and
-   malformed counts are rejected with the same message everywhere and a
-   non-zero exit code (cmdliner's CLI-error status). *)
+   malformed counts are rejected with the same message everywhere, as a
+   usage error (exit 2). *)
 
 open Cmdliner
 

@@ -30,7 +30,9 @@ let progress_arg =
      identical at any --jobs).  Standard-output tables are byte-identical \
      with or without this flag."
   in
-  Arg.(value & opt mode Off & info [ "progress" ] ~docv:"MODE" ~doc)
+  (* [some]: a plain [opt mode Off] makes cmdliner's --help raise, since
+     [Off] has no spelling in [mode] *)
+  Arg.(value & opt (some mode) None & info [ "progress" ] ~docv:"MODE" ~doc)
 
 let report_arg =
   let doc =
@@ -49,7 +51,8 @@ let metrics_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
-let make progress report metrics = { progress; report; metrics }
+let make progress report metrics =
+  { progress = Option.value progress ~default:Off; report; metrics }
 let term = Term.(const make $ progress_arg $ report_arg $ metrics_arg)
 
 (* Install the progress sink and enable the registry before any

@@ -195,11 +195,12 @@ let profile_arg =
 let cmd =
   let doc = "print ballistic CNFET output characteristics" in
   Cmd.v
-    (Cmd.info "cnt_char" ~version:Cnt_obs.Version.version ~doc)
+    (Cmd.info "cnt_char" ~version:Cnt_obs.Version.version ~doc
+       ~exits:Cnt_cli.Cli_exit.exits)
     Term.(
       const run $ which_arg $ temp_arg $ fermi_arg $ diameter_arg $ tox_arg
       $ vgs_arg $ vds_max_arg $ points_arg $ format_arg $ optimise_arg
       $ compare_arg $ profile_arg $ Cnt_cli.Cli_obs.term
       $ Cnt_cli.Cli_config.term_no_model)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cnt_cli.Cli_exit.eval cmd)

@@ -125,9 +125,4 @@ let cmd =
       $ deck_cache_arg $ compile_cache_arg $ verbose_arg
       $ Cnt_cli.Cli_config.term)
 
-let () =
-  exit
-    (match Cmd.eval' cmd with
-    | 124 -> exit_usage
-    | 125 -> exit_internal
-    | n -> n)
+let () = exit (Cnt_cli.Cli_exit.eval cmd)

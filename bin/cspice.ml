@@ -273,11 +273,4 @@ let cmd =
       const run $ connect_arg $ csv_arg $ rows_arg $ stats_arg $ profile_arg
       $ trace_arg $ Cnt_cli.Cli_obs.term $ Cnt_cli.Cli_config.term $ path_arg)
 
-(* cmdliner reports its own CLI / internal failures as 124 / 125; fold
-   them into the documented 2 / 4 contract. *)
-let () =
-  exit
-    (match Cmd.eval' cmd with
-    | 124 -> exit_usage
-    | 125 -> exit_internal
-    | n -> n)
+let () = exit (Cnt_cli.Cli_exit.eval cmd)

@@ -85,9 +85,10 @@ let current_arg =
 let cmd =
   let doc = "fit piecewise non-linear mobile-charge approximations" in
   Cmd.v
-    (Cmd.info "fit_charge" ~version:Cnt_obs.Version.version ~doc)
+    (Cmd.info "fit_charge" ~version:Cnt_obs.Version.version ~doc
+       ~exits:Cnt_cli.Cli_exit.exits)
     Term.(
       const run $ temp_arg $ fermi_arg $ offsets_arg $ degrees_arg $ window_arg
       $ optimise_arg $ current_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cnt_cli.Cli_exit.eval cmd)

@@ -73,10 +73,10 @@ let run_repro list_only quiet profile dir obs config ids =
         finish ok_outcome 0
     | exception Invalid_argument msg ->
         prerr_endline ("error: " ^ msg);
+        let err = Cnt_spice.Diag.Bad_deck msg in
         finish
-          (Cnt_obs.Manifest.Raw
-             (Cnt_spice.Diag.error_json (Cnt_spice.Diag.Bad_deck msg)))
-          1
+          (Cnt_obs.Manifest.Raw (Cnt_spice.Diag.error_json err))
+          (Cnt_spice.Diag.exit_code err)
   end
 
 let ids_arg =
@@ -102,9 +102,10 @@ let dir_arg =
 let cmd =
   let doc = "regenerate the tables and figures of the CNT piecewise-model paper" in
   Cmd.v
-    (Cmd.info "repro" ~version:Cnt_obs.Version.version ~doc)
+    (Cmd.info "repro" ~version:Cnt_obs.Version.version ~doc
+       ~exits:Cnt_cli.Cli_exit.exits)
     Term.(
       const run_repro $ list_arg $ quiet_arg $ profile_arg $ dir_arg
       $ Cnt_cli.Cli_obs.term $ Cnt_cli.Cli_config.term $ ids_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cnt_cli.Cli_exit.eval cmd)

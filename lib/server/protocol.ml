@@ -127,7 +127,7 @@ let config_of_json ~(base : Engine.config) j =
             source_steps = get "source_steps" Json.to_int h hbase.source_steps;
           }
     in
-    Ok
+    let config =
       {
         Engine.backend =
           get "backend"
@@ -155,6 +155,13 @@ let config_of_json ~(base : Engine.config) j =
             (fun v -> Option.map Option.some (Json.to_str v))
             j base.model;
       }
+    in
+    match Engine.check_config config with
+    | Ok () -> Ok config
+    | Error (field, reason) ->
+        (* the one record label whose wire key differs *)
+        let key = if field = "deadline" then "deadline_s" else field in
+        Error (Printf.sprintf "bad value for %S: %s" key reason)
   with Bad msg -> Error msg
 
 (* ------------------------------------------------------------------ *)

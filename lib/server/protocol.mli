@@ -57,7 +57,8 @@ val config_of_json :
   base:Engine.config -> Json.t -> (Engine.config, string) result
 (** Decode onto [base].  An error names the first unknown key (a
     [homotopy] key as ["homotopy.KEY"]), a [config] or [homotopy] that
-    is not an object, or a malformed value. *)
+    is not an object, a malformed value, or a value that
+    {!Cnt_spice.Engine.check_config} rejects. *)
 
 (** {1 Tables on the wire} *)
 

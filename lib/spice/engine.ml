@@ -62,6 +62,23 @@ let config ?backend ?ordering ?jobs ?gmin ?tol ?max_iter ?homotopy ?deadline
     model;
   }
 
+(* Range-check the numeric knobs up front.  Out of range, each would
+   run to a misleading outcome: a non-positive or NaN [tol] spends the
+   whole Newton budget and reports a convergence failure, a negative
+   [gmin] stamps a negative shunt, a NaN [deadline] never fires. *)
+let check_config c =
+  let bad field fmt = Printf.ksprintf (fun m -> Error (field, m)) fmt in
+  if not (Float.is_finite c.tol && c.tol > 0.0) then
+    bad "tol" "must be a finite number > 0 (got %g)" c.tol
+  else if not (Float.is_finite c.gmin && c.gmin >= 0.0) then
+    bad "gmin" "must be a finite number >= 0 (got %g)" c.gmin
+  else if c.max_iter < 1 then bad "max_iter" "must be >= 1 (got %d)" c.max_iter
+  else
+    match (c.jobs, c.deadline) with
+    | Some j, _ when j < 1 -> bad "jobs" "must be >= 1 (got %d)" j
+    | _, Some d when not (d > 0.0) -> bad "deadline" "must be > 0 (got %g)" d
+    | _ -> Ok ()
+
 (* The backend override that will actually apply: the config's [model]
    when set, else the ambient CNT_MODEL default.  An empty string
    counts as unset, matching {!Cnt_core.Device_model.default_override}

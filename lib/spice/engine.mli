@@ -67,6 +67,14 @@ val config :
     value.  Prefer this over literal record construction — new fields
     never break builder call sites. *)
 
+val check_config : config -> (unit, string * string) result
+(** Range-check the numeric knobs: [tol] finite and > 0, [gmin] finite
+    and >= 0, [max_iter] >= 1, [jobs] >= 1 and [deadline] > 0 (not
+    NaN) when set.  [Error (field, reason)] names the first bad field
+    by its record label.  {!config} does not call it; every front end
+    that builds a config from user input (CLI flags, cnt-rpc/1 request
+    fields) does, and rejects the run as a usage error. *)
+
 val resolved_model : config -> string option
 (** The device-model backend override as it will apply: the config's
     [model] when set, else {!Cnt_core.Device_model.default_override}

@@ -91,23 +91,25 @@ let to_string sp =
 (* Installation                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Read at start-up, not through a [Lazy.t]: [current] runs on every
+   pool domain, and two domains forcing one lazy at once raise
+   [CamlinternalLazy.Undefined]. *)
 let env_spec =
-  lazy
-    (match Sys.getenv_opt "CNT_FAULT" with
-    | None | Some "" -> None
-    | Some s -> (
-        match parse s with
-        | Ok sp -> Some sp
-        | Error msg ->
-            Printf.eprintf "warning: ignoring %s\n%!" msg;
-            None))
+  match Sys.getenv_opt "CNT_FAULT" with
+  | None | Some "" -> None
+  | Some s -> (
+      match parse s with
+      | Ok sp -> Some sp
+      | Error msg ->
+          Printf.eprintf "warning: ignoring %s\n%!" msg;
+          None)
 
 (* [Some s] when a spec (possibly [None] = faults off) was installed
    programmatically, overriding the environment. *)
 let override : spec option option ref = ref None
 
 let current () =
-  match !override with Some s -> s | None -> Lazy.force env_spec
+  match !override with Some s -> s | None -> env_spec
 
 let install s = override := Some s
 

@@ -1,6 +1,6 @@
 (* Tests for the convergence-robustness subsystem: the homotopy ladder,
    deterministic fault injection, structured diagnostics, the
-   result-typed engine API, the committed hard decks, and the cspice
+   result-typed engine API, the committed hard decks, and the CLI
    exit-code contract (0 ok / 2 parse-usage / 3 convergence /
    4 internal). *)
 
@@ -423,10 +423,8 @@ let test_jobs_invariance_under_faults () =
     t1 t4
 
 (* ------------------------------------------------------------------ *)
-(* cspice exit-code contract                                           *)
+(* CLI exit-code contract                                              *)
 (* ------------------------------------------------------------------ *)
-
-let cspice = in_test_dir (Filename.concat ".." (Filename.concat "bin" "cspice.exe"))
 
 let write_temp_deck text =
   let path = Filename.temp_file "cnt_conv" ".cir" in
@@ -435,15 +433,23 @@ let write_temp_deck text =
   close_out oc;
   path
 
-let run_cspice ?(env = "") args =
+let run_tool ?(env = "") name args =
+  let exe = Filename.concat ".." (Filename.concat "bin" (name ^ ".exe")) in
   let err = Filename.temp_file "cnt_conv" ".err" in
   let cmd =
-    Printf.sprintf "%s %s %s > /dev/null 2> %s" env cspice args err
+    Printf.sprintf "%s %s %s > /dev/null 2> %s" env (in_test_dir exe) args err
   in
   let code = Sys.command cmd in
   let stderr_text = read_file err in
   Sys.remove err;
   (code, stderr_text)
+
+let run_cspice ?env args = run_tool ?env "cspice" args
+
+let has sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
 let test_cli_exit_codes () =
   let easy = write_temp_deck easy_deck_text in
@@ -462,15 +468,43 @@ let test_cli_exit_codes () =
     (fst (run_cspice ("--cache 1 " ^ easy)));
   Alcotest.(check int) "unknown option --assembly is 2" 2
     (fst (run_cspice ("--assembly scalar " ^ easy)));
+  (* out-of-range run settings are usage errors, named by flag *)
+  List.iter
+    (fun (flag, value) ->
+      let code, err = run_cspice (Printf.sprintf "%s=%s %s" flag value easy) in
+      Alcotest.(check int) (flag ^ "=" ^ value ^ " is 2") 2 code;
+      Alcotest.(check bool) (flag ^ " named on stderr") true (has flag err))
+    [
+      ("--tol", "-1"); ("--tol", "nan"); ("--tol", "0"); ("--max-iter", "0");
+      ("--gmin", "-1"); ("--deadline", "nan"); ("--deadline", "-1");
+    ];
   let code, err = run_cspice ~env:"CNT_FAULT=exhaust" easy in
   Alcotest.(check int) "convergence failure is 3" 3 code;
   Alcotest.(check bool) "trail printed to stderr" true
-    (let has sub s =
-       let n = String.length sub and m = String.length s in
-       let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-       go 0
-     in
-     has "strategy trail" err && has "plain-newton" err)
+    (has "strategy trail" err && has "plain-newton" err);
+  (* the contract holds on every tool: cmdliner's own usage failure
+     (124) folds to 2, and --help renders instead of raising *)
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " --bogus is 2") 2
+        (fst (run_tool name "--bogus"));
+      Alcotest.(check int) (name ^ " --help is 0") 0
+        (fst (run_tool name "--help=plain")))
+    [ "cspice"; "cntd"; "repro"; "cnt_char"; "fit_charge" ];
+  Alcotest.(check int) "CNT_JOBS=abc repro --list is 2" 2
+    (fst (run_tool ~env:"CNT_JOBS=abc" "repro" "--list"));
+  (* repro's unknown experiment exits with the code its manifest records *)
+  let dir = Filename.temp_dir "cnt_conv" "" in
+  let report = Filename.concat dir "manifest.json" in
+  let code, _ =
+    run_tool "repro" (Printf.sprintf "--dir %s --report %s bogus" dir report)
+  in
+  let manifest = read_file report in
+  Sys.remove report;
+  Sys.rmdir dir;
+  Alcotest.(check int) "repro bogus is 2" 2 code;
+  Alcotest.(check bool) "manifest records the same code" true
+    (has "\"exit_code\":2" manifest)
 
 let test_cli_hard_deck () =
   Alcotest.(check int) "hard deck converges by default" 0

@@ -1,5 +1,5 @@
-(* Flight-recorder layer: progress streams, run manifests, metrics
-   export and the bench differ.
+(* Flight-recorder layer: progress streams, run manifests and metrics
+   export.
 
    The determinism contract under test (docs/OBSERVABILITY.md):
    milestone events (analysis start/finish, ladder escalations) carry
@@ -34,9 +34,6 @@ let in_test_dir path = Filename.concat test_dir path
 
 let exe name =
   in_test_dir (Filename.concat ".." (Filename.concat "bin" (name ^ ".exe")))
-
-let compare_exe =
-  in_test_dir (Filename.concat ".." (Filename.concat "bench" "compare.exe"))
 
 let deck name = in_test_dir (Filename.concat "decks" (name ^ ".cir"))
 
@@ -361,75 +358,6 @@ let test_unwritable_paths_exit_2 () =
         (contains ~needle:"output error:" err))
     [ "--report"; "--metrics"; "--trace" ]
 
-(* ------------------------------------------------------------------ *)
-(* bench differ                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let sample_bench enabled_scale =
-  Printf.sprintf
-    "{\"benchmark\":\"x\",\"results\":[{\"workload\":\"w1\",\"disabled_s\":0.01,\"enabled_s\":%.6f},{\"workload\":\"w2\",\"disabled_s\":0.02,\"enabled_s\":0.03}]}"
-    (0.015 *. enabled_scale)
-
-let write_tmp contents =
-  let path = Filename.temp_file "cnt_flight_bench" ".json" in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  path
-
-let test_bench_diff_identical_passes () =
-  let a = write_tmp (sample_bench 1.0) in
-  let code, out, _ =
-    run_command (Printf.sprintf "%s %s %s" compare_exe a a)
-  in
-  Sys.remove a;
-  Alcotest.(check int) "identical exits 0" 0 code;
-  Alcotest.(check bool) "reports zero regressed" true
-    (contains ~needle:"0 regressed" out)
-
-let test_bench_diff_flags_regression () =
-  let old_f = write_tmp (sample_bench 1.0) in
-  let new_f = write_tmp (sample_bench 1.2) in
-  let code, out, _ =
-    run_command (Printf.sprintf "%s %s %s" compare_exe old_f new_f)
-  in
-  Sys.remove old_f;
-  Sys.remove new_f;
-  Alcotest.(check int) "20%% regression exits 1" 1 code;
-  Alcotest.(check bool) "names the regressed leaf" true
-    (contains ~needle:"results[w1].enabled_s" out);
-  Alcotest.(check bool) "REGRESSED verdict" true
-    (contains ~needle:"REGRESSED" out)
-
-let test_bench_diff_missing_baseline_passes () =
-  (* a missing OLD baseline is the normal first-run state: note + pass;
-     a missing NEW artefact is still an error *)
-  let new_f = write_tmp (sample_bench 1.0) in
-  let absent = Filename.temp_file "cnt_flight_absent" ".json" in
-  Sys.remove absent;
-  let code, out, _ =
-    run_command (Printf.sprintf "%s %s %s" compare_exe absent new_f)
-  in
-  Alcotest.(check int) "missing baseline exits 0" 0 code;
-  Alcotest.(check bool) "notes the missing baseline" true
-    (contains ~needle:"no baseline" out);
-  let code, _, _ =
-    run_command (Printf.sprintf "%s %s %s" compare_exe new_f absent)
-  in
-  Sys.remove new_f;
-  Alcotest.(check int) "missing NEW still exits 2" 2 code
-
-let test_bench_diff_threshold_override () =
-  let old_f = write_tmp (sample_bench 1.0) in
-  let new_f = write_tmp (sample_bench 1.2) in
-  let code, _, _ =
-    run_command
-      (Printf.sprintf "%s %s %s --threshold 30" compare_exe old_f new_f)
-  in
-  Sys.remove old_f;
-  Sys.remove new_f;
-  Alcotest.(check int) "20%% passes a 30%% threshold" 0 code
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "cnt_flight"
@@ -461,12 +389,5 @@ let () =
           tc "report manifest shape" test_report_manifest_shape;
           tc "metrics .prom format" test_metrics_prom_format;
           tc "unwritable paths exit 2" test_unwritable_paths_exit_2;
-        ] );
-      ( "bench-diff",
-        [
-          tc "identical inputs pass" test_bench_diff_identical_passes;
-          tc "20% regression flagged" test_bench_diff_flags_regression;
-          tc "missing baseline passes" test_bench_diff_missing_baseline_passes;
-          tc "threshold override" test_bench_diff_threshold_override;
         ] );
     ]

@@ -131,7 +131,8 @@ let test_config_partial_override () =
 (* Keys outside the decoded set are an error naming the key, never a
    silent run on the base config: a misspelling, the retired [cache] and
    [assembly] keys, an unknown homotopy field, and a [config] or
-   [homotopy] that is not an object.  [null] still means "inherit". *)
+   [homotopy] that is not an object.  So is a value out of
+   [Engine.check_config]'s range.  [null] still means "inherit". *)
 let bad_configs =
   [
     ("{\"modle\":\"vs\"}", "modle");
@@ -140,6 +141,12 @@ let bad_configs =
     ("{\"homotopy\":{\"gmin_step\":3}}", "homotopy.gmin_step");
     ("5", "config");
     ("{\"homotopy\":true}", "homotopy");
+    ("{\"tol\":-1}", "tol");
+    ("{\"tol\":0}", "tol");
+    ("{\"gmin\":-1}", "gmin");
+    ("{\"max_iter\":0}", "max_iter");
+    ("{\"jobs\":-3}", "jobs");
+    ("{\"deadline_s\":-1}", "deadline_s");
   ]
 
 let test_config_unknown_keys () =
