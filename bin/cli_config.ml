@@ -1,46 +1,9 @@
 (* The shared engine-configuration term: one cmdliner term that yields
    a {!Cnt_spice.Engine.config}, so cspice, repro and cnt_char expose
-   the same solver/convergence knobs with the same spellings instead of
-   each threading its own [?backend ?jobs ?gmin] arguments. *)
+   the same convergence knobs with the same spellings instead of each
+   threading its own [?jobs ?gmin] arguments. *)
 
 open Cmdliner
-
-let backend_conv =
-  Arg.enum
-    [
-      ("auto", Cnt_numerics.Linear_solver.Auto);
-      ("dense", Cnt_numerics.Linear_solver.Dense_backend);
-      ("sparse", Cnt_numerics.Linear_solver.Sparse_backend);
-    ]
-
-let solver_arg =
-  let doc =
-    "Linear-solver backend: $(b,auto) (sparse at 25+ unknowns), $(b,dense) or \
-     $(b,sparse)."
-  in
-  Arg.(
-    value
-    & opt backend_conv Cnt_numerics.Linear_solver.Auto
-    & info [ "solver" ] ~docv:"BACKEND" ~doc)
-
-let ordering_arg =
-  let ordering_conv =
-    Arg.enum
-      [
-        ("natural", Cnt_numerics.Linear_solver.Natural);
-        ("amd", Cnt_numerics.Linear_solver.Amd);
-      ]
-  in
-  let doc =
-    "Sparse fill-reducing ordering: $(b,natural) keeps the netlist's unknown \
-     numbering, $(b,amd) permutes by greedy minimum degree to cut \
-     factorisation fill on large circuits.  Only affects the sparse backend.  \
-     See docs/SOLVER.md."
-  in
-  Arg.(
-    value
-    & opt (some ordering_conv) None
-    & info [ "ordering" ] ~docv:"ORD" ~doc ~env:(Cmd.Env.info "CNT_ORDERING"))
 
 let gmin_arg =
   let doc = "Target minimum node-to-ground conductance, siemens." in
@@ -100,11 +63,10 @@ let model_arg =
 (* An out-of-range knob is a usage error (exit 2, like [--jobs 0]),
    reported under the flag's spelling: record label [max_iter] is flag
    [--max-iter]. *)
-let make solver ordering jobs gmin tol max_iter no_homotopy gmin_start
-    gmin_steps source_steps deadline model =
+let make jobs gmin tol max_iter no_homotopy gmin_start gmin_steps source_steps
+    deadline model =
   let config =
-    Cnt_spice.Engine.config ~backend:solver ?ordering ?jobs ~gmin ~tol
-      ~max_iter
+    Cnt_spice.Engine.config ?jobs ~gmin ~tol ~max_iter
       ~homotopy:
         (if no_homotopy then Cnt_spice.Homotopy.plain_only
          else
@@ -125,9 +87,9 @@ let make solver ordering jobs gmin tol max_iter no_homotopy gmin_start
 let term_with model_term =
   Term.(
     cli_parse_result
-      (const make $ solver_arg $ ordering_arg $ Cli_jobs.arg $ gmin_arg
-     $ tol_arg $ max_iter_arg $ no_homotopy_arg $ gmin_start_arg
-     $ gmin_steps_arg $ source_steps_arg $ deadline_arg $ model_term))
+      (const make $ Cli_jobs.arg $ gmin_arg $ tol_arg $ max_iter_arg
+     $ no_homotopy_arg $ gmin_start_arg $ gmin_steps_arg $ source_steps_arg
+     $ deadline_arg $ model_term))
 
 let term = term_with model_arg
 

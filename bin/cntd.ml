@@ -1,7 +1,7 @@
 (* cntd: the always-on simulation daemon.
 
      cntd --listen /tmp/cntd.sock
-     cntd --listen tcp:127.0.0.1:9797 --jobs-budget 4 --ordering amd
+     cntd --listen tcp:127.0.0.1:9797 --jobs-budget 4 --max-iter 400
      cspice --connect /tmp/cntd.sock ring.cir
 
    Accepts cnt-rpc/1 requests (one JSON document per line) on a

@@ -2,7 +2,7 @@
 
      cspice inverter.cir
      cspice --csv results/ inverter.cir
-     cspice --stats --solver sparse ring.cir
+     cspice --stats ring.cir
      cspice --profile ring.cir
      cspice --trace out.json ring.cir     # load in chrome://tracing
      cspice --connect /tmp/cntd.sock ring.cir   # run on a cntd daemon

@@ -151,9 +151,7 @@ type lu = {
 }
 
 (* Factor [m] in place into packed L/U form, recording the row
-   permutation in [perm] (overwritten).  Returns the determinant sign.
-   Allocation-free: the workhorse behind both [lu_decompose] and the
-   refill-in-place dense MNA backend. *)
+   permutation in [perm] (overwritten).  Returns the determinant sign. *)
 let factor_in_place m perm =
   if m.rows <> m.cols then raise (Dimension_mismatch "lu_factor: square required");
   let n = m.rows in
@@ -202,15 +200,7 @@ let lu_decompose a =
   let sign = factor_in_place m perm in
   { lu_mat = m; perm; sign }
 
-let lu_factor_into ~src ~dst perm =
-  if dst.rows <> src.rows || dst.cols <> src.cols then
-    raise (Dimension_mismatch "lu_factor_into: shape mismatch");
-  for i = 0 to src.rows - 1 do
-    Array.blit src.data.(i) 0 dst.data.(i) 0 src.cols
-  done;
-  ignore (factor_in_place dst perm)
-
-let lu_solve_packed lu_mat perm b =
+let lu_solve { lu_mat; perm; _ } b =
   let n = lu_mat.rows in
   if Array.length b <> n then raise (Dimension_mismatch "lu_solve");
   let x = Array.init n (fun i -> b.(perm.(i))) in
@@ -231,8 +221,6 @@ let lu_solve_packed lu_mat perm b =
     x.(i) <- !acc /. lu_mat.data.(i).(i)
   done;
   x
-
-let lu_solve f b = lu_solve_packed f.lu_mat f.perm b
 
 let solve a b = lu_solve (lu_decompose a) b
 

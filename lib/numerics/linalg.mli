@@ -65,17 +65,6 @@ val lu_decompose : mat -> lu
 (** LU with partial pivoting.  Raises {!Singular} on structurally or
     numerically singular input. *)
 
-val lu_factor_into : src:mat -> dst:mat -> int array -> unit
-(** [lu_factor_into ~src ~dst perm] copies [src] into [dst] and factors
-    it in place with partial pivoting, writing the row permutation into
-    [perm].  Allocation-free: repeated factorisations of a refilled
-    matrix (the dense MNA backend) reuse [dst] and [perm].  Raises
-    {!Singular} on singular input. *)
-
-val lu_solve_packed : mat -> int array -> Vec.t -> Vec.t
-(** Solve from a packed in-place factorisation produced by
-    {!lu_factor_into}. *)
-
 val lu_solve : lu -> Vec.t -> Vec.t
 (** Solve using a precomputed factorisation (reusable across multiple
     right-hand sides, e.g. Newton iterations with a frozen Jacobian). *)

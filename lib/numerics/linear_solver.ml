@@ -1,315 +1,92 @@
-(* Interchangeable linear-solver backends behind one stamp-oriented
-   interface.  Both backends freeze their structure at [create] and are
-   refilled in place, so a Newton loop allocates no matrices after
-   compilation; only solution vectors are fresh per solve.
+(* The MNA linear solver: a CSR {!Sparse} matrix with a frozen pattern
+   and a reusable Gilbert-Peierls LU workspace, under a fill-reducing
+   symmetric permutation (greedy minimum degree, [Sparse.amd_order])
+   chosen once at create time.  The pattern is stored permuted, slot
+   handles resolve through the permutation, and solves gather the
+   right-hand side and un-permute the solution through it — so stamp
+   programs, residuals and singular-pivot reports all speak the
+   caller's original unknown numbering.  A Newton loop refills the
+   values in place and allocates only the solution vector. *)
 
-   The sparse backend optionally applies a fill-reducing symmetric
-   permutation (greedy minimum degree, [Sparse.amd_order]) at create
-   time: the pattern is permuted once, slot handles resolve through the
-   cached permutation, and solves gather/scatter the right-hand side
-   and solution through it — so stamp-program callers are oblivious to
-   the ordering in use. *)
+exception Singular of int
 
-exception Singular of string
+type t = {
+  m : Sparse.t; (* the pattern, permuted *)
+  lu : Sparse.lu;
+  perm : int array; (* position -> original unknown *)
+  pinv : int array; (* original unknown -> position *)
+  xp : float array; (* permuted-vector scratch *)
+  bp : float array;
+  fill : int; (* symbolic fill of the applied order *)
+}
 
-type ordering =
-  | Natural
-  | Amd
-
-let ordering_name = function Natural -> "natural" | Amd -> "amd"
-
-let ordering_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "natural" -> Some Natural
-  | "amd" -> Some Amd
-  | _ -> None
-
-let default_ordering_lazy =
-  lazy
-    (match Sys.getenv_opt "CNT_ORDERING" with
-    | None | Some "" -> Natural
-    | Some s -> (
-        match ordering_of_string s with
-        | Some o -> o
-        | None ->
-            Printf.eprintf
-              "warning: CNT_ORDERING: unknown ordering %S (expected natural | \
-               amd); using natural\n\
-               %!"
-              s;
-            Natural))
-
-let default_ordering () = Lazy.force default_ordering_lazy
-
-module type S = sig
-  type t
-
-  val name : string
-  val create : ordering -> int -> (int * int) array -> t
-  val dim : t -> int
-  val nnz : t -> int
-  val slot : t -> int -> int -> int
-  val clear : t -> unit
-  val add_slot : t -> int -> float -> unit
-  val add_to : t -> int -> int -> float -> unit
-  val residual : t -> float array -> float array -> float
-  val residual_argmax : t -> float array -> float array -> int * float
-  val solve : t -> float array -> float array
-  val ordering_info : t -> string * int * int
-end
-
-module Dense : S = struct
-  type t = {
-    n : int;
-    a : Linalg.mat; (* stamped values *)
-    scratch : Linalg.mat; (* in-place factorisation target *)
-    perm : int array;
+let create n pattern =
+  let perm, fill = Sparse.amd_order ~n pattern in
+  let pinv = Array.make n 0 in
+  Array.iteri (fun k v -> pinv.(v) <- k) perm;
+  let b = Sparse.Builder.create n in
+  Array.iter (fun (i, j) -> Sparse.Builder.add b pinv.(i) pinv.(j)) pattern;
+  let m = Sparse.Builder.finalize b in
+  {
+    m;
+    lu = Sparse.lu_create m;
+    perm;
+    pinv;
+    xp = Array.make n 0.0;
+    bp = Array.make n 0.0;
+    fill;
   }
 
-  let name = "dense"
+let clone t =
+  let m = Sparse.copy_pattern t.m in
+  let n = Sparse.dim m in
+  {
+    t with
+    m;
+    lu = Sparse.lu_create m;
+    xp = Array.make n 0.0;
+    bp = Array.make n 0.0;
+  }
 
-  let create _ordering n pattern =
-    ignore pattern;
-    (* dense storage admits every location; fill ordering is moot *)
-    {
-      n;
-      a = Linalg.Mat.make n n 0.0;
-      scratch = Linalg.Mat.make n n 0.0;
-      perm = Array.make n 0;
-    }
+let nnz t = Sparse.nnz t.m
+let fill t = t.fill
+let slot t i j = Sparse.slot t.m t.pinv.(i) t.pinv.(j)
+let clear t = Sparse.clear t.m
+let add_slot t s v = Sparse.add_slot t.m s v
 
-  let dim t = t.n
-  let nnz t = t.n * t.n
+let gather t x b =
+  for k = 0 to Array.length t.perm - 1 do
+    t.xp.(k) <- x.(t.perm.(k));
+    t.bp.(k) <- b.(t.perm.(k))
+  done
 
-  let slot t i j =
-    if i < 0 || j < 0 || i >= t.n || j >= t.n then
-      invalid_arg (Printf.sprintf "Dense.slot: (%d, %d) out of range" i j);
-    (i * t.n) + j
+(* The permuted system's residual rows are a permutation of the
+   original's, so the inf-norm is the same quantity (summation order
+   within a row follows the permuted columns). *)
+let residual t x b =
+  gather t x b;
+  Sparse.residual_inf t.m t.xp t.bp
 
-  let clear t =
-    for i = 0 to t.n - 1 do
-      for j = 0 to t.n - 1 do
-        Linalg.Mat.set t.a i j 0.0
-      done
-    done
-
-  let add_slot t s v = Linalg.Mat.add_to t.a (s / t.n) (s mod t.n) v
-  let add_to t i j v = Linalg.Mat.add_to t.a i j v
-
-  let residual t x b =
-    let worst = ref 0.0 in
-    for i = 0 to t.n - 1 do
-      let acc = ref (-.b.(i)) in
-      for j = 0 to t.n - 1 do
-        acc := !acc +. (Linalg.Mat.get t.a i j *. x.(j))
-      done;
-      worst := Float.max !worst (Float.abs !acc)
-    done;
-    !worst
-
-  let residual_argmax t x b =
-    let worst = ref 0.0 and row = ref 0 in
-    for i = 0 to t.n - 1 do
-      let acc = ref (-.b.(i)) in
-      for j = 0 to t.n - 1 do
-        acc := !acc +. (Linalg.Mat.get t.a i j *. x.(j))
-      done;
-      let r = Float.abs !acc in
+let residual_argmax t x b =
+  gather t x b;
+  let ax = Sparse.mul_vec t.m t.xp in
+  let worst = ref 0.0 and row = ref 0 in
+  Array.iteri
+    (fun i v ->
+      let r = Float.abs (v -. t.bp.(i)) in
       (* the first NaN row wins and stays: plain [>] is false for NaN *)
       if (not (Float.is_nan !worst)) && (r > !worst || Float.is_nan r)
       then begin
         worst := r;
         row := i
-      end
-    done;
-    (!row, !worst)
+      end)
+    ax;
+  (t.perm.(!row), !worst)
 
-  let solve t b =
-    try
-      Linalg.lu_factor_into ~src:t.a ~dst:t.scratch t.perm;
-      Linalg.lu_solve_packed t.scratch t.perm b
-    with Linalg.Singular msg -> raise (Singular msg)
-
-  let ordering_info _t = ("natural", 0, 0)
-end
-
-module Sparse_lu : S = struct
-  type t = {
-    m : Sparse.t; (* pattern permuted when an ordering is applied *)
-    lu : Sparse.lu;
-    n : int;
-    perm : int array; (* position -> original unknown; [||] = identity *)
-    pinv : int array; (* original unknown -> position; [||] = identity *)
-    xp : float array; (* permuted-vector scratch *)
-    bp : float array;
-    fill_natural : int; (* symbolic fill of the natural order *)
-    fill_applied : int; (* symbolic fill of the order in use *)
-  }
-
-  let name = "sparse"
-
-  let create ordering n pattern =
-    let fill_natural = Sparse.natural_fill ~n pattern in
-    match ordering with
-    | Natural ->
-        let b = Sparse.Builder.create n in
-        Array.iter (fun (i, j) -> Sparse.Builder.add b i j) pattern;
-        let m = Sparse.Builder.finalize b in
-        {
-          m;
-          lu = Sparse.lu_create m;
-          n;
-          perm = [||];
-          pinv = [||];
-          xp = [||];
-          bp = [||];
-          fill_natural;
-          fill_applied = fill_natural;
-        }
-    | Amd ->
-        let perm, fill_applied = Sparse.amd_order ~n pattern in
-        let pinv = Array.make n 0 in
-        Array.iteri (fun k v -> pinv.(v) <- k) perm;
-        let b = Sparse.Builder.create n in
-        Array.iter (fun (i, j) -> Sparse.Builder.add b pinv.(i) pinv.(j)) pattern;
-        let m = Sparse.Builder.finalize b in
-        {
-          m;
-          lu = Sparse.lu_create m;
-          n;
-          perm;
-          pinv;
-          xp = Array.make n 0.0;
-          bp = Array.make n 0.0;
-          fill_natural;
-          fill_applied;
-        }
-
-  let identity t = Array.length t.perm = 0
-
-  let dim t = Sparse.dim t.m
-  let nnz t = Sparse.nnz t.m
-
-  let slot t i j =
-    if identity t then Sparse.slot t.m i j
-    else Sparse.slot t.m t.pinv.(i) t.pinv.(j)
-
-  let clear t = Sparse.clear t.m
-  let add_slot t s v = Sparse.add_slot t.m s v
-
-  let add_to t i j v =
-    if identity t then Sparse.add_to t.m i j v
-    else Sparse.add_to t.m t.pinv.(i) t.pinv.(j) v
-
-  (* The permuted system's residual rows are a permutation of the
-     original's, so the inf-norm is the same quantity (summation order
-     within a row follows the permuted columns). *)
-  let residual t x b =
-    if identity t then Sparse.residual_inf t.m x b
-    else begin
-      for k = 0 to t.n - 1 do
-        t.xp.(k) <- x.(t.perm.(k));
-        t.bp.(k) <- b.(t.perm.(k))
-      done;
-      Sparse.residual_inf t.m t.xp t.bp
-    end
-
-  let residual_argmax t x b =
-    let xv =
-      if identity t then x
-      else begin
-        for k = 0 to t.n - 1 do
-          t.xp.(k) <- x.(t.perm.(k));
-          t.bp.(k) <- b.(t.perm.(k))
-        done;
-        t.xp
-      end
-    in
-    let bv = if identity t then b else t.bp in
-    let ax = Sparse.mul_vec t.m xv in
-    let worst = ref 0.0 and row = ref 0 in
-    Array.iteri
-      (fun i v ->
-        let r = Float.abs (v -. bv.(i)) in
-        if (not (Float.is_nan !worst)) && (r > !worst || Float.is_nan r)
-        then begin
-          worst := r;
-          row := i
-        end)
-      ax;
-    let orig_row = if identity t then !row else t.perm.(!row) in
-    (orig_row, !worst)
-
-  let solve t b =
-    try
-      if identity t then begin
-        Sparse.refactor t.lu t.m;
-        Sparse.lu_solve t.lu b
-      end
-      else begin
-        for k = 0 to t.n - 1 do
-          t.bp.(k) <- b.(t.perm.(k))
-        done;
-        Sparse.refactor ~orig_col:(fun k -> t.perm.(k)) t.lu t.m;
-        let xp = Sparse.lu_solve t.lu t.bp in
-        Array.init t.n (fun i -> xp.(t.pinv.(i)))
-      end
-    with Sparse.Singular msg -> raise (Singular msg)
-
-  let ordering_info t =
-    ((if identity t then "natural" else "amd"), t.fill_natural, t.fill_applied)
-end
-
-type backend =
-  | Dense_backend
-  | Sparse_backend
-  | Auto
-
-let auto_threshold = 25
-
-type instance = {
-  backend_name : string;
-  dim : int;
-  nnz : int;
-  ordering_name : string; (* "natural" | "amd" (dense: "natural") *)
-  fill_natural : int; (* symbolic fill of the natural order (sparse) *)
-  fill_applied : int; (* symbolic fill of the order in use (sparse) *)
-  slot : int -> int -> int;
-  clear : unit -> unit;
-  add_slot : int -> float -> unit;
-  add_to : int -> int -> float -> unit;
-  residual : float array -> float array -> float;
-  residual_argmax : float array -> float array -> int * float;
-  solve : float array -> float array;
-}
-
-let instantiate (module B : S) ordering n pattern =
-  let t = B.create ordering n pattern in
-  let oname, fill_natural, fill_applied = B.ordering_info t in
-  {
-    backend_name = B.name;
-    dim = B.dim t;
-    nnz = B.nnz t;
-    ordering_name = oname;
-    fill_natural;
-    fill_applied;
-    slot = B.slot t;
-    clear = (fun () -> B.clear t);
-    add_slot = B.add_slot t;
-    add_to = B.add_to t;
-    residual = B.residual t;
-    residual_argmax = B.residual_argmax t;
-    solve = B.solve t;
-  }
-
-let make ?ordering backend n pattern =
-  let ordering =
-    match ordering with Some o -> o | None -> default_ordering ()
-  in
-  let m : (module S) =
-    match backend with
-    | Dense_backend -> (module Dense)
-    | Sparse_backend -> (module Sparse_lu)
-    | Auto -> if n >= auto_threshold then (module Sparse_lu) else (module Dense)
-  in
-  instantiate m ordering n pattern
+let solve t b =
+  for k = 0 to Array.length t.perm - 1 do
+    t.bp.(k) <- b.(t.perm.(k))
+  done;
+  (try Sparse.refactor t.lu t.m
+   with Sparse.Singular k -> raise (Singular t.perm.(k)));
+  Sparse.lu_solve ~pinv:t.pinv t.lu t.bp

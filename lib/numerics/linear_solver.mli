@@ -1,125 +1,57 @@
-(** Pluggable linear-solver backends for stamp-based system assembly.
+(** The linear solver behind every MNA system: sparse Gilbert-Peierls
+    LU ({!Sparse}) under a minimum-degree symmetric permutation
+    ({!Sparse.amd_order}) computed once per pattern.
 
-    A backend owns a square matrix with a fixed write pattern plus
-    whatever factorisation scratch it needs.  Callers drive it through
-    the stamp life cycle: resolve each pattern location to a stable
-    {e slot} once, then per iteration [clear], accumulate values into
-    slots, and [solve] — with no per-iteration matrix allocation in
-    either backend.  {!Dense} stores a [Linalg] matrix and refactors it
-    in place; {!Sparse_lu} stores a CSR {!Sparse.t} with a reusable
-    sparse-LU workspace. *)
+    Callers drive it through the stamp life cycle: resolve each pattern
+    location to a stable {e slot} once, then per iteration [clear],
+    accumulate values into slots, and [solve] — with no per-iteration
+    matrix allocation.  The permutation is internal: slots, residuals,
+    solutions and {!Singular} all use the caller's original unknown
+    numbering. *)
 
-exception Singular of string
-(** Raised by [solve] in any backend; wraps the backend's own
-    singular-matrix exception. *)
+exception Singular of int
+(** Raised by {!solve}: the original unknown (equivalently, MNA row)
+    at which the factorisation found no nonzero pivot. *)
 
-type ordering =
-  | Natural  (** keep the caller's unknown numbering *)
-  | Amd
-      (** permute by greedy minimum degree ({!Sparse.amd_order}) to
-          reduce factorisation fill; sparse backend only (dense storage
-          has no fill to reduce).  The permutation is computed once at
-          create time, cached with the compiled pattern, and applied
-          transparently: slots, residuals and solutions are all
-          expressed in the caller's original numbering. *)
+type t
 
-val ordering_name : ordering -> string
-val ordering_of_string : string -> ordering option
+val create : int -> (int * int) array -> t
+(** [create n pattern] orders and allocates an [n x n] system whose
+    writable locations are the (row, col) pairs of [pattern]
+    (duplicates allowed). *)
 
-val default_ordering : unit -> ordering
-(** The ambient ordering: [CNT_ORDERING] when set to a valid name
-    ("natural" | "amd", warning otherwise), else {!Natural}. *)
+val clone : t -> t
+(** A second numeric workspace over the same structure: the
+    permutation and the CSR pattern are shared, so every slot of the
+    original is valid on the clone; values, the LU workspace and the
+    scratch vectors are fresh.  A clone may solve concurrently with its
+    original. *)
 
-module type S = sig
-  type t
+val nnz : t -> int
+(** Stored entries: the size of the pattern. *)
 
-  val name : string
-  (** Short identifier used in solver statistics ("dense", "sparse"). *)
+val fill : t -> int
+(** Symbolic factorisation fill of the applied order (see
+    {!Sparse.amd_order}). *)
 
-  val create : ordering -> int -> (int * int) array -> t
-  (** [create ordering n pattern] allocates an [n x n] system whose
-      writable locations are the (row, col) pairs of [pattern]
-      (duplicates allowed). *)
+val slot : t -> int -> int -> int
+(** Stable handle of a pattern location, for allocation-free refill.
+    Raises [Invalid_argument] outside the pattern. *)
 
-  val dim : t -> int
+val clear : t -> unit
+(** Zero all values, keeping the structure. *)
 
-  val nnz : t -> int
-  (** Stored entries: pattern size for sparse, [n*n] for dense. *)
+val add_slot : t -> int -> float -> unit
+(** Accumulate into a slot obtained from {!slot}. *)
 
-  val slot : t -> int -> int -> int
-  (** Stable handle of a pattern location, for allocation-free refill. *)
+val residual : t -> float array -> float array -> float
+(** [residual m x b] is [||m x - b||_inf] at the current values. *)
 
-  val clear : t -> unit
-  (** Zero all values, keeping the structure. *)
+val residual_argmax : t -> float array -> float array -> int * float
+(** [residual_argmax m x b] is the row index carrying the largest
+    per-row residual [|m x - b|_i] together with that residual (a row
+    whose residual is NaN wins outright).  Diagnostics only — the
+    common norm path is {!residual}. *)
 
-  val add_slot : t -> int -> float -> unit
-  (** Accumulate into a slot obtained from {!slot}. *)
-
-  val add_to : t -> int -> int -> float -> unit
-  (** Accumulate into a location by index pair. *)
-
-  val residual : t -> float array -> float array -> float
-  (** [residual m x b] is [||m x - b||_inf] at the current values. *)
-
-  val residual_argmax : t -> float array -> float array -> int * float
-  (** [residual_argmax m x b] is the row index carrying the largest
-      per-row residual [|m x - b|_i] together with that residual (a row
-      whose residual is NaN wins outright).  Diagnostics only — the
-      common norm path is {!residual}. *)
-
-  val solve : t -> float array -> float array
-  (** Factor the current values and solve.  Raises {!Singular}. *)
-
-  val ordering_info : t -> string * int * int
-  (** [(ordering_name, fill_natural, fill_applied)]: the ordering in
-      use plus the symbolic factorisation fill of the natural order and
-      of the applied order (both [0] for dense, which has no fill
-      bookkeeping). *)
-end
-
-module Dense : S
-(** Dense backend over [Linalg]: O(n^3) in-place LU with partial
-    pivoting; right for small systems where fill bookkeeping costs more
-    than it saves. *)
-
-module Sparse_lu : S
-(** Sparse backend over [Sparse]: CSR storage and Gilbert-Peierls LU
-    with partial pivoting and a reused workspace. *)
-
-type backend =
-  | Dense_backend
-  | Sparse_backend
-  | Auto  (** {!Sparse_backend} at or above {!auto_threshold} unknowns *)
-
-val auto_threshold : int
-(** Unknown count at which [Auto] switches to the sparse backend
-    (25). *)
-
-(** A backend instance packed behind first-class closures, so MNA code
-    is generic over the module actually in use. *)
-type instance = {
-  backend_name : string;
-  dim : int;
-  nnz : int;
-  ordering_name : string;
-      (** "natural" or "amd"; dense always reports "natural" *)
-  fill_natural : int;
-      (** symbolic factorisation fill of the natural order (sparse) *)
-  fill_applied : int;
-      (** symbolic factorisation fill of the applied order (sparse);
-          equals [fill_natural] when no permutation is in use *)
-  slot : int -> int -> int;
-  clear : unit -> unit;
-  add_slot : int -> float -> unit;
-  add_to : int -> int -> float -> unit;
-  residual : float array -> float array -> float;
-  residual_argmax : float array -> float array -> int * float;
-  solve : float array -> float array;
-}
-
-val instantiate : (module S) -> ordering -> int -> (int * int) array -> instance
-
-val make : ?ordering:ordering -> backend -> int -> (int * int) array -> instance
-(** [make backend n pattern] builds the requested backend ([Auto]
-    resolves on [n]).  [ordering] defaults to {!default_ordering} and
-    only affects the sparse backend. *)
+val solve : t -> float array -> float array
+(** Factor the current values and solve.  Raises {!Singular}. *)

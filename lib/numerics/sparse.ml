@@ -3,9 +3,10 @@
    Storage is compressed sparse row with a frozen pattern: a Builder
    collects the set of (row, col) locations once (the symbolic phase),
    finalize sorts them into CSR arrays, and from then on only the value
-   array changes (the numeric phase).  A hashtable from packed (i, j)
-   keys to value slots supports both ad-hoc [add_to] and the slot
-   handles that callers cache for allocation-free refill.
+   array changes (the numeric phase).  Columns are sorted within each
+   row, so a location's value slot is found by binary search over its
+   row; callers resolve slots once and cache them for allocation-free
+   refill.
 
    The factorisation is a left-looking Gilbert-Peierls sparse LU with
    partial pivoting.  It is formulated on the CSC view of the matrix:
@@ -25,14 +26,13 @@
    a Newton loop can refactor every iteration without churning the
    GC. *)
 
-exception Singular of string
+exception Singular of int
 
 type t = {
   n : int;
   row_ptr : int array; (* n+1 row starts into cols/values *)
   cols : int array; (* column of each entry, sorted within a row *)
   values : float array;
-  index : (int, int) Hashtbl.t; (* packed i*n+j -> slot *)
 }
 
 module Builder = struct
@@ -54,8 +54,7 @@ module Builder = struct
     if not (Hashtbl.mem b.seen key) then Hashtbl.add b.seen key ()
 
   let finalize b : matrix =
-    let nnz = Hashtbl.length b.seen in
-    let keys = Array.make nnz 0 in
+    let keys = Array.make (Hashtbl.length b.seen) 0 in
     let k = ref 0 in
     Hashtbl.iter
       (fun key () ->
@@ -63,33 +62,34 @@ module Builder = struct
         incr k)
       b.seen;
     (* packed keys sort row-major, which is exactly CSR order *)
-    Array.sort compare keys;
+    Array.sort Int.compare keys;
     let row_ptr = Array.make (b.n + 1) 0 in
-    let cols = Array.make nnz 0 in
-    let index = Hashtbl.create (2 * (nnz + 1)) in
-    Array.iteri
-      (fun slot key ->
-        let i = key / b.n in
-        cols.(slot) <- key mod b.n;
-        row_ptr.(i + 1) <- row_ptr.(i + 1) + 1;
-        Hashtbl.add index key slot)
+    Array.iter
+      (fun key ->
+        let i = (key / b.n) + 1 in
+        row_ptr.(i) <- row_ptr.(i) + 1)
       keys;
     for i = 0 to b.n - 1 do
       row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
     done;
-    { n = b.n; row_ptr; cols; values = Array.make nnz 0.0; index }
+    {
+      n = b.n;
+      row_ptr;
+      cols = Array.map (fun key -> key mod b.n) keys;
+      values = Array.make (Array.length keys) 0.0;
+    }
 end
 
 let dim m = m.n
 let nnz m = Array.length m.cols
+let copy_pattern m = { m with values = Array.make (nnz m) 0.0 }
 
 (* ------------------------------------------------------------------ *)
 (* Fill-reducing ordering                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Greedy minimum-degree ordering (the exact-degree special case of the
-   AMD family) on the symmetrised pattern graph, plus a symbolic fill
-   estimate for an arbitrary elimination order.  Eliminating a vertex
+   AMD family) on the symmetrised pattern graph.  Eliminating a vertex
    connects its remaining neighbours into a clique — exactly the fill a
    Cholesky-like factorisation of the symmetrised pattern would create —
    and the reported count is the sum of neighbourhood sizes at
@@ -109,14 +109,61 @@ let ordering_adjacency ~n pattern =
     pattern;
   adj
 
-(* Eliminate every vertex in the order chosen by [next], maintaining
-   the quotient fill graph; returns the order and the symbolic fill. *)
-let ordering_eliminate ~n ~adj ~next =
+(* The next pivot comes from a binary min-heap of packed keys
+   [degree * (n + 1) + vertex], so the smallest key is the lowest
+   degree with ties to the lowest index.  Deletion is lazy: a vertex
+   whose degree changes is pushed again under its new key, and a popped
+   key that no longer matches its live vertex is skipped. *)
+let amd_order ~n pattern =
+  let adj = ordering_adjacency ~n pattern in
+  let stride = n + 1 in
+  let key v = (Hashtbl.length adj.(v) * stride) + v in
+  let heap = ref (Array.make (max 16 n) 0) and size = ref 0 in
+  let push x =
+    if !size = Array.length !heap then begin
+      let h = Array.make (2 * !size) 0 in
+      Array.blit !heap 0 h 0 !size;
+      heap := h
+    end;
+    let h = !heap in
+    let i = ref !size in
+    incr size;
+    while !i > 0 && h.((!i - 1) / 2) > x do
+      h.(!i) <- h.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    h.(!i) <- x
+  in
+  let pop () =
+    let h = !heap in
+    let top = h.(0) in
+    decr size;
+    let x = h.(!size) and i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < !size && h.(l + 1) < h.(l) then l + 1 else l in
+      if c < !size && h.(c) < x then begin
+        h.(!i) <- h.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    h.(!i) <- x;
+    top
+  in
+  for v = 0 to n - 1 do
+    push (key v)
+  done;
   let eliminated = Array.make n false in
   let perm = Array.make n 0 in
   let fill = ref 0 in
   for k = 0 to n - 1 do
-    let v = next eliminated k in
+    let rec next () =
+      let top = pop () in
+      let v = top mod stride in
+      if eliminated.(v) || top <> key v then next () else v
+    in
+    let v = next () in
     perm.(k) <- v;
     eliminated.(v) <- true;
     let nbrs = Hashtbl.fold (fun u () acc -> u :: acc) adj.(v) [] in
@@ -134,35 +181,31 @@ let ordering_eliminate ~n ~adj ~next =
             rest;
           clique rest
     in
-    clique nbrs
+    clique nbrs;
+    List.iter (fun u -> push (key u)) nbrs
   done;
   (perm, !fill)
 
-let amd_order ~n pattern =
-  let adj = ordering_adjacency ~n pattern in
-  ordering_eliminate ~n ~adj ~next:(fun eliminated _k ->
-      let best = ref (-1) and bestd = ref max_int in
-      for v = 0 to n - 1 do
-        if not eliminated.(v) then begin
-          let d = Hashtbl.length adj.(v) in
-          if d < !bestd then begin
-            bestd := d;
-            best := v
-          end
-        end
-      done;
-      !best)
-
-let natural_fill ~n pattern =
-  let adj = ordering_adjacency ~n pattern in
-  snd (ordering_eliminate ~n ~adj ~next:(fun _ k -> k))
+(* Value slot of column [j] in row [i] by binary search over the row's
+   sorted columns; -1 when absent. *)
+let find m i j =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else begin
+      let mid = (lo + hi) lsr 1 in
+      let c = m.cols.(mid) in
+      if c = j then mid else if c < j then go (mid + 1) hi else go lo mid
+    end
+  in
+  go m.row_ptr.(i) m.row_ptr.(i + 1)
 
 let slot m i j =
   if i < 0 || j < 0 || i >= m.n || j >= m.n then
     invalid_arg (Printf.sprintf "Sparse.slot: (%d, %d) out of range" i j);
-  match Hashtbl.find_opt m.index ((i * m.n) + j) with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Sparse.slot: (%d, %d) not in pattern" i j)
+  match find m i j with
+  | -1 ->
+      invalid_arg (Printf.sprintf "Sparse.slot: (%d, %d) not in pattern" i j)
+  | s -> s
 
 let clear m = Array.fill m.values 0 (Array.length m.values) 0.0
 let add_slot m s v = m.values.(s) <- m.values.(s) +. v
@@ -171,9 +214,7 @@ let add_to m i j v = add_slot m (slot m i j) v
 let get m i j =
   if i < 0 || j < 0 || i >= m.n || j >= m.n then
     invalid_arg (Printf.sprintf "Sparse.get: (%d, %d) out of range" i j);
-  match Hashtbl.find_opt m.index ((i * m.n) + j) with
-  | Some s -> m.values.(s)
-  | None -> 0.0
+  match find m i j with -1 -> 0.0 | s -> m.values.(s)
 
 let mul_vec m x =
   if Array.length x <> m.n then invalid_arg "Sparse.mul_vec: dimension mismatch";
@@ -240,7 +281,7 @@ let lu_create m =
     y = Array.make n 0.0;
   }
 
-let refactor ?orig_col lu m =
+let refactor lu m =
   let n = m.n in
   if lu.lu_n <> n then invalid_arg "Sparse.refactor: workspace dimension mismatch";
   let mp = m.row_ptr and mi = m.cols and mx = m.values in
@@ -344,20 +385,7 @@ let refactor ?orig_col lu m =
         end
       end
     done;
-    if !ipiv < 0 || !amax = 0.0 then begin
-      (* when the caller permuted the system, also name the original
-         (pre-permutation) unknown so diagnostics point at the real
-         circuit quantity *)
-      let msg =
-        match orig_col with
-        | Some f when f k <> k ->
-            Printf.sprintf
-              "Sparse.refactor: zero pivot at column %d (original unknown %d)"
-              k (f k)
-        | _ -> Printf.sprintf "Sparse.refactor: zero pivot at column %d" k
-      in
-      raise (Singular msg)
-    end;
+    if !ipiv < 0 || !amax = 0.0 then raise (Singular k);
     let pivval = lu.wx.(!ipiv) in
     lu.pinv.(!ipiv) <- k;
     lu.p.(k) <- !ipiv;
@@ -380,7 +408,7 @@ let refactor ?orig_col lu m =
   lu.lp.(n) <- !lnz;
   lu.up.(n) <- !unz
 
-let lu_solve lu b =
+let lu_solve ?pinv lu b =
   let n = lu.lu_n in
   if Array.length b <> n then invalid_arg "Sparse.lu_solve: dimension mismatch";
   let y = lu.y in
@@ -402,8 +430,11 @@ let lu_solve lu b =
     done;
     y.(k) <- !acc
   done;
-  (* undo the pivoting renumber: x_i = z_(pinv i) *)
-  Array.init n (fun i -> y.(lu.pinv.(i)))
+  (* undo the pivoting renumber, x_i = z_(pinv i), composed with the
+     caller's own renumber when given *)
+  match pinv with
+  | None -> Array.init n (fun i -> y.(lu.pinv.(i)))
+  | Some q -> Array.init n (fun i -> y.(lu.pinv.(q.(i))))
 
 let solve m b =
   let lu = lu_create m in

@@ -22,7 +22,9 @@
       ...
     ]} *)
 
-exception Singular of string
+exception Singular of int
+(** Raised by {!refactor}: no nonzero pivot exists at this column of
+    the factorisation (equivalently, this row of the matrix). *)
 
 type t
 (** A square sparse matrix with a frozen sparsity pattern. *)
@@ -46,10 +48,16 @@ end
 val dim : t -> int
 val nnz : t -> int
 
+val copy_pattern : t -> t
+(** A matrix with zeroed values over the same frozen pattern; the
+    pattern arrays are shared, so slots resolved on either matrix are
+    valid on both. *)
+
 val slot : t -> int -> int -> int
-(** Stable index of a pattern location in the value array; the handle
-    used for in-place refill.  Raises [Invalid_argument] when [(i, j)]
-    is not part of the pattern. *)
+(** Stable index of a pattern location in the value array (a binary
+    search within the row); the handle used for in-place refill.
+    Raises [Invalid_argument] when [(i, j)] is not part of the
+    pattern. *)
 
 val clear : t -> unit
 (** Zero every stored value, keeping the pattern. *)
@@ -79,31 +87,28 @@ type lu
 
 val lu_create : t -> lu
 
-val refactor : ?orig_col:(int -> int) -> lu -> t -> unit
+val refactor : lu -> t -> unit
 (** Factor the matrix's current values with partial pivoting,
     overwriting the workspace's previous factors.  Raises {!Singular}
-    on a structurally or numerically singular matrix.  [orig_col] maps
-    a column of this (possibly permuted) matrix back to the caller's
-    original unknown index; when provided and non-identity at the
-    failing column, the zero-pivot message also names that original
-    unknown. *)
+    with the failing column on a structurally or numerically singular
+    matrix. *)
 
 val amd_order : n:int -> (int * int) array -> int array * int
 (** Greedy minimum-degree ordering of the symmetrised pattern graph
     (the exact-degree special case of approximate minimum degree),
-    with deterministic lowest-index tie-breaking.  Returns
+    with deterministic lowest-index tie-breaking; each pivot comes from
+    a lazy-deletion binary heap, O((n + fill) log n).  Returns
     [(perm, fill)]: [perm.(k)] is the original index eliminated at
     position [k], and [fill] is the symbolic factorisation fill of
     that order — the sum of neighbourhood sizes at elimination time,
     an nnz(L) proxy. *)
 
-val natural_fill : n:int -> (int * int) array -> int
-(** Symbolic factorisation fill of the identity (natural) order on the
-    symmetrised pattern graph, comparable with the fill returned by
-    {!amd_order}. *)
-
-val lu_solve : lu -> float array -> float array
-(** Solve [A x = b] using the factors of the last {!refactor}. *)
+val lu_solve : ?pinv:int array -> lu -> float array -> float array
+(** Solve [A x = b] using the factors of the last {!refactor}.  With
+    [pinv] the result is renumbered on the way out, [x.(i)] being the
+    solution entry at index [pinv.(i)]: a caller that factored a
+    permuted matrix gets its own numbering back in the one result
+    array. *)
 
 val solve : t -> float array -> float array
 (** One-shot solve with a throwaway workspace. *)

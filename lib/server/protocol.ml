@@ -38,27 +38,11 @@ type request_error = { code : string; message : string }
 (* Engine.config <-> JSON                                              *)
 (* ------------------------------------------------------------------ *)
 
-let backend_name = function
-  | Cnt_numerics.Linear_solver.Auto -> "auto"
-  | Cnt_numerics.Linear_solver.Dense_backend -> "dense"
-  | Cnt_numerics.Linear_solver.Sparse_backend -> "sparse"
-
-let backend_of_name = function
-  | "auto" -> Some Cnt_numerics.Linear_solver.Auto
-  | "dense" -> Some Cnt_numerics.Linear_solver.Dense_backend
-  | "sparse" -> Some Cnt_numerics.Linear_solver.Sparse_backend
-  | _ -> None
-
 let opt f = function None -> Json.Null | Some v -> f v
 
 let config_to_json (c : Engine.config) =
   Json.Obj
     [
-      ("backend", Json.Str (backend_name c.backend));
-      ( "ordering",
-        opt
-          (fun o -> Json.Str (Cnt_numerics.Linear_solver.ordering_name o))
-          c.ordering );
       ("jobs", opt (fun j -> Json.Num (float_of_int j)) c.jobs);
       ("gmin", Json.Num c.gmin);
       ("tol", Json.Num c.tol);
@@ -129,18 +113,8 @@ let config_of_json ~(base : Engine.config) j =
     in
     let config =
       {
-        Engine.backend =
-          get "backend"
-            (fun v -> Option.bind (Json.to_str v) backend_of_name)
-            j base.backend;
-        ordering =
-          get "ordering"
-            (fun v ->
-              Option.bind (Json.to_str v) (fun s ->
-                  Option.map Option.some
-                    (Cnt_numerics.Linear_solver.ordering_of_string s)))
-            j base.ordering;
-        jobs = get "jobs" (fun v -> Option.map Option.some (Json.to_int v)) j
+        Engine.jobs =
+          get "jobs" (fun v -> Option.map Option.some (Json.to_int v)) j
             base.jobs;
         gmin = get "gmin" Json.to_float j base.gmin;
         tol = get "tol" Json.to_float j base.tol;

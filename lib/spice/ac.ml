@@ -100,14 +100,13 @@ let decade_frequencies ~start ~stop ~per_decade =
   let n = max 2 (1 + int_of_float (Float.round (decades *. float_of_int per_decade))) in
   Grid.logspace start stop n
 
-let run ?(gmin = 1e-12) ?tol ?max_iter ?policy ?ordering circuit ~freqs =
+let run ?(gmin = 1e-12) ?tol ?max_iter ?policy circuit ~freqs =
   Obs.span "ac.run" @@ fun () ->
   if Array.length freqs = 0 then raise (Analysis_error "ac: no frequencies");
   Array.iter (fun f -> if f <= 0.0 then raise (Analysis_error "ac: f <= 0")) freqs;
   Obs.incr ~by:(Array.length freqs) c_frequencies;
   let op =
-    Dc.operating_point ~gmin ?tol ?max_iter ?policy ?ordering ~analysis:"ac"
-      circuit
+    Dc.operating_point ~gmin ?tol ?max_iter ?policy ~analysis:"ac" circuit
   in
   let compiled = op.Dc.compiled in
   let n = Mna.size compiled in

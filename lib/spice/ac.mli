@@ -25,14 +25,12 @@ val run :
   ?tol:float ->
   ?max_iter:int ->
   ?policy:Homotopy.policy ->
-  ?ordering:Cnt_numerics.Linear_solver.ordering ->
   Circuit.t ->
   freqs:float array ->
   result
 (** The operating-point solve runs through the {!Homotopy} ladder; its
-    {!Diag.Convergence_failure} carries [analysis = "ac"].  [ordering]
-    applies to that DC linearisation solve (the per-frequency complex
-    systems use the dense complex solver). *)
+    {!Diag.Convergence_failure} carries [analysis = "ac"].  The
+    per-frequency complex systems use the dense complex solver. *)
 
 val voltage : result -> string -> Complex.t array
 (** Node-voltage phasor across the sweep. *)

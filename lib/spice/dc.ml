@@ -51,10 +51,10 @@ let solve_op ?(gmin = 1e-12) ?tol ?max_iter ?policy ?(analysis = "op")
         (Diag.Convergence_failure
            (Diag.of_trail ~analysis ?sweep_var ?sweep_point trail))
 
-let operating_point ?(gmin = 1e-12) ?tol ?max_iter ?policy ?backend ?ordering
-    ?(analysis = "op") circuit =
+let operating_point ?(gmin = 1e-12) ?tol ?max_iter ?policy ?(analysis = "op")
+    circuit =
   Obs.span "dc.operating_point" @@ fun () ->
-  let compiled = Mna.compile ?backend ?ordering circuit in
+  let compiled = Mna.compile circuit in
   {
     compiled;
     solution =
@@ -123,8 +123,8 @@ let sweep_chunk = 8
    domain refills its own {!Mna.clone} workspace (slot 0 reuses the
    main one) and clone telemetry is folded back in slot order, keeping
    both the results and the reported stats independent of [jobs]. *)
-let sweep ?(gmin = 1e-12) ?tol ?max_iter ?policy ?backend ?ordering ?jobs
-    circuit ~source ~start ~stop ~step =
+let sweep ?(gmin = 1e-12) ?tol ?max_iter ?policy ?jobs circuit ~source ~start
+    ~stop ~step =
   Obs.span "dc.sweep" @@ fun () ->
   let n = sweep_point_count ~start ~stop ~step in
   Obs.incr ~by:n c_sweep_points;
@@ -138,7 +138,7 @@ let sweep ?(gmin = 1e-12) ?tol ?max_iter ?policy ?backend ?ordering ?jobs
   if not source_exists then
     raise
       (Analysis_error (Printf.sprintf "dc sweep: no voltage source named %s" source));
-  let compiled = Mna.compile ?backend ?ordering circuit in
+  let compiled = Mna.compile circuit in
   let values = Array.init n (fun i -> start +. (float_of_int i *. step)) in
   let jobs =
     if Pool.in_task () then 1

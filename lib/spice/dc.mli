@@ -18,13 +18,11 @@ val operating_point :
   ?tol:float ->
   ?max_iter:int ->
   ?policy:Homotopy.policy ->
-  ?backend:Cnt_numerics.Linear_solver.backend ->
-  ?ordering:Cnt_numerics.Linear_solver.ordering ->
   ?analysis:string ->
   Circuit.t ->
   op_result
 (** Nonlinear operating point via {!Homotopy.solve} (default policy:
-    {!Homotopy.default}).  [ordering] is forwarded to {!Mna.compile}.  [analysis] labels any resulting
+    {!Homotopy.default}).  [analysis] labels any resulting
     {!Diag.Convergence_failure} (default ["op"]; AC passes ["ac"]). *)
 
 val voltage : op_result -> string -> float
@@ -61,8 +59,6 @@ val sweep :
   ?tol:float ->
   ?max_iter:int ->
   ?policy:Homotopy.policy ->
-  ?backend:Cnt_numerics.Linear_solver.backend ->
-  ?ordering:Cnt_numerics.Linear_solver.ordering ->
   ?jobs:int ->
   Circuit.t ->
   source:string ->

@@ -13,12 +13,9 @@ type table = {
 }
 
 (* One record for every knob the analyses share, replacing the
-   [?backend ?jobs ?gmin] optional-argument sprawl that each CLI used
-   to thread separately. *)
+   [?jobs ?gmin] optional-argument sprawl that each CLI used to thread
+   separately. *)
 type config = {
-  backend : Cnt_numerics.Linear_solver.backend;
-  ordering : Cnt_numerics.Linear_solver.ordering option;
-      (* None: Linear_solver.default_ordering () *)
   jobs : int option; (* None: Cnt_par.Pool.default_jobs () *)
   gmin : float;
   tol : float;
@@ -34,8 +31,6 @@ type config = {
 
 let default_config =
   {
-    backend = Cnt_numerics.Linear_solver.Auto;
-    ordering = None;
     jobs = None;
     gmin = 1e-12;
     tol = 1e-9;
@@ -48,11 +43,8 @@ let default_config =
 (* The one way to build a config without spelling the whole record:
    every knob defaults to its [default_config] value, so adding a field
    never breaks builder call sites. *)
-let config ?backend ?ordering ?jobs ?gmin ?tol ?max_iter ?homotopy ?deadline
-    ?model () =
+let config ?jobs ?gmin ?tol ?max_iter ?homotopy ?deadline ?model () =
   {
-    backend = Option.value backend ~default:default_config.backend;
-    ordering;
     jobs;
     gmin = Option.value gmin ~default:default_config.gmin;
     tol = Option.value tol ~default:default_config.tol;
@@ -129,8 +121,7 @@ let op_table ?(config = default_config) circuit prints =
   with_progress ~analysis:"op" ~label:"op" @@ fun () ->
   let r =
     Dc.operating_point ~gmin:config.gmin ~tol:config.tol
-      ~max_iter:config.max_iter ~policy:config.homotopy
-      ~backend:config.backend ?ordering:config.ordering circuit
+      ~max_iter:config.max_iter ~policy:config.homotopy circuit
   in
   let prints = default_prints circuit prints in
   let columns = Array.of_list (List.map print_label prints) in
@@ -156,9 +147,8 @@ let dc_table ?(config = default_config) circuit prints ~source ~start ~stop
        from a deck it is a semantic error, not an internal one *)
     try
       Dc.sweep ~gmin:config.gmin ~tol:config.tol ~max_iter:config.max_iter
-        ~policy:config.homotopy ~backend:config.backend
-        ?ordering:config.ordering ?jobs:config.jobs circuit ~source ~start
-        ~stop ~step
+        ~policy:config.homotopy ?jobs:config.jobs circuit ~source ~start ~stop
+        ~step
     with Invalid_argument msg -> raise (Dc.Analysis_error msg)
   in
   let prints = default_prints circuit prints in
@@ -190,7 +180,7 @@ let ac_table ?(config = default_config) circuit prints ~per_decade ~fstart
   let freqs = Ac.decade_frequencies ~start:fstart ~stop:fstop ~per_decade in
   let r =
     Ac.run ~gmin:config.gmin ~tol:config.tol ~max_iter:config.max_iter
-      ~policy:config.homotopy ?ordering:config.ordering circuit ~freqs
+      ~policy:config.homotopy circuit ~freqs
   in
   let prints = default_prints circuit prints in
   let columns =
@@ -233,7 +223,7 @@ let tran_table ?(config = default_config) circuit prints ~tstep ~tstop =
   with_progress ~analysis:"tran" ~label @@ fun () ->
   let r =
     Transient.run ~gmin:config.gmin ~tol:config.tol ~policy:config.homotopy
-      ~backend:config.backend ?ordering:config.ordering circuit ~tstep ~tstop
+      circuit ~tstep ~tstop
   in
   let prints = default_prints circuit prints in
   let columns = Array.of_list ("time" :: List.map print_label prints) in
@@ -349,11 +339,6 @@ let pp_table ?(max_rows = max_int) ?(stats = false) fmt t =
 (* Manifest sections                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let backend_name = function
-  | Cnt_numerics.Linear_solver.Dense_backend -> "dense"
-  | Cnt_numerics.Linear_solver.Sparse_backend -> "sparse"
-  | Cnt_numerics.Linear_solver.Auto -> "auto"
-
 (* The configuration as it will actually run: optional knobs resolve to
    their ambient defaults, so two manifests disagree exactly when the
    runs could behave differently. *)
@@ -361,13 +346,6 @@ let config_manifest (c : config) =
   let p = c.homotopy in
   Manifest.Obj
     [
-      ("backend", Manifest.String (backend_name c.backend));
-      ( "ordering",
-        Manifest.String
-          (Cnt_numerics.Linear_solver.ordering_name
-             (match c.ordering with
-             | Some o -> o
-             | None -> Cnt_numerics.Linear_solver.default_ordering ())) );
       ( "jobs",
         Manifest.Int
           (match c.jobs with

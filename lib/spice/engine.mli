@@ -14,13 +14,6 @@ type table = {
     functional update of {!default_config}:
     [{ Engine.default_config with jobs = Some 4 }]. *)
 type config = {
-  backend : Cnt_numerics.Linear_solver.backend;
-      (** linear solver for DC and transient ([Auto]: sparse at 25
-          unknowns; AC always uses the dense complex solver) *)
-  ordering : Cnt_numerics.Linear_solver.ordering option;
-      (** sparse fill-reducing ordering ([--ordering] / [CNT_ORDERING]);
-          [None] means {!Cnt_numerics.Linear_solver.default_ordering}
-          (natural).  Dense solves ignore it. *)
   jobs : int option;
       (** DC-sweep fan-out domains; [None] means
           [Cnt_par.Pool.default_jobs ()] ([CNT_JOBS] or 1).  Results
@@ -52,8 +45,6 @@ type config = {
 val default_config : config
 
 val config :
-  ?backend:Cnt_numerics.Linear_solver.backend ->
-  ?ordering:Cnt_numerics.Linear_solver.ordering ->
   ?jobs:int ->
   ?gmin:float ->
   ?tol:float ->
@@ -106,9 +97,9 @@ val table_to_csv : table -> string
     [--report] (see {!Cnt_obs.Manifest}). *)
 
 val config_manifest : config -> Cnt_obs.Manifest.json
-(** The configuration {e as resolved}: [None] knobs (ordering, jobs,
-    model) render as the ambient default they will actually use, so
-    two manifests differ exactly when the runs could. *)
+(** The configuration {e as resolved}: [None] knobs (jobs, model)
+    render as the ambient default they will actually use, so two
+    manifests differ exactly when the runs could. *)
 
 val table_manifest : table -> Cnt_obs.Manifest.json
 (** Analysis label, column names, row count, per-analysis solver stats

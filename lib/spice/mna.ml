@@ -5,14 +5,14 @@
    elements become a typed device array, and a symbolic stamping pass
    records the Jacobian sparsity pattern together with a slot
    [program] — the exact sequence of matrix locations the stamps touch.
-   The backing matrix lives in a {!Linear_solver.instance} (dense or
-   sparse CSR, selectable), allocated once.
+   The backing matrix lives in a {!Linear_solver.t} (sparse CSR under
+   a minimum-degree ordering), allocated once.
 
    Each Newton iteration then performs a numeric refill: clear the
    matrix values, replay the stamp sequence through the recorded slot
    program (a cursor walk over an [int array] — no hashing, no index
    arithmetic beyond the replay), overwrite the right-hand side, and
-   solve in the backend's preallocated workspace.  The inner loop
+   solve in the solver's preallocated workspace.  The inner loop
    allocates no matrices.
 
    Unknown vector layout: node voltages first (one per non-ground
@@ -36,8 +36,7 @@ let h_iters = Obs.histogram "mna.newton_iters_per_solve"
 
 (* Symbolic factorisation fill of the compiled pattern, accumulated at
    compile time (the numerics layer has no telemetry dependency, so the
-   counters tick here from the solver instance's bookkeeping). *)
-let c_fill_natural = Obs.counter "ordering.fill_natural"
+   counter ticks here from the solver's bookkeeping). *)
 let c_fill_applied = Obs.counter "ordering.fill_applied"
 
 (* ------------------------------------------------------------------ *)
@@ -185,15 +184,11 @@ type compiled = {
   devices : device array;
   zero_caps : cap_companion array; (* Open_circuit as all-zero companions *)
   zero_inds : ind_companion array; (* Short_circuit likewise *)
-  solver : Linear_solver.instance;
-  program : int array; (* backend slots in stamp emission order *)
+  solver : Linear_solver.t;
+  program : int array; (* solver slots in stamp emission order *)
   rhs : float array; (* refilled in place each iteration *)
   stats : stats;
   table : cnfet_table option; (* Some iff the circuit has CNFETs *)
-  (* kept so [clone] can allocate an identical solver workspace *)
-  sym_backend : Linear_solver.backend;
-  sym_ordering : Linear_solver.ordering;
-  sym_pattern : (int * int) array;
 }
 
 let size c = c.n_nodes + c.n_branches
@@ -368,13 +363,8 @@ let stamp_system ~cnfets ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave
 (* Compilation: symbolic pass                                          *)
 (* ------------------------------------------------------------------ *)
 
-let compile_uncached ?(backend = Linear_solver.Auto) ?ordering circuit =
+let compile_uncached circuit =
   Obs.span "mna.compile" @@ fun () ->
-  let ordering =
-    match ordering with
-    | Some o -> o
-    | None -> Linear_solver.default_ordering ()
-  in
   let node_of_name = Hashtbl.create 16 in
   let names = Circuit.nodes circuit in
   List.iteri (fun i n -> Hashtbl.add node_of_name n i) names;
@@ -465,11 +455,10 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering circuit =
   List.iteri
     (fun k ij -> pattern.(!n_recorded - 1 - k) <- ij)
     !recorded;
-  let solver = Linear_solver.make ~ordering backend n pattern in
-  Obs.incr ~by:solver.Linear_solver.fill_natural c_fill_natural;
-  Obs.incr ~by:solver.Linear_solver.fill_applied c_fill_applied;
+  let solver = Linear_solver.create n pattern in
+  Obs.incr ~by:(Linear_solver.fill solver) c_fill_applied;
   let program =
-    Array.map (fun (i, j) -> solver.Linear_solver.slot i j) pattern
+    Array.map (fun (i, j) -> Linear_solver.slot solver i j) pattern
   in
   (* lower the CNFETs into the structure-of-arrays table the refill's
      gather, batch-eval and scatter passes work on *)
@@ -523,36 +512,27 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering circuit =
     program;
     rhs = Array.make n 0.0;
     stats =
-      fresh_stats ~backend:solver.Linear_solver.backend_name ~unknowns:n
-        ~nonzeros:solver.Linear_solver.nnz;
+      fresh_stats ~backend:"sparse" ~unknowns:n
+        ~nonzeros:(Linear_solver.nnz solver);
     table;
-    sym_backend = backend;
-    sym_ordering = ordering;
-    sym_pattern = pattern;
   }
 
 (* A second numeric workspace over the same symbolic compilation: the
-   netlist, node tables, device array and recorded pattern are shared
-   (immutable after compile); the solver instance, slot program, rhs and
-   stats are fresh, so a clone can run Newton concurrently with the
-   original on another domain.  Fold the clone's [stats] back with
-   {!add_stats} if a combined report is wanted. *)
+   netlist, node tables, device array, solver permutation and pattern,
+   and so the slot program, are shared (immutable after compile); the
+   solver values and LU workspace, rhs and stats are fresh, so a clone
+   can run Newton concurrently with the original on another domain.
+   Fold the clone's [stats] back with {!add_stats} if a combined report
+   is wanted. *)
 let clone c =
   let n = size c in
-  let solver =
-    Linear_solver.make ~ordering:c.sym_ordering c.sym_backend n c.sym_pattern
-  in
-  let program =
-    Array.map (fun (i, j) -> solver.Linear_solver.slot i j) c.sym_pattern
-  in
   {
     c with
-    solver;
-    program;
+    solver = Linear_solver.clone c.solver;
     rhs = Array.make n 0.0;
     stats =
-      fresh_stats ~backend:solver.Linear_solver.backend_name ~unknowns:n
-        ~nonzeros:solver.Linear_solver.nnz;
+      fresh_stats ~backend:c.stats.backend ~unknowns:n
+        ~nonzeros:c.stats.nonzeros;
     (* fresh float columns: the bias/output slots are per-workspace
        scratch; node indices and models are immutable and stay shared *)
     table =
@@ -575,12 +555,12 @@ let clone c =
 (* ------------------------------------------------------------------ *)
 
 (* Opt-in process-global memo over [compile_uncached], keyed by the
-   circuit value's physical identity plus the compile options.  A hit
-   returns a {!clone} of the cached template — the symbolic pattern,
-   node tables and device array are shared, the numeric workspace is
-   fresh — and a miss compiles, stores the pristine template, and
-   returns a clone of it too, so the template itself never runs Newton
-   and stays safe to clone from any future request.
+   circuit value's physical identity.  A hit returns a {!clone} of the
+   cached template — the symbolic pattern, node tables and device array
+   are shared, the numeric workspace is fresh — and a miss compiles,
+   stores the pristine template, and returns a clone of it too, so the
+   template itself never runs Newton and stays safe to clone from any
+   future request.
 
    Physical keying is deliberate: value-equality over a netlist is
    expensive, and impossible over device models, which are records of
@@ -597,8 +577,6 @@ let c_compile_cache_misses = Obs.counter "mna.compile_cache.misses"
 
 type compile_cache_entry = {
   cc_circuit : Circuit.t;
-  cc_backend : Linear_solver.backend;
-  cc_ordering : Linear_solver.ordering;
   cc_template : compiled;
 }
 
@@ -623,22 +601,15 @@ let disable_compile_cache () =
 
 let compile_cache_stats () = (!compile_cache_hits, !compile_cache_misses)
 
-let compile ?(backend = Linear_solver.Auto) ?ordering circuit =
-  if !compile_cache_max = 0 then compile_uncached ~backend ?ordering circuit
+let compile circuit =
+  if !compile_cache_max = 0 then compile_uncached circuit
   else begin
-    let ordering =
-      match ordering with Some o -> o | None -> Linear_solver.default_ordering ()
-    in
     Mutex.lock compile_cache_mutex;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock compile_cache_mutex)
       (fun () ->
         match
-          List.find_opt
-            (fun e ->
-              e.cc_circuit == circuit && e.cc_backend = backend
-              && e.cc_ordering = ordering)
-            !compile_cache
+          List.find_opt (fun e -> e.cc_circuit == circuit) !compile_cache
         with
         | Some e ->
             incr compile_cache_hits;
@@ -647,15 +618,8 @@ let compile ?(backend = Linear_solver.Auto) ?ordering circuit =
         | None ->
             incr compile_cache_misses;
             Obs.incr c_compile_cache_misses;
-            let template = compile_uncached ~backend ~ordering circuit in
-            let entry =
-              {
-                cc_circuit = circuit;
-                cc_backend = backend;
-                cc_ordering = ordering;
-                cc_template = template;
-              }
-            in
+            let template = compile_uncached circuit in
+            let entry = { cc_circuit = circuit; cc_template = template } in
             let kept =
               (* FIFO: keep the most recent max-1 entries plus the new one *)
               List.filteri (fun i _ -> i < !compile_cache_max - 1) !compile_cache
@@ -707,14 +671,13 @@ let refill c ~eval_wave ~caps ~inds ~gmin x =
     | Some _ -> Some (Obs.start_span "assemble.scatter")
     | None -> None
   in
-  c.solver.Linear_solver.clear ();
+  let solver = c.solver and program = c.program in
+  Linear_solver.clear solver;
   Array.fill c.rhs 0 (Array.length c.rhs) 0.0;
-  let program = c.program in
-  let add = c.solver.Linear_solver.add_slot in
   let cursor = ref 0 in
   let add_j i j v =
     if i >= 0 && j >= 0 then begin
-      add program.(!cursor) v;
+      Linear_solver.add_slot solver program.(!cursor) v;
       incr cursor
     end
   in
@@ -772,7 +735,7 @@ let newton_result ?(gmin = 1e-12) ?(tol = 1e-9) ?(max_iter = 200)
   (* names the row with the largest (or first NaN) residual against the
      currently assembled system; failure paths only *)
   let name_worst xv =
-    let row, _ = c.solver.Linear_solver.residual_argmax xv c.rhs in
+    let row, _ = Linear_solver.residual_argmax c.solver xv c.rhs in
     worst_node := Some (unknown_name c row)
   in
   let assemble xv =
@@ -801,7 +764,7 @@ let newton_result ?(gmin = 1e-12) ?(tol = 1e-9) ?(max_iter = 200)
         assemble x;
         let t1 = now () in
         (* Newton residual of the current iterate, before the solve *)
-        let r = c.solver.Linear_solver.residual x c.rhs in
+        let r = Linear_solver.residual c.solver x c.rhs in
         st.residual <- r;
         last_residual := r;
         Obs.observe h_residual r;
@@ -816,10 +779,12 @@ let newton_result ?(gmin = 1e-12) ?(tol = 1e-9) ?(max_iter = 200)
             fail (Diag.Singular "injected fault")
           end
           else begin
-            try c.solver.Linear_solver.solve c.rhs
-            with Linear_solver.Singular msg ->
+            try Linear_solver.solve c.solver c.rhs
+            with Linear_solver.Singular k ->
               Obs.end_span span_s;
-              fail (Diag.Singular msg)
+              let name = unknown_name c k in
+              worst_node := Some name;
+              fail (Diag.Singular ("zero pivot at " ^ name))
           end
         in
         Obs.end_span span_s;
@@ -853,7 +818,7 @@ let newton_result ?(gmin = 1e-12) ?(tol = 1e-9) ?(max_iter = 200)
             if t <= 0.0626 then Array.blit x_trial 0 x 0 n
             else begin
               assemble x_trial;
-              let r_t = c.solver.Linear_solver.residual x_trial c.rhs in
+              let r_t = Linear_solver.residual c.solver x_trial c.rhs in
               if Float.is_finite r_t && r_t <= (1.0 -. (1e-4 *. t)) *. r then
                 Array.blit x_trial 0 x 0 n
               else begin

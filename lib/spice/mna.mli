@@ -3,16 +3,13 @@
     {!compile} runs once per netlist: it resolves node names to unknown
     indices, lowers elements to a typed device array, records the
     Jacobian sparsity pattern from a symbolic stamping pass, and
-    allocates a {!Cnt_numerics.Linear_solver} backend (dense or sparse,
-    [Auto] picks sparse at {!Cnt_numerics.Linear_solver.auto_threshold}
-    unknowns).  Each Newton iteration then refills the matrix values in
-    place by replaying the recorded stamp program — the inner loop
-    performs no matrix allocation in either backend.
+    allocates the {!Cnt_numerics.Linear_solver} (sparse LU under a
+    minimum-degree ordering).  Each Newton iteration then refills the
+    matrix values in place by replaying the recorded stamp program —
+    the inner loop performs no matrix allocation.
 
     Unknowns are node voltages first, then one branch current per
     voltage source or inductor. *)
-
-open Cnt_numerics
 
 exception No_convergence of Diag.newton_report
 (** Raised by {!newton}; the report carries the structured stop reason,
@@ -22,7 +19,9 @@ exception No_convergence of Diag.newton_report
     ([backend], [unknowns], [nonzeros]) are fixed at compile time; the
     counters accumulate across {!newton} calls until {!reset_stats}. *)
 type stats = {
-  backend : string;  (** linear-solver backend name *)
+  backend : string;
+      (** linear-solver name: ["sparse"] for MNA, ["dense-complex"]
+          for the AC phasor solves *)
   unknowns : int;
   nonzeros : int;  (** stored matrix entries *)
   mutable newton_iterations : int;
@@ -51,32 +50,26 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type compiled
 
-val compile :
-  ?backend:Linear_solver.backend ->
-  ?ordering:Linear_solver.ordering ->
-  Circuit.t ->
-  compiled
+val compile : Circuit.t -> compiled
 (** Symbolic compilation: pattern, stamp program, solver workspace and
     the CNFET device table are allocated here, once.  Each Newton
     iteration then refills CNFET stamps in three passes over that
     structure-of-arrays table: gather bias points, evaluate every
     stencil through each device's {!Cnt_core.Device_model.stencil},
     scatter stamps through the recorded program (see
-    [docs/ASSEMBLY.md]).  [backend] defaults to [Linear_solver.Auto];
-    [ordering] to {!Linear_solver.default_ordering} (fill-reducing
-    permutation, sparse backend only). *)
+    [docs/ASSEMBLY.md]). *)
 
 (** {2 Compile cache}
 
     Opt-in process-global memo over {!compile}, keyed by the circuit
-    value's {e physical} identity plus the resolved compile options.
-    A hit returns a {!clone} of the cached template — symbolic
-    pattern, node tables and device array shared; numeric workspace,
-    stats and solver fresh — so repeated compiles of the same circuit
-    value skip the whole symbolic pass while remaining bitwise
-    equivalent to a cold compile.  Long-running services ([cntd]) that
-    keep one canonical parsed deck per content hash enable this; the
-    one-shot CLIs never do.  Thread-safe. *)
+    value's {e physical} identity.  A hit returns a {!clone} of the
+    cached template — symbolic pattern, node tables, device array and
+    solver ordering shared; numeric workspace and stats fresh — so
+    repeated compiles of the same circuit value skip the whole symbolic
+    pass while remaining bitwise equivalent to a cold compile.
+    Long-running services ([cntd]) that keep one canonical parsed deck
+    per content hash enable this; the one-shot CLIs never do.
+    Thread-safe. *)
 
 val enable_compile_cache : ?max_entries:int -> unit -> unit
 (** Turn the cache on ([max_entries] default 64; FIFO eviction).
@@ -90,9 +83,10 @@ val compile_cache_stats : unit -> int * int
     telemetry counters [mna.compile_cache.hits] / [.misses]. *)
 
 val clone : compiled -> compiled
-(** A fresh numeric workspace (solver instance, stamp program, rhs,
+(** A fresh numeric workspace (solver values and LU workspace, rhs,
     zeroed stats) over the same symbolic compilation — netlist, node
-    tables and device array are shared.  Clones may run {!newton}
+    tables, device array, solver ordering and stamp program are
+    shared.  Clones may run {!newton}
     concurrently on separate domains; fold a clone's {!stats} back with
     {!add_stats} for a combined report. *)
 
@@ -179,7 +173,9 @@ val newton_result :
     steps that fail to reduce the residual norm, at the price of extra
     assembles per iteration.  [Error] carries the failure report
     (singular matrix, exhausted iterations, or a non-finite value) —
-    see {!Diag.reason}.  Honours any installed {!Fault} spec. *)
+    see {!Diag.reason}.  A singular matrix names the unknown with no
+    pivot ({!unknown_name}) in both the reason and [worst_node].
+    Honours any installed {!Fault} spec. *)
 
 val newton :
   ?gmin:float ->

@@ -78,11 +78,11 @@ let branch_currents caps comps x =
     caps
 
 let run ?(method_ = Trapezoidal) ?(gmin = 1e-12) ?tol ?(max_newton = 100)
-    ?policy ?backend ?ordering ?initial_condition circuit ~tstep ~tstop =
+    ?policy ?initial_condition circuit ~tstep ~tstop =
   Obs.span "tran.run" @@ fun () ->
   if tstep <= 0.0 || tstop <= 0.0 || tstep > tstop then
     raise (Analysis_error "transient: need 0 < tstep <= tstop");
-  let compiled = Mna.compile ?backend ?ordering circuit in
+  let compiled = Mna.compile circuit in
   let caps = Mna.capacitors compiled in
   let inds = Mna.inductors compiled in
   (* start from the DC operating point at t = 0 unless overridden; the

@@ -22,8 +22,6 @@ val run :
   ?tol:float ->
   ?max_newton:int ->
   ?policy:Homotopy.policy ->
-  ?backend:Cnt_numerics.Linear_solver.backend ->
-  ?ordering:Cnt_numerics.Linear_solver.ordering ->
   ?initial_condition:float array ->
   Circuit.t ->
   tstep:float ->
@@ -31,8 +29,7 @@ val run :
   result
 (** Integrate from the DC operating point (or a supplied initial
     condition) to [tstop] with nominal step [tstep] (trapezoidal by
-    default).  [backend] selects the linear solver ([Auto] default);
-    [policy] governs the DC start point and the minimum-step ladder
+    default).  [policy] governs the DC start point and the minimum-step ladder
     rescue (per-step solves stay plain Newton for speed).  Raises
     {!Diag.Convergence_failure} with [sweep_var = "time"] when the
     ladder cannot rescue a step at the minimum size. *)

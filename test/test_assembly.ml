@@ -4,21 +4,24 @@
    independent ways:
 
    - Frozen digests.  Each "scalar=batched" case pins the MD5
-     ({!Cnt_obs.Manifest.digest_rows}) of the exact solution bits that
-     the former scalar assembly, which evaluated every CNFET in place
-     inside the stamping loop, produced for that run.  The batched
-     pipeline matched those bits at any job count, so a digest change
-     means the pipeline changed its floating-point program.  The bits
-     include libm's exp/log1p results: on a platform whose libm rounds
-     differently these pins move while the KCL checks below still hold.
+     ({!Cnt_obs.Manifest.digest_rows}) of the exact solution bits of
+     that run.  They were first taken from the former scalar assembly,
+     which evaluated every CNFET in place inside the stamping loop; the
+     batched pipeline matched those bits at any job count.  They were
+     rebased once when every circuit moved onto the one sparse LU under
+     minimum-degree ordering (the small circuits here had been solved by
+     dense LU): the solutions moved by at most 6.7e-16 V and the AC
+     phasors not at all.  A digest change means the pipeline changed
+     its floating-point program.  The bits include libm's exp/log1p
+     results: on a platform whose libm rounds differently these pins
+     move while the KCL checks below still hold.
    - KCL.  At every solved DC point, each node's net current is rebuilt
      here from the circuit's elements alone ([Device_model.ids] at the
      solved terminal voltages, Ohm's law, gmin * v and the solved
      source branch currents) and must vanish.
 
    Alongside: the supporting bitwise pins (plan replanning,
-   allocation-free shift) and the AMD fill-reducing ordering
-   properties. *)
+   allocation-free shift) and the minimum-degree ordering properties. *)
 
 open Cnt_numerics
 open Cnt_spice
@@ -73,7 +76,7 @@ let tran_rows (r : Transient.result) =
 (* ------------------------------------------------------------------ *)
 
 let test_op_equivalence () =
-  check_digest "op" "a98ca268dd1f2130e57a0542ea21aa9f"
+  check_digest "op" "5fef74f6224be968a58a9650f8176162"
     [| (Dc.operating_point (inverter_circuit ())).Dc.solution |]
 
 let test_dc_sweep_equivalence () =
@@ -82,26 +85,19 @@ let test_dc_sweep_equivalence () =
     (fun jobs ->
       check_digest
         (Printf.sprintf "sweep (jobs=%d)" jobs)
-        "22d585db43b42bee2205d808c21792e6"
+        "b1ab0a7b34398a94354d200336bc8411"
         (sweep_rows
            (Dc.sweep ~jobs c ~source:"vin" ~start:0.0 ~stop:0.6 ~step:0.05)))
     [ 1; 4 ]
 
 let test_transient_equivalence () =
-  check_digest "dense transient" "c4d4a0ce26eeaac68b5bc8fe9e1fb0ac"
+  check_digest "transient" "3ae7b5b7d8d177b149d86a51a1fcdf4d"
     (tran_rows
        (Transient.run (ring_circuit ~stages:5) ~tstep:1e-12 ~tstop:2e-11))
 
-let test_transient_equivalence_sparse () =
-  check_digest "sparse transient" "137303dc7807cddf381b3f378919df47"
-    (tran_rows
-       (Transient.run ~backend:Linear_solver.Sparse_backend
-          ~ordering:Linear_solver.Natural (ring_circuit ~stages:5) ~tstep:1e-12
-          ~tstop:2e-11))
-
 let test_ac_equivalence () =
   let r = Ac.run (ac_circuit ()) ~freqs:[| 1e3; 1e6; 1e9 |] in
-  check_digest "ac op" "3e3f27879b58e6ee449465211cb56a04"
+  check_digest "ac op" "257ba0f4a0a77b1ab40d35f7395ac623"
     [| r.Ac.op.Dc.solution |];
   check_digest "ac solutions" "4272d75a07d601c0210fed0ce2845be8"
     (Array.map
@@ -110,24 +106,6 @@ let test_ac_equivalence () =
            (Array.to_list
               (Array.map (fun (z : Complex.t) -> [| z.re; z.im |]) row)))
        r.Ac.solutions)
-
-let test_ordering_equivalence_dense_circuits () =
-  (* batched assembly keeps the scalar bits under the sparse backend's
-     AMD row permutation too *)
-  let c = inverter_circuit () in
-  let amd =
-    Dc.operating_point ~backend:Linear_solver.Sparse_backend
-      ~ordering:Linear_solver.Amd c
-  in
-  check_digest "amd sparse op" "5fef74f6224be968a58a9650f8176162"
-    [| amd.Dc.solution |];
-  (* sanity, not bitwise: orderings solve the same physics *)
-  let nat = Dc.operating_point ~ordering:Linear_solver.Natural c in
-  Array.iteri
-    (fun i v ->
-      if Float.abs (v -. amd.Dc.solution.(i)) > 1e-9 then
-        Alcotest.failf "ordering changed the solution beyond 1e-9 at %d" i)
-    nat.Dc.solution
 
 (* The VTC table through the engine on each backend.  Naming the
    deck's own backend as the run override is a physical no-op that
@@ -274,6 +252,56 @@ let random_pattern rng n =
   done;
   Array.of_seq (Hashtbl.to_seq_keys entries)
 
+(* Reference elimination on the symmetrised pattern graph, written
+   independently of the library: [next] picks each pivot, and the
+   result is the order plus its symbolic fill (the sum of neighbourhood
+   sizes at elimination time). *)
+let reference_eliminate ~n pattern ~next =
+  let adj = Array.init n (fun _ -> Hashtbl.create 8) in
+  Array.iter
+    (fun (i, j) ->
+      if i <> j then begin
+        Hashtbl.replace adj.(i) j ();
+        Hashtbl.replace adj.(j) i ()
+      end)
+    pattern;
+  let eliminated = Array.make n false in
+  let perm = Array.make n 0 and fill = ref 0 in
+  for k = 0 to n - 1 do
+    let v = next adj eliminated k in
+    perm.(k) <- v;
+    eliminated.(v) <- true;
+    let nbrs = Hashtbl.fold (fun u () acc -> u :: acc) adj.(v) [] in
+    fill := !fill + List.length nbrs;
+    List.iter (fun u -> Hashtbl.remove adj.(u) v) nbrs;
+    List.iter
+      (fun u ->
+        List.iter
+          (fun w ->
+            if u <> w then begin
+              Hashtbl.replace adj.(u) w ();
+              Hashtbl.replace adj.(w) u ()
+            end)
+          nbrs)
+      nbrs
+  done;
+  (perm, !fill)
+
+(* The O(n^2) scan: lowest degree, ties to the lowest index. *)
+let scan_order ~n pattern =
+  reference_eliminate ~n pattern ~next:(fun adj eliminated _k ->
+      let best = ref (-1) and bestd = ref max_int in
+      for v = 0 to n - 1 do
+        if (not eliminated.(v)) && Hashtbl.length adj.(v) < !bestd then begin
+          bestd := Hashtbl.length adj.(v);
+          best := v
+        end
+      done;
+      !best)
+
+let natural_fill ~n pattern =
+  snd (reference_eliminate ~n pattern ~next:(fun _ _ k -> k))
+
 let test_amd_permutation_valid () =
   let rng = Random.State.make [| 2024 |] in
   for _ = 1 to 50 do
@@ -296,10 +324,28 @@ let test_amd_fill_no_worse () =
     let n = 2 + Random.State.int rng 40 in
     let pattern = random_pattern rng n in
     let _, amd_fill = Sparse.amd_order ~n pattern in
-    let nat_fill = Sparse.natural_fill ~n pattern in
+    let nat_fill = natural_fill ~n pattern in
     if amd_fill > nat_fill then
       Alcotest.failf "amd fill %d exceeds natural fill %d (n=%d)" amd_fill
         nat_fill n
+  done
+
+(* The heap picks exactly the pivots the scan picks: same permutation,
+   same fill, over patterns from empty to dense, with isolated
+   vertices and asymmetric entries. *)
+let test_amd_matches_scan () =
+  let rng = Random.State.make [| 31 |] in
+  for trial = 1 to 1200 do
+    let n = 1 + Random.State.int rng 60 in
+    let entries = Random.State.int rng (4 * n * (1 + (trial mod 3))) in
+    let pattern =
+      Array.init entries (fun _ ->
+          (Random.State.int rng n, Random.State.int rng n))
+    in
+    let perm, fill = Sparse.amd_order ~n pattern in
+    let ref_perm, ref_fill = scan_order ~n pattern in
+    if perm <> ref_perm || fill <> ref_fill then
+      Alcotest.failf "trial %d (n=%d): heap order differs from the scan" trial n
   done
 
 (* ------------------------------------------------------------------ *)
@@ -324,17 +370,13 @@ let () =
             test_dc_sweep_equivalence;
           Alcotest.test_case "transient scalar=batched" `Quick
             test_transient_equivalence;
-          Alcotest.test_case "transient scalar=batched (sparse)" `Quick
-            test_transient_equivalence_sparse;
           Alcotest.test_case "ac scalar=batched" `Quick test_ac_equivalence;
-          Alcotest.test_case "amd ordering keeps scalar=batched" `Quick
-            test_ordering_equivalence_dense_circuits;
           Alcotest.test_case "sweep table scalar=batched (piecewise)" `Quick
             (test_sweep_table_equivalence
-               ("piecewise", "acba2b51484981c928a340cb787558f0"));
+               ("piecewise", "06d72eee8def893e6752f605fbe43c91"));
           Alcotest.test_case "sweep table scalar=batched (vs)" `Quick
             (test_sweep_table_equivalence
-               ("vs", "21312ce7479229489f06899ec9cc8af6"));
+               ("vs", "ff2ca705ba63c19619be245c25214519"));
         ] );
       ( "kcl",
         [
@@ -356,6 +398,8 @@ let () =
             test_amd_permutation_valid;
           Alcotest.test_case "amd fill <= natural fill" `Quick
             test_amd_fill_no_worse;
+          Alcotest.test_case "amd heap equals the O(n^2) scan" `Quick
+            test_amd_matches_scan;
         ] );
       ( "jobs",
         [ Alcotest.test_case "cap_jobs clamps at host cores" `Quick test_cap_jobs ] );

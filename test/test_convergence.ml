@@ -468,6 +468,10 @@ let test_cli_exit_codes () =
     (fst (run_cspice ("--cache 1 " ^ easy)));
   Alcotest.(check int) "unknown option --assembly is 2" 2
     (fst (run_cspice ("--assembly scalar " ^ easy)));
+  Alcotest.(check int) "unknown option --solver is 2" 2
+    (fst (run_cspice ("--solver sparse " ^ easy)));
+  Alcotest.(check int) "unknown option --ordering is 2" 2
+    (fst (run_cspice ("--ordering amd " ^ easy)));
   (* out-of-range run settings are usage errors, named by flag *)
   List.iter
     (fun (flag, value) ->
@@ -517,6 +521,69 @@ let test_cli_hard_deck () =
   Alcotest.(check int) "until-fault rescued by damped rung" 0
     (fst (run_cspice ~env:"CNT_FAULT=exhaust@damped" easy))
 
+(* Run [body] against a fresh cntd on a private socket, then stop it. *)
+let with_daemon body =
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cntd-conv-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists sock then Sys.remove sock;
+  let cntd =
+    in_test_dir (Filename.concat ".." (Filename.concat "bin" "cntd.exe"))
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process cntd [| "cntd"; "--listen"; sock |] Unix.stdin null null
+  in
+  Unix.close null;
+  let stop () =
+    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid)
+  in
+  Fun.protect ~finally:stop @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (Sys.file_exists sock) do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "daemon did not come up within 10s";
+    Unix.sleepf 0.02
+  done;
+  body sock
+
+(* A singular MNA matrix names the circuit unknown left without a
+   pivot, in the failure reason and as the worst node, offline and
+   through cntd alike: two ideal sources fighting over one node, and a
+   resistor pair floating free of ground once gmin is off. *)
+let test_cli_singular_names_unknown () =
+  let fight =
+    write_temp_deck
+      "two sources fight\nV1 a 0 1\nV2 a 0 2\nR1 a 0 1k\n.op\n.end\n"
+  in
+  let floating =
+    write_temp_deck "floating pair\nV1 a 0 1\nR0 a 0 1k\nR1 b c 1k\n.op\n.end\n"
+  in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ fight; floating ])
+  @@ fun () ->
+  with_daemon @@ fun sock ->
+  List.iter
+    (fun (label, args, unknown) ->
+      let code, err = run_cspice args in
+      Alcotest.(check int) (label ^ " exits 3") 3 code;
+      Alcotest.(check bool)
+        (label ^ " reason names " ^ unknown)
+        true
+        (has ("(singular matrix: zero pivot at " ^ unknown ^ ")") err);
+      Alcotest.(check bool)
+        (label ^ " worst node is " ^ unknown)
+        true
+        (has ("worst node: " ^ unknown ^ "\n") err);
+      let code_on, err_on =
+        run_cspice (Printf.sprintf "--connect %s %s" sock args)
+      in
+      Alcotest.(check int) (label ^ " exits 3 via cntd") 3 code_on;
+      Alcotest.(check string) (label ^ " stderr via cntd") err err_on)
+    [ ("fight", fight, "i(v2)"); ("floating", "--gmin 0 " ^ floating, "c") ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "cnt_convergence"
@@ -555,5 +622,7 @@ let () =
         [
           tc "exit codes" test_cli_exit_codes;
           tc "hard deck via cli" test_cli_hard_deck;
+          tc "singular matrix names the unknown"
+            test_cli_singular_names_unknown;
         ] );
     ]

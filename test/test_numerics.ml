@@ -826,7 +826,7 @@ let test_complex_pivoting () =
   check_close ~eps:1e-12 "x1" 3.0 x.(1).Complex.re
 
 (* ------------------------------------------------------------------ *)
-(* Sparse matrices and the pluggable solver backends                   *)
+(* Sparse matrices and the MNA linear solver                           *)
 (* ------------------------------------------------------------------ *)
 
 let sparse_of_dense rows =
@@ -937,42 +937,71 @@ let test_sparse_mul_vec_residual () =
   check_close ~eps:1e-12 "residual perturbed" 0.5
     (Sparse.residual_inf m [| 1.0; 1.0; 1.0 |] y)
 
+(* The MNA solver against dense LU on random systems, each with a
+   voltage-source branch appended: the branch row reads one node
+   voltage and has a zero diagonal, so the factorisation must pivot.
+   Slots and solutions are in the caller's numbering whatever order
+   the minimum-degree permutation chose. *)
 let test_backend_instances_agree () =
   let rng = Prng.create ~seed:7L () in
-  let n = 30 in
-  let rows = random_system rng n in
-  let pattern =
-    Array.of_list
-      (List.concat
-         (List.init n (fun i ->
-              List.filteri (fun j _ -> rows.(i).(j) <> 0.0)
-                (List.init n (fun j -> (i, j)))
-              |> List.map (fun (_, j) -> (i, j)))))
-  in
-  let fill (inst : Linear_solver.instance) =
-    inst.clear ();
+  for trial = 1 to 10 do
+    let n = 5 + (trial * 4) in
+    let rows = random_system rng (n + 1) in
+    let p = trial mod n in
+    Array.fill rows.(n) 0 (n + 1) 0.0;
+    Array.iteri (fun i row -> row.(n) <- (if i = p then 1.0 else 0.0)) rows;
+    rows.(n).(p) <- 1.0;
+    let pattern =
+      Array.concat
+        (Array.to_list
+           (Array.mapi
+              (fun i row ->
+                Array.of_list
+                  (List.filter_map
+                     (fun j -> if row.(j) <> 0.0 then Some (i, j) else None)
+                     (List.init (n + 1) Fun.id)))
+              rows))
+    in
+    let fill s =
+      Array.iteri
+        (fun i row ->
+          Array.iteri
+            (fun j v ->
+              if v <> 0.0 then
+                Linear_solver.add_slot s (Linear_solver.slot s i j) v)
+            row)
+        rows
+    in
+    let s = Linear_solver.create (n + 1) pattern in
+    fill s;
+    let b =
+      Array.init (n + 1) (fun _ -> Prng.uniform_range rng ~lo:(-5.0) ~hi:5.0)
+    in
+    let expected = Linalg.solve (Linalg.Mat.of_arrays rows) b in
+    let x = Linear_solver.solve s b in
     Array.iteri
-      (fun i row -> Array.iteri (fun j v -> if v <> 0.0 then inst.add_to i j v) row)
-      rows
-  in
-  let b = Array.init n (fun i -> float_of_int (i + 1)) in
-  let dense = Linear_solver.make Linear_solver.Dense_backend n pattern in
-  let sparse = Linear_solver.make Linear_solver.Sparse_backend n pattern in
-  Alcotest.(check string) "dense name" "dense" dense.Linear_solver.backend_name;
-  Alcotest.(check string) "sparse name" "sparse" sparse.Linear_solver.backend_name;
-  fill dense;
-  fill sparse;
-  let xd = dense.Linear_solver.solve b and xs = sparse.Linear_solver.solve b in
-  Array.iteri (fun i v -> check_close ~eps:1e-9 (Printf.sprintf "x%d" i) xd.(i) v) xs
-
-let test_backend_auto_selection () =
-  let small = Linear_solver.make Linear_solver.Auto 4 [| (0, 0) |] in
-  let big =
-    Linear_solver.make Linear_solver.Auto Linear_solver.auto_threshold [| (0, 0) |]
-  in
-  Alcotest.(check string) "small is dense" "dense" small.Linear_solver.backend_name;
-  Alcotest.(check string) "at threshold is sparse" "sparse"
-    big.Linear_solver.backend_name
+      (fun i v ->
+        check_close ~eps:1e-9
+          (Printf.sprintf "trial %d x%d" trial i)
+          expected.(i) v)
+      x;
+    check_close ~eps:1e-9 "residual" 0.0 (Linear_solver.residual s x b);
+    (* a clone shares the structure and solves the same bits *)
+    let c = Linear_solver.clone s in
+    fill c;
+    Alcotest.(check bool)
+      "clone solves bitwise equal" true
+      (Linear_solver.solve c b = x)
+  done;
+  (* unknown 1 has no entries: the singular pivot names it *)
+  let s = Linear_solver.create 3 [| (0, 0); (0, 2); (2, 0); (2, 2) |] in
+  List.iter
+    (fun (i, j, v) -> Linear_solver.add_slot s (Linear_solver.slot s i j) v)
+    [ (0, 0, 1.0); (0, 2, 0.5); (2, 0, 0.5); (2, 2, 1.0) ];
+  match Linear_solver.solve s [| 1.0; 1.0; 1.0 |] with
+  | exception Linear_solver.Singular k ->
+      Alcotest.(check int) "singular unknown" 1 k
+  | _ -> Alcotest.fail "singular system solved"
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -1061,7 +1090,6 @@ let () =
           tc "pattern frozen after finalize" test_sparse_pattern_frozen;
           tc "mul_vec and residual" test_sparse_mul_vec_residual;
           tc "dense and sparse backends agree" test_backend_instances_agree;
-          tc "auto backend selection" test_backend_auto_selection;
         ] );
       ( "fit",
         [

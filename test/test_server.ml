@@ -101,8 +101,6 @@ let test_config_roundtrip () =
   let config =
     {
       Cnt_spice.Engine.default_config with
-      backend = Cnt_numerics.Linear_solver.Sparse_backend;
-      ordering = Some Cnt_numerics.Linear_solver.Amd;
       jobs = Some 3;
       tol = 1e-7;
       deadline = Some 2.5;
@@ -129,8 +127,9 @@ let test_config_partial_override () =
         = Cnt_spice.Engine.default_config)
 
 (* Keys outside the decoded set are an error naming the key, never a
-   silent run on the base config: a misspelling, the retired [cache] and
-   [assembly] keys, an unknown homotopy field, and a [config] or
+   silent run on the base config: a misspelling, the retired [cache],
+   [assembly], [backend] and [ordering] keys, an unknown homotopy
+   field, and a [config] or
    [homotopy] that is not an object.  So is a value out of
    [Engine.check_config]'s range.  [null] still means "inherit". *)
 let bad_configs =
@@ -138,6 +137,8 @@ let bad_configs =
     ("{\"modle\":\"vs\"}", "modle");
     ("{\"cache\":\"4096\"}", "cache");
     ("{\"assembly\":\"scalar\"}", "assembly");
+    ("{\"backend\":\"dense\"}", "backend");
+    ("{\"ordering\":\"amd\"}", "ordering");
     ("{\"homotopy\":{\"gmin_step\":3}}", "homotopy.gmin_step");
     ("5", "config");
     ("{\"homotopy\":true}", "homotopy");

@@ -1103,6 +1103,10 @@ let ladder_circuit n =
   in
   Circuit.create (Circuit.vdc "v1" "in" "0" 1.0 :: rs)
 
+(* The three cases below pin the one MNA solver (sparse LU under a
+   minimum-degree ordering) against the dense-LU backend it replaced:
+   each reference array is that backend's solution, captured once and
+   written here, and must be matched to 1e-9 relative. *)
 let test_solver_backends_agree_op () =
   let circuits =
     [
@@ -1112,7 +1116,10 @@ let test_solver_backends_agree_op () =
             Circuit.vdc "v1" "in" "0" 9.0;
             Circuit.resistor "r1" "in" "out" 2000.0;
             Circuit.resistor "r2" "out" "0" 1000.0;
-          ] );
+          ],
+        [|
+          9.; 2.9999999980000003; -0.00300000001;
+        |] );
       ( "cnfet with drain resistor",
         Circuit.create
           [
@@ -1120,9 +1127,35 @@ let test_solver_backends_agree_op () =
             Circuit.vdc "vg" "g" "0" 0.5;
             Circuit.resistor "rl" "vdd" "d" 50e3;
             Circuit.cnfet "m1" ~drain:"d" ~gate:"g" ~source:"0" (Lazy.force n_model);
-          ] );
-      ("inverter mid-rail", inverter_circuit 0.3);
-      ("ladder 40", ladder_circuit 40);
+          ],
+        [|
+          0.59999999999999998; 0.5; 0.36981780862260633;
+          -4.6036444275478734e-06; -4.9999999999999999e-13;
+        |] );
+      ( "inverter mid-rail",
+        inverter_circuit 0.3,
+        [|
+          0.59999999999999998; 0.29999999999999999; 0.29999956862728872;
+          -4.1079306485384541e-07; -2.9999999999999998e-13;
+        |] );
+      ( "ladder 40",
+        ladder_circuit 40,
+        [|
+          1.; 0.97499998716250147; 0.9499999753000028;
+          0.9249999643875042; 0.89999995440000558; 0.87499994531250691;
+          0.8499999371000081; 0.82499992973750913; 0.79999992320001023;
+          0.7749999174625114; 0.74999991250001252; 0.72499990828751337;
+          0.69999990480001439; 0.67499990201251525; 0.64999989990001594;
+          0.62499989843751658; 0.59999989760001715; 0.57499989736251755;
+          0.54999989770001789; 0.52499989858751805; 0.49999990000001804;
+          0.4749999019125179; 0.44999990430001763; 0.42499990713751723;
+          0.3999999104000167; 0.37499991406251609; 0.34999991810001541;
+          0.32499992248751469; 0.29999992720001384; 0.27499993221251295;
+          0.24999993750001198; 0.22499994303751095; 0.19999994880000985;
+          0.17499995476250871; 0.14999996090000753; 0.12499996718750632;
+          0.099999973600005107; 0.074999980112503861; 0.049999986700002587;
+          0.024999993337501296; -2.5000013837498633e-05;
+        |] );
       ( "rlc",
         Circuit.create
           [
@@ -1130,41 +1163,120 @@ let test_solver_backends_agree_op () =
             Circuit.resistor "r1" "in" "a" 100.0;
             Circuit.inductor "l1" "a" "b" 1e-3;
             Circuit.capacitor "c1" "b" "0" 1e-9;
-          ] );
+          ],
+        [|
+          1.; 0.99999999979999987; 0.99999999979999987;
+          -3.0000008590701322e-12; 9.9999999979999999e-13;
+        |] );
     ]
   in
   List.iter
-    (fun (label, c) ->
-      let d = Dc.operating_point ~backend:Linear_solver.Dense_backend c in
-      let s = Dc.operating_point ~backend:Linear_solver.Sparse_backend c in
-      check_agree label d.Dc.solution s.Dc.solution)
+    (fun (label, c, dense) ->
+      check_agree label dense (Dc.operating_point c).Dc.solution)
     circuits
 
 let test_solver_backends_agree_sweep () =
-  let c = inverter_circuit 0.0 in
-  let run backend = Dc.sweep ~backend c ~source:"vin" ~start:0.0 ~stop:0.6 ~step:0.05 in
-  let d = run Linear_solver.Dense_backend in
-  let s = run Linear_solver.Sparse_backend in
-  check_agree "sweep values" d.Dc.sweep_values s.Dc.sweep_values;
-  check_agree "vtc" (Dc.sweep_voltage d "out") (Dc.sweep_voltage s "out")
+  let s =
+    Dc.sweep (inverter_circuit 0.0) ~source:"vin" ~start:0.0 ~stop:0.6
+      ~step:0.05
+  in
+  check_agree "sweep values"
+    [|
+      0.; 0.050000000000000003; 0.10000000000000001;
+      0.15000000000000002; 0.20000000000000001; 0.25;
+      0.30000000000000004; 0.35000000000000003; 0.40000000000000002;
+      0.45000000000000001; 0.5; 0.55000000000000004;
+      0.60000000000000009;
+    |]
+    s.Dc.sweep_values;
+  check_agree "vtc"
+    [|
+      0.59999959817619841; 0.59999748290195665; 0.5999832081927301;
+      0.59987927261326413; 0.5990373404382684; 0.59189225849722704;
+      0.29999956862728394; 0.0081077098854691818; 0.00096264261754983689;
+      0.00012071582103977284; 1.678299660804126e-05; 2.5098721491688073e-06;
+      3.9557742721339045e-07;
+    |]
+    (Dc.sweep_voltage s "out")
 
 let test_solver_backends_agree_transient () =
-  let run backend = Transient.run ~backend (rc_circuit ()) ~tstep:10e-6 ~tstop:1e-3 in
-  let d = run Linear_solver.Dense_backend in
-  let s = run Linear_solver.Sparse_backend in
-  check_agree "times" d.Transient.times s.Transient.times;
-  check_agree "v(out)" (Transient.voltage d "out") (Transient.voltage s "out")
-
-let test_solver_auto_threshold () =
-  (* small system stays dense, 25+ unknowns switches to sparse *)
-  let small = Dc.operating_point (ladder_circuit 4) in
-  Alcotest.(check string) "small is dense" "dense" (Dc.stats small).Mna.backend;
-  let big = Dc.operating_point (ladder_circuit 40) in
-  Alcotest.(check string) "big is sparse" "sparse" (Dc.stats big).Mna.backend;
-  let forced =
-    Dc.operating_point ~backend:Linear_solver.Dense_backend (ladder_circuit 40)
-  in
-  Alcotest.(check string) "dense selectable" "dense" (Dc.stats forced).Mna.backend
+  let s = Transient.run (rc_circuit ()) ~tstep:10e-6 ~tstop:1e-3 in
+  check_agree "times"
+    [|
+      0.; 1.0000000000000001e-05; 2.0000000000000002e-05;
+      3.0000000000000004e-05; 4.0000000000000003e-05; 5.0000000000000002e-05;
+      6.0000000000000002e-05; 7.0000000000000007e-05; 8.0000000000000007e-05;
+      9.0000000000000006e-05; 0.0001; 0.00011;
+      0.00012; 0.00013000000000000002; 0.00014000000000000001;
+      0.00015000000000000001; 0.00016000000000000001; 0.00017000000000000001;
+      0.00018000000000000001; 0.00019000000000000001; 0.00020000000000000001;
+      0.00021000000000000001; 0.00022000000000000001; 0.00023000000000000001;
+      0.00024000000000000001; 0.00025000000000000001; 0.00026000000000000003;
+      0.00027000000000000006; 0.00028000000000000008; 0.00029000000000000011;
+      0.00030000000000000014; 0.00031000000000000016; 0.00032000000000000019;
+      0.00033000000000000022; 0.00034000000000000024; 0.00035000000000000027;
+      0.00036000000000000029; 0.00037000000000000032; 0.00038000000000000035;
+      0.00039000000000000037; 0.0004000000000000004; 0.00041000000000000042;
+      0.00042000000000000045; 0.00043000000000000048; 0.0004400000000000005;
+      0.00045000000000000053; 0.00046000000000000056; 0.00047000000000000058;
+      0.00048000000000000061; 0.00049000000000000063; 0.00050000000000000066;
+      0.00051000000000000069; 0.00052000000000000071; 0.00053000000000000074;
+      0.00054000000000000077; 0.00055000000000000079; 0.00056000000000000082;
+      0.00057000000000000084; 0.00058000000000000087; 0.0005900000000000009;
+      0.00060000000000000092; 0.00061000000000000095; 0.00062000000000000098;
+      0.000630000000000001; 0.00064000000000000103; 0.00065000000000000105;
+      0.00066000000000000108; 0.00067000000000000111; 0.00068000000000000113;
+      0.00069000000000000116; 0.00070000000000000119; 0.00071000000000000121;
+      0.00072000000000000124; 0.00073000000000000126; 0.00074000000000000129;
+      0.00075000000000000132; 0.00076000000000000134; 0.00077000000000000137;
+      0.0007800000000000014; 0.00079000000000000142; 0.00080000000000000145;
+      0.00081000000000000147; 0.0008200000000000015; 0.00083000000000000153;
+      0.00084000000000000155; 0.00085000000000000158; 0.00086000000000000161;
+      0.00087000000000000163; 0.00088000000000000166; 0.00089000000000000168;
+      0.00090000000000000171; 0.00091000000000000174; 0.00092000000000000176;
+      0.00093000000000000179; 0.00094000000000000182; 0.00095000000000000184;
+      0.00096000000000000187; 0.00097000000000000189; 0.00098000000000000192;
+      0.00099000000000000195; 0.001;
+    |]
+    s.Transient.times;
+  check_agree "v(out)"
+    [|
+      0.; 0.0049751243780847016; 0.014875869409049775;
+      0.024678099563986821; 0.034382795090419485; 0.043990926482164683;
+      0.053503454576384446; 0.062921330649672022; 0.072245496513181906;
+      0.081476884606813293; 0.090616418092456449; 0.099665010946311222;
+      0.10862356805028681; 0.11749298528249233; 0.12627414960682692;
+      0.13496793916167821; 0.14357522334773842; 0.15209686291494665;
+      0.16053371004856595; 0.16888660845440404; 0.17715639344318587;
+      0.18534389201408702; 0.19344992293743546; 0.20147529683659074;
+      0.20942081626900824; 0.21728727580649712; 0.22507546211467938;
+      0.23278615403165839; 0.24042012264590454; 0.24797813137336619;
+      0.25546093603381309; 0.26286928492642025; 0.27020391890459977;
+      0.27746557145008799; 0.28465496874629548; 0.29177282975092722;
+      0.29881986626788026; 0.30579678301842567; 0.31270427771168263;
+      0.31954304111439097; 0.32631375711998983; 0.33301710281700814;
+      0.33965374855677594; 0.34622435802046037; 0.3527295882854361;
+      0.35917008989099447; 0.36554650690339885; 0.37185947698029337;
+      0.37810963143446968; 0.38429759529700031; 0.39042398737974299;
+      0.39648942033722367; 0.4024945007279031; 0.40843982907483473;
+      0.41432599992571817; 0.42015360191235546; 0.4259232178095157;
+      0.43163542459321413; 0.43729079349841127; 0.44288989007613766;
+      0.44843327425005014; 0.45392150037242601; 0.45935511727959949;
+      0.46473466834684685; 0.47006069154272501; 0.47533371948287001;
+      0.48055427948325985; 0.48572289361294735; 0.49084007874626839;
+      0.49590634661453065; 0.50092220385718789; 0.50588815207250537;
+      0.51080468786772082; 0.51567230290870625; 0.52049148396913614;
+      0.52526271297916582; 0.52998646707362562; 0.53466321863973565;
+      0.53929343536434549; 0.54387758028070443; 0.54841611181476557;
+      0.55290948383103; 0.55735814567793385; 0.56176254223278477;
+      0.56612311394625026; 0.57044029688640419; 0.5747145227823347;
+      0.57894621906731802; 0.58313580892156325; 0.58728371131453061;
+      0.59139034104683041; 0.59545610879170341; 0.5994814211360896;
+      0.60346668062128783; 0.60741228578321094; 0.61131863119223995;
+      0.61518610749268277; 0.61901510144183924; 0.62280599594867758;
+      0.62655917011212658; 0.63027499925898589;
+    |]
+    (Transient.voltage s "out")
 
 let test_solver_stats_populated () =
   let r = Dc.operating_point (inverter_circuit 0.3) in
@@ -1366,7 +1478,6 @@ let () =
           tc "backends agree at op" test_solver_backends_agree_op;
           tc "backends agree on sweep" test_solver_backends_agree_sweep;
           tc "backends agree on transient" test_solver_backends_agree_transient;
-          tc "auto threshold" test_solver_auto_threshold;
           tc "stats populated" test_solver_stats_populated;
           tc "sweep guards" test_sweep_guards;
           tc "singular circuit" test_solver_singular_circuit;
