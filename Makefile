@@ -20,13 +20,26 @@ check:
 # it must say "correct":true — the ring51 pins (483 Newton iterations,
 # 49 266 device evals, <= 1 mV against cntbench/ref/ring51_tran.csv),
 # the Table I RMS pins, the ladder Thomas check and the cntd offline =
-# daemon digest check all feed it.
+# daemon digest check all feed it.  It must also hold the allocation
+# target: the traced pass's gc.minor_words_per_op on ring51_tran and
+# table1_family at or under 1e6 (the allocation-free device kernels
+# read about 0.36 M and 0.17 M; per-device stencil closures read 7.9 M
+# and 7.6 M).
 bench-check:
 	@last=$$(dune exec --root . --display quiet -- ./cntbench/bench.exe --workload all --seconds 1 | tail -n 1); \
 	case "$$last" in \
 	  *'"correct":true'*) echo "bench-check: every output check passed" ;; \
 	  *) echo "bench-check: failed: $$last"; exit 1 ;; \
-	esac
+	esac; \
+	for w in ring51_tran table1_family; do \
+	  words=$$(printf '%s\n' "$$last" | sed -n "s/.*\"$$w\.gc\.minor_words_per_op\":{\"value\":\([^,}]*\).*/\1/p"); \
+	  if [ -z "$$words" ]; then echo "bench-check: failed: no $$w.gc.minor_words_per_op"; exit 1; fi; \
+	  if awk -v w="$$words" 'BEGIN { exit !(w + 0 <= 1e6) }'; then \
+	    echo "bench-check: $$w allocates $$words minor words per op (<= 1e6)"; \
+	  else \
+	    echo "bench-check: failed: $$w allocates $$words minor words per op (> 1e6)"; exit 1; \
+	  fi; \
+	done
 
 # Parallel determinism gate: the full test suite must pass with the
 # domain pool forced sequential and forced wide (see docs/PARALLEL.md).

@@ -147,13 +147,33 @@ let solver t = t.solver
 let oriented t ~vgs ~vds =
   match t.polarity with N_type -> (vgs, vds) | P_type -> (-.vgs, -.vds)
 
+(* The Fermi-Dirac integral of order 0 and its derivative
+   ([Fermi.integral_order0] = [Special.log1p_exp] and
+   [Fermi.integral_order0'] = [Special.logistic (-. eta)]) written out
+   here: a float passed to or returned from a function of another
+   module is boxed, because the default (dev) build compiles every
+   module with [-opaque] and so inlines no call across modules.  These
+   copies are inlined into the kernels below and keep their floats
+   unboxed. *)
+let[@inline] f0 x =
+  if x > 35.0 then x +. log1p (exp (-.x))
+  else if x < -35.0 then exp x
+  else log1p (exp x)
+
+let[@inline] f0' eta =
+  let x = -.eta in
+  if x >= 0.0 then begin
+    let e = exp (-.x) in
+    e /. (1.0 +. e)
+  end
+  else 1.0 /. (1.0 +. exp x)
+
 (* Paper eq. 14 at a solved V_SC, on oriented voltages with the n-type
    current sign. *)
-let current t ~vsc ~vds =
+let[@inline] current t ~vsc ~vds =
   let eta_s = (t.device.Device.fermi -. vsc) /. t.kt_ev in
   let eta_d = eta_s -. (vds /. t.kt_ev) in
-  t.current_scale
-  *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
+  t.current_scale *. (f0 eta_s -. f0 eta_d)
 
 (* The closed-form V_SC solve on oriented voltages. *)
 let oriented_vsc t ~vgs ~vds =
@@ -188,115 +208,120 @@ let charges t ~vgs ~vds =
   (vsc, qs, qd)
 
 (* -------------------------------------------------------------- *)
-(* Batched kernel                                                 *)
+(* Batched kernels                                                *)
 (* -------------------------------------------------------------- *)
 
-type grid = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
-
-(* One drain column evaluated through a hoisted Scv_solver plan: the
-   per-point program below is the same floating-point program as
-   [ids] with [Scv_solver.solve] replaced by the bitwise-equal
-   [solve_plan]. *)
+(* A bias grid through one Scv_solver plan, retargeted per drain
+   column: the per-point program below is the same floating-point
+   program as [ids] with [Scv_solver.solve] replaced by the
+   bitwise-equal plan solve, and every float reaches the plan through
+   its [io] cells, so no point allocates. *)
 let eval_batch t ~vgs ~vds =
   Obs.span "cnt_model.eval_batch" @@ fun () ->
   let ni = Array.length vgs and nj = Array.length vds in
-  let out = Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout ni nj in
-  let sign = match t.polarity with N_type -> 1.0 | P_type -> -1.0 in
+  let rows = Array.make_matrix ni nj 0.0 in
+  let flip = match t.polarity with N_type -> false | P_type -> true in
+  let plan = Scv_solver.plan t.solver ~vds:0.0 in
+  let io = Scv_solver.io plan in
   for j = 0 to nj - 1 do
-    let _, ovds = oriented t ~vgs:0.0 ~vds:vds.(j) in
-    let plan = Scv_solver.plan t.solver ~vds:ovds in
+    let ovds = if flip then -.vds.(j) else vds.(j) in
+    Scv_solver.replan plan ~vds:ovds;
     for i = 0 to ni - 1 do
-      let ovgs, _ = oriented t ~vgs:vgs.(i) ~vds:0.0 in
-      let qt = Device.terminal_charge t.device ~vgs:ovgs ~vds:ovds in
-      let vsc = Scv_solver.solve_plan plan ~qt in
-      Bigarray.Array2.unsafe_set out i j (sign *. current t ~vsc ~vds:ovds)
+      let ovgs = if flip then -.vgs.(i) else vgs.(i) in
+      io.qt <- (t.c_g *. ovgs) +. (t.c_d *. ovds);
+      Scv_solver.solve_io plan;
+      let c = current t ~vsc:io.vsc ~vds:ovds in
+      rows.(i).(j) <- (if flip then -.c else c)
     done
   done;
   Obs.incr ~by:(ni * nj) c_ids_evals;
   Obs.incr c_batch_evals;
-  out
+  rows
 
 let output_family t ~vgs_list ~vds_points =
-  let vgs = Array.of_list vgs_list in
-  let g = eval_batch t ~vgs ~vds:vds_points in
-  List.mapi
-    (fun i vg ->
-      (vg, Array.init (Array.length vds_points) (fun j -> Bigarray.Array2.get g i j)))
-    vgs_list
+  let rows = eval_batch t ~vgs:(Array.of_list vgs_list) ~vds:vds_points in
+  List.mapi (fun i vg -> (vg, rows.(i))) vgs_list
 
 let transfer t ~vds ~vgs_points =
-  let g = eval_batch t ~vgs:vgs_points ~vds:[| vds |] in
-  Array.init (Array.length vgs_points) (fun i -> Bigarray.Array2.get g i 0)
+  Array.map (fun row -> row.(0)) (eval_batch t ~vgs:vgs_points ~vds:[| vds |])
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* The one solver plan a stencil evaluation retargets.  One workspace
-   serves one domain at a time: assembly code keeps a workspace per
-   device per cloned system, never sharing across concurrently-solving
-   clones. *)
-type stencil_ws = Scv_solver.plan
+(* A run of device-table rows: row [j] of the run is evaluated by
+   [models.(j)] on its own solver plan.  The plans are scratch owned by
+   one assembly workspace: never share a range between domains
+   evaluating concurrently. *)
+type range = {
+  models : t array;
+  plans : Scv_solver.plan array;
+}
 
-let stencil_ws t = Scv_solver.plan t.solver ~vds:0.0
+let range models =
+  { models; plans = Array.map (fun t -> Scv_solver.plan t.solver ~vds:0.0) models }
 
-(* The MNA stencil: [ids] and its closed-form [gm]/[gds] from one
-   bias-point solve, written into slot [k] of three output columns.
+(* The MNA range kernel: for each row [first + j], [ids] and its
+   closed-form [gm]/[gds] from one bias-point solve, read from and
+   written to the table's columns.
 
    The solve is [ids]'s with [Scv_solver.solve] replaced by the
-   bitwise-equal [solve_plan] on the workspace plan, retargeted at the
-   drain bias exactly as [eval_batch] builds its plans (so the same-vds
-   memo of [Scv_solver.replan] fires whenever a device's drain bias is
-   unchanged).  The current below is the expression of [current].
+   bitwise-equal plan solve on the row's plan, retargeted at the row's
+   drain bias (a no-op when that bias is unchanged since the last
+   evaluation, which keeps the plan's memos warm).  The current is the
+   expression of [current].
 
    The conductances are implicit differentiation of eq. 7,
      F = C_Sigma V_SC + C_G V_GS + C_D V_DS - Q_S(V_SC) - Q_S(V_SC + V_DS) = 0,
    which gives dV_SC/dV_GS = -C_G / D and
    dV_SC/dV_DS = -(C_D - Q_S'(V_SC + V_DS)) / D with
    D = C_Sigma - Q_S'(V_SC) - Q_S'(V_SC + V_DS) > 0, carried through
-   eq. 14 with dF_0/deta the logistic [Fermi.integral_order0'].  They
-   are taken on oriented voltages: I_p(v) = -I_n(-v) makes the
-   mirror's derivatives the n-type ones at the oriented bias, so p-type
-   needs no sign flip.  Everything after the solve is straight-line
-   float code writing into the columns: no tuple, no closure.
+   eq. 14 with dF_0/deta the logistic [f0'].  They are taken on
+   oriented voltages: I_p(v) = -I_n(-v) makes the mirror's derivatives
+   the n-type ones at the oriented bias, so p-type needs no sign flip.
 
-   [fault_i0] is the [Fault.Nan_eval] site: the bias point is evaluated
-   as usual and only the current written to [i0] becomes NaN. *)
-let eval_stencil t ~ws ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
-  Obs.incr c_ids_evals;
-  (* [oriented] without its tuple: the sign flip is the same [-.] the
-     tuple form applies *)
-  let flip = match t.polarity with N_type -> false | P_type -> true in
-  let ovgs = if flip then -.vgs else vgs in
-  let ovds = if flip then -.vds else vds in
-  (* [vds] itself when unflipped: [ovds] is an unboxed local, so
-     passing it here would box it once per evaluation *)
-  Scv_solver.replan ws ~vds:(if flip then ovds else vds);
-  let vsc = Scv_solver.solve_plan ws ~qt:((t.c_g *. ovgs) +. (t.c_d *. ovds)) in
-  let kt = t.kt_ev and scale = t.current_scale in
-  let eta_s = (t.device.Device.fermi -. vsc) /. kt in
-  let eta_d = eta_s -. (ovds /. kt) in
-  let i =
-    scale *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
-  in
-  let sig_d = Fermi.integral_order0' eta_d in
-  let dqd = Scv_solver.qs_slope t.solver (vsc +. ovds) in
-  let d =
-    Scv_solver.c_sigma t.solver -. Scv_solver.qs_slope t.solver vsc -. dqd
-  in
-  let a = scale *. (Fermi.integral_order0' eta_s -. sig_d) /. (kt *. d) in
-  Bigarray.Array1.unsafe_set i0 k
-    (if fault_i0 then Float.nan else if flip then -.i else i);
-  Bigarray.Array1.unsafe_set gm k (a *. t.c_g);
-  Bigarray.Array1.unsafe_set gds k
-    ((a *. (t.c_d -. dqd)) +. (scale *. sig_d /. kt))
+   Every float stays in this function: biases come from the table's
+   Bigarray columns, cross into the solver only through the plan's
+   [io] cells, and the results go straight into the output columns, so
+   a row allocates nothing.  [fault_i0] is the [Fault.Nan_eval] site:
+   each bias point is evaluated as usual and only the current written
+   to [i0] becomes NaN. *)
+let eval_range r ~first ~fault_i0 ~(vgs : vec) ~(vds : vec) ~(i0 : vec)
+    ~(gm : vec) ~(gds : vec) =
+  let n = Array.length r.models in
+  for j = 0 to n - 1 do
+    let t = r.models.(j) and plan = r.plans.(j) in
+    let io = Scv_solver.io plan in
+    let k = first + j in
+    let flip = match t.polarity with N_type -> false | P_type -> true in
+    let vg = Bigarray.Array1.get vgs k and vd = Bigarray.Array1.get vds k in
+    let ovgs = if flip then -.vg else vg in
+    let ovds = if flip then -.vd else vd in
+    io.vds <- ovds;
+    io.qt <- (t.c_g *. ovgs) +. (t.c_d *. ovds);
+    Scv_solver.solve_io plan;
+    Scv_solver.slopes_io plan;
+    let vsc = io.vsc in
+    let kt = t.kt_ev and scale = t.current_scale in
+    let eta_s = (t.device.Device.fermi -. vsc) /. kt in
+    let eta_d = eta_s -. (ovds /. kt) in
+    let i = scale *. (f0 eta_s -. f0 eta_d) in
+    let sig_d = f0' eta_d in
+    let dqd = io.dqd in
+    let d = Scv_solver.c_sigma t.solver -. io.dqs -. dqd in
+    let a = scale *. (f0' eta_s -. sig_d) /. (kt *. d) in
+    Bigarray.Array1.set i0 k
+      (if fault_i0 then Float.nan else if flip then -.i else i);
+    Bigarray.Array1.set gm k (a *. t.c_g);
+    Bigarray.Array1.set gds k ((a *. (t.c_d -. dqd)) +. (scale *. sig_d /. kt))
+  done;
+  Obs.incr ~by:n c_ids_evals
 
-(* The scalar entry point: the stencil itself on a fresh workspace and
-   one-slot columns, so scalar and batched evaluation agree bitwise by
-   construction. *)
+(* The scalar entry point: the range kernel on a one-row range, so
+   scalar and batched evaluation agree bitwise by construction. *)
 let small_signal t ~vgs ~vds =
-  let col () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1 in
-  let i0 = col () and gm = col () and gds = col () in
-  eval_stencil t ~ws:(stencil_ws t) ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds
-    ~k:0;
+  let col v = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout 1 (fun _ -> v) in
+  let i0 = col 0.0 and gm = col 0.0 and gds = col 0.0 in
+  eval_range (range [| t |]) ~first:0 ~fault_i0:false ~vgs:(col vgs)
+    ~vds:(col vds) ~i0 ~gm ~gds;
   Bigarray.Array1.(get i0 0, get gm 0, get gds 0)
 
 let gm t ~vgs ~vds =

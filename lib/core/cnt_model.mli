@@ -73,21 +73,22 @@ val charges : t -> vgs:float -> vds:float -> float * float * float
 
 (** {1 Batched kernels}
 
-    [eval_batch] evaluates a whole bias grid in one pass over a
-    [Bigarray] result, hoisting the per-drain-bias solver plan
-    ({!Scv_solver.plan}) out of the inner loop.  Every element is
-    {e bitwise-equal} to the corresponding scalar {!ids} call (pinned
-    by [test/test_property.ml]). *)
+    Both kernels evaluate through {!Scv_solver} plans driven by their
+    unboxed [io] cells, so once their storage exists no bias point
+    allocates.  Every value is {e bitwise-equal} to the corresponding
+    scalar call (pinned by [test/test_property.ml] and
+    [test/test_models.ml]). *)
 
-type grid = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
-
-val eval_batch : t -> vgs:float array -> vds:float array -> grid
-(** Drain currents for the bias product grid; element [(i, j)] is
-    [ids t ~vgs:vgs.(i) ~vds:vds.(j)], bitwise. *)
+val eval_batch : t -> vgs:float array -> vds:float array -> float array array
+(** Drain currents for the bias product grid, one row per gate
+    voltage: [(eval_batch t ~vgs ~vds).(i).(j)] is
+    [ids t ~vgs:vgs.(i) ~vds:vds.(j)], bitwise.  One solver plan serves
+    the whole call, retargeted per drain column. *)
 
 val output_family :
   t -> vgs_list:float list -> vds_points:float array -> (float * float array) list
-(** Output characteristics, evaluated through {!eval_batch}. *)
+(** Output characteristics: the rows of {!eval_batch}, each paired
+    with its gate voltage. *)
 
 val transfer : t -> vds:float -> vgs_points:float array -> float array
 (** Transfer characteristic, evaluated through {!eval_batch}. *)
@@ -101,7 +102,7 @@ val small_signal : t -> vgs:float -> vds:float -> float * float * float
     with [A = s (sigma(eta_S) - sigma(eta_D)) / (kT D)],
     [D = C_Sigma - Q_S'(V_SC) - Q_S'(V_SC + V_DS) > 0], [sigma] the
     logistic [dF_0/deta] and [s] the current prefactor.  This is
-    {!eval_stencil} on a fresh workspace, so it is bitwise-equal to the
+    {!eval_range} on a one-row range, so it is bitwise-equal to the
     assembly's values. *)
 
 val gm : t -> vgs:float -> vds:float -> float
@@ -112,31 +113,31 @@ val gds : t -> vgs:float -> vds:float -> float
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type stencil_ws
-(** Reusable workspace for {!eval_stencil}: the one solver plan a
-    stencil evaluation retargets each call.  A workspace belongs to the
-    model that created it and must not be shared between domains
-    evaluating concurrently (keep one per device per cloned system). *)
+type range
+(** A run of device-table rows: one model per row, each with its own
+    solver plan as scratch.  A range belongs to one assembly workspace
+    and must not be shared between domains evaluating concurrently. *)
 
-val stencil_ws : t -> stencil_ws
+val range : t array -> range
+(** [range models]: row [j] of the run is evaluated by [models.(j)]. *)
 
-val eval_stencil :
-  t ->
-  ws:stencil_ws ->
+val eval_range :
+  range ->
+  first:int ->
   fault_i0:bool ->
-  vgs:float ->
-  vds:float ->
+  vgs:vec ->
+  vds:vec ->
   i0:vec ->
   gm:vec ->
   gds:vec ->
-  k:int ->
   unit
-(** The MNA assembly stencil as one batched kernel: writes slot [k] of
-    the three output columns with the {!small_signal} triple, from one
-    bias-point solve on the workspace's plan (retargeted in place by
-    {!Scv_solver.replan}, a no-op when the drain bias is unchanged).
-    [i0] is bitwise-equal to {!ids} (pinned by [test/test_models.ml]).
-    [fault_i0] is the [Fault.Nan_eval] site: the bias point is
-    evaluated once as usual and only [i0] becomes NaN. *)
+(** The MNA range kernel: for every row [j] of the range, reads the
+    bias point from slot [first + j] of [vgs]/[vds] and writes the
+    {!small_signal} triple to the same slot of [i0]/[gm]/[gds], from
+    one bias-point solve on the row's plan (retargeted in place, a
+    no-op when the row's drain bias is unchanged).  Allocates nothing
+    per row.  [i0] is bitwise-equal to {!ids}.  [fault_i0] is the
+    [Fault.Nan_eval] site: every bias point is evaluated as usual and
+    only [i0] becomes NaN. *)
 
 val pp : Format.formatter -> t -> unit

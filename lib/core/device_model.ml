@@ -1,9 +1,11 @@
 (* The pluggable device-model tier.
 
-   A [t] is a capability record: everything the MNA compiler, the
+   A [t] is a circuit-ready model: everything the MNA compiler, the
    batched assembly pipeline and the manifest/export layers need from
-   a CNFET model, with no reference to
-   any concrete physics.  Backends register themselves in a global
+   a CNFET model, dispatched to the concrete backend behind it.  The
+   assembly evaluates a device table through {!kernel}/{!eval}: one
+   range-kernel call per run of consecutive same-backend rows.
+   Backends register themselves in a global
    registry under a short name ("piecewise", "vs") together with the
    parameter schema their deck cards accept; decks pick a backend with
    the [model=] card attribute, runs override it with [--model] /
@@ -26,53 +28,127 @@ type polarity = Cnt_model.polarity =
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type stencil =
-  fault_i0:bool ->
-  vgs:float ->
-  vds:float ->
-  i0:vec ->
-  gm:vec ->
-  gds:vec ->
-  k:int ->
-  unit
+(* The concrete physics behind a model.  Dispatch goes through this
+   variant rather than a record of closures: the assembly evaluates a
+   whole run of same-backend table rows with one call into the
+   backend's range kernel, which needs the concrete models. *)
+type impl =
+  | Piecewise of Cnt_model.t
+  | Vs of Vs_model.t
 
 type t = {
-  backend : string;
-  identity : string;
-  polarity : polarity;
-  device : Device.t;
+  impl : impl;
   card : (string * string) list;
       (* canonical resolved card attributes (including "model"), plain
          float syntax — [remodel] re-parses these under another backend *)
-  ids : vgs:float -> vds:float -> float;
-  small_signal : vgs:float -> vds:float -> float * float * float;
-  charges : vgs:float -> vds:float -> float * float * float;
-  stencil : unit -> stencil;
-  intrinsic_caps : length:float -> (float * float) option;
-  as_piecewise : Cnt_model.t option;
-  pp : Format.formatter -> unit;
 }
 
-let backend t = t.backend
-let identity t = t.identity
-let polarity t = t.polarity
-let device t = t.device
+let backend t = match t.impl with Piecewise _ -> "piecewise" | Vs _ -> "vs"
+
+let identity t =
+  match t.impl with
+  | Piecewise m -> Cnt_model.identity m
+  | Vs m -> Vs_model.identity m
+
+let polarity t =
+  match t.impl with
+  | Piecewise m -> Cnt_model.polarity m
+  | Vs m -> Vs_model.polarity m
+
+let device t =
+  match t.impl with Piecewise m -> Cnt_model.device m | Vs m -> Vs_model.device m
+
 let card t = t.card
-let ids t = t.ids
-let small_signal t = t.small_signal
+
+let ids t ~vgs ~vds =
+  match t.impl with
+  | Piecewise m -> Cnt_model.ids m ~vgs ~vds
+  | Vs m -> Vs_model.ids m ~vgs ~vds
+
+let small_signal t ~vgs ~vds =
+  match t.impl with
+  | Piecewise m -> Cnt_model.small_signal m ~vgs ~vds
+  | Vs m -> Vs_model.small_signal m ~vgs ~vds
 
 let gm t ~vgs ~vds =
-  let _, g, _ = t.small_signal ~vgs ~vds in
+  let _, g, _ = small_signal t ~vgs ~vds in
   g
 
 let gds t ~vgs ~vds =
-  let _, _, g = t.small_signal ~vgs ~vds in
+  let _, _, g = small_signal t ~vgs ~vds in
   g
-let charges t = t.charges
-let stencil t = t.stencil ()
-let intrinsic_caps t = t.intrinsic_caps
-let as_piecewise t = t.as_piecewise
-let pp t fmt = t.pp fmt
+
+let charges t ~vgs ~vds =
+  match t.impl with
+  | Piecewise m -> Cnt_model.charges m ~vgs ~vds
+  | Vs m -> Vs_model.charges m ~vgs ~vds
+
+let as_piecewise t = match t.impl with Piecewise m -> Some m | Vs _ -> None
+
+let pp t fmt =
+  match t.impl with
+  | Piecewise m -> Cnt_model.pp fmt m
+  | Vs m -> Vs_model.pp fmt m
+
+(* ---------------------------------------------------------------- *)
+(* Table kernels                                                    *)
+(* ---------------------------------------------------------------- *)
+
+(* A device table's rows cut into maximal runs of consecutive
+   same-backend rows (the table keeps its order), each carrying its
+   backend's range state. *)
+type run =
+  | Piecewise_run of { first : int; range : Cnt_model.range }
+  | Vs_run of { first : int; models : Vs_model.t array }
+
+type kernel = run array
+
+let kernel models =
+  let n = Array.length models in
+  let rec runs first acc =
+    if first >= n then Array.of_list (List.rev acc)
+    else begin
+      let stop = ref (first + 1) in
+      while !stop < n && backend models.(!stop) = backend models.(first) do
+        incr stop
+      done;
+      let rows = Array.sub models first (!stop - first) in
+      let run =
+        match models.(first).impl with
+        | Piecewise _ ->
+            Piecewise_run
+              {
+                first;
+                range =
+                  Cnt_model.range
+                    (Array.map
+                       (fun m ->
+                         match m.impl with Piecewise p -> p | Vs _ -> assert false)
+                       rows);
+              }
+        | Vs _ ->
+            Vs_run
+              {
+                first;
+                models =
+                  Array.map
+                    (fun m -> match m.impl with Vs v -> v | Piecewise _ -> assert false)
+                    rows;
+              }
+      in
+      runs !stop (run :: acc)
+    end
+  in
+  runs 0 []
+
+let eval kernel ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds =
+  for r = 0 to Array.length kernel - 1 do
+    match kernel.(r) with
+    | Piecewise_run { first; range } ->
+        Cnt_model.eval_range range ~first ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds
+    | Vs_run { first; models } ->
+        Vs_model.eval_range models ~first ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds
+  done
 
 (* ---------------------------------------------------------------- *)
 (* Registry                                                         *)
@@ -156,6 +232,8 @@ let caps_of_device dev ~length =
     Some (cgs, cgd)
   end
 
+let intrinsic_caps t ~length = caps_of_device (device t) ~length
+
 (* Device attributes shared by every backend's card (d and tox in nm,
    matching the deck syntax). *)
 let device_card (dev : Device.t) =
@@ -208,33 +286,15 @@ let parse_device ~number attrs =
 (* ---------------------------------------------------------------- *)
 
 let of_piecewise ?(card = []) m =
-  let dev = Cnt_model.device m in
   let card =
     if card <> [] then card
     else
       (* synthesised card for programmatically built models: enough to
          remodel onto another backend (device geometry), and back to a
          stock Model-2 piecewise fit *)
-      ("model", "piecewise") :: device_card dev
+      ("model", "piecewise") :: device_card (Cnt_model.device m)
   in
-  {
-    backend = "piecewise";
-    identity = Cnt_model.identity m;
-    polarity = Cnt_model.polarity m;
-    device = dev;
-    card;
-    ids = (fun ~vgs ~vds -> Cnt_model.ids m ~vgs ~vds);
-    small_signal = (fun ~vgs ~vds -> Cnt_model.small_signal m ~vgs ~vds);
-    charges = (fun ~vgs ~vds -> Cnt_model.charges m ~vgs ~vds);
-    stencil =
-      (fun () ->
-        let ws = Cnt_model.stencil_ws m in
-        fun ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k ->
-          Cnt_model.eval_stencil m ~ws ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k);
-    intrinsic_caps = (fun ~length -> caps_of_device dev ~length);
-    as_piecewise = Some m;
-    pp = (fun fmt -> Cnt_model.pp fmt m);
-  }
+  { impl = Piecewise m; card }
 
 let piecewise_info =
   {
@@ -304,12 +364,11 @@ let piecewise_build ~polarity ~number attrs =
 (* ---------------------------------------------------------------- *)
 
 let of_vs ?(card = []) m =
-  let dev = Vs_model.device m in
   let card =
     if card <> [] then card
     else begin
       let p = Vs_model.params m in
-      (("model", "vs") :: device_card dev)
+      (("model", "vs") :: device_card (Vs_model.device m))
       @ [
           ("vt0", canon p.Vs_model.vt0);
           ("dibl", canon p.Vs_model.dibl);
@@ -321,25 +380,7 @@ let of_vs ?(card = []) m =
         ]
     end
   in
-  {
-    backend = "vs";
-    identity = Vs_model.identity m;
-    polarity = Vs_model.polarity m;
-    device = dev;
-    card;
-    ids = (fun ~vgs ~vds -> Vs_model.ids m ~vgs ~vds);
-    small_signal = (fun ~vgs ~vds -> Vs_model.small_signal m ~vgs ~vds);
-    charges = (fun ~vgs ~vds -> Vs_model.charges m ~vgs ~vds);
-    stencil =
-      (fun () ->
-        (* closed-form with no per-drain-bias plan to hoist, so the
-           stencil needs no workspace *)
-        fun ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k ->
-          Vs_model.eval_stencil m ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k);
-    intrinsic_caps = (fun ~length -> caps_of_device dev ~length);
-    as_piecewise = None;
-    pp = (fun fmt -> Vs_model.pp fmt m);
-  }
+  { impl = Vs m; card }
 
 let vs_info =
   {
@@ -443,10 +484,10 @@ let plain_number s =
   | None -> invalid_arg ("Device_model: bad number " ^ s)
 
 let remodel m ~backend:name =
-  if m.backend = name then Ok m
+  if backend m = name then Ok m
   else
     let attrs = List.remove_assoc "model" m.card in
-    of_card ~backend:name ~polarity:m.polarity ~number:plain_number attrs
+    of_card ~backend:name ~polarity:(polarity m) ~number:plain_number attrs
 
 (* ---------------------------------------------------------------- *)
 (* Ambient run-level override (--model / CNT_MODEL)                 *)

@@ -1,11 +1,13 @@
-(** Pluggable device-model tier: the capability record every CNFET
-    backend exposes to the circuit layer, plus the registry that names
+(** Pluggable device-model tier: the circuit-ready model every CNFET
+    backend exposes to the circuit layer, the table kernel the batched
+    assembly evaluates devices through, plus the registry that names
     backends for deck cards ([model=...]), run overrides
     ([--model] / [CNT_MODEL]) and per-request server config.
 
     The MNA compiler, the batched gather/eval/scatter assembly and the
-    manifest/export layers consume only this interface; concrete physics ({!Cnt_model}, {!Vs_model}) plugs
-    in through {!register}.  Two backends ship in-tree: ["piecewise"]
+    manifest/export layers consume only this interface; concrete
+    physics ({!Cnt_model}, {!Vs_model}) plugs in through {!register}
+    and a range kernel per backend.  Two backends ship in-tree: ["piecewise"]
     (the paper's Model 1/Model 2, the reference backend — bitwise
     identical through this interface to the direct calls it replaced)
     and ["vs"] (the virtual-source ballistic model of Lee et al.).
@@ -19,25 +21,6 @@ type polarity = Cnt_model.polarity =
   | P_type
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type stencil =
-  fault_i0:bool ->
-  vgs:float ->
-  vds:float ->
-  i0:vec ->
-  gm:vec ->
-  gds:vec ->
-  k:int ->
-  unit
-(** One workspace-backed MNA stencil evaluation: writes slot [k] of the
-    three output columns with the bias-point current and its
-    closed-form [gm]/[gds], all from one evaluation of the bias point.
-    Must be {e bitwise-equal} to {!small_signal} (and its current to
-    {!ids}).  [fault_i0] is the
-    [Fault.Nan_eval] site: the bias point is evaluated as usual and
-    only the current written becomes NaN.  A stencil closure owns its
-    scratch state: keep one per device per cloned system, never share
-    across concurrently solving domains. *)
 
 type t
 (** A circuit-ready device model. *)
@@ -65,8 +48,8 @@ val ids : t -> vgs:float -> vds:float -> float
 val small_signal : t -> vgs:float -> vds:float -> float * float * float
 (** [(I_DS, gm, gds)] at a bias point: the current and its closed-form
     derivatives [dI/dV_GS], [dI/dV_DS] (A/V) from one evaluation — the
-    backend's {!stencil} kernel on one-slot columns, so it agrees
-    bitwise with the assembly's values by construction.  Every backend
+    backend's range kernel on a one-row range, so it agrees bitwise
+    with the assembly's values ({!eval}) by construction.  Every backend
     supplies its conductances in closed form; finite differences live
     only in the test oracle. *)
 
@@ -80,9 +63,6 @@ val charges : t -> vgs:float -> vds:float -> float * float * float
 (** [(v_sc, q_s, q_d)]: backend-defined bias-point charge summary
     (piecewise: self-consistent voltage and mobile charges in C/m). *)
 
-val stencil : t -> stencil
-(** A fresh stencil closure with its own workspace. *)
-
 val intrinsic_caps : t -> length:float -> (float * float) option
 (** Meyer-style [(c_gs, c_gd)] intrinsic terminal capacitances for a
     tube of [length] metres; [None] when [length <= 0]. *)
@@ -92,6 +72,41 @@ val as_piecewise : t -> Cnt_model.t option
     (model export, RMS oracles).  [None] for other backends. *)
 
 val pp : t -> Format.formatter -> unit
+
+(** {1 Table kernels}
+
+    The batched assembly keeps its CNFETs in a structure-of-arrays
+    table: bias points and outputs in Bigarray columns, one row per
+    device.  A {!kernel} cuts the table's rows into maximal runs of
+    consecutive same-backend rows (the table keeps its order) and {!eval}
+    makes one range-kernel call per run ({!Cnt_model.eval_range},
+    {!Vs_model.eval_range}).  Floats cross into a backend only through
+    the columns, so a refill allocates nothing per device. *)
+
+type kernel
+(** Per-workspace evaluation state for a device table: the runs and
+    their backend scratch (the piecewise backend keeps one solver plan
+    per row).  Keep one per cloned system; never share a kernel
+    between domains evaluating concurrently. *)
+
+val kernel : t array -> kernel
+(** [kernel models]: row [k] of the table is evaluated by
+    [models.(k)]. *)
+
+val eval :
+  kernel ->
+  fault_i0:bool ->
+  vgs:vec ->
+  vds:vec ->
+  i0:vec ->
+  gm:vec ->
+  gds:vec ->
+  unit
+(** Evaluate every row: slot [k] of [i0]/[gm]/[gds] gets the
+    {!small_signal} triple of row [k]'s model at slot [k] of
+    [vgs]/[vds], bitwise.  [fault_i0] is the [Fault.Nan_eval] site:
+    every bias point is evaluated as usual and only the currents
+    written to [i0] become NaN. *)
 
 (** {1 Registry} *)
 

@@ -28,14 +28,12 @@ let reference_surface ?(grid = default_grid) fettoy =
 (* Mean (over gate voltages) relative RMS current error of a model
    against a precomputed reference surface. *)
 let current_error ?(grid = default_grid) ~reference model =
-  let g = Cnt_model.eval_batch model ~vgs:grid.vgs ~vds:grid.vds in
-  let nj = Array.length grid.vds in
+  let rows = Cnt_model.eval_batch model ~vgs:grid.vgs ~vds:grid.vds in
   let total = ref 0.0 in
   Array.iteri
-    (fun i _vgs ->
-      let approx = Array.init nj (fun j -> Bigarray.Array2.get g i j) in
+    (fun i approx ->
       total := !total +. Stats.relative_rms_error reference.(i) approx)
-    grid.vgs;
+    rows;
   !total /. float_of_int (Array.length grid.vgs)
 
 (* Optimise the boundary offsets of [spec] for [device], minimising the

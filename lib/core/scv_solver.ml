@@ -119,50 +119,242 @@ let residual_poly t ~qt ~vds x =
   let pd = Polynomial.shift (Piecewise.piece_at t.qs (x +. vds)) vds in
   sub (sub linear ps) pd
 
+
 (* Endpoints of interval [k] of the merged-breakpoint partition:
    interval 0 is (-inf, b_0], interval k is (b_{k-1}, b_k], interval n
    is (b_{n-1}, +inf) — with the degenerate no-breakpoint partition
    treated as (0, +inf), matching the historical scan result. *)
-let interval_bounds_n bps n k =
+let interval_bounds bps k =
+  let n = Array.length bps in
   if n = 0 then (0.0, infinity)
   else if k = 0 then (neg_infinity, bps.(0))
   else if k = n then (bps.(n - 1), infinity)
   else (bps.(k - 1), bps.(k))
 
-let interval_bounds bps k = interval_bounds_n bps (Array.length bps) k
-
 (* the representative point selects the pieces; it must be strictly
    interior to the interval, because a point sitting exactly on a
    shifted breakpoint can be misclassified by floating-point error
    when re-shifted by vds *)
-let representative_of ~lo ~hi =
+let[@inline] representative_of ~lo ~hi =
   if Float.is_finite lo && Float.is_finite hi then 0.5 *. (lo +. hi)
   else if Float.is_finite hi then hi -. 1.0
   else lo +. 1.0
 
-(* Closed-form solve of the residual polynomial on one bracketing
-   interval — the tail shared by the scalar path and the batched plan
-   path, so the two are the same floating-point program by
-   construction. *)
-let solve_on_interval t ~qt ~vds ~lo ~hi poly =
-  (* both call sites hand over a trimmed polynomial (residual_poly
-     normalises; the plan path trims as it builds), so the degree read
-     and the trimmed root extraction match the historical
-     normalise-then-solve bitwise without the defensive copy *)
-  let deg = Array.length poly - 1 in
+(* ------------------------------------------------------------------ *)
+(* Closed-form roots into a caller buffer                              *)
+(* ------------------------------------------------------------------ *)
+
+(* {!Polynomial.real_roots_trimmed} over a caller buffer of length >= 3
+   instead of lists: the same per-degree formulas, the same
+   [sort_uniq]/ordering rules, the same Newton polish and final
+   ascending sort, so the values written are bitwise the elements the
+   list form returns.
+
+   These float helpers live in this module, marked [@inline], because
+   a float that crosses a module boundary is boxed: the default (dev)
+   build compiles every module with [-opaque], so no call into another
+   module is ever inlined, and each float argument or result of such a
+   call is a fresh heap block.  Within one module the inlined helpers
+   keep every coefficient and root in registers. *)
+
+let[@inline] signum x = if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0
+
+let[@inline] cbrt x =
+  if x >= 0.0 then Float.pow x (1.0 /. 3.0)
+  else -.Float.pow (-.x) (1.0 /. 3.0)
+
+(* One Newton step on [p] from [x], kept only if it does not increase
+   |p|: [Polynomial.polish], with its [eval_with_derivative] and [eval]
+   Horner passes written out. *)
+let[@inline] polish p x =
+  let v = ref 0.0 and d = ref 0.0 in
+  for i = Array.length p - 1 downto 0 do
+    d := (!d *. x) +. !v;
+    v := (!v *. x) +. Array.unsafe_get p i
+  done;
+  let v = !v and d = !d in
+  if d = 0.0 || not (Float.is_finite (x -. (v /. d))) then x
+  else begin
+    let x' = x -. (v /. d) in
+    let v' = ref 0.0 in
+    for i = Array.length p - 1 downto 0 do
+      v' := (!v' *. x') +. Array.unsafe_get p i
+    done;
+    if Float.abs !v' <= Float.abs v then x' else x
+  end
+
+let[@inline] roots_linear_into a b buf =
+  if a = 0.0 then 0
+  else begin
+    buf.(0) <- -.b /. a;
+    1
+  end
+
+let[@inline] roots_quadratic_into a b c buf =
+  if a = 0.0 then roots_linear_into b c buf
+  else begin
+    let disc = (b *. b) -. (4.0 *. a *. c) in
+    if disc < 0.0 then 0
+    else if disc = 0.0 then begin
+      buf.(0) <- -.b /. (2.0 *. a);
+      1
+    end
+    else begin
+      let sq = sqrt disc in
+      let q = -0.5 *. (b +. (signum b *. sq)) in
+      let q = if b = 0.0 then -0.5 *. sq else q in
+      let r1 = q /. a and r2 = c /. q in
+      if r1 <= r2 then begin
+        buf.(0) <- r1;
+        buf.(1) <- r2
+      end
+      else begin
+        buf.(0) <- r2;
+        buf.(1) <- r1
+      end;
+      2
+    end
+  end
+
+(* [compare] on floats, which compiles to a C call on boxed arguments:
+   the runtime's own branchless formula (NaN equals NaN and sorts below
+   every other float), unboxed. *)
+let[@inline] fcompare (f : float) g =
+  Bool.to_int (f > g) - Bool.to_int (f < g) + Bool.to_int (f = f)
+  - Bool.to_int (g = g)
+
+(* Ascending compare-sort of buf.(0 .. n-1) (n <= 3) — the fixed-size
+   equivalent of [List.sort compare]. *)
+let sort3_into buf n =
+  if n >= 2 then begin
+    if fcompare buf.(0) buf.(1) > 0 then begin
+      let t = buf.(0) in
+      buf.(0) <- buf.(1);
+      buf.(1) <- t
+    end;
+    if n = 3 then begin
+      if fcompare buf.(1) buf.(2) > 0 then begin
+        let t = buf.(1) in
+        buf.(1) <- buf.(2);
+        buf.(2) <- t
+      end;
+      if fcompare buf.(0) buf.(1) > 0 then begin
+        let t = buf.(0) in
+        buf.(0) <- buf.(1);
+        buf.(1) <- t
+      end
+    end
+  end;
+  n
+
+(* Adjacent dedup after [sort3_into]: together, [List.sort_uniq
+   compare]. *)
+let dedup3_into buf n =
+  let kept = ref (if n > 0 then 1 else 0) in
+  for i = 1 to n - 1 do
+    if fcompare buf.(i) buf.(!kept - 1) <> 0 then begin
+      buf.(!kept) <- buf.(i);
+      incr kept
+    end
+  done;
+  !kept
+
+let[@inline] roots_cubic_into a b c d buf =
+  if a = 0.0 then roots_quadratic_into b c d buf
+  else begin
+    let b = b /. a and c = c /. a and d = d /. a in
+    let shift = b /. 3.0 in
+    let p = c -. (b *. b /. 3.0) in
+    let q = ((2.0 *. b *. b *. b) -. (9.0 *. b *. c)) /. 27.0 +. d in
+    let disc = ((q *. q) /. 4.0) +. ((p *. p *. p) /. 27.0) in
+    let n =
+      if Float.abs p < 1e-300 && Float.abs q < 1e-300 then begin
+        buf.(0) <- 0.0;
+        1
+      end
+      else if disc > 0.0 then begin
+        let sq = sqrt disc in
+        let u = cbrt ((-.q /. 2.0) +. sq) in
+        let v = cbrt ((-.q /. 2.0) -. sq) in
+        buf.(0) <- u +. v;
+        1
+      end
+      else if disc = 0.0 then begin
+        let u = cbrt (-.q /. 2.0) in
+        buf.(0) <- 2.0 *. u;
+        buf.(1) <- -.u;
+        2
+      end
+      else begin
+        let r = sqrt (-.p *. p *. p /. 27.0) in
+        let phi = acos (Float.max (-1.0) (Float.min 1.0 (-.q /. (2.0 *. r)))) in
+        let m = 2.0 *. sqrt (-.p /. 3.0) in
+        buf.(0) <- m *. cos (phi /. 3.0);
+        buf.(1) <- m *. cos ((phi +. (2.0 *. Float.pi)) /. 3.0);
+        buf.(2) <- m *. cos ((phi +. (4.0 *. Float.pi)) /. 3.0);
+        3
+      end
+    in
+    for i = 0 to n - 1 do
+      buf.(i) <- buf.(i) -. shift
+    done;
+    dedup3_into buf (sort3_into buf n)
+  end
+
+(* Polished real roots of a trimmed polynomial of degree <= 3 into
+   [buf], ascending; returns how many. *)
+let real_roots_into p buf =
+  let nraw =
+    match Array.length p with
+    | 0 | 1 -> 0
+    | 2 -> roots_linear_into p.(1) p.(0) buf
+    | 3 -> roots_quadratic_into p.(2) p.(1) p.(0) buf
+    | 4 -> roots_cubic_into p.(3) p.(2) p.(1) p.(0) buf
+    | _ ->
+        invalid_arg
+          "Polynomial.real_roots_closed_form: degree exceeds 3 (use durand_kerner)"
+  in
+  for i = 0 to nraw - 1 do
+    buf.(i) <- polish p buf.(i)
+  done;
+  (* the per-degree producers emit <= 3 ascending values; polishing can
+     reorder them, so re-sort (duplicates kept, as [List.sort]) *)
+  sort3_into buf nraw
+
+(* ------------------------------------------------------------------ *)
+(* The scalar solve                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let count_root deg =
   Obs.incr c_solves;
   Obs.incr
     (match deg with
     | 3 -> c_cubic
     | 2 -> c_quadratic
-    | _ -> c_linear);
+    | _ -> c_linear)
+
+(* Defensive fallback: bisection on a finite cover of the bracketing
+   interval; not reached for well-formed monotone charge fits. *)
+let bisect_fallback t ~qt ~vds ~lo ~hi =
+  Obs.incr c_fallback;
+  Atomic.incr fallback_total;
+  let flo = if Float.is_finite lo then lo else hi -. 10.0 in
+  let fhi = if Float.is_finite hi then hi else lo +. 10.0 in
+  (Rootfind.bisect ~tol:1e-13 (residual t ~qt ~vds) flo fhi).Rootfind.root
+
+(* Closed-form solve of the residual polynomial on one bracketing
+   interval.  Both call sites hand over a trimmed polynomial
+   (residual_poly normalises; the plan path trims as it builds), so the
+   degree read and the trimmed root extraction match the historical
+   normalise-then-solve bitwise without the defensive copy.  The plan
+   path below runs the same program on its own scratch. *)
+let solve_on_interval t ~qt ~vds ~lo ~hi poly =
+  let deg = Array.length poly - 1 in
+  count_root deg;
   let eps = 1e-9 in
-  (* roots and the in-interval filter run over a fixed 3-cell buffer
-     ([real_roots_trimmed_into] writes bitwise what the list form
-     returns; [List.filter] order is preserved by the in-place
-     compaction), keeping root extraction off the allocator *)
   let rbuf = Array.make 3 0.0 in
-  let nr = Polynomial.real_roots_trimmed_into poly rbuf in
+  let nr = real_roots_into poly rbuf in
+  (* in-interval filter by in-place compaction: [List.filter] order *)
   let nc = ref 0 in
   for i = 0 to nr - 1 do
     let r = Array.unsafe_get rbuf i in
@@ -172,28 +364,12 @@ let solve_on_interval t ~qt ~vds ~lo ~hi poly =
     end
   done;
   let clamp v = Float.min (Float.max v lo) hi in
+  let stats vsc used_fallback =
+    { vsc; interval = (lo, hi); degree = deg; used_fallback }
+  in
   match !nc with
-  | 1 ->
-      {
-        vsc = clamp rbuf.(0);
-        interval = (lo, hi);
-        degree = deg;
-        used_fallback = false;
-      }
-  | 0 ->
-      (* defensive fallback: bisection on a finite cover of the interval;
-         not reached for well-formed monotone charge fits *)
-      Obs.incr c_fallback;
-      Atomic.incr fallback_total;
-      let flo = if Float.is_finite lo then lo else hi -. 10.0 in
-      let fhi = if Float.is_finite hi then hi else lo +. 10.0 in
-      let r = Rootfind.bisect ~tol:1e-13 (residual t ~qt ~vds) flo fhi in
-      {
-        vsc = r.Rootfind.root;
-        interval = (lo, hi);
-        degree = deg;
-        used_fallback = true;
-      }
+  | 1 -> stats (clamp rbuf.(0)) false
+  | 0 -> stats (bisect_fallback t ~qt ~vds ~lo ~hi) true
   | nc ->
       (* multiple closed-form roots landed inside (degenerate shapes);
          keep the one with the smallest residual — the fold starts from
@@ -207,54 +383,7 @@ let solve_on_interval t ~qt ~vds ~lo ~hi poly =
           < Float.abs (residual t ~qt ~vds !best)
         then best := r
       done;
-      {
-        vsc = clamp !best;
-        interval = (lo, hi);
-        degree = deg;
-        used_fallback = false;
-      }
-
-(* [solve_on_interval] for the plan path: the same counters, the same
-   root extraction, filter, clamp and fallback program (bitwise — the
-   assembly equivalence suite pins plan solves against scalar ones),
-   but the roots land in the caller's scratch and only the voltage
-   comes back, keeping the per-point solve off the allocator. *)
-let solve_on_interval_vsc t ~qt ~vds ~lo ~hi ~rbuf poly =
-  let deg = Array.length poly - 1 in
-  Obs.incr c_solves;
-  Obs.incr
-    (match deg with
-    | 3 -> c_cubic
-    | 2 -> c_quadratic
-    | _ -> c_linear);
-  let eps = 1e-9 in
-  let nr = Polynomial.real_roots_trimmed_into poly rbuf in
-  let nc = ref 0 in
-  for i = 0 to nr - 1 do
-    let r = Array.unsafe_get rbuf i in
-    if r >= lo -. eps && r <= hi +. eps then begin
-      Array.unsafe_set rbuf !nc r;
-      incr nc
-    end
-  done;
-  match !nc with
-  | 1 -> Float.min (Float.max rbuf.(0) lo) hi
-  | 0 ->
-      Obs.incr c_fallback;
-      Atomic.incr fallback_total;
-      let flo = if Float.is_finite lo then lo else hi -. 10.0 in
-      let fhi = if Float.is_finite hi then hi else lo +. 10.0 in
-      (Rootfind.bisect ~tol:1e-13 (residual t ~qt ~vds) flo fhi).Rootfind.root
-  | nc ->
-      let best = ref rbuf.(0) in
-      for i = 0 to nc - 1 do
-        let r = rbuf.(i) in
-        if
-          Float.abs (residual t ~qt ~vds r)
-          < Float.abs (residual t ~qt ~vds !best)
-        then best := r
-      done;
-      Float.min (Float.max !best lo) hi
+      stats (clamp !best) false
 
 let solve_stats t ~qt ~vds =
   let bps = merged_breakpoints t ~vds in
@@ -284,29 +413,33 @@ let solve t ~qt ~vds = (solve_stats t ~qt ~vds).vsc
    fused residual-polynomial build into plan-local scratch and the
    closed-form root.
 
-   Plans are built lazily and cheaply: construction only merges the
+   Plans are built lazily and cheaply: retargeting only merges the
    breakpoints (a two-pointer merge over the cached sorted source
    breakpoints and their [-vds]-shifted copies — the same ascending
    multiset, the same dedup-against-last-kept rule as the historical
-   append+sort) and allocates the scratch; the breakpoint charge
-   values fill on first touch of each scan position and the interval
-   records (pieces pre-negated, drain piece pre-shifted) materialise
-   on first solve landing in them.  The MNA batched assembly path
-   retargets one plan per device per Newton iteration, so plan
-   construction sits on the hot path alongside [solve_plan].
+   append+sort); the breakpoint charge values fill on first touch of
+   each scan position and the interval records (pieces pre-negated,
+   drain piece pre-shifted) on first solve landing in them.  The MNA
+   range kernel retargets one plan per device per Newton iteration, so
+   retargeting sits on the hot path alongside the solve.
 
-   Each precomputed part is produced by the same function calls on the
-   same inputs as the scalar path, and the per-point residual
+   Each precomputed part is produced by the same floating-point
+   program as the scalar path, and the per-point residual
    [(c_sigma * b + qt) - e1 - e2] replays the scalar operation order
-   with e1, e2 memoised, so [solve_plan] is bitwise-equal to [solve]
-   at every (qt, vds) — the property test suite pins this. *)
+   with e1, e2 memoised, so a plan solve is bitwise-equal to [solve] at
+   every (qt, vds) — the property test suite pins this.
+
+   Nothing on this path allocates once a plan exists.  Floats reach it
+   and leave it only through the plan's own unboxed cells ({!io} and
+   the float arrays below), never as arguments or results of a call
+   into another module, and the float helpers it calls are inlined
+   here (see the root helpers above). *)
 
 (* [Piecewise.piece_index] and [Piecewise.eval] replicated over the
    solver's cached copies of the boundary and piece arrays: the same
-   left-inclusive boundary rule and the same Horner program, minus the
-   call overhead — the plan scan's lazy fills run these tens of times
-   per stencil evaluation. *)
-let qs_piece_index t x =
+   left-inclusive boundary rule and the same Horner program, inlined
+   into the plan scan. *)
+let[@inline] qs_piece_index t x =
   let bs = t.sbs in
   let nb = Array.length bs in
   let i = ref 0 in
@@ -315,7 +448,7 @@ let qs_piece_index t x =
   done;
   !i
 
-let qs_eval t x =
+let[@inline] qs_eval t x =
   let p = Array.unsafe_get t.qpieces (qs_piece_index t x) in
   let acc = ref 0.0 in
   for j = Array.length p - 1 downto 0 do
@@ -325,7 +458,7 @@ let qs_eval t x =
 
 (* dQ_S/dV by the derivative Horner over the same piece: the sum of
    j p_j x^(j-1). *)
-let qs_slope t x =
+let[@inline] qs_slope t x =
   let p = Array.unsafe_get t.qpieces (qs_piece_index t x) in
   let acc = ref 0.0 in
   for j = Array.length p - 1 downto 1 do
@@ -333,28 +466,35 @@ let qs_slope t x =
   done;
   !acc
 
-(* A reusable interval record: [replan] just drops the [iv_set] flag
-   and [interval_of] refills the same storage, so retargeting a plan
-   allocates nothing.  [iv_npd] holds the negated vds-shifted drain
-   piece in its first [iv_nd] cells. *)
-type interval = {
-  mutable iv_set : bool;
-  mutable iv_lo : float;
-  mutable iv_hi : float;
-  mutable iv_nps : Polynomial.t; (* negated source piece on this interval *)
-  iv_npd : float array; (* negated drain piece, pre-shifted by vds *)
-  mutable iv_nd : int; (* live coefficient count of [iv_npd] *)
+(* [residual] over the inlined replicas: bitwise the same value. *)
+let[@inline] residual_at t ~qt ~vds v =
+  (t.c_sigma *. v) +. qt -. qs_eval t v -. qs_eval t (v +. vds)
+
+type io = {
+  mutable vds : float;
+  mutable qt : float;
+  mutable vsc : float;
+  mutable dqs : float;
+  mutable dqd : float;
 }
+
+(* The drain bias the plan's derived parts currently hold, in a float
+   record of its own so that storing it does not box. *)
+type target = { mutable at : float }
 
 (* A plan owns capacity for the worst-case merged-breakpoint count
    (2 * source breakpoints); [n_bps] is the live prefix for the current
-   drain bias.  [replan] refills the same storage for a new vds, so a
-   caller that keeps a plan per device pays the allocation once and the
-   per-iteration cost is just the two-pointer merge. *)
+   drain bias.  Retargeting refills the same storage for a new vds, so
+   a caller that keeps a plan per device pays the allocation once.
+   The interval records are columns indexed by interval: [iv_set]
+   drops on retarget and the first solve landing in an interval refills
+   its row; [iv_npd.(k)] holds the negated vds-shifted drain piece in
+   its first [iv_nd.(k)] cells. *)
 type plan = {
   owner : t;
-  mutable primed : bool; (* false only before the first [replan] *)
-  mutable plan_vds : float;
+  io : io;
+  target : target;
+  mutable primed : bool; (* false only before the first retarget *)
   bps : float array; (* capacity 2 * |sbs|; live prefix [0, n_bps) *)
   bp_src : int array;
       (* source-breakpoint index when [bps.(i)] is exactly [sbs.(j)]
@@ -364,15 +504,23 @@ type plan = {
   e1 : float array; (* Q_S(b_i), filled on demand *)
   e2 : float array; (* Q_S(b_i + vds), filled on demand *)
   mutable e_filled : int; (* e1/e2 valid for indices < e_filled *)
-  ivs : interval array; (* capacity 2 * |sbs| + 1, refilled lazily *)
+  iv_set : bool array; (* capacity 2 * |sbs| + 1 *)
+  iv_lo : float array;
+  iv_hi : float array;
+  iv_nps : Polynomial.t array; (* negated source piece on the interval *)
+  iv_npd : float array array; (* negated drain piece, pre-shifted by vds *)
+  iv_nd : int array; (* live coefficient count of [iv_npd.(k)] *)
   s1 : float array; (* scratch: (qt + c V) - ps accumulation *)
   s2 : float array; (* scratch: full residual accumulation *)
   bufs : Polynomial.t array; (* trimmed residual polynomials by length *)
   rbuf : float array; (* root-extraction scratch, length 3 *)
 }
 
-let replan_force p ~vds =
+let io p = p.io
+
+let retarget_force p =
   let t = p.owner in
+  let vds = p.io.vds in
   let sbs = t.sbs in
   let nb = Array.length sbs in
   let nb2 = 2 * nb in
@@ -416,12 +564,10 @@ let replan_force p ~vds =
     end
   done;
   p.primed <- true;
-  p.plan_vds <- vds;
+  p.target.at <- vds;
   p.n_bps <- !kept;
   p.e_filled <- 0;
-  for k = 0 to !kept do
-    p.ivs.(k).iv_set <- false
-  done
+  Array.fill p.iv_set 0 (!kept + 1) false
 
 (* Retargeting at the bias the plan already holds is a no-op: every
    derived part (breakpoints, memoised charge values, interval records)
@@ -429,14 +575,20 @@ let replan_force p ~vds =
    memos is bitwise-identical to rebuilding them — and it is what makes
    plan reuse pay on quasi-static waveforms, where most devices sit at
    an unchanged drain bias for many Newton iterations in a row.  The
-   bit comparison (rather than [=]) keeps -0.0 vs 0.0 and NaN on the
+   bit comparison (rather than [=]) keeps -0.0 vs 0.0 on the
    conservative rebuild path. *)
-let replan p ~vds =
+let retarget p =
   if
-    p.primed
-    && Int64.equal (Int64.bits_of_float p.plan_vds) (Int64.bits_of_float vds)
-  then ()
-  else replan_force p ~vds
+    not
+      (p.primed
+      && Int64.equal
+           (Int64.bits_of_float p.target.at)
+           (Int64.bits_of_float p.io.vds))
+  then retarget_force p
+
+let replan p ~vds =
+  p.io.vds <- vds;
+  retarget p
 
 let plan t ~vds =
   let nb2 = 2 * Array.length t.sbs in
@@ -444,69 +596,98 @@ let plan t ~vds =
   let p =
     {
       owner = t;
+      io = { vds; qt = 0.0; vsc = 0.0; dqs = 0.0; dqd = 0.0 };
+      target = { at = 0.0 };
       primed = false;
-      plan_vds = 0.0;
       bps = Array.make (Int.max 1 nb2) 0.0;
       bp_src = Array.make (Int.max 1 nb2) (-1);
       n_bps = 0;
       e1 = Array.make (Int.max 1 nb2) 0.0;
       e2 = Array.make (Int.max 1 nb2) 0.0;
       e_filled = 0;
-      ivs =
-        Array.init (nb2 + 1) (fun _ ->
-            {
-              iv_set = false;
-              iv_lo = 0.0;
-              iv_hi = 0.0;
-              iv_nps = Polynomial.zero;
-              iv_npd = Array.make cap 0.0;
-              iv_nd = 0;
-            });
+      iv_set = Array.make (nb2 + 1) false;
+      iv_lo = Array.make (nb2 + 1) 0.0;
+      iv_hi = Array.make (nb2 + 1) 0.0;
+      iv_nps = Array.make (nb2 + 1) Polynomial.zero;
+      iv_npd = Array.init (nb2 + 1) (fun _ -> Array.make cap 0.0);
+      iv_nd = Array.make (nb2 + 1) 0;
       s1 = Array.make cap 0.0;
       s2 = Array.make cap 0.0;
       bufs = Array.init (cap + 1) (fun l -> Array.make l 0.0);
       rbuf = Array.make 3 0.0;
     }
   in
-  replan p ~vds;
+  retarget p;
   p
 
-let plan_vds p = p.plan_vds
+let plan_vds p = p.target.at
 
-(* The interval record for slot [k], built on first use by the same
-   calls as the scalar path ([interval_bounds], [representative_of],
-   [piece_at], [shift]); pre-negating both pieces performs the [neg]
-   half of the scalar path's [sub] once per interval.  The negated
-   source piece comes straight from the owner's precomputed table, and
-   the shifted drain piece is built by {!Polynomial.shift_into} through
-   the plan's scratch (both bitwise-equal to the allocating calls they
-   replace), so the only allocations left per interval are the record
-   and the final exact-length coefficient copy. *)
-let interval_of p k =
-  let iv = p.ivs.(k) in
-  if not iv.iv_set then begin
+(* [Polynomial.shift_into] on the drain piece, with the shift read from
+   the plan's target rather than passed (and boxed) as an argument:
+   writes the coefficients of [shift piece vds] to [acc] through the
+   plan's [s2] scratch and returns how many. *)
+let shift_drain_into p piece acc =
+  let a = p.target.at and scr = p.s2 in
+  let np = Array.length piece in
+  let la = ref 0 in
+  for i = np - 1 downto 0 do
+    (* scr <- mul acc [| a; 1.0 |]; empty acc gives the zero poly *)
+    let lm = if !la = 0 then 0 else !la + 1 in
+    if lm > 0 then begin
+      Array.fill scr 0 lm 0.0;
+      for ii = 0 to !la - 1 do
+        let c = Array.unsafe_get acc ii in
+        Array.unsafe_set scr ii (Array.unsafe_get scr ii +. (c *. a));
+        Array.unsafe_set scr (ii + 1) (Array.unsafe_get scr (ii + 1) +. (c *. 1.0))
+      done
+    end;
+    (* acc <- normalise (add scr (constant piece.(i))) *)
+    let ci = piece.(i) in
+    let lc = if ci = 0.0 then 0 else 1 in
+    let n = if lm > lc then lm else lc in
+    for k = 0 to n - 1 do
+      let mv = if k < lm then Array.unsafe_get scr k else 0.0 in
+      let cv = if k < lc then ci else 0.0 in
+      Array.unsafe_set acc k (mv +. cv)
+    done;
+    let nn = ref n in
+    while !nn > 0 && acc.(!nn - 1) = 0.0 do
+      decr nn
+    done;
+    la := !nn
+  done;
+  !la
+
+(* Fill interval record [k] on first use, by the scalar path's program
+   ([interval_bounds], [representative_of], [piece_at], [shift]);
+   pre-negating both pieces performs the [neg] half of the scalar
+   path's [sub] once per interval.  The negated source piece comes
+   straight from the owner's precomputed table. *)
+let fill_interval p k =
+  if not p.iv_set.(k) then begin
     let t = p.owner in
-    let lo, hi = interval_bounds_n p.bps p.n_bps k in
+    let n = p.n_bps in
+    let lo = if n = 0 then 0.0 else if k = 0 then neg_infinity else p.bps.(k - 1) in
+    let hi = if n = 0 || k = n then infinity else p.bps.(k) in
     let x = representative_of ~lo ~hi in
+    let npd = p.iv_npd.(k) in
     let nd =
-      Polynomial.shift_into
-        t.qpieces.(qs_piece_index t (x +. p.plan_vds))
-        p.plan_vds iv.iv_npd p.s2
+      shift_drain_into p t.qpieces.(qs_piece_index t (x +. p.target.at)) npd
     in
-    let npd = iv.iv_npd in
     for i = 0 to nd - 1 do
       Array.unsafe_set npd i (-.Array.unsafe_get npd i)
     done;
-    iv.iv_lo <- lo;
-    iv.iv_hi <- hi;
-    iv.iv_nps <- t.neg_pieces.(qs_piece_index t x);
-    iv.iv_nd <- nd;
-    iv.iv_set <- true
-  end;
-  iv
+    p.iv_lo.(k) <- lo;
+    p.iv_hi.(k) <- hi;
+    p.iv_nps.(k) <- t.neg_pieces.(qs_piece_index t x);
+    p.iv_nd.(k) <- nd;
+    p.iv_set.(k) <- true
+  end
 
-let solve_plan p ~qt =
+(* Solve at [p.io.qt] for the plan's target bias; writes [p.io.vsc]. *)
+let solve_cells p =
   let t = p.owner in
+  let qt = p.io.qt and vds = p.target.at in
   let n = p.n_bps in
   let c = t.c_sigma in
   (* bracketing scan, memoising the breakpoint charge values on first
@@ -523,20 +704,21 @@ let solve_plan p ~qt =
       let s = p.bp_src.(i) in
       p.e1.(i) <-
         (if s >= 0 then Array.unsafe_get t.sbs_qs s else qs_eval t p.bps.(i));
-      p.e2.(i) <- qs_eval t (p.bps.(i) +. p.plan_vds);
+      p.e2.(i) <- qs_eval t (p.bps.(i) +. vds);
       p.e_filled <- i + 1
     end;
     if (c *. p.bps.(i)) +. qt -. p.e1.(i) -. p.e2.(i) >= 0.0 then stop := true
     else incr k
   done;
-  let iv = interval_of p !k in
+  let k = !k in
+  fill_interval p k;
   (* Residual polynomial [(qt + c V) - ps - pd] fused into the plan's
      scratch: each step adds coefficient-wise against a pre-negated
      piece over the max length and trims trailing [= 0.0]
      coefficients — the same floating-point sums and the same trim
      rule as [Polynomial.(sub (sub (of_coeffs [|qt; c|]) ps) pd)],
      without the intermediate allocations. *)
-  let nps = iv.iv_nps and npd = iv.iv_npd in
+  let nps = p.iv_nps.(k) and npd = p.iv_npd.(k) in
   let lnps = Array.length nps in
   let s1 = p.s1 in
   let l1 = if lnps > 2 then lnps else 2 in
@@ -550,7 +732,7 @@ let solve_plan p ~qt =
     decr n1
   done;
   let n1 = !n1 in
-  let lnpd = iv.iv_nd in
+  let lnpd = p.iv_nd.(k) in
   let s2 = p.s2 in
   let l2 = if n1 > lnpd then n1 else lnpd in
   for i = 0 to l2 - 1 do
@@ -565,5 +747,45 @@ let solve_plan p ~qt =
   let n2 = !n2 in
   let poly = p.bufs.(n2) in
   Array.blit s2 0 poly 0 n2;
-  solve_on_interval_vsc t ~qt ~vds:p.plan_vds ~lo:iv.iv_lo ~hi:iv.iv_hi
-    ~rbuf:p.rbuf poly
+  (* [solve_on_interval]'s program, keeping only the voltage *)
+  count_root (n2 - 1);
+  let lo = p.iv_lo.(k) and hi = p.iv_hi.(k) in
+  let eps = 1e-9 in
+  let rbuf = p.rbuf in
+  let nr = real_roots_into poly rbuf in
+  let nc = ref 0 in
+  for i = 0 to nr - 1 do
+    let r = Array.unsafe_get rbuf i in
+    if r >= lo -. eps && r <= hi +. eps then begin
+      Array.unsafe_set rbuf !nc r;
+      incr nc
+    end
+  done;
+  p.io.vsc <-
+    (match !nc with
+    | 1 -> Float.min (Float.max rbuf.(0) lo) hi
+    | 0 -> bisect_fallback t ~qt ~vds ~lo ~hi
+    | nc ->
+        let best = ref rbuf.(0) in
+        for i = 0 to nc - 1 do
+          let r = rbuf.(i) in
+          if
+            Float.abs (residual_at t ~qt ~vds r)
+            < Float.abs (residual_at t ~qt ~vds !best)
+          then best := r
+        done;
+        Float.min (Float.max !best lo) hi)
+
+let solve_plan p ~qt =
+  p.io.qt <- qt;
+  solve_cells p;
+  p.io.vsc
+
+let solve_io p =
+  retarget p;
+  solve_cells p
+
+let slopes_io p =
+  let t = p.owner and io = p.io in
+  io.dqs <- qs_slope t io.vsc;
+  io.dqd <- qs_slope t (io.vsc +. io.vds)

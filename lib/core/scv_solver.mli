@@ -52,27 +52,55 @@ val qs_slope : t -> float -> float
     A plan hoists everything in the closed-form solve that depends only
     on [(solver, vds)] — the merged breakpoints, the charge-curve
     values at them and every interval's piece polynomials — so a whole
-    bias grid at one drain voltage pays for that work once.
-    [solve_plan] replays the scalar solve's floating-point program on
-    the precomputed parts and is therefore {e bitwise-equal} to
-    {!solve} at every [(qt, vds)] (pinned by [test/test_property.ml]).
-    It ticks the same telemetry counters as the scalar path, so
-    profiles keep their shape whichever entry point a workload uses. *)
+    bias grid at one drain voltage pays for that work once.  A plan
+    solve replays the scalar solve's floating-point program on the
+    precomputed parts and is therefore {e bitwise-equal} to {!solve} at
+    every [(qt, vds)] (pinned by [test/test_property.ml]).  It ticks the
+    same telemetry counters as the scalar path, so profiles keep their
+    shape whichever entry point a workload uses.
+
+    Once a plan exists, retargeting and solving allocate nothing when
+    driven through its {!io} cells: floats reach the plan and leave it
+    only through those unboxed fields, never as boxed call arguments or
+    results. *)
 
 type plan
 
+type io = {
+  mutable vds : float;  (** drain bias {!solve_io} retargets the plan at *)
+  mutable qt : float;  (** terminal charge {!solve_io} solves for, C/m *)
+  mutable vsc : float;  (** the solved self-consistent voltage, V *)
+  mutable dqs : float;  (** [Q_S'(vsc)], F/m, written by {!slopes_io} *)
+  mutable dqd : float;  (** [Q_S'(vsc + vds)], F/m, written by {!slopes_io} *)
+}
+(** A plan's own float cells: a flat float record, so reading and
+    writing its fields from another module neither boxes nor calls. *)
+
 val plan : t -> vds:float -> plan
 val plan_vds : plan -> float
+
+val io : plan -> io
+(** The plan's cells (the same record for the plan's lifetime). *)
 
 val replan : plan -> vds:float -> unit
 (** Retarget a plan at a new drain bias, reusing its storage: after
     [replan p ~vds], [p] is indistinguishable from [plan t ~vds] (the
     worst-case merged-breakpoint capacity is allocated up front).
-    Assembly loops keep one plan per device and replan it each
-    iteration, keeping plan construction off the allocator. *)
+    Retargeting at the bias the plan already holds keeps its warm
+    memos, which is bitwise-identical to rebuilding them.  Sets
+    [(io p).vds]. *)
 
 val solve_plan : plan -> qt:float -> float
 (** [solve_plan (plan t ~vds) ~qt] = [solve t ~qt ~vds], bitwise. *)
+
+val solve_io : plan -> unit
+(** [replan] at [(io p).vds], then solve at [(io p).qt] into
+    [(io p).vsc]: [solve_plan] with every float passed through the
+    cells. *)
+
+val slopes_io : plan -> unit
+(** {!qs_slope} at [(io p).vsc] into [dqs] and at
+    [(io p).vsc +. (io p).vds] into [dqd]. *)
 
 val fallback_events : unit -> int
 (** Process-wide count of bisection rescues since program start,

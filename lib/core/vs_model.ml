@@ -76,7 +76,19 @@ let identity t = t.identity
 
 (* Numerically safe ln(1 + exp x): for large x the exp overflows but
    the limit is x itself. *)
-let softplus x = if x > 40.0 then x else Float.log1p (Float.exp x)
+let[@inline] softplus x = if x > 40.0 then x else Float.log1p (Float.exp x)
+
+(* [Fermi.integral_order0'] ([Special.logistic (-. u)]) written out so
+   the range kernel's floats stay unboxed: a call into another module
+   is never inlined under the default (dev) build's [-opaque], and each
+   float argument or result of such a call is boxed. *)
+let[@inline] f0' u =
+  let x = -.u in
+  if x >= 0.0 then begin
+    let e = exp (-.x) in
+    e /. (1.0 +. e)
+  end
+  else 1.0 /. (1.0 +. exp x)
 
 (* Forward current for oriented, non-negative V_DS, together with the
    virtual-source charge (C/m). *)
@@ -116,8 +128,9 @@ let charges t ~vgs ~vds =
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* [ids] and its closed-form [gm]/[gds] at one bias point, written into
-   slot [k] of three output columns.  The forward quantities are the
+(* The MNA range kernel: for each row [first + j], [ids] and its
+   closed-form [gm]/[gds] at the row's bias point, read from and
+   written to the table's columns.  The forward quantities are the
    expressions of [forward]; the partial derivatives of the forward
    current I_f = Q_ix0 v_x0 F_sat go through the softplus (whose clamp
    makes its slope exactly 1 above 40), through DIBL
@@ -127,43 +140,51 @@ type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
    gm = -dI_f/dV_GS and gds = dI_f/dV_GS + dI_f/dV_DS at the swapped
    point.  Derivatives are taken on oriented voltages — the mirror's
    derivatives at the oriented bias are the n-type ones — so p-type
-   needs no sign flip.  [fault_i0] makes only the current written to
-   [i0] NaN. *)
-let eval_stencil t ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
-  Obs.incr c_ids_evals;
-  let flip = match t.polarity with N_type -> false | P_type -> true in
-  let ovgs = if flip then -.vgs else vgs in
-  let ovds = if flip then -.vds else vds in
-  let rev = ovds < 0.0 in
-  let fvgs = if rev then ovgs -. ovds else ovgs in
-  let fvds = if rev then -.ovds else ovds in
-  let p = t.p in
-  let vt = p.vt0 -. (p.dibl *. fvds) in
-  let nphi = p.n_ss *. t.phi_t in
-  let u = (fvgs -. vt) /. nphi in
-  let qix0 = p.cinv *. nphi *. softplus u in
-  let x = fvds /. p.vdsat in
-  let s = 1.0 +. (x ** p.beta) in
-  let fsat = x /. (s ** (1.0 /. p.beta)) in
-  let i_f = qix0 *. p.vxo *. fsat in
-  let i = if rev then -.i_f else i_f in
-  let dq = p.cinv *. (if u > 40.0 then 1.0 else Fermi.integral_order0' u) in
-  let g_f = p.vxo *. fsat *. dq in
-  let d_f =
-    (g_f *. p.dibl)
-    +. (p.vxo *. qix0 *. (s ** ((-1.0 /. p.beta) -. 1.0)) /. p.vdsat)
-  in
-  Bigarray.Array1.unsafe_set i0 k
-    (if fault_i0 then Float.nan else if flip then -.i else i);
-  Bigarray.Array1.unsafe_set gm k (if rev then -.g_f else g_f);
-  Bigarray.Array1.unsafe_set gds k (if rev then g_f +. d_f else d_f)
+   needs no sign flip.  There is no per-bias plan to hoist, so the
+   range is just its models.  A row allocates nothing.  [fault_i0]
+   makes only the currents written to [i0] NaN. *)
+let eval_range models ~first ~fault_i0 ~(vgs : vec) ~(vds : vec) ~(i0 : vec)
+    ~(gm : vec) ~(gds : vec) =
+  let n = Array.length models in
+  for j = 0 to n - 1 do
+    let t = models.(j) and k = first + j in
+    let flip = match t.polarity with N_type -> false | P_type -> true in
+    let vg = Bigarray.Array1.get vgs k and vd = Bigarray.Array1.get vds k in
+    let ovgs = if flip then -.vg else vg in
+    let ovds = if flip then -.vd else vd in
+    let rev = ovds < 0.0 in
+    let fvgs = if rev then ovgs -. ovds else ovgs in
+    let fvds = if rev then -.ovds else ovds in
+    let p = t.p in
+    let vt = p.vt0 -. (p.dibl *. fvds) in
+    let nphi = p.n_ss *. t.phi_t in
+    let u = (fvgs -. vt) /. nphi in
+    let qix0 = p.cinv *. nphi *. softplus u in
+    let x = fvds /. p.vdsat in
+    let s = 1.0 +. (x ** p.beta) in
+    let fsat = x /. (s ** (1.0 /. p.beta)) in
+    let i_f = qix0 *. p.vxo *. fsat in
+    let i = if rev then -.i_f else i_f in
+    let dq = p.cinv *. (if u > 40.0 then 1.0 else f0' u) in
+    let g_f = p.vxo *. fsat *. dq in
+    let d_f =
+      (g_f *. p.dibl)
+      +. (p.vxo *. qix0 *. (s ** ((-1.0 /. p.beta) -. 1.0)) /. p.vdsat)
+    in
+    Bigarray.Array1.set i0 k
+      (if fault_i0 then Float.nan else if flip then -.i else i);
+    Bigarray.Array1.set gm k (if rev then -.g_f else g_f);
+    Bigarray.Array1.set gds k (if rev then g_f +. d_f else d_f)
+  done;
+  Obs.incr ~by:n c_ids_evals
 
-(* The scalar entry point: the stencil itself on one-slot columns, so
+(* The scalar entry point: the range kernel on a one-row range, so
    scalar and batched evaluation agree bitwise by construction. *)
 let small_signal t ~vgs ~vds =
-  let col () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1 in
-  let i0 = col () and gm = col () and gds = col () in
-  eval_stencil t ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds ~k:0;
+  let col v = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout 1 (fun _ -> v) in
+  let i0 = col 0.0 and gm = col 0.0 and gds = col 0.0 in
+  eval_range [| t |] ~first:0 ~fault_i0:false ~vgs:(col vgs) ~vds:(col vds) ~i0
+    ~gm ~gds;
   Bigarray.Array1.(get i0 0, get gm 0, get gds 0)
 
 let gm t ~vgs ~vds =

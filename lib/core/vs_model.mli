@@ -64,7 +64,7 @@ val small_signal : t -> vgs:float -> vds:float -> float * float * float
 (** [(I_DS, gm, gds)] at a bias point, all closed-form: the current of
     {!ids} and its softplus/DIBL/saturation-function derivatives,
     carried through the source/drain swap for [V_DS < 0].  This is
-    {!eval_stencil} on one-slot columns. *)
+    {!eval_range} on a one-row range. *)
 
 val gm : t -> vgs:float -> vds:float -> float
 (** Transconductance [dI/dV_GS] (A/V), from {!small_signal}. *)
@@ -74,19 +74,21 @@ val gds : t -> vgs:float -> vds:float -> float
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-val eval_stencil :
-  t ->
+val eval_range :
+  t array ->
+  first:int ->
   fault_i0:bool ->
-  vgs:float ->
-  vds:float ->
+  vgs:vec ->
+  vds:vec ->
   i0:vec ->
   gm:vec ->
   gds:vec ->
-  k:int ->
   unit
-(** The MNA assembly stencil: writes slot [k] of the three columns
-    with the {!small_signal} triple.  There is no per-bias plan to
-    hoist, so it needs no workspace.  [i0] is bitwise-equal to {!ids};
+(** The MNA range kernel: for every row [j], reads the bias point from
+    slot [first + j] of [vgs]/[vds] and writes the {!small_signal}
+    triple of model [j] to the same slot of [i0]/[gm]/[gds].  There is
+    no per-bias plan to hoist, so a range is just its models.
+    Allocates nothing per row.  [i0] is bitwise-equal to {!ids};
     [fault_i0] makes only [i0] NaN. *)
 
 val pp : Format.formatter -> t -> unit

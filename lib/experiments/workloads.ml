@@ -88,8 +88,7 @@ let reference_curve m ~vgs =
   Array.map (fun vds -> Fettoy.ids m.reference ~vgs ~vds) vds_points
 
 let model_curve model ~vgs =
-  let g = Cnt_model.eval_batch model ~vgs:[| vgs |] ~vds:vds_points in
-  Array.init (Array.length vds_points) (fun j -> Bigarray.Array2.get g 0 j)
+  (Cnt_model.eval_batch model ~vgs:[| vgs |] ~vds:vds_points).(0)
 
 (* The paper's table-I workload: one full family of output
    characteristics (7 gate curves x 61 drain points = 427 bias

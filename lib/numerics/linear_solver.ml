@@ -53,6 +53,7 @@ let fill t = t.fill
 let slot t i j = Sparse.slot t.m t.pinv.(i) t.pinv.(j)
 let clear t = Sparse.clear t.m
 let add_slot t s v = Sparse.add_slot t.m s v
+let values t = Sparse.values t.m
 
 let gather t x b =
   for k = 0 to Array.length t.perm - 1 do

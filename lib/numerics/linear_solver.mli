@@ -44,6 +44,11 @@ val clear : t -> unit
 val add_slot : t -> int -> float -> unit
 (** Accumulate into a slot obtained from {!slot}. *)
 
+val values : t -> float array
+(** The CSR value array the slots index ({!Sparse.values}): a refill
+    loop adds into it directly, so no stamp value crosses a call
+    boxed. *)
+
 val residual : t -> float array -> float array -> float
 (** [residual m x b] is [||m x - b||_inf] at the current values. *)
 

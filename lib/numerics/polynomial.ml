@@ -247,143 +247,6 @@ let polish p x =
     if Float.abs v' <= Float.abs v then x' else x
   end
 
-(* Allocation-free mirror of the closed-form pipeline below: the same
-   per-degree root formulas, the same [sort_uniq]/ordering rules
-   expressed over a caller buffer of length >= 3 instead of lists, the
-   same Newton polish, the same final ascending sort — so the values
-   written are bitwise those of {!real_roots_trimmed}, element for
-   element.  Hot solver loops use this to keep root extraction off the
-   allocator. *)
-
-let roots_linear_into a b buf =
-  if a = 0.0 then 0
-  else begin
-    buf.(0) <- -.b /. a;
-    1
-  end
-
-let roots_quadratic_into a b c buf =
-  if a = 0.0 then roots_linear_into b c buf
-  else begin
-    let disc = (b *. b) -. (4.0 *. a *. c) in
-    if disc < 0.0 then 0
-    else if disc = 0.0 then begin
-      buf.(0) <- -.b /. (2.0 *. a);
-      1
-    end
-    else begin
-      let sq = sqrt disc in
-      let q = -0.5 *. (b +. (Special.signum b *. sq)) in
-      let q = if b = 0.0 then -0.5 *. sq else q in
-      let r1 = q /. a and r2 = c /. q in
-      if r1 <= r2 then begin
-        buf.(0) <- r1;
-        buf.(1) <- r2
-      end
-      else begin
-        buf.(0) <- r2;
-        buf.(1) <- r1
-      end;
-      2
-    end
-  end
-
-(* Ascending compare-sort of buf.(0 .. n-1) (n <= 3) followed by
-   adjacent dedup — the fixed-size equivalent of
-   [List.sort_uniq compare] (and of a plain [List.sort compare] when
-   the inputs are distinct). *)
-let sort3_into buf n =
-  if n >= 2 then begin
-    if compare buf.(0) buf.(1) > 0 then begin
-      let t = buf.(0) in
-      buf.(0) <- buf.(1);
-      buf.(1) <- t
-    end;
-    if n = 3 then begin
-      if compare buf.(1) buf.(2) > 0 then begin
-        let t = buf.(1) in
-        buf.(1) <- buf.(2);
-        buf.(2) <- t
-      end;
-      if compare buf.(0) buf.(1) > 0 then begin
-        let t = buf.(0) in
-        buf.(0) <- buf.(1);
-        buf.(1) <- t
-      end
-    end
-  end;
-  n
-
-let dedup3_into buf n =
-  let kept = ref (if n > 0 then 1 else 0) in
-  for i = 1 to n - 1 do
-    if compare buf.(i) buf.(!kept - 1) <> 0 then begin
-      buf.(!kept) <- buf.(i);
-      incr kept
-    end
-  done;
-  !kept
-
-let roots_cubic_into a b c d buf =
-  if a = 0.0 then roots_quadratic_into b c d buf
-  else begin
-    let b = b /. a and c = c /. a and d = d /. a in
-    let shift = b /. 3.0 in
-    let p = c -. (b *. b /. 3.0) in
-    let q = ((2.0 *. b *. b *. b) -. (9.0 *. b *. c)) /. 27.0 +. d in
-    let disc = ((q *. q) /. 4.0) +. ((p *. p *. p) /. 27.0) in
-    let n =
-      if Float.abs p < 1e-300 && Float.abs q < 1e-300 then begin
-        buf.(0) <- 0.0;
-        1
-      end
-      else if disc > 0.0 then begin
-        let sq = sqrt disc in
-        let u = Special.cbrt ((-.q /. 2.0) +. sq) in
-        let v = Special.cbrt ((-.q /. 2.0) -. sq) in
-        buf.(0) <- u +. v;
-        1
-      end
-      else if disc = 0.0 then begin
-        let u = Special.cbrt (-.q /. 2.0) in
-        buf.(0) <- 2.0 *. u;
-        buf.(1) <- -.u;
-        2
-      end
-      else begin
-        let r = sqrt (-.p *. p *. p /. 27.0) in
-        let phi = acos (Float.max (-1.0) (Float.min 1.0 (-.q /. (2.0 *. r)))) in
-        let m = 2.0 *. sqrt (-.p /. 3.0) in
-        buf.(0) <- m *. cos (phi /. 3.0);
-        buf.(1) <- m *. cos ((phi +. (2.0 *. Float.pi)) /. 3.0);
-        buf.(2) <- m *. cos ((phi +. (4.0 *. Float.pi)) /. 3.0);
-        3
-      end
-    in
-    for i = 0 to n - 1 do
-      buf.(i) <- buf.(i) -. shift
-    done;
-    dedup3_into buf (sort3_into buf n)
-  end
-
-let real_roots_trimmed_into p buf =
-  let nraw =
-    match Array.length p with
-    | 0 | 1 -> 0
-    | 2 -> roots_linear_into p.(1) p.(0) buf
-    | 3 -> roots_quadratic_into p.(2) p.(1) p.(0) buf
-    | 4 -> roots_cubic_into p.(3) p.(2) p.(1) p.(0) buf
-    | _ ->
-        invalid_arg
-          "Polynomial.real_roots_closed_form: degree exceeds 3 (use durand_kerner)"
-  in
-  for i = 0 to nraw - 1 do
-    buf.(i) <- polish p buf.(i)
-  done;
-  (* the per-degree producers emit <= 3 ascending values; polishing can
-     reorder them, so re-sort (duplicates kept, as [List.sort]) *)
-  sort3_into buf nraw
-
 (* Real roots for degree <= 3 of an already-normalised polynomial (no
    trailing zero coefficient).  Skips the defensive re-normalise copy
    of {!real_roots_closed_form} but is otherwise the same

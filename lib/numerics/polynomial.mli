@@ -87,14 +87,6 @@ val real_roots_trimmed : t -> float list
     so on trimmed input the two agree bitwise.  Hot paths that build
     their coefficient arrays trimmed call this directly. *)
 
-val real_roots_trimmed_into : t -> float array -> int
-(** [real_roots_trimmed] without the list: writes the polished,
-    ascending roots into the first cells of [buf] (length at least 3)
-    and returns how many.  Same formulas, same ordering and
-    deduplication rules, so the values written are bitwise the
-    elements {!real_roots_trimmed} would return — this is the
-    allocation-free form solver inner loops use. *)
-
 val durand_kerner : ?tol:float -> ?max_iter:int -> t -> Complex.t array
 (** All complex roots by Durand-Kerner simultaneous iteration. *)
 

@@ -209,6 +209,7 @@ let slot m i j =
 
 let clear m = Array.fill m.values 0 (Array.length m.values) 0.0
 let add_slot m s v = m.values.(s) <- m.values.(s) +. v
+let values m = m.values
 let add_to m i j v = add_slot m (slot m i j) v
 
 let get m i j =
@@ -431,10 +432,19 @@ let lu_solve ?pinv lu b =
     y.(k) <- !acc
   done;
   (* undo the pivoting renumber, x_i = z_(pinv i), composed with the
-     caller's own renumber when given *)
-  match pinv with
-  | None -> Array.init n (fun i -> y.(lu.pinv.(i)))
-  | Some q -> Array.init n (fun i -> y.(lu.pinv.(q.(i))))
+     caller's own renumber when given; filled in a loop, since
+     [Array.init] over a float closure boxes every element *)
+  let x = Array.create_float n in
+  (match pinv with
+  | None ->
+      for i = 0 to n - 1 do
+        x.(i) <- y.(lu.pinv.(i))
+      done
+  | Some q ->
+      for i = 0 to n - 1 do
+        x.(i) <- y.(lu.pinv.(q.(i)))
+      done);
+  x
 
 let solve m b =
   let lu = lu_create m in

@@ -65,6 +65,11 @@ val clear : t -> unit
 val add_slot : t -> int -> float -> unit
 (** [add_slot m s v] accumulates [v] into the entry with handle [s]. *)
 
+val values : t -> float array
+(** The value array itself, indexed by slot: adding into cell [s] is
+    {!add_slot} [s] without the call, for refill loops that keep their
+    floats unboxed. *)
+
 val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j v] accumulates into location [(i, j)]; convenience
     wrapper over {!slot} and {!add_slot}. *)

@@ -159,7 +159,7 @@ let characterize_corners ?jobs ?t_edge ?width ?tstep ?policy ~vdd_name ~build
      depend on the corner (only the stimulus and supply do), so the
      potentially expensive model fits inside [build] happen once here
      instead of once per corner.  Model evaluation is read-only (each
-     compile owns its stencil workspaces), so sharing the elements
+     compile owns its device-kernel scratch), so sharing the elements
      across pool workers is safe. *)
   let elements = build ~input:input_node ~output:output_node in
   let build ~input:_ ~output:_ = elements in

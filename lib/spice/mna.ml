@@ -8,12 +8,20 @@
    The backing matrix lives in a {!Linear_solver.t} (sparse CSR under
    a minimum-degree ordering), allocated once.
 
-   Each Newton iteration then performs a numeric refill: clear the
-   matrix values, replay the stamp sequence through the recorded slot
-   program (a cursor walk over an [int array] — no hashing, no index
-   arithmetic beyond the replay), overwrite the right-hand side, and
-   solve in the solver's preallocated workspace.  The inner loop
-   allocates no matrices.
+   Each Newton iteration then performs a numeric refill: gather every
+   CNFET's bias point into the device table, evaluate the table through
+   one range-kernel call per run of same-backend rows, then scatter:
+   clear the matrix values, walk the devices once more adding each
+   stamp value straight into the solver's CSR value array at the
+   program's next slot (a cursor walk over an [int array]: no hashing,
+   no closure, no index arithmetic), and overwrite the right-hand side.
+
+   A refill allocates nothing per device.  Floats stay unboxed because
+   the hot helpers are top-level [@inline] functions of this module and
+   the device kernels exchange values only through the table's Bigarray
+   columns: the default (dev) build compiles every module with
+   [-opaque], so a call into another module is never inlined and each
+   float argument or result of one would be a heap block.
 
    Unknown vector layout: node voltages first (one per non-ground
    node), then one branch current per voltage source or inductor.
@@ -167,9 +175,9 @@ type cnfet_table = {
   ct_i0 : Cnt_core.Device_model.vec; (* batched kernel outputs *)
   ct_gm : Cnt_core.Device_model.vec;
   ct_gds : Cnt_core.Device_model.vec;
-  (* per-device workspace-backed stencil closures; mutable scratch,
-     never shared between clones (clones may evaluate concurrently) *)
-  ct_ws : Cnt_core.Device_model.stencil array;
+  (* the rows' range kernels and their scratch (solver plans); never
+     shared between clones (clones may evaluate concurrently) *)
+  ct_kernel : Cnt_core.Device_model.kernel;
 }
 
 let fvec n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
@@ -270,94 +278,52 @@ let capacitors c =
 (* Stamping                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Emit every Jacobian and right-hand-side contribution at candidate
-   solution [x].  The [add_j] call sequence is value-independent:
-   capacitors and inductors are always stamped (with zero companions at
-   DC), so the symbolic pass records a slot program that the numeric
-   pass replays one-for-one.  Any structural change must keep the two
-   passes emitting identical sequences.
-
-   [cnfets] is where the Dcnfet branch gets (I_0, g_m, g_ds): row [ti]
-   of this refill's batched-kernel output columns, or [None] in the
-   compile-time pattern recording, which stamps zeros and evaluates no
-   device (the stamp sequence does not depend on the values).  The bias
-   voltages are recomputed here with the same expressions the gather
-   pass used. *)
-let stamp_system ~cnfets ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave
-    ~caps ~inds ~gmin x =
-  let v_of i = if i < 0 then 0.0 else x.(i) in
-  let stamp_conductance a b g =
-    add_j a a g;
-    add_j b b g;
-    add_j a b (-.g);
-    add_j b a (-.g)
-  in
-  (* current [i0] flowing a -> b inside a device *)
-  let stamp_current a b i0 =
-    add_b a (-.i0);
-    add_b b i0
-  in
-  let stamp_cap_companion a b ci =
-    let { geq; ieq } = caps.(ci) in
-    stamp_conductance a b geq;
-    stamp_current a b ieq
+(* The symbolic stamping pass: every (row, col) location a refill adds
+   into, in emission order, with ground rows and columns skipped.  The
+   sequence is value-independent: capacitors and inductors are always
+   stamped (with zero companions at DC).  [scatter] below emits its
+   values in exactly this sequence, one per recorded location, so any
+   structural change must keep the two in step; a refill whose cursor
+   does not end on the program's last slot is rejected. *)
+let stamp_pattern ~devices ~n_nodes =
+  let recorded = ref [] in
+  let add_j i j = if i >= 0 && j >= 0 then recorded := (i, j) :: !recorded in
+  let conductance a b =
+    add_j a a;
+    add_j b b;
+    add_j a b;
+    add_j b a
   in
   for i = 0 to n_nodes - 1 do
-    add_j i i gmin
+    add_j i i
   done;
   Array.iter
-    (fun dev ->
-      match dev with
-      | Dresistor { a; b; g } -> stamp_conductance a b g
-      | Dcapacitor { a; b; ci } -> stamp_cap_companion a b ci
-      | Dinductor { a; b; row; li } ->
-          let { zeq; veq } = inds.(li) in
-          (* branch current leaves n1 into the inductor *)
-          add_j a row 1.0;
-          add_j b row (-1.0);
-          (* branch equation: v1 - v2 - zeq*i = veq *)
-          add_j row a 1.0;
-          add_j row b (-1.0);
-          add_j row row (-.zeq);
-          add_b row veq
-      | Dvsource { p; m; row; name; wave } ->
-          (* branch current leaves the + node into the source *)
-          add_j p row 1.0;
-          add_j m row (-1.0);
-          (* branch equation: v+ - v- = E *)
-          add_j row p 1.0;
-          add_j row m (-1.0);
-          add_b row (eval_wave name wave)
-      | Disource { p; m; name; wave } ->
-          (* SPICE convention: positive current flows p -> m through
-             the source, i.e. it is extracted from p and injected at m *)
-          stamp_current p m (eval_wave name wave)
-      | Dcnfet { d; g; s; cgs_i; cgd_i; ti; _ } ->
-          let vgs = v_of g -. v_of s and vds = v_of d -. v_of s in
-          let i0, gm, gds =
-            match cnfets with
-            | None -> (0.0, 0.0, 0.0)
-            | Some tb ->
-                stats.device_evals <- stats.device_evals + 1;
-                Obs.incr c_device_evals;
-                ( Bigarray.Array1.unsafe_get tb.ct_i0 ti,
-                  Bigarray.Array1.unsafe_get tb.ct_gm ti,
-                  Bigarray.Array1.unsafe_get tb.ct_gds ti )
-          in
-          (* linearised drain current i = ieq + gm*vgs + gds*vds *)
-          let ieq = i0 -. (gm *. vgs) -. (gds *. vds) in
-          add_j d g gm;
-          add_j d s (-.gm);
-          add_j s g (-.gm);
-          add_j s s gm;
-          stamp_conductance d s gds;
-          stamp_current d s ieq;
-          (* intrinsic capacitances participate like explicit ones *)
+    (function
+      | Dresistor { a; b; _ } | Dcapacitor { a; b; _ } -> conductance a b
+      | Dinductor { a; b; row; _ } ->
+          add_j a row;
+          add_j b row;
+          add_j row a;
+          add_j row b;
+          add_j row row
+      | Dvsource { p; m; row; _ } ->
+          add_j p row;
+          add_j m row;
+          add_j row p;
+          add_j row m
+      | Disource _ -> ()
+      | Dcnfet { d; g; s; cgs_i; _ } ->
+          add_j d g;
+          add_j d s;
+          add_j s g;
+          add_j s s;
+          conductance d s;
           if cgs_i >= 0 then begin
-            stamp_cap_companion g s cgs_i;
-            stamp_cap_companion g d cgd_i
+            conductance g s;
+            conductance g d
           end)
-    devices
+    devices;
+  Array.of_list (List.rev !recorded)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation: symbolic pass                                          *)
@@ -437,24 +403,7 @@ let compile_uncached circuit =
   let n = n_nodes + !n_branches in
   let zero_caps = Array.make !n_caps { geq = 0.0; ieq = 0.0 } in
   let zero_inds = Array.make !n_inds { zeq = 0.0; veq = 0.0 } in
-  (* symbolic pass: record the (row, col) sequence the stamps emit *)
-  let recorded = ref [] and n_recorded = ref 0 in
-  let record i j _v =
-    if i >= 0 && j >= 0 then begin
-      recorded := (i, j) :: !recorded;
-      incr n_recorded
-    end
-  in
-  let scratch_stats = fresh_stats ~backend:"" ~unknowns:n ~nonzeros:0 in
-  stamp_system ~cnfets:None ~stats:scratch_stats ~devices ~n_nodes
-    ~add_j:record
-    ~add_b:(fun _ _ -> ())
-    ~eval_wave:(fun _ _ -> 0.0)
-    ~caps:zero_caps ~inds:zero_inds ~gmin:0.0 (Array.make n 0.0);
-  let pattern = Array.make !n_recorded (0, 0) in
-  List.iteri
-    (fun k ij -> pattern.(!n_recorded - 1 - k) <- ij)
-    !recorded;
+  let pattern = stamp_pattern ~devices ~n_nodes in
   let solver = Linear_solver.create n pattern in
   Obs.incr ~by:(Linear_solver.fill solver) c_fill_applied;
   let program =
@@ -494,7 +443,7 @@ let compile_uncached circuit =
           ct_i0 = fvec nt;
           ct_gm = fvec nt;
           ct_gds = fvec nt;
-          ct_ws = Array.map Cnt_core.Device_model.stencil ct_models;
+          ct_kernel = Cnt_core.Device_model.kernel ct_models;
         }
     end
   in
@@ -545,7 +494,7 @@ let clone c =
             ct_i0 = fvec tb.ct_n;
             ct_gm = fvec tb.ct_n;
             ct_gds = fvec tb.ct_n;
-            ct_ws = Array.map Cnt_core.Device_model.stencil tb.ct_models;
+            ct_kernel = Cnt_core.Device_model.kernel tb.ct_models;
           })
         c.table;
   }
@@ -632,61 +581,136 @@ let compile circuit =
 (* Numeric refill and the Newton loop                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Overwrite matrix values and rhs in place by replaying the recorded
-   slot program.
+(* The scatter's stamp helpers.  Each Jacobian stamp adds [v] at the
+   program's next slot unless its row or column is ground (the symbolic
+   pass recorded no slot there) and returns the advanced cursor.  They
+   are top-level and inlined, so no stamp value is ever boxed. *)
+let[@inline] stamp vals program cur i j v =
+  if i >= 0 && j >= 0 then begin
+    let s = program.(cur) in
+    vals.(s) <- vals.(s) +. v;
+    cur + 1
+  end
+  else cur
 
-   The CNFET work runs first as two table passes — gather every
-   device's (vgs, vds) from the solution vector into the contiguous
-   bias columns, then evaluate all stencils through the plan-sharing
-   batched kernel — and the stamp replay (the scatter pass) reads the
-   output columns.  The [Fault.Nan_eval] decision is made once per
+let[@inline] stamp_conductance vals program cur a b g =
+  let cur = stamp vals program cur a a g in
+  let cur = stamp vals program cur b b g in
+  let cur = stamp vals program cur a b (-.g) in
+  stamp vals program cur b a (-.g)
+
+let[@inline] add_rhs rhs i v = if i >= 0 then rhs.(i) <- rhs.(i) +. v
+
+(* current [i0] flowing a -> b inside a device *)
+let[@inline] stamp_current rhs a b i0 =
+  add_rhs rhs a (-.i0);
+  add_rhs rhs b i0
+
+let[@inline] stamp_cap_companion vals program rhs cur a b (cc : cap_companion) =
+  let cur = stamp_conductance vals program cur a b cc.geq in
+  stamp_current rhs a b cc.ieq;
+  cur
+
+let[@inline] volt x i = if i < 0 then 0.0 else x.(i)
+
+(* Overwrite the matrix values and rhs at candidate solution [x]: every
+   device's stamps in the symbolic pass's order, each added straight
+   into the solver's CSR value array at the next program slot.  A
+   CNFET's (I_0, g_m, g_ds) come from row [ti] of the table's output
+   columns; its bias voltages are recomputed with the gather pass's
+   expressions. *)
+let scatter c ~eval_wave ~caps ~inds ~gmin x =
+  let vals = Linear_solver.values c.solver
+  and program = c.program
+  and rhs = c.rhs in
+  Linear_solver.clear c.solver;
+  Array.fill rhs 0 (Array.length rhs) 0.0;
+  let cur = ref 0 in
+  for i = 0 to c.n_nodes - 1 do
+    cur := stamp vals program !cur i i gmin
+  done;
+  for k = 0 to Array.length c.devices - 1 do
+    match c.devices.(k) with
+    | Dresistor { a; b; g } -> cur := stamp_conductance vals program !cur a b g
+    | Dcapacitor { a; b; ci } ->
+        cur := stamp_cap_companion vals program rhs !cur a b caps.(ci)
+    | Dinductor { a; b; row; li } ->
+        let ic = inds.(li) in
+        (* branch current leaves n1 into the inductor *)
+        let k = stamp vals program !cur a row 1.0 in
+        let k = stamp vals program k b row (-1.0) in
+        (* branch equation: v1 - v2 - zeq*i = veq *)
+        let k = stamp vals program k row a 1.0 in
+        let k = stamp vals program k row b (-1.0) in
+        cur := stamp vals program k row row (-.ic.zeq);
+        add_rhs rhs row ic.veq
+    | Dvsource { p; m; row; name; wave } ->
+        (* branch current leaves the + node into the source *)
+        let k = stamp vals program !cur p row 1.0 in
+        let k = stamp vals program k m row (-1.0) in
+        (* branch equation: v+ - v- = E *)
+        let k = stamp vals program k row p 1.0 in
+        cur := stamp vals program k row m (-1.0);
+        add_rhs rhs row (eval_wave name wave)
+    | Disource { p; m; name; wave } ->
+        (* SPICE convention: positive current flows p -> m through the
+           source, i.e. it is extracted from p and injected at m *)
+        stamp_current rhs p m (eval_wave name wave)
+    | Dcnfet { d; g; s; cgs_i; cgd_i; ti; _ } ->
+        let tb = Option.get c.table in
+        let vgs = volt x g -. volt x s and vds = volt x d -. volt x s in
+        let i0 = Bigarray.Array1.get tb.ct_i0 ti
+        and gm = Bigarray.Array1.get tb.ct_gm ti
+        and gds = Bigarray.Array1.get tb.ct_gds ti in
+        (* linearised drain current i = ieq + gm*vgs + gds*vds *)
+        let ieq = i0 -. (gm *. vgs) -. (gds *. vds) in
+        let k = stamp vals program !cur d g gm in
+        let k = stamp vals program k d s (-.gm) in
+        let k = stamp vals program k s g (-.gm) in
+        let k = stamp vals program k s s gm in
+        let k = stamp_conductance vals program k d s gds in
+        stamp_current rhs d s ieq;
+        (* intrinsic capacitances participate like explicit ones *)
+        cur :=
+          if cgs_i >= 0 then
+            stamp_cap_companion vals program rhs
+              (stamp_cap_companion vals program rhs k g s caps.(cgs_i))
+              g d caps.(cgd_i)
+          else k
+  done;
+  if !cur <> Array.length program then
+    invalid_arg "Mna.refill: stamp sequence diverged from compiled program"
+
+(* Refill the system in place at [x].  The CNFET work runs first as two
+   table passes — gather every device's (vgs, vds) from the solution
+   vector into the contiguous bias columns, then evaluate the whole
+   table through the backends' range kernels — and the scatter reads
+   the output columns.  The [Fault.Nan_eval] decision is made once per
    refill: [Fault.fires] is a pure function of the installed spec and
    the domain-local rung/point context, none of which change within
    one refill. *)
 let refill c ~eval_wave ~caps ~inds ~gmin x =
-  (match c.table with
-  | None -> ()
+  match c.table with
+  | None -> scatter c ~eval_wave ~caps ~inds ~gmin x
   | Some tb ->
       let span_g = Obs.start_span "assemble.gather" in
       for k = 0 to tb.ct_n - 1 do
         let d = tb.ct_d.(k) and g = tb.ct_g.(k) and s = tb.ct_s.(k) in
-        let vd = if d < 0 then 0.0 else Array.unsafe_get x d in
-        let vg = if g < 0 then 0.0 else Array.unsafe_get x g in
-        let vs = if s < 0 then 0.0 else Array.unsafe_get x s in
-        Bigarray.Array1.unsafe_set tb.ct_vgs k (vg -. vs);
-        Bigarray.Array1.unsafe_set tb.ct_vds k (vd -. vs)
+        let vs = volt x s in
+        Bigarray.Array1.set tb.ct_vgs k (volt x g -. vs);
+        Bigarray.Array1.set tb.ct_vds k (volt x d -. vs)
       done;
       Obs.end_span span_g;
       let span_e = Obs.start_span "assemble.batch_eval" in
-      let fault_i0 = Fault.fires Fault.Nan_eval in
-      for k = 0 to tb.ct_n - 1 do
-        tb.ct_ws.(k) ~fault_i0
-          ~vgs:(Bigarray.Array1.unsafe_get tb.ct_vgs k)
-          ~vds:(Bigarray.Array1.unsafe_get tb.ct_vds k)
-          ~i0:tb.ct_i0 ~gm:tb.ct_gm ~gds:tb.ct_gds ~k
-      done;
-      Obs.end_span span_e);
-  let span_s =
-    match c.table with
-    | Some _ -> Some (Obs.start_span "assemble.scatter")
-    | None -> None
-  in
-  let solver = c.solver and program = c.program in
-  Linear_solver.clear solver;
-  Array.fill c.rhs 0 (Array.length c.rhs) 0.0;
-  let cursor = ref 0 in
-  let add_j i j v =
-    if i >= 0 && j >= 0 then begin
-      Linear_solver.add_slot solver program.(!cursor) v;
-      incr cursor
-    end
-  in
-  let add_b i v = if i >= 0 then c.rhs.(i) <- c.rhs.(i) +. v in
-  stamp_system ~cnfets:c.table ~stats:c.stats ~devices:c.devices ~n_nodes:c.n_nodes
-    ~add_j ~add_b ~eval_wave ~caps ~inds ~gmin x;
-  Option.iter Obs.end_span span_s;
-  if !cursor <> Array.length program then
-    invalid_arg "Mna.refill: stamp sequence diverged from compiled program"
+      Cnt_core.Device_model.eval tb.ct_kernel
+        ~fault_i0:(Fault.fires Fault.Nan_eval)
+        ~vgs:tb.ct_vgs ~vds:tb.ct_vds ~i0:tb.ct_i0 ~gm:tb.ct_gm ~gds:tb.ct_gds;
+      c.stats.device_evals <- c.stats.device_evals + tb.ct_n;
+      Obs.incr ~by:tb.ct_n c_device_evals;
+      Obs.end_span span_e;
+      let span_s = Obs.start_span "assemble.scatter" in
+      scatter c ~eval_wave ~caps ~inds ~gmin x;
+      Obs.end_span span_s
 
 let companions_of_policies c ~cap ~ind =
   let caps =
@@ -791,36 +815,48 @@ let newton_result ?(gmin = 1e-12) ?(tol = 1e-9) ?(max_iter = 200)
         st.solve_s <- st.solve_s +. (now () -. t1);
         st.linear_solves <- st.linear_solves + 1;
         Obs.incr c_linear_solves;
-        (* clamp the update *)
+        (* clamp the update; [worst] and [norm] are captured by no
+           closure, so they stay unboxed.  [max_step] is rebound to an
+           unboxed copy (x *. 1.0 is x, bit for bit): a clamp returning
+           the boxed optional argument in one branch would box [dx] in
+           the other, once per node per iteration. *)
+        let max_step = max_step *. 1.0 in
         let worst = ref 0.0 in
         let norm = ref 0.0 in
-        let apply_scaled t =
-          (* x + t * clamp(dx); t = 1 is the plain clamped step *)
-          for i = 0 to n - 1 do
-            let dx = x_new.(i) -. x.(i) in
-            let dx_limited =
-              if i < c.n_nodes then
-                Float.max (-.max_step) (Float.min max_step dx)
-              else dx
-            in
-            if i < c.n_nodes then worst := Float.max !worst (Float.abs dx);
-            x_trial.(i) <- x.(i) +. (t *. dx_limited)
-          done
-        in
         if damping then begin
+          (* x_trial = x + t * clamp(dx), t = 1 being the plain clamped
+             step; returns the largest |dx| over the node rows *)
+          let apply_scaled t =
+            let w = ref 0.0 in
+            for i = 0 to n - 1 do
+              let dx = x_new.(i) -. x.(i) in
+              let dx_limited =
+                if i < c.n_nodes then
+                  Float.max (-.max_step) (Float.min max_step dx)
+                else dx
+              in
+              if i < c.n_nodes then w := Float.max !w (Float.abs dx);
+              x_trial.(i) <- x.(i) +. (t *. dx_limited)
+            done;
+            !w
+          in
           (* Armijo backtracking on the assembled-residual merit: accept
              the first scale whose residual at the trial point beats the
              current one by the sufficient-decrease margin; the smallest
              scale is taken unconditionally rather than giving up. *)
           let rec search t =
-            worst := 0.0;
-            apply_scaled t;
-            if t <= 0.0626 then Array.blit x_trial 0 x 0 n
+            let w = apply_scaled t in
+            if t <= 0.0626 then begin
+              Array.blit x_trial 0 x 0 n;
+              w
+            end
             else begin
               assemble x_trial;
               let r_t = Linear_solver.residual c.solver x_trial c.rhs in
-              if Float.is_finite r_t && r_t <= (1.0 -. (1e-4 *. t)) *. r then
-                Array.blit x_trial 0 x 0 n
+              if Float.is_finite r_t && r_t <= (1.0 -. (1e-4 *. t)) *. r then begin
+                Array.blit x_trial 0 x 0 n;
+                w
+              end
               else begin
                 Obs.incr c_damped_backtracks;
                 incr damped_steps;
@@ -828,8 +864,7 @@ let newton_result ?(gmin = 1e-12) ?(tol = 1e-9) ?(max_iter = 200)
               end
             end
           in
-          search 1.0;
-          norm := 0.0;
+          worst := search 1.0;
           for i = 0 to n - 1 do
             norm := Float.max !norm (Float.abs x.(i))
           done

@@ -54,10 +54,11 @@ val compile : Circuit.t -> compiled
 (** Symbolic compilation: pattern, stamp program, solver workspace and
     the CNFET device table are allocated here, once.  Each Newton
     iteration then refills CNFET stamps in three passes over that
-    structure-of-arrays table: gather bias points, evaluate every
-    stencil through each device's {!Cnt_core.Device_model.stencil},
-    scatter stamps through the recorded program (see
-    [docs/ASSEMBLY.md]). *)
+    structure-of-arrays table: gather bias points, evaluate every row
+    through {!Cnt_core.Device_model.eval} (one range-kernel call per
+    run of same-backend rows), and scatter every stamp straight into
+    the solver's value array along the recorded program.  A refill
+    allocates nothing per device (see [docs/ASSEMBLY.md]). *)
 
 (** {2 Compile cache}
 

@@ -236,6 +236,198 @@ let test_shift_into_matches_shift () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Allocation pins                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words allocated by [f] on this domain. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let vec n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+
+let card_model backend polarity attrs =
+  match
+    Cnt_core.Device_model.of_card ~backend ~polarity ~number:float_of_string
+      attrs
+  with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "model card: %s" e
+
+(* Every backend and piece count, both polarities. *)
+let kernel_models =
+  let open Cnt_core.Device_model in
+  [
+    ("piecewise model 1 n", card_model "piecewise" N_type [ ("model", "1") ]);
+    ("piecewise model 1 p", card_model "piecewise" P_type [ ("model", "1") ]);
+    ("piecewise model 2 n", card_model "piecewise" N_type [ ("model", "2") ]);
+    ("piecewise model 2 p", card_model "piecewise" P_type [ ("model", "2") ]);
+    ("vs n", card_model "vs" N_type []);
+    ("vs p", card_model "vs" P_type []);
+  ]
+
+(* A table kernel over [rows] copies of one model, with V_DS moving on
+   every evaluation of every row (which defeats the piecewise plans'
+   same-bias memo), allocates less than a word per evaluation: the
+   per-call telemetry tick is all that is left.  The per-device stencil
+   closures this replaced allocated ~112 words per evaluation. *)
+let test_range_kernels_allocate_nothing () =
+  let rows = 32 and calls = 50 in
+  List.iter
+    (fun (name, m) ->
+      let kernel = Cnt_core.Device_model.kernel (Array.make rows m) in
+      let vgs = vec rows and vds = vec rows in
+      let i0 = vec rows and gm = vec rows and gds = vec rows in
+      let eval () =
+        Cnt_core.Device_model.eval kernel ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds
+      in
+      let words = ref 0.0 in
+      for c = 0 to calls do
+        for k = 0 to rows - 1 do
+          let x = float_of_int ((c * rows) + k) in
+          Bigarray.Array1.set vgs k (0.6 *. Float.abs (sin x));
+          Bigarray.Array1.set vds k ((0.65 *. Float.abs (cos (1.7 *. x))) -. 0.05)
+        done;
+        (* the first call warms the plans up and is not counted *)
+        let w = minor_words eval in
+        if c > 0 then words := !words +. w
+      done;
+      let per_eval = !words /. float_of_int (calls * rows) in
+      if per_eval >= 0.5 then
+        Alcotest.failf "%s: %.2f minor words per evaluation (bound 0.5)" name
+          per_eval)
+    kernel_models
+
+(* Words per Newton iteration, taken as the difference of a 40- and a
+   10-iteration run so the per-call setup cancels; a negative tolerance
+   keeps Newton from converging, so both runs do every iteration. *)
+let newton_words_per_iteration compiled =
+  let run k =
+    let x0 = Array.make (Mna.size compiled) 0.0 in
+    minor_words (fun () ->
+        match
+          Mna.newton_result ~tol:(-1.0) ~max_iter:k compiled
+            ~eval_wave:(fun _ w -> Waveform.dc_value w)
+            ~cap:Mna.Open_circuit x0
+        with
+        | Ok _ -> Alcotest.fail "newton converged with a negative tolerance"
+        | Error r -> Alcotest.(check int) "iterations run" k r.Diag.iterations)
+  in
+  ignore (run 10);
+  (run 40 -. run 10) /. 30.0
+
+(* Going from 10 CNFETs (5 stages, 7 unknowns) to 102 (51 stages, 53
+   unknowns) may add only the solver's fresh solution vector, one word
+   per extra unknown, bounded here at 2.  The CNFETs add nothing: the
+   per-device kernels, the scatter and the Newton update allocate no
+   words.  With stencil closures and a closure-driven scatter the
+   51-stage ring allocated 16 882 words per iteration against 1 751 for
+   the 5-stage ring. *)
+let test_newton_iteration_words_flat () =
+  let small = Mna.compile (ring_circuit ~stages:5)
+  and large = Mna.compile (ring_circuit ~stages:51) in
+  let w_small = newton_words_per_iteration small
+  and w_large = newton_words_per_iteration large in
+  let extra_unknowns = Mna.size large - Mna.size small in
+  let bound = 2.0 *. float_of_int extra_unknowns in
+  if w_large -. w_small > bound then
+    Alcotest.failf
+      "words per Newton iteration: %.1f at 51 stages vs %.1f at 5 stages \
+       (growth bound %.0f for %d extra unknowns)"
+      w_large w_small bound extra_unknowns
+
+(* One 7 x 61 output family through [eval_batch]: the rows and one
+   solver plan, no per-point words.  The Bigarray grid and a plan per
+   drain column cost ~40 000 words per family before. *)
+let test_eval_batch_family_words () =
+  let m = (Lazy.force fam).Stdcells.n_model in
+  let vgs = Array.init 7 (fun i -> 0.1 *. float_of_int i)
+  and vds = Array.init 61 (fun j -> 0.01 *. float_of_int j) in
+  ignore (Cnt_core.Cnt_model.eval_batch m ~vgs ~vds);
+  let words =
+    minor_words (fun () -> ignore (Cnt_core.Cnt_model.eval_batch m ~vgs ~vds))
+  in
+  if words > 2000.0 then
+    Alcotest.failf "eval_batch: %.0f minor words per 7 x 61 family (bound 2000)"
+      words
+
+(* ------------------------------------------------------------------ *)
+(* Mixed backends                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* An inverter chain whose netlist interleaves the virtual-source
+   backend with piecewise Model 1 and Model 2, n- and p-type: the
+   device table's runs of same-backend rows are 1, 2, 1, 2 and 2 long. *)
+let mixed_deck () =
+  Parser.parse
+    "mixed backends\nVDD vdd 0 0.6\nVIN in 0 0.2\n\
+     MP1 a in vdd PCNFET model=vs\nMN1 a in 0 CNFET model=1\n\
+     MP2 b a vdd PCNFET model=2\nMN2 b a 0 CNFET model=vs\n\
+     MP3 c b vdd PCNFET model=1\nMN3 c b 0 CNFET model=2\n\
+     MP4 d c vdd PCNFET model=vs\nMN4 d c 0 CNFET model=vs\n.end"
+
+let mixed_sweep () =
+  Dc.sweep (mixed_deck ()).Parser.circuit ~source:"vin" ~start:0.0 ~stop:0.6
+    ~step:0.05
+
+(* The solution bits of the mixed sweep, frozen from the per-device
+   stencil-closure assembly; KCL holds at every point. *)
+let test_mixed_sweep () =
+  let r = mixed_sweep () in
+  check_digest "mixed sweep" "b6b6e22497dadbd59a3e43c965c62acc" (sweep_rows r);
+  Array.iteri
+    (fun i (p : Dc.op_result) ->
+      check_kcl
+        (Printf.sprintf "mixed vin=%g" r.Dc.sweep_values.(i))
+        r.Dc.compiled p.Dc.solution)
+    r.Dc.points
+
+(* The table kernel over the mixed circuit's CNFETs, in netlist order,
+   at every solved sweep point: each row's (i0, gm, gds) equals that
+   device's scalar [small_signal], bitwise. *)
+let test_mixed_table_matches_scalar () =
+  let r = mixed_sweep () in
+  let compiled = r.Dc.compiled in
+  let devices =
+    List.filter_map
+      (function
+        | Circuit.Cnfet { drain; gate; source; params; _ } ->
+            Some (drain, gate, source, params.Circuit.model)
+        | _ -> None)
+      (Circuit.elements (Mna.circuit compiled))
+    |> Array.of_list
+  in
+  let n = Array.length devices in
+  let kernel =
+    Cnt_core.Device_model.kernel (Array.map (fun (_, _, _, m) -> m) devices)
+  in
+  let vgs = vec n and vds = vec n and i0 = vec n and gm = vec n and gds = vec n in
+  Array.iter
+    (fun (p : Dc.op_result) ->
+      let v = Mna.voltage compiled p.Dc.solution in
+      Array.iteri
+        (fun k (d, g, s, _) ->
+          Bigarray.Array1.set vgs k (v g -. v s);
+          Bigarray.Array1.set vds k (v d -. v s))
+        devices;
+      Cnt_core.Device_model.eval kernel ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds;
+      Array.iteri
+        (fun k (_, _, _, m) ->
+          let vg = Bigarray.Array1.get vgs k and vd = Bigarray.Array1.get vds k in
+          let e0, eg, ed = Cnt_core.Device_model.small_signal m ~vgs:vg ~vds:vd in
+          let check what expected got =
+            if not (Int64.equal (bits expected) (bits got)) then
+              Alcotest.failf "row %d (%s) %s: table %h vs scalar %h" k
+                (Cnt_core.Device_model.backend m) what got expected
+          in
+          check "i0" e0 (Bigarray.Array1.get i0 k);
+          check "gm" eg (Bigarray.Array1.get gm k);
+          check "gds" ed (Bigarray.Array1.get gds k))
+        devices)
+    r.Dc.points
+
+(* ------------------------------------------------------------------ *)
 (* AMD ordering properties                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -391,6 +583,22 @@ let () =
             test_replan_matches_plan;
           Alcotest.test_case "shift_into bitwise-equals shift" `Quick
             test_shift_into_matches_shift;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "range kernels allocate nothing per evaluation"
+            `Quick test_range_kernels_allocate_nothing;
+          Alcotest.test_case "newton iteration words flat in the CNFET count"
+            `Quick test_newton_iteration_words_flat;
+          Alcotest.test_case "eval_batch words per family bounded" `Quick
+            test_eval_batch_family_words;
+        ] );
+      ( "mixed backends",
+        [
+          Alcotest.test_case "mixed sweep digest and KCL" `Quick
+            test_mixed_sweep;
+          Alcotest.test_case "mixed table = per-device small_signal" `Quick
+            test_mixed_table_matches_scalar;
         ] );
       ( "ordering",
         [

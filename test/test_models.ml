@@ -189,14 +189,22 @@ let bias_grid =
         [ -0.05; 0.0; 0.05; 0.13; 0.3; 0.45; 0.6 ])
     [ 0.0; 0.05; 0.13; 0.3; 0.45; 0.6 ]
 
+(* The assembly's table kernel on a one-row table against the scalar
+   entry points, and the NaN fault site. *)
 let test_stencil_matches_scalar backend () =
   let m = model_of_backend backend in
-  let stencil = DM.stencil m in
+  let kernel = DM.kernel [| m |] in
   let vec () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1 in
+  let vgs_col = vec () and vds_col = vec () in
   let i0 = vec () and gm = vec () and gds = vec () in
   List.iter
     (fun (vgs, vds) ->
-      stencil ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds ~k:0;
+      Bigarray.Array1.set vgs_col 0 vgs;
+      Bigarray.Array1.set vds_col 0 vds;
+      let eval fault_i0 =
+        DM.eval kernel ~fault_i0 ~vgs:vgs_col ~vds:vds_col ~i0 ~gm ~gds
+      in
+      eval false;
       let at (v : DM.vec) = Bigarray.Array1.get v 0 in
       let tag p = Printf.sprintf "%s %s vgs=%g vds=%g" backend p vgs vds in
       let ids, gmv, gdsv = DM.small_signal m ~vgs ~vds in
@@ -205,7 +213,7 @@ let test_stencil_matches_scalar backend () =
       check_bits (tag "gm") gmv (at gm);
       check_bits (tag "gds") gdsv (at gds);
       (* an injected NaN fault poisons only the current *)
-      stencil ~fault_i0:true ~vgs ~vds ~i0 ~gm ~gds ~k:0;
+      eval true;
       Alcotest.(check bool) (tag "fault i0 is NaN") true (Float.is_nan (at i0));
       check_bits (tag "fault gm") gmv (at gm);
       check_bits (tag "fault gds") gdsv (at gds))

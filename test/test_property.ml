@@ -94,7 +94,7 @@ let vgs_grid = [| 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.33 |]
 let vds_grid = Grid.linspace 0.0 0.6 13
 
 let check_batch_matches_scalar msg model =
-  let g = Cnt_model.eval_batch model ~vgs:vgs_grid ~vds:vds_grid in
+  let rows = Cnt_model.eval_batch model ~vgs:vgs_grid ~vds:vds_grid in
   Array.iteri
     (fun i vgs ->
       Array.iteri
@@ -102,7 +102,7 @@ let check_batch_matches_scalar msg model =
           check_bitwise
             (Printf.sprintf "%s (vgs=%g, vds=%g)" msg vgs vds)
             (Cnt_model.ids model ~vgs ~vds)
-            (Bigarray.Array2.get g i j))
+            rows.(i).(j))
         vds_grid)
     vgs_grid
 
