@@ -593,7 +593,7 @@ let () =
           Alcotest.test_case "eval_batch words per family bounded" `Quick
             test_eval_batch_family_words;
         ] );
-      ( "mixed backends",
+      ( "mixed",
         [
           Alcotest.test_case "mixed sweep digest and KCL" `Quick
             test_mixed_sweep;
