@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test check bench-check par-check conv-check server-check models-check corpus-check corpus-bless repro clean
+.PHONY: all build test check bench-check conv-check server-check models-check corpus-check corpus-bless repro clean
 
 all: build
 
@@ -41,17 +41,9 @@ bench-check:
 	  fi; \
 	done
 
-# Parallel determinism gate: the full test suite must pass with the
-# domain pool forced sequential and forced wide (see docs/PARALLEL.md).
-par-check:
-	CNT_JOBS=1 dune runtest --force
-	CNT_JOBS=4 dune runtest --force
-
-# Convergence gate: the fault-injection suite at both pool widths (see
-# docs/CONVERGENCE.md).
+# Convergence gate: the fault-injection suite (see docs/CONVERGENCE.md).
 conv-check:
-	CNT_JOBS=1 dune exec test/test_convergence.exe
-	CNT_JOBS=4 dune exec test/test_convergence.exe
+	dune exec test/test_convergence.exe
 
 # Daemon/protocol gate: wire round-trips, byte parity offline vs
 # --connect, edge cases, graceful drain (see docs/SERVER.md).
@@ -60,8 +52,7 @@ server-check:
 
 # Device-model gate: the full suite with every CNFET forced onto each
 # registered backend (see docs/MODELS.md).  Suites that pin bytes for
-# deck-declared models neutralise or override the variable; the jobs
-# bitwise-invariance suite genuinely runs under the forced backend.
+# deck-declared models neutralise or override the variable.
 models-check:
 	CNT_MODEL=piecewise dune runtest --force
 	CNT_MODEL=vs dune runtest --force

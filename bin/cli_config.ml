@@ -1,7 +1,7 @@
 (* The shared engine-configuration term: one cmdliner term that yields
    a {!Cnt_spice.Engine.config}, so cspice, repro and cnt_char expose
    the same convergence knobs with the same spellings instead of each
-   threading its own [?jobs ?gmin] arguments. *)
+   threading its own [?gmin ?tol] arguments. *)
 
 open Cmdliner
 
@@ -60,13 +60,13 @@ let model_arg =
     & opt (some string) None
     & info [ "model" ] ~docv:"BACKEND" ~doc ~env:(Cmd.Env.info "CNT_MODEL"))
 
-(* An out-of-range knob is a usage error (exit 2, like [--jobs 0]),
+(* An out-of-range knob is a usage error (exit 2, like [--bogus]),
    reported under the flag's spelling: record label [max_iter] is flag
    [--max-iter]. *)
-let make jobs gmin tol max_iter no_homotopy gmin_start gmin_steps source_steps
+let make gmin tol max_iter no_homotopy gmin_start gmin_steps source_steps
     deadline model =
   let config =
-    Cnt_spice.Engine.config ?jobs ~gmin ~tol ~max_iter
+    Cnt_spice.Engine.config ~gmin ~tol ~max_iter
       ~homotopy:
         (if no_homotopy then Cnt_spice.Homotopy.plain_only
          else
@@ -87,7 +87,7 @@ let make jobs gmin tol max_iter no_homotopy gmin_start gmin_steps source_steps
 let term_with model_term =
   Term.(
     cli_parse_result
-      (const make $ Cli_jobs.arg $ gmin_arg $ tol_arg $ max_iter_arg
+      (const make $ gmin_arg $ tol_arg $ max_iter_arg
      $ no_homotopy_arg $ gmin_start_arg $ gmin_steps_arg $ source_steps_arg
      $ deadline_arg $ model_term))
 

@@ -26,9 +26,9 @@ let progress_arg =
   let doc =
     "Stream live progress events to standard error: $(b,tty) renders \
      human-readable lines with percent/rate/ETA, $(b,jsonl) emits one JSON \
-     object per event (milestone events are schedule-independent and \
-     identical at any --jobs).  Standard-output tables are byte-identical \
-     with or without this flag."
+     object per event (milestone events carry no timing and are identical \
+     on every run).  Standard-output tables are byte-identical with or \
+     without this flag."
   in
   (* [some]: a plain [opt mode Off] makes cmdliner's --help raise, since
      [Off] has no spelling in [mode] *)

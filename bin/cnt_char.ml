@@ -31,7 +31,6 @@ let eval_model which device ~optimise =
 
 let run which temp fermi diameter tox vgs_csv vds_max points format optimise
     compare profile obs config =
-  let jobs = config.Cnt_spice.Engine.jobs in
   if profile then Cnt_obs.Obs.enable ();
   Cnt_cli.Cli_obs.init obs;
   let manifest =
@@ -68,26 +67,15 @@ let run which temp fermi diameter tox vgs_csv vds_max points format optimise
   if Cnt_obs.Progress.on () then
     Cnt_obs.Progress.emit
       (Cnt_obs.Progress.Analysis_start { analysis = "char"; label });
-  let progress_done = Atomic.make 0 in
-  (* model evaluation is pure, so gate-voltage curves fan out across
-     the pool; results land in vgs order at any job count *)
   let curves =
-    let module Pool = Cnt_par.Pool in
-    Pool.with_pool ?jobs (fun pool ->
-        Pool.parallel_map pool ~chunk:1
-          (fun vgs ->
-            let curve = Array.map (fun vds -> ids ~vgs ~vds) vds_points in
-            if Cnt_obs.Progress.on () then
-              Cnt_obs.Progress.emit
-                (Cnt_obs.Progress.Sample
-                   {
-                     label = "char";
-                     i = 1 + Atomic.fetch_and_add progress_done 1;
-                     n = n_curves;
-                   });
-            (vgs, curve))
-          (Array.of_list vgs_list))
-    |> Array.to_list
+    List.mapi
+      (fun k vgs ->
+        let curve = Array.map (fun vds -> ids ~vgs ~vds) vds_points in
+        if Cnt_obs.Progress.on () then
+          Cnt_obs.Progress.emit
+            (Cnt_obs.Progress.Sample { label = "char"; i = k + 1; n = n_curves });
+        (vgs, curve))
+      vgs_list
   in
   if Cnt_obs.Progress.on () then
     Cnt_obs.Progress.emit

@@ -1,7 +1,7 @@
 (* cntd: the always-on simulation daemon.
 
      cntd --listen /tmp/cntd.sock
-     cntd --listen tcp:127.0.0.1:9797 --jobs-budget 4 --max-iter 400
+     cntd --listen tcp:127.0.0.1:9797 --max-iter 400
      cspice --connect /tmp/cntd.sock ring.cir
 
    Accepts cnt-rpc/1 requests (one JSON document per line) on a
@@ -20,7 +20,7 @@ let exit_internal = 4
 
 let stop_requested = Atomic.make false
 
-let run listen_str jobs_budget max_request deck_cache compile_cache verbose
+let run listen_str max_request deck_cache compile_cache verbose
     base =
   match Cnt_server.Server.listen_of_string listen_str with
   | Error msg ->
@@ -31,10 +31,6 @@ let run listen_str jobs_budget max_request deck_cache compile_cache verbose
         {
           (Cnt_server.Server.default_config ~listen) with
           Cnt_server.Server.base;
-          jobs_budget =
-            (match jobs_budget with
-            | Some j -> j
-            | None -> Cnt_par.Pool.resolve Cnt_par.Pool.Auto);
           max_request_bytes = max_request;
           deck_cache_entries = deck_cache;
           compile_cache_entries = compile_cache;
@@ -53,11 +49,10 @@ let run listen_str jobs_budget max_request deck_cache compile_cache verbose
           let request_stop _ = Atomic.set stop_requested true in
           Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
           Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
-          Printf.eprintf "cntd %s: listening on %s (jobs budget %d)\n%!"
+          Printf.eprintf "cntd %s: listening on %s\n%!"
             Cnt_obs.Version.version
             (Cnt_server.Server.listen_to_string
-               (Cnt_server.Server.listen_addr server))
-            cfg.Cnt_server.Server.jobs_budget;
+               (Cnt_server.Server.listen_addr server));
           while not (Atomic.get stop_requested) do
             Thread.delay 0.05
           done;
@@ -76,13 +71,6 @@ let listen_arg =
     value
     & opt string "/tmp/cntd.sock"
     & info [ "listen" ] ~docv:"ADDR" ~doc ~env:(Cmd.Env.info "CNTD_LISTEN"))
-
-let jobs_budget_arg =
-  let doc =
-    "Per-request cap on the engine jobs count; requests asking for more are \
-     clamped.  Defaults to the recommended domain count."
-  in
-  Arg.(value & opt (some int) None & info [ "jobs-budget" ] ~docv:"N" ~doc)
 
 let max_request_arg =
   let doc =
@@ -121,7 +109,7 @@ let cmd =
   Cmd.v
     (Cmd.info "cntd" ~version:Cnt_obs.Version.version ~doc ~exits)
     Term.(
-      const run $ listen_arg $ jobs_budget_arg $ max_request_arg
+      const run $ listen_arg $ max_request_arg
       $ deck_cache_arg $ compile_cache_arg $ verbose_arg
       $ Cnt_cli.Cli_config.term)
 

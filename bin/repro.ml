@@ -7,7 +7,6 @@
 open Cmdliner
 
 let run_repro list_only quiet profile dir obs config ids =
-  let jobs = config.Cnt_spice.Engine.jobs in
   if profile then Cnt_obs.Obs.enable ();
   Cnt_cli.Cli_obs.init obs;
   let manifest =
@@ -48,7 +47,7 @@ let run_repro list_only quiet profile dir obs config ids =
       (Cnt_obs.Manifest.List
          (List.map (fun id -> Cnt_obs.Manifest.String id) ids));
     match
-      Cnt_experiments.Repro.run_all ~dir ~ids ?jobs ~print:(not quiet) ()
+      Cnt_experiments.Repro.run_all ~dir ~ids ~print:(not quiet) ()
     with
     | results ->
         List.iter

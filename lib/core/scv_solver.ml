@@ -44,14 +44,10 @@ let c_fallback = Obs.counter "scv.fallback_bisection"
 (* Always-on process-wide count of bisection rescues.  Unlike the Obs
    counter above it ticks even with telemetry disabled, so convergence
    diagnostics (Cnt_spice strategy trails) can report how many device
-   evaluations degenerated during a solve attempt.  Atomic because
-   device models are evaluated from pool worker domains; under a
-   parallel sweep a delta taken around one solve attempt may therefore
-   include rescues from concurrent attempts — treat it as an engine-wide
-   health signal, not a per-attempt exact count. *)
-let fallback_total = Atomic.make 0
+   evaluations degenerated during a solve attempt. *)
+let fallback_total = ref 0
 
-let fallback_events () = Atomic.get fallback_total
+let fallback_events () = !fallback_total
 
 type stats = {
   vsc : float;
@@ -337,7 +333,7 @@ let count_root deg =
    interval; not reached for well-formed monotone charge fits. *)
 let bisect_fallback t ~qt ~vds ~lo ~hi =
   Obs.incr c_fallback;
-  Atomic.incr fallback_total;
+  incr fallback_total;
   let flo = if Float.is_finite lo then lo else hi -. 10.0 in
   let fhi = if Float.is_finite hi then hi else lo +. 10.0 in
   (Rootfind.bisect ~tol:1e-13 (residual t ~qt ~vds) flo fhi).Rootfind.root

@@ -107,5 +107,4 @@ val fallback_events : unit -> int
     monotonic and always on (independent of [Cnt_obs] being enabled).
     Circuit-level convergence diagnostics snapshot it around a solve
     attempt to report degenerate device evaluations in their strategy
-    trail.  Under parallel analyses the delta around one attempt may
-    include rescues from concurrent attempts on other domains. *)
+    trail. *)

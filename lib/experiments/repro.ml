@@ -27,22 +27,19 @@ let figure_artefact fig =
 let central_models = lazy (Workloads.condition ~temp:300.0 ~fermi:(-0.32) ())
 let experimental_result = lazy (Experimental.run ())
 
-(* Experiments parallelise *inside* each id (Rms_tables / Variation fan
-   out over their own pools), never across ids: the shared lazies above
-   must not be forced from two domains at once. *)
-let run ?jobs id =
+let run id =
   match id with
   | "table1" ->
       let r = Timing.measure (Lazy.force central_models) in
       { name = "table1"; text = Timing.to_string r; csv = Timing.to_csv r }
   | "table2" ->
-      let t = Rms_tables.compute ?jobs (-0.32) in
+      let t = Rms_tables.compute (-0.32) in
       { name = "table2"; text = Rms_tables.to_string t; csv = Rms_tables.to_csv t }
   | "table3" ->
-      let t = Rms_tables.compute ?jobs (-0.5) in
+      let t = Rms_tables.compute (-0.5) in
       { name = "table3"; text = Rms_tables.to_string t; csv = Rms_tables.to_csv t }
   | "table4" ->
-      let t = Rms_tables.compute ?jobs 0.0 in
+      let t = Rms_tables.compute 0.0 in
       { name = "table4"; text = Rms_tables.to_string t; csv = Rms_tables.to_csv t }
   | "table5" ->
       let rows = Experimental.table () in
@@ -90,7 +87,7 @@ let run ?jobs id =
         csv = Ablations.to_csv rows;
       }
   | "variation" ->
-      let s = Variation.run ?jobs () in
+      let s = Variation.run () in
       { name = "variation"; text = Variation.to_string s; csv = Variation.to_csv s }
   | other ->
       invalid_arg
@@ -105,10 +102,10 @@ let save ?(dir = "results") artefact =
   close_out oc;
   path
 
-let run_all ?dir ?(ids = experiment_ids) ?jobs ~print () =
+let run_all ?dir ?(ids = experiment_ids) ~print () =
   List.map
     (fun id ->
-      let artefact = run ?jobs id in
+      let artefact = run id in
       if print then begin
         print_endline ("==== " ^ artefact.name ^ " ====");
         print_endline artefact.text

@@ -10,11 +10,8 @@ val experiment_ids : string list
 (** All known ids: table1..table5, fig2..fig11, plus the
     beyond-the-paper studies (ablation_*, variation). *)
 
-val run : ?jobs:int -> string -> artefact
-(** Run one experiment.  [jobs] fans the parallelisable experiments
-    (RMS tables, Monte-Carlo variation) out over that many domains
-    with identical results (default [Cnt_par.Pool.default_jobs]).
-    Raises [Invalid_argument] on unknown ids. *)
+val run : string -> artefact
+(** Run one experiment.  Raises [Invalid_argument] on unknown ids. *)
 
 val save : ?dir:string -> artefact -> string
 (** Write the CSV under [dir] (default "results"); returns the path. *)
@@ -22,10 +19,8 @@ val save : ?dir:string -> artefact -> string
 val run_all :
   ?dir:string ->
   ?ids:string list ->
-  ?jobs:int ->
   print:bool ->
   unit ->
   (artefact * string) list
 (** Run a list of experiments (default all), optionally printing each
-    rendering, saving every CSV.  Experiments run in sequence;
-    parallelism happens inside each one (see {!run}). *)
+    rendering, saving every CSV.  Experiments run in sequence. *)

@@ -21,39 +21,26 @@ let errors_for models ~vgs =
   let e m = Stats.relative_rms_error reference (Workloads.model_curve m ~vgs) in
   (e models.Workloads.model1, e models.Workloads.model2)
 
-(* One table (fixed Fermi level) over the temperature x V_G grid.  Both
-   stages are pure per element — condition building (FETToy reference +
-   model fits, the expensive part) per temperature, then error cells per
-   (V_G, T) pair — so each fans out over the pool with results landing
-   by index; cell order stays vgs-major, temp-minor at any job count. *)
+(* One table (fixed Fermi level) over the temperature x V_G grid:
+   condition building (FETToy reference + model fits, the expensive
+   part) once per temperature, then one error cell per (V_G, T) pair,
+   vgs-major, temp-minor. *)
 let compute ?(tuned = true) ?(temps = Workloads.table_temps)
-    ?(vgs_list = Workloads.table_vgs) ?jobs fermi =
-  let module Pool = Cnt_par.Pool in
-  let jobs =
-    if Pool.in_task () then 1
-    else match jobs with Some j -> j | None -> Pool.default_jobs ()
+    ?(vgs_list = Workloads.table_vgs) fermi =
+  let per_temp =
+    List.map (fun temp -> (temp, Workloads.condition ~tuned ~temp ~fermi ())) temps
   in
-  Pool.with_pool ~jobs (fun pool ->
-      let per_temp =
-        Pool.parallel_map pool ~chunk:1
-          (fun temp -> (temp, Workloads.condition ~tuned ~temp ~fermi ()))
-          (Array.of_list temps)
-      in
-      let grid =
-        Array.of_list
-          (List.concat_map
-             (fun vgs ->
-               List.map (fun pt -> (vgs, pt)) (Array.to_list per_temp))
-             vgs_list)
-      in
-      let cells =
-        Pool.parallel_map pool
-          (fun (vgs, (temp, models)) ->
+  let cells =
+    List.concat_map
+      (fun vgs ->
+        List.map
+          (fun (temp, models) ->
             let e1, e2 = errors_for models ~vgs in
             { vgs; temp; model1_error = e1; model2_error = e2 })
-          grid
-      in
-      { fermi; cells = Array.to_list cells })
+          per_temp)
+      vgs_list
+  in
+  { fermi; cells }
 
 let cell table ~vgs ~temp =
   List.find_opt

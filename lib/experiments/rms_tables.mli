@@ -21,13 +21,11 @@ val compute :
   ?tuned:bool ->
   ?temps:float list ->
   ?vgs_list:float list ->
-  ?jobs:int ->
   float ->
   table
-(** Compute the table for one Fermi level (eV).  Per-temperature
-    condition building and per-cell error evaluation fan out over
-    [jobs] domains (default [Cnt_par.Pool.default_jobs]); the table is
-    identical at any job count. *)
+(** Compute the table for one Fermi level (eV): the FETToy reference
+    and model fits once per temperature, then one error cell per
+    (V_G, T) pair, V_G-major. *)
 
 val cell : table -> vgs:float -> temp:float -> cell option
 

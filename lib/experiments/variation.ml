@@ -10,9 +10,8 @@
 
    Sampling is deterministic (SplitMix64) and {e per-sample}: sample i
    draws from its own [Prng.stream] derived purely from the seed and i,
-   so the sampled geometries — and hence the whole spread — are
-   byte-identical whether the samples are evaluated sequentially or
-   fanned out over any number of domains in any order. *)
+   so the sampled geometries — and hence the whole spread — do not
+   depend on the order the samples are evaluated in. *)
 
 open Cnt_numerics
 open Cnt_physics
@@ -66,44 +65,28 @@ let sample_device rng config nominal =
     ~fermi:nominal.Device.fermi ~alpha_g:nominal.Device.alpha_g
     ~alpha_d:nominal.Device.alpha_d ~subbands:nominal.Device.subbands ()
 
-let run ?(config = default_config) ?(nominal = Device.default) ?jobs () =
-  let module Pool = Cnt_par.Pool in
+let run ?(config = default_config) ?(nominal = Device.default) () =
   let module Progress = Cnt_obs.Progress in
   if config.count < 2 then invalid_arg "Variation.run: need at least 2 samples";
   if Progress.on () then
     Progress.emit
       (Progress.Analysis_start
          { analysis = "mc"; label = Printf.sprintf "variation %d" config.count });
-  let progress_done = Atomic.make 0 in
   let base = Prng.create ~seed:config.seed () in
   let on_current device =
     let model = Cnt_model.make ~spec:Charge_fit.model2_spec device in
     Cnt_model.ids model ~vgs:config.vgs ~vds:config.vds
   in
   let nominal_current = on_current nominal in
-  let jobs =
-    if Pool.in_task () then 1
-    else match jobs with Some j -> j | None -> Pool.default_jobs ()
-  in
-  let indices = Array.init config.count Fun.id in
   let samples =
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.parallel_map pool
-          (fun i ->
-            (* stream i depends only on (seed, i): any schedule, any
-               job count, same draws *)
-            let rng = Prng.stream base i in
-            let ids = on_current (sample_device rng config nominal) in
-            if Progress.on () then
-              Progress.emit
-                (Progress.Sample
-                   {
-                     label = "variation";
-                     i = 1 + Atomic.fetch_and_add progress_done 1;
-                     n = config.count;
-                   });
-            ids)
-          indices)
+    Array.init config.count (fun i ->
+        (* stream i depends only on (seed, i) *)
+        let rng = Prng.stream base i in
+        let ids = on_current (sample_device rng config nominal) in
+        if Progress.on () then
+          Progress.emit
+            (Progress.Sample { label = "variation"; i = i + 1; n = config.count });
+        ids)
   in
   if Progress.on () then
     Progress.emit

@@ -26,11 +26,9 @@ type config = {
 val default_config : config
 (** 5 % diameter and oxide sigma, 200 samples, bias (0.6, 0.6). *)
 
-val run : ?config:config -> ?nominal:Device.t -> ?jobs:int -> unit -> spread
-(** Run the study.  Sample [i] draws from [Prng.stream seed i], so the
-    result is byte-identical at any [jobs] (default
-    [Cnt_par.Pool.default_jobs]: [CNT_JOBS] or 1); extra domains only
-    change wall-clock time. *)
+val run : ?config:config -> ?nominal:Device.t -> unit -> spread
+(** Run the study.  Sample [i] draws from [Prng.stream seed i], so each
+    sample depends only on the seed and its index. *)
 
 val to_string : spread -> string
 val to_csv : spread -> string

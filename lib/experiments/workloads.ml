@@ -49,38 +49,17 @@ let build ?(tuned = true) device =
 (* Memoised per-condition model construction.  Rms_tables and Repro
    both walk the full (temperature, Fermi) corner grid, and the tuned
    build (Model_tuning.optimise_for_current) is by far the most
-   expensive step — previously redone identically by every caller.
-   Per-key cells let distinct conditions build concurrently from pool
-   workers while a second request for the same key blocks on its cell
-   until the first finishes.  (Lazy would not be domain-safe here.) *)
-type condition_cell = {
-  cell_mutex : Mutex.t;
-  mutable cell_models : models option;
-}
-
-let condition_tbl : (bool * float * float, condition_cell) Hashtbl.t =
-  Hashtbl.create 16
-
-let condition_tbl_mutex = Mutex.create ()
+   expensive step — previously redone identically by every caller. *)
+let condition_tbl : (bool * float * float, models) Hashtbl.t = Hashtbl.create 16
 
 let condition ?(tuned = true) ~temp ~fermi () =
   let key = (tuned, temp, fermi) in
-  let cell =
-    Mutex.protect condition_tbl_mutex (fun () ->
-        match Hashtbl.find_opt condition_tbl key with
-        | Some c -> c
-        | None ->
-            let c = { cell_mutex = Mutex.create (); cell_models = None } in
-            Hashtbl.add condition_tbl key c;
-            c)
-  in
-  Mutex.protect cell.cell_mutex (fun () ->
-      match cell.cell_models with
-      | Some m -> m
-      | None ->
-          let m = build ~tuned (Device.create ~temp ~fermi ()) in
-          cell.cell_models <- Some m;
-          m)
+  match Hashtbl.find_opt condition_tbl key with
+  | Some m -> m
+  | None ->
+      let m = build ~tuned (Device.create ~temp ~fermi ()) in
+      Hashtbl.add condition_tbl key m;
+      m
 
 (* Reference and model characteristics over a V_DS sweep at one gate
    voltage. *)

@@ -31,8 +31,7 @@ val condition : ?tuned:bool -> temp:float -> fermi:float -> unit -> models
 (** {!build} on the paper's default device at a given temperature and
     Fermi level.  Memoised per [(tuned, temp, fermi)] — the corner
     grids of the RMS tables and the repro experiments share one fit per
-    condition instead of redoing the boundary optimisation; safe to
-    call concurrently from pool workers. *)
+    condition instead of redoing the boundary optimisation. *)
 
 val reference_curve : models -> vgs:float -> float array
 

@@ -24,8 +24,8 @@ val clone : t -> t
 (** A second numeric workspace over the same structure: the
     permutation and the CSR pattern are shared, so every slot of the
     original is valid on the clone; values, the LU workspace and the
-    scratch vectors are fresh.  A clone may solve concurrently with its
-    original. *)
+    scratch vectors are fresh.  The MNA compile cache hands each hit a
+    clone of its cached template's solver. *)
 
 val nnz : t -> int
 (** Stored entries: the size of the pattern. *)

@@ -28,6 +28,6 @@ val stream : t -> int -> t
 (** [stream t i] derives the [i]-th independent sub-stream of [t]
     {e without} mutating [t]: stream [i] is a pure function of [t]'s
     current state and [i], so it yields the same draws no matter how
-    many other streams are created, in what order, or on which domain —
-    the property that keeps parallel Monte-Carlo runs byte-identical at
-    any job count.  Raises [Invalid_argument] on negative [i]. *)
+    many other streams are created or in what order — the property that
+    makes each Monte-Carlo sample a function of the seed and its index
+    alone.  Raises [Invalid_argument] on negative [i]. *)

@@ -9,26 +9,20 @@
    module-init time and hold the handle, so the hot path performs no
    hashing.
 
-   Parallel execution (Cnt_par.Pool) shards every instrument by "slot":
-   slot 0 is the main domain, slots 1..n-1 are pool workers.  A domain's
-   slot index lives in domain-local storage, so a recording call is
-   still lock-free — it indexes the instrument's per-slot cell.  Reads
-   ([value], [counters], [quantile], [events], ...) aggregate across
-   slots, and [merge] folds the worker slots back into slot 0 after a
-   parallel region, so totals and profile shape are identical whether a
-   workload ran on 1 or N domains.  Slot growth and interning take a
-   mutex, but both happen off the hot path (module init, pool setup).
+   Each counter keeps one value and each histogram one sample buffer;
+   spans share one stack and one event list.  Recording takes no lock:
+   every analysis runs on its caller's domain, and cntd runs one
+   request at a time.  Only interning takes a mutex, off the hot path
+   (module init).
 
-   Spans nest through an explicit per-slot stack.  A completed span
-   remembers its full path ("parent/child/grandchild"), so reports can
-   aggregate by call position rather than by bare name, and the
-   Chrome-trace exporter can reconstruct the timeline.  A worker slot
-   carries a base path — the span the main domain had open when the
-   parallel region started — so spans recorded inside pool tasks keep
-   their logical nesting position.  The clock is [Unix.gettimeofday] —
-   the same clock the rest of the engine uses; timestamps are only ever
-   consumed as differences or as offsets from the registry epoch, so a
-   wall-clock step mid-run skews a report but cannot crash it. *)
+   Spans nest through an explicit stack.  A completed span remembers
+   its full path ("parent/child/grandchild"), so reports can aggregate
+   by call position rather than by bare name, and the Chrome-trace
+   exporter can reconstruct the timeline.  The clock is
+   [Unix.gettimeofday] — the same clock the rest of the engine uses;
+   timestamps are only ever consumed as differences or as offsets from
+   the registry epoch, so a wall-clock step mid-run skews a report but
+   cannot crash it. *)
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
@@ -42,18 +36,14 @@ let now () = Unix.gettimeofday ()
 
 type counter = {
   c_name : string;
-  mutable c_cells : int array; (* one cell per slot *)
+  mutable c_value : int;
 }
 
-(* One histogram shard: a doubling buffer of raw samples. *)
-type shard = {
-  mutable sh_values : float array;
-  mutable sh_len : int;
-}
-
+(* Raw samples in a doubling buffer. *)
 type histogram = {
   h_name : string;
-  mutable h_shards : shard array; (* one shard per slot *)
+  mutable h_values : float array;
+  mutable h_len : int;
 }
 
 type event = {
@@ -63,10 +53,9 @@ type event = {
   ev_start : float; (* absolute, seconds *)
   ev_dur : float; (* seconds *)
   ev_args : (string * float) list;
-  ev_slot : int; (* slot that recorded the span; 0 = main domain *)
 }
 
-(* An open span on a slot's stack. *)
+(* An open span on the stack. *)
 type frame = {
   f_name : string;
   f_path : string;
@@ -79,26 +68,6 @@ type span_token =
   | Disabled_span
   | Open_span of frame
 
-(* Per-slot span state.  [sl_base_path]/[sl_base_depth] hold the frame
-   the parallel region's caller had open, so worker spans nest under
-   it; base_depth is -1 when there is no base. *)
-type slot_state = {
-  mutable sl_stack : frame list;
-  mutable sl_events : event list; (* reversed (newest first) *)
-  mutable sl_count : int;
-  mutable sl_base_path : string;
-  mutable sl_base_depth : int;
-}
-
-let make_slot () =
-  {
-    sl_stack = [];
-    sl_events = [];
-    sl_count = 0;
-    sl_base_path = "";
-    sl_base_depth = -1;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -106,16 +75,15 @@ let make_slot () =
 let enabled_flag = ref false
 let epoch_t = ref (now ())
 
-(* Guards interning, slot growth and merge — never the recording path. *)
+(* Guards interning — never the recording path. *)
 let registry_mutex = Mutex.create ()
 
 let counters_tbl : (string, counter) Hashtbl.t = Hashtbl.create 32
 let histograms_tbl : (string, histogram) Hashtbl.t = Hashtbl.create 32
-let slots : slot_state array ref = ref [| make_slot () |]
 
-(* Which slot the current domain records into (0 unless a pool worker
-   claimed another slot). *)
-let slot_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
+(* Open spans, innermost first, and completed events, newest first. *)
+let stack : frame list ref = ref []
+let events_rev : event list ref = ref []
 
 let enabled () = !enabled_flag
 
@@ -130,80 +98,12 @@ let epoch () = !epoch_t
 
 let reset () =
   Mutex.lock registry_mutex;
-  Hashtbl.iter (fun _ c -> Array.fill c.c_cells 0 (Array.length c.c_cells) 0) counters_tbl;
-  Hashtbl.iter
-    (fun _ h -> Array.iter (fun sh -> sh.sh_len <- 0) h.h_shards)
-    histograms_tbl;
-  Array.iter
-    (fun sl ->
-      sl.sl_stack <- [];
-      sl.sl_events <- [];
-      sl.sl_count <- 0;
-      sl.sl_base_path <- "";
-      sl.sl_base_depth <- -1)
-    !slots;
+  Hashtbl.iter (fun _ c -> c.c_value <- 0) counters_tbl;
+  Hashtbl.iter (fun _ h -> h.h_len <- 0) histograms_tbl;
+  stack := [];
+  events_rev := [];
   epoch_t := now ();
   Mutex.unlock registry_mutex
-
-(* ------------------------------------------------------------------ *)
-(* Slots (parallel execution support)                                  *)
-(* ------------------------------------------------------------------ *)
-
-let slot_count () = Array.length !slots
-let current_slot () = Domain.DLS.get slot_key
-
-let set_slot ix =
-  if ix < 0 then invalid_arg "Obs.set_slot: negative slot";
-  if ix >= Array.length !slots then
-    invalid_arg
-      (Printf.sprintf "Obs.set_slot: slot %d not allocated (have %d)" ix
-         (Array.length !slots));
-  Domain.DLS.set slot_key ix
-
-(* Grow every instrument's shard array to [n] slots.  Must not run
-   concurrently with recording from slots >= the old count — the pool
-   calls this before starting worker domains on a batch. *)
-let ensure_slots n =
-  if n > Array.length !slots then begin
-    Mutex.lock registry_mutex;
-    let old = Array.length !slots in
-    if n > old then begin
-      let grown = Array.init n (fun i -> if i < old then (!slots).(i) else make_slot ()) in
-      Hashtbl.iter
-        (fun _ c ->
-          let cells = Array.make n 0 in
-          Array.blit c.c_cells 0 cells 0 old;
-          c.c_cells <- cells)
-        counters_tbl;
-      Hashtbl.iter
-        (fun _ h ->
-          let shards =
-            Array.init n (fun i ->
-                if i < old then h.h_shards.(i)
-                else { sh_values = [||]; sh_len = 0 })
-          in
-          h.h_shards <- shards)
-        histograms_tbl;
-      slots := grown
-    end;
-    Mutex.unlock registry_mutex
-  end
-
-let set_slot_base ix base =
-  let sl = (!slots).(ix) in
-  match base with
-  | None ->
-      sl.sl_base_path <- "";
-      sl.sl_base_depth <- -1
-  | Some (path, depth) ->
-      sl.sl_base_path <- path;
-      sl.sl_base_depth <- depth
-
-let open_frame () =
-  let sl = (!slots).(Domain.DLS.get slot_key) in
-  match sl.sl_stack with
-  | top :: _ -> Some (top.f_path, top.f_depth)
-  | [] -> if sl.sl_base_depth >= 0 then Some (sl.sl_base_path, sl.sl_base_depth) else None
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
@@ -215,7 +115,7 @@ let counter name =
     match Hashtbl.find_opt counters_tbl name with
     | Some c -> c
     | None ->
-        let c = { c_name = name; c_cells = Array.make (Array.length !slots) 0 } in
+        let c = { c_name = name; c_value = 0 } in
         Hashtbl.add counters_tbl name c;
         c
   in
@@ -226,12 +126,9 @@ let incr ?(by = 1) c =
   if by < 0 then
     invalid_arg
       (Printf.sprintf "Obs.incr: negative increment %d on %s" by c.c_name);
-  if !enabled_flag then begin
-    let ix = Domain.DLS.get slot_key in
-    c.c_cells.(ix) <- c.c_cells.(ix) + by
-  end
+  if !enabled_flag then c.c_value <- c.c_value + by
 
-let value c = Array.fold_left ( + ) 0 c.c_cells
+let value c = c.c_value
 let counter_name c = c.c_name
 
 let counters () =
@@ -248,14 +145,7 @@ let histogram name =
     match Hashtbl.find_opt histograms_tbl name with
     | Some h -> h
     | None ->
-        let h =
-          {
-            h_name = name;
-            h_shards =
-              Array.init (Array.length !slots) (fun _ ->
-                  { sh_values = [||]; sh_len = 0 });
-          }
-        in
+        let h = { h_name = name; h_values = [||]; h_len = 0 } in
         Hashtbl.add histograms_tbl name h;
         h
   in
@@ -264,30 +154,18 @@ let histogram name =
 
 let observe h v =
   if !enabled_flag then begin
-    let sh = h.h_shards.(Domain.DLS.get slot_key) in
-    if sh.sh_len = Array.length sh.sh_values then begin
-      let bigger = Array.make (max 64 (2 * sh.sh_len)) 0.0 in
-      Array.blit sh.sh_values 0 bigger 0 sh.sh_len;
-      sh.sh_values <- bigger
+    if h.h_len = Array.length h.h_values then begin
+      let bigger = Array.make (max 64 (2 * h.h_len)) 0.0 in
+      Array.blit h.h_values 0 bigger 0 h.h_len;
+      h.h_values <- bigger
     end;
-    sh.sh_values.(sh.sh_len) <- v;
-    sh.sh_len <- sh.sh_len + 1
+    h.h_values.(h.h_len) <- v;
+    h.h_len <- h.h_len + 1
   end
 
-let histogram_count h = Array.fold_left (fun acc sh -> acc + sh.sh_len) 0 h.h_shards
+let histogram_count h = h.h_len
 let histogram_name h = h.h_name
-
-(* Union of all shards' live samples, in slot order. *)
-let histogram_values h =
-  let total = histogram_count h in
-  let out = Array.make total 0.0 in
-  let k = ref 0 in
-  Array.iter
-    (fun sh ->
-      Array.blit sh.sh_values 0 out !k sh.sh_len;
-      k := !k + sh.sh_len)
-    h.h_shards;
-  out
+let histogram_values h = Array.sub h.h_values 0 h.h_len
 
 (* Quantile with linear interpolation between order statistics (the
    common "type 7" estimator) over a sorted array: q = 0 is the
@@ -355,34 +233,27 @@ let histograms () =
 let start_span name =
   if not !enabled_flag then Disabled_span
   else begin
-    let sl = (!slots).(Domain.DLS.get slot_key) in
     let path, depth =
-      match sl.sl_stack with
+      match !stack with
       | top :: _ -> (top.f_path ^ "/" ^ name, top.f_depth + 1)
-      | [] ->
-          if sl.sl_base_depth >= 0 then
-            (sl.sl_base_path ^ "/" ^ name, sl.sl_base_depth + 1)
-          else (name, 0)
+      | [] -> (name, 0)
     in
     let f = { f_name = name; f_path = path; f_depth = depth; f_start = now (); f_args = [] } in
-    sl.sl_stack <- f :: sl.sl_stack;
+    stack := f :: !stack;
     Open_span f
   end
 
 (* Close [tok] and every span opened after it that was left open (an
-   exception unwound past their end_span calls).  A span must be closed
-   by the domain (slot) that opened it. *)
+   exception unwound past their end_span calls). *)
 let end_span ?(args = []) tok =
   match tok with
   | Disabled_span -> ()
   | Open_span f ->
-      let ix = Domain.DLS.get slot_key in
-      let sl = (!slots).(ix) in
       let t_end = now () in
       let rec pop = function
         | [] -> [] (* token not on the stack: reset() ran mid-span; drop *)
         | top :: rest ->
-            sl.sl_events <-
+            events_rev :=
               {
                 ev_path = top.f_path;
                 ev_name = top.f_name;
@@ -390,13 +261,11 @@ let end_span ?(args = []) tok =
                 ev_start = top.f_start;
                 ev_dur = t_end -. top.f_start;
                 ev_args = (if top == f then args else top.f_args);
-                ev_slot = ix;
               }
-              :: sl.sl_events;
-            sl.sl_count <- sl.sl_count + 1;
+              :: !events_rev;
             if top == f then rest else pop rest
       in
-      sl.sl_stack <- pop sl.sl_stack
+      stack := pop !stack
 
 let span ?args name f =
   if not !enabled_flag then f ()
@@ -411,55 +280,6 @@ let span ?args name f =
         raise e
   end
 
-(* Completed spans across every slot: slot 0 first (in completion
-   order), then each worker slot's events in completion order. *)
-let events () =
-  Array.to_list !slots |> List.concat_map (fun sl -> List.rev sl.sl_events)
-
-let event_count () = Array.fold_left (fun acc sl -> acc + sl.sl_count) 0 !slots
-
-(* ------------------------------------------------------------------ *)
-(* Merge                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Fold every worker slot into slot 0 and clear the workers: counters
-   add, histogram samples concatenate (quantiles are computed over the
-   union), events append in slot order.  Commutative in the sense that
-   aggregate reads are unchanged; run it after a parallel region so a
-   later [reset]/report cycle only touches slot 0.  Must not run while
-   worker slots are recording. *)
-let merge () =
-  Mutex.lock registry_mutex;
-  let n = Array.length !slots in
-  if n > 1 then begin
-    Hashtbl.iter
-      (fun _ c ->
-        for i = 1 to n - 1 do
-          c.c_cells.(0) <- c.c_cells.(0) + c.c_cells.(i);
-          c.c_cells.(i) <- 0
-        done)
-      counters_tbl;
-    Hashtbl.iter
-      (fun _ h ->
-        let union = histogram_values h in
-        let sh0 = h.h_shards.(0) in
-        sh0.sh_values <- union;
-        sh0.sh_len <- Array.length union;
-        for i = 1 to n - 1 do
-          h.h_shards.(i).sh_len <- 0
-        done)
-      histograms_tbl;
-    let sl0 = (!slots).(0) in
-    let merged = ref (List.rev sl0.sl_events) in
-    for i = 1 to n - 1 do
-      let sl = (!slots).(i) in
-      merged := !merged @ List.rev sl.sl_events;
-      sl0.sl_count <- sl0.sl_count + sl.sl_count;
-      sl.sl_events <- [];
-      sl.sl_count <- 0;
-      sl.sl_base_path <- "";
-      sl.sl_base_depth <- -1
-    done;
-    sl0.sl_events <- List.rev !merged
-  end;
-  Mutex.unlock registry_mutex
+(* Completed spans in completion order. *)
+let events () = List.rev !events_rev
+let event_count () = List.length !events_rev

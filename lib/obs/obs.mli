@@ -7,13 +7,9 @@
     Instruments are interned by name — look them up once at module
     init and hold the handle; the hot path performs no hashing.
 
-    Every instrument is sharded by {e slot} — slot 0 is the main
-    domain, slots 1..n-1 belong to [Cnt_par.Pool] workers — so
-    recording from pool tasks never races.  Aggregate reads ([value],
-    [counters], [quantile], [events], ...) fold across slots, and
-    {!merge} compacts the worker slots back into slot 0 after a
-    parallel region, so reports are identical in shape whether a
-    workload ran on 1 or N domains.  See [docs/PARALLEL.md].
+    Each counter keeps one value and each histogram one sample buffer;
+    spans share one stack and one event list.  Recording takes no
+    lock: every analysis runs on its caller's domain.
 
     Typical use:
     {[
@@ -91,8 +87,8 @@ val histogram_count : histogram -> int
 val histogram_name : histogram -> string
 
 val histogram_values : histogram -> float array
-(** A copy of the recorded samples, the union across every slot (treat
-    the order as unspecified). *)
+(** A copy of the recorded samples (treat the order as
+    unspecified). *)
 
 val histograms : unit -> (string * hist_summary) list
 (** Every non-empty histogram with its summary, sorted by name. *)
@@ -122,52 +118,9 @@ type event = {
   ev_start : float;  (** absolute clock value, seconds *)
   ev_dur : float;  (** seconds *)
   ev_args : (string * float) list;
-  ev_slot : int;  (** slot that recorded the span; 0 = main domain *)
 }
 
 val events : unit -> event list
-(** Completed spans: slot 0 first in completion order, then each
-    worker slot's spans in completion order. *)
+(** Completed spans in completion order. *)
 
 val event_count : unit -> int
-
-(** {1 Parallel execution support}
-
-    Used by [Cnt_par.Pool]; safe to ignore in single-domain code.  The
-    protocol: the pool calls {!ensure_slots} and {!set_slot_base}
-    before a parallel region (while no worker is recording), each
-    worker domain calls {!set_slot} once at startup, and the pool calls
-    {!merge} after the region.  Recording concurrently from two domains
-    mapped to the {e same} slot is not supported. *)
-
-val slot_count : unit -> int
-(** Number of allocated slots (at least 1). *)
-
-val current_slot : unit -> int
-(** The slot the calling domain records into (0 unless claimed). *)
-
-val set_slot : int -> unit
-(** Bind the calling domain to a slot.  The slot must already be
-    allocated by {!ensure_slots}; raises [Invalid_argument]
-    otherwise. *)
-
-val ensure_slots : int -> unit
-(** Grow the registry to at least [n] slots.  Must not run while
-    worker slots are recording. *)
-
-val set_slot_base : int -> (string * int) option -> unit
-(** [set_slot_base ix (Some (path, depth))] makes root spans recorded
-    in slot [ix] nest under [path] at [depth + 1] — the pool passes the
-    caller's {!open_frame} so worker spans keep their logical position.
-    [None] clears the base. *)
-
-val open_frame : unit -> (string * int) option
-(** Path and depth of the calling slot's innermost open span (falling
-    back to its base frame), or [None] at top level. *)
-
-val merge : unit -> unit
-(** Fold every worker slot into slot 0 and clear the workers: counters
-    add, histogram samples concatenate (quantiles are then computed
-    over the union), events append in slot order.  Aggregate reads are
-    unchanged by a merge.  Must not run while worker slots are
-    recording. *)

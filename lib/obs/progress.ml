@@ -5,18 +5,16 @@
    step, ensemble sample).  With no sink installed [on ()] is false and
    every call site costs one predictable branch — the same discipline
    as the Obs registry.  With sinks installed, dispatch takes a mutex
-   so worker-domain events never interleave mid-line, and ticks are
+   so events from two threads never interleave mid-line, and ticks are
    throttled per sink by wall-clock interval while milestones always
    pass.
 
    Determinism contract: milestone events carry no wall-clock data, and
-   every milestone of the library analyses is emitted either from the
-   main domain (start/finish) or at a schedule-independent decision
-   point (rung escalation), so a deck whose solve path does not depend
-   on scheduling produces a bitwise-identical milestone stream at any
-   --jobs.  Ticks make no such promise: their arrival order and count
-   depend on scheduling and throttling, and time-derived rendering
-   (rates, ETA) lives in the sink, never in the event. *)
+   every analysis runs on its caller's domain in a fixed order, so a
+   deck produces a bitwise-identical milestone stream on every run.
+   Ticks arrive in analysis order too, but throttling makes their count
+   depend on wall-clock time; time-derived rendering (rates, ETA) lives
+   in the sink, never in the event. *)
 
 type event =
   | Analysis_start of { analysis : string; label : string }
@@ -104,7 +102,7 @@ let emit ev =
     (* The dispatch mutex must survive a raising sink: cancellation
        sinks (request deadlines, dropped daemon clients) abort a solve
        by raising from the callback, and the next emit — possibly from
-       another domain — still needs the lock. *)
+       another thread — still needs the lock. *)
     Fun.protect
       ~finally:(fun () -> Mutex.unlock dispatch_mutex)
       (fun () ->

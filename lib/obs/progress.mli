@@ -1,5 +1,5 @@
-(** Live progress streaming: a throttled, jobs-safe event stream the
-    analyses publish while they run.
+(** Live progress streaming: a throttled event stream the analyses
+    publish while they run.
 
     Where {!Obs} answers "where did the time go" after a run, this
     module answers "is the run healthy" during one: analysis
@@ -11,17 +11,16 @@
     {!emit} call site costs one predictable branch ({!on} returns
     [false]), so hooks stay in the hot paths for free.  Installing a
     sink turns the stream on.  Emission is serialised by a mutex, so
-    events from pool worker domains never interleave mid-line.
+    events from two threads never interleave mid-line.
 
     Events split into {e milestones} (analysis start/finish, rung
     escalations) and {e ticks} (per-point/per-step updates).
     Milestones always reach every sink and carry no wall-clock data,
-    so — for a deck whose solve path is schedule-independent — the
-    milestone sequence is bitwise-identical at any [--jobs] (pinned by
-    [test/test_flight.ml]).  Ticks are throttled per sink by a minimum
-    wall-clock interval and may arrive in any order from a parallel
-    region; time-derived rendering (rates, ETA) happens inside the
-    sink, never in the event. *)
+    so a deck's milestone sequence is bitwise-identical on every run
+    (pinned by [test/test_flight.ml]).  Ticks arrive in analysis order
+    but are throttled per sink by a minimum wall-clock interval;
+    time-derived rendering (rates, ETA) happens inside the sink, never
+    in the event. *)
 
 type event =
   | Analysis_start of { analysis : string; label : string }
@@ -29,9 +28,8 @@ type event =
       (** [points]: rows produced (sweep points, accepted transient
           steps + 1, samples) *)
   | Sweep_point of { k : int; n : int; value : float }
-      (** [k]-th of [n] sweep points finished; [value] is the swept
-          bias of that point.  Under [--jobs] the [k] counts
-          completions, so values may arrive out of sweep order. *)
+      (** sweep point [k] of [n] finished, in sweep order; [value] is
+          the swept bias of that point *)
   | Tran_step of { t : float; t_stop : float; accepted : int; rejected : int }
   | Sample of { label : string; i : int; n : int }
       (** generic ensemble progress: Monte-Carlo samples,
@@ -85,7 +83,7 @@ val on : unit -> bool
 
 val emit : event -> unit
 (** Deliver to every installed sink (no-op without sinks).  Safe from
-    any domain. *)
+    any thread. *)
 
 val install : sink -> unit
 val clear : unit -> unit

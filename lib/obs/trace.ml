@@ -41,13 +41,12 @@ let span_event ~epoch e =
         in
         Printf.sprintf ",\"args\":{%s}" (String.concat "," fields)
   in
-  (* one Chrome thread lane per recording slot: main = 1, workers 2.. *)
   Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"obs\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d%s}"
+    "{\"name\":\"%s\",\"cat\":\"obs\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":1%s}"
     (escape e.Obs.ev_name)
     (number ((e.Obs.ev_start -. epoch) *. 1e6))
     (number (Float.max 0.0 e.Obs.ev_dur *. 1e6))
-    (e.Obs.ev_slot + 1) args
+    args
 
 let counter_event ~ts (name, v) =
   Printf.sprintf

@@ -43,7 +43,6 @@ let opt f = function None -> Json.Null | Some v -> f v
 let config_to_json (c : Engine.config) =
   Json.Obj
     [
-      ("jobs", opt (fun j -> Json.Num (float_of_int j)) c.jobs);
       ("gmin", Json.Num c.gmin);
       ("tol", Json.Num c.tol);
       ("max_iter", Json.Num (float_of_int c.max_iter));
@@ -113,10 +112,7 @@ let config_of_json ~(base : Engine.config) j =
     in
     let config =
       {
-        Engine.jobs =
-          get "jobs" (fun v -> Option.map Option.some (Json.to_int v)) j
-            base.jobs;
-        gmin = get "gmin" Json.to_float j base.gmin;
+        Engine.gmin = get "gmin" Json.to_float j base.gmin;
         tol = get "tol" Json.to_float j base.tol;
         max_iter = get "max_iter" Json.to_int j base.max_iter;
         homotopy;

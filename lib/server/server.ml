@@ -2,15 +2,16 @@
    socket, one handler thread per connection, and a single global run
    mutex serialising engine execution.
 
-   The serialisation is forced by {!Cnt_par.Pool}: the pool rejects two
-   concurrent parallel regions, so the daemon admits many connections
-   but runs one deck at a time — each request still fans its own DC
-   sweep across the pool up to the per-request jobs budget.  Progress
-   frames stream from a {!Cnt_obs.Progress.lines} sink installed for
-   the duration of the run (inside the run mutex, so no other request's
-   events can interleave); a write failure on the client socket raises
-   out of the sink, which is the supported cancellation path — the
-   engine aborts, the daemon logs and keeps serving.
+   The daemon admits many connections but runs one deck at a time,
+   because two things a run touches are process-wide.  The
+   {!Cnt_obs.Progress} sink is one global: progress frames stream from
+   a {!Cnt_obs.Progress.lines} sink installed for the duration of the
+   run, and only the run mutex keeps another request's events out of
+   it.  The compile-cache hit counter is one global too: a request
+   reads it before and after its run, and only the mutex makes the
+   difference that request's own.  A write failure on the client socket
+   raises out of the sink, which is the supported cancellation path —
+   the engine aborts, the daemon logs and keeps serving.
 
    Cross-request cache sharing happens through {!Deck_cache}: one
    canonical parsed deck per content hash, on which
@@ -56,7 +57,7 @@ let listen_to_string = function
 type config = {
   listen : listen;
   base : Engine.config;
-  jobs_budget : int;
+  jobs_budget : int; (* read by nothing; kept only for cnt-bench *)
   max_request_bytes : int;
   deck_cache_entries : int;
   compile_cache_entries : int;
@@ -67,7 +68,7 @@ let default_config ~listen =
   {
     listen;
     base = Engine.default_config;
-    jobs_budget = Cnt_par.Pool.resolve Cnt_par.Pool.Auto;
+    jobs_budget = 1;
     max_request_bytes = 8 * 1024 * 1024;
     deck_cache_entries = 64;
     compile_cache_entries = 64;
@@ -201,14 +202,7 @@ let cache_info t =
           ("hits", Json.Num (float_of_int chits));
           ("misses", Json.Num (float_of_int cmisses));
         ] );
-    ("jobs_budget", Json.Num (float_of_int t.cfg.jobs_budget));
   ]
-
-let clamp_jobs t (c : Engine.config) =
-  let requested =
-    match c.jobs with Some j -> j | None -> Cnt_par.Pool.default_jobs ()
-  in
-  { c with Engine.jobs = Some (max 1 (min requested t.cfg.jobs_budget)) }
 
 let read_file path =
   let ic = open_in_bin path in
@@ -243,7 +237,6 @@ let handle_run t conn ~id ~deck ~config_json ~progress =
             (Protocol.request_error_line ~id
                { code = "bad_request"; message = "bad config: " ^ msg })
       | Ok config -> (
-          let config = clamp_jobs t config in
           let model = Engine.resolved_model config in
           let model_known =
             match model with

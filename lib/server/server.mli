@@ -1,8 +1,9 @@
 (** The [cntd] daemon core: accept loop, per-connection handler
     threads, and a single global run mutex serialising engine
-    execution ({!Cnt_par.Pool} allows one parallel region at a time, so
-    the daemon admits many connections but runs one deck at once — each
-    request still fans out across the pool up to the jobs budget).
+    execution.  The daemon admits many connections but runs one deck
+    at once, because the {!Cnt_obs.Progress} sink and the compile-cache
+    hit counter are process-wide: the mutex keeps each request's
+    progress frames and cache-hit reading its own.
 
     Cross-request cache sharing: a {!Deck_cache} keeps one canonical
     parsed deck per content hash, and
@@ -31,8 +32,8 @@ type config = {
       (** per-request defaults; a request's [config] object overrides
           field-wise *)
   jobs_budget : int;
-      (** hard per-request cap on [jobs]; requests asking for more are
-          clamped *)
+      (** read by nothing: kept only because cnt-bench still sets it,
+          and goes once cnt-bench stops *)
   max_request_bytes : int;
       (** request-line byte cap; an oversized line gets a structured
           error and the connection is dropped (the stream cannot be
@@ -43,8 +44,7 @@ type config = {
 }
 
 val default_config : listen:listen -> config
-(** Engine defaults, jobs budget = recommended domain count, 8 MiB
-    request cap, 64-entry caches, quiet. *)
+(** Engine defaults, 8 MiB request cap, 64-entry caches, quiet. *)
 
 (** {1 Lifecycle} *)
 

@@ -117,56 +117,3 @@ let to_string t =
      switching energy = %.3g J"
     (t.tphl *. 1e12) (t.tplh *. 1e12) (t.t_fall *. 1e12) (t.t_rise *. 1e12)
     t.energy
-
-(* -------------------------------------------------------------------- *)
-(* Multi-corner fan-out                                                  *)
-(* -------------------------------------------------------------------- *)
-
-type corner = {
-  corner_label : string;
-  corner_vdd : float;
-  corner_edge_time : float;
-}
-
-let corner ?(edge_time = 20e-12) ~label ~vdd () =
-  { corner_label = label; corner_vdd = vdd; corner_edge_time = edge_time }
-
-let corner_grid ?(edge_times = [ 20e-12 ]) vdds =
-  List.concat_map
-    (fun vdd ->
-      List.map
-        (fun et ->
-          {
-            corner_label = Printf.sprintf "vdd=%gV,edge=%gps" vdd (et *. 1e12);
-            corner_vdd = vdd;
-            corner_edge_time = et;
-          })
-        edge_times)
-    vdds
-
-(* Each corner is an independent transient run over its own circuit, so
-   corners fan out across a pool with no shared mutable state; results
-   land by corner index regardless of scheduling. *)
-let characterize_corners ?jobs ?t_edge ?width ?tstep ?policy ~vdd_name ~build
-    corners =
-  let module Pool = Cnt_par.Pool in
-  let jobs =
-    if Pool.in_task () then 1
-    else match jobs with Some j -> j | None -> Pool.default_jobs ()
-  in
-  let corners = Array.of_list corners in
-  (* The cell's node names are fixed and its element list does not
-     depend on the corner (only the stimulus and supply do), so the
-     potentially expensive model fits inside [build] happen once here
-     instead of once per corner.  Model evaluation is read-only (each
-     compile owns its device-kernel scratch), so sharing the elements
-     across pool workers is safe. *)
-  let elements = build ~input:input_node ~output:output_node in
-  let build ~input:_ ~output:_ = elements in
-  Pool.with_pool ~jobs (fun pool ->
-      Pool.parallel_map pool ~chunk:1
-        (fun c ->
-          ( c,
-            inverting_cell ~vdd:c.corner_vdd ~edge_time:c.corner_edge_time
-              ?t_edge ?width ?tstep ?policy ~vdd_name ~build () ))
-        corners)

@@ -32,37 +32,3 @@ val inverting_cell :
     cannot converge. *)
 
 val to_string : timing -> string
-
-(** {1 Multi-corner characterisation} *)
-
-type corner = {
-  corner_label : string;
-  corner_vdd : float;  (** supply voltage, V *)
-  corner_edge_time : float;  (** stimulus rise/fall time, s *)
-}
-
-val corner : ?edge_time:float -> label:string -> vdd:float -> unit -> corner
-
-val corner_grid : ?edge_times:float list -> float list -> corner list
-(** Cartesian grid of supply voltages and stimulus edge times with
-    generated labels ([edge_times] defaults to [[20e-12]]). *)
-
-val characterize_corners :
-  ?jobs:int ->
-  ?t_edge:float ->
-  ?width:float ->
-  ?tstep:float ->
-  ?policy:Homotopy.policy ->
-  vdd_name:string ->
-  build:(input:string -> output:string -> Circuit.element list) ->
-  corner list ->
-  (corner * timing) array
-(** Run {!inverting_cell} at every corner, fanning the independent
-    transient runs out over [jobs] domains (default
-    [Cnt_par.Pool.default_jobs]).  [build] is invoked {e once} and the
-    resulting elements shared across corners — the cell is
-    corner-independent (only supply and stimulus vary), so any model
-    fitting inside [build] is not repeated per corner.  Results land in
-    corner order and are identical at any job count.  Raises
-    {!Characterisation_error} as {!inverting_cell} does; the failure
-    surfaced is that of the lowest-indexed failing corner. *)

@@ -2,7 +2,6 @@
 
 module Obs = Cnt_obs.Obs
 module Progress = Cnt_obs.Progress
-module Pool = Cnt_par.Pool
 
 exception Analysis_error of string
 
@@ -108,23 +107,16 @@ let sweep_point_count ~start ~stop ~step =
     int_of_float nearest + 1
   else int_of_float (Float.floor ratio) + 1
 
-(* Points per warm-start run.  A fixed constant — never derived from
-   the job count — so the run boundaries, and therefore every solution,
-   are identical at any [jobs]. *)
-let sweep_chunk = 8
-
-(* Sweep the DC value of a voltage source.  The circuit is compiled
-   once; the swept source is overridden by name inside [eval_wave], so
-   the matrix structure and slot program are shared by every point.
-   The sweep is cut into fixed-size runs of [sweep_chunk] points: the
-   first point of a run solves cold (with the usual source-stepping
-   fallback) and later points warm-start from their predecessor.  Runs
-   are independent, so they fan out across a [Cnt_par.Pool]; each
-   domain refills its own {!Mna.clone} workspace (slot 0 reuses the
-   main one) and clone telemetry is folded back in slot order, keeping
-   both the results and the reported stats independent of [jobs]. *)
-let sweep ?(gmin = 1e-12) ?tol ?max_iter ?policy ?jobs circuit ~source ~start
-    ~stop ~step =
+(* Sweep the DC value of a voltage source as one continuation, the way
+   SPICE3's DC transfer curve runs.  The circuit is compiled once; the
+   swept source is overridden by name inside [eval_wave], so the matrix
+   structure and slot program are shared by every point.  Point 0
+   solves cold through the ladder (with the usual source-stepping
+   fallback); every later point warm-starts plain Newton from its
+   predecessor's solution and climbs the ladder, cold, only when that
+   fails. *)
+let sweep ?(gmin = 1e-12) ?tol ?max_iter ?policy circuit ~source ~start ~stop
+    ~step =
   Obs.span "dc.sweep" @@ fun () ->
   let n = sweep_point_count ~start ~stop ~step in
   Obs.incr ~by:n c_sweep_points;
@@ -140,71 +132,30 @@ let sweep ?(gmin = 1e-12) ?tol ?max_iter ?policy ?jobs circuit ~source ~start
       (Analysis_error (Printf.sprintf "dc sweep: no voltage source named %s" source));
   let compiled = Mna.compile circuit in
   let values = Array.init n (fun i -> start +. (float_of_int i *. step)) in
-  let jobs =
-    if Pool.in_task () then 1
-    else match jobs with Some j -> j | None -> Pool.default_jobs ()
+  let swept = ref start in
+  let eval_wave name w =
+    if names_equal name source then !swept else Waveform.dc_value w
+  in
+  let ladder () =
+    solve_op ~gmin ?tol ?max_iter ?policy ~analysis:"dc" ~sweep_var:source
+      ~sweep_point:!swept compiled ~eval_wave
   in
   let solutions = Array.make n [||] in
-  (* Completed-point count for progress ticks: an atomic because worker
-     domains finish points in schedule order, not index order. *)
-  let progress_done = Atomic.make 0 in
-  Pool.with_pool ~jobs (fun pool ->
-      let workspaces = Array.make (Pool.jobs pool) None in
-      workspaces.(0) <- Some compiled;
-      (* Slot-private lazy clones: only the owning domain ever touches
-         its entry, so no locking is needed. *)
-      let workspace () =
-        let slot = Pool.current_slot () in
-        match workspaces.(slot) with
-        | Some c -> c
-        | None ->
-            let c = Mna.clone compiled in
-            workspaces.(slot) <- Some c;
-            c
-      in
-      Pool.parallel_for_chunks pool ~chunk:sweep_chunk n (fun ~lo ~hi ->
-          let c = workspace () in
-          let swept = ref values.(lo) in
-          let eval_wave name w =
-            if names_equal name source then !swept else Waveform.dc_value w
-          in
-          let prev = ref None in
-          let ladder () =
-            solve_op ~gmin ?tol ?max_iter ?policy ~analysis:"dc"
-              ~sweep_var:source ~sweep_point:!swept c ~eval_wave
-          in
-          for i = lo to hi - 1 do
-            swept := values.(i);
-            Fault.set_point (Some !swept);
-            let solution =
-              match !prev with
-              | Some p -> begin
-                  try
-                    Mna.newton ~gmin ?tol ?max_iter c ~eval_wave
-                      ~cap:Mna.Open_circuit (Array.copy p)
-                  with Mna.No_convergence _ -> ladder ()
-                end
-              | None -> ladder ()
-            in
-            solutions.(i) <- solution;
-            if Progress.on () then
-              Progress.emit
-                (Progress.Sweep_point
-                   {
-                     k = 1 + Atomic.fetch_and_add progress_done 1;
-                     n;
-                     value = values.(i);
-                   });
-            prev := Some solution
-          done;
-          Fault.set_point None);
-      Array.iteri
-        (fun slot ws ->
-          if slot > 0 then
-            Option.iter
-              (fun c -> Mna.add_stats ~into:(Mna.stats compiled) (Mna.stats c))
-              ws)
-        workspaces);
+  for i = 0 to n - 1 do
+    swept := values.(i);
+    Fault.set_point (Some !swept);
+    solutions.(i) <-
+      (if i = 0 then ladder ()
+       else
+         try
+           Mna.newton ~gmin ?tol ?max_iter compiled ~eval_wave
+             ~cap:Mna.Open_circuit
+             (Array.copy solutions.(i - 1))
+         with Mna.No_convergence _ -> ladder ());
+    if Progress.on () then
+      Progress.emit (Progress.Sweep_point { k = i + 1; n; value = values.(i) })
+  done;
+  Fault.set_point None;
   let points = Array.map (fun solution -> { compiled; solution }) solutions in
   { compiled; sweep_values = values; points }
 

@@ -59,29 +59,26 @@ val sweep :
   ?tol:float ->
   ?max_iter:int ->
   ?policy:Homotopy.policy ->
-  ?jobs:int ->
   Circuit.t ->
   source:string ->
   start:float ->
   stop:float ->
   step:float ->
   sweep_result
-(** Sweep the DC value of [source].  The circuit is compiled once and
-    the swept source overridden by name, so every point shares one
-    matrix structure.  Points are solved in fixed-size runs of 8: the
-    first point of each run solves cold through the {!Homotopy} ladder
-    and the rest warm-start from their predecessor (falling back to the
-    ladder if a warm start diverges).  Runs fan out over [jobs] domains
-    (default: [Cnt_par.Pool.default_jobs], i.e. [CNT_JOBS] or 1); each
-    extra domain refills its own {!Mna.clone} workspace, and because
-    the run boundaries never depend on the job count, results and
-    accumulated {!sweep_stats} are identical at any [jobs].  Raises
-    [Invalid_argument] when [step <= 0], when [stop < start], or when
-    any bound is not finite; raises {!Analysis_error} when [source]
-    names no voltage source; raises {!Diag.Convergence_failure} (with
-    the failing bias in [sweep_point]) when the ladder cannot rescue a
-    point.  When [step] does not divide the range, the sweep stops at
-    the last point not beyond [stop]. *)
+(** Sweep the DC value of [source] as one continuation.  The circuit is
+    compiled once and the swept source overridden by name, so every
+    point shares one matrix structure.  Point 0 solves cold through the
+    {!Homotopy} ladder; point [i] warm-starts plain Newton from the
+    solution of point [i - 1] and climbs the ladder only when that
+    warm start fails.  Points are solved in index order on the calling
+    domain, and each emits a [Sweep_point] progress tick with
+    [k = i + 1].  Raises [Invalid_argument] when [step <= 0], when
+    [stop < start], or when any bound is not finite; raises
+    {!Analysis_error} when [source] names no voltage source; raises
+    {!Diag.Convergence_failure} (with the failing bias in
+    [sweep_point]) when the ladder cannot rescue a point.  When [step]
+    does not divide the range, the sweep stops at the last point not
+    beyond [stop]. *)
 
 val sweep_voltage : sweep_result -> string -> float array
 val sweep_current : sweep_result -> string -> float array

@@ -13,10 +13,9 @@ type table = {
 }
 
 (* One record for every knob the analyses share, replacing the
-   [?jobs ?gmin] optional-argument sprawl that each CLI used to thread
+   [?gmin ?tol] optional-argument sprawl that each CLI used to thread
    separately. *)
 type config = {
-  jobs : int option; (* None: Cnt_par.Pool.default_jobs () *)
   gmin : float;
   tol : float;
   max_iter : int;
@@ -31,7 +30,6 @@ type config = {
 
 let default_config =
   {
-    jobs = None;
     gmin = 1e-12;
     tol = 1e-9;
     max_iter = 200;
@@ -42,10 +40,10 @@ let default_config =
 
 (* The one way to build a config without spelling the whole record:
    every knob defaults to its [default_config] value, so adding a field
-   never breaks builder call sites. *)
-let config ?jobs ?gmin ?tol ?max_iter ?homotopy ?deadline ?model () =
+   never breaks builder call sites.  [jobs] is accepted and ignored:
+   it is kept only for cnt-bench, which still passes it. *)
+let config ?jobs:_ ?gmin ?tol ?max_iter ?homotopy ?deadline ?model () =
   {
-    jobs;
     gmin = Option.value gmin ~default:default_config.gmin;
     tol = Option.value tol ~default:default_config.tol;
     max_iter = Option.value max_iter ~default:default_config.max_iter;
@@ -66,9 +64,8 @@ let check_config c =
     bad "gmin" "must be a finite number >= 0 (got %g)" c.gmin
   else if c.max_iter < 1 then bad "max_iter" "must be >= 1 (got %d)" c.max_iter
   else
-    match (c.jobs, c.deadline) with
-    | Some j, _ when j < 1 -> bad "jobs" "must be >= 1 (got %d)" j
-    | _, Some d when not (d > 0.0) -> bad "deadline" "must be > 0 (got %g)" d
+    match c.deadline with
+    | Some d when not (d > 0.0) -> bad "deadline" "must be > 0 (got %g)" d
     | _ -> Ok ()
 
 (* The backend override that will actually apply: the config's [model]
@@ -93,9 +90,8 @@ let print_label = function
   | Parser.Print_i s -> Printf.sprintf "i(%s)" s
   | Parser.Print_id d -> Printf.sprintf "id(%s)" d
 
-(* Analysis start/finish milestones around a table build.  Both emit
-   from the calling (main) domain with the label fixed up front, so the
-   milestone stream is identical at any --jobs. *)
+(* Analysis start/finish milestones around a table build, with the
+   label fixed up front. *)
 let with_progress ~analysis ~label build =
   if Progress.on () then Progress.emit (Progress.Analysis_start { analysis; label });
   let t = build () in
@@ -147,8 +143,7 @@ let dc_table ?(config = default_config) circuit prints ~source ~start ~stop
        from a deck it is a semantic error, not an internal one *)
     try
       Dc.sweep ~gmin:config.gmin ~tol:config.tol ~max_iter:config.max_iter
-        ~policy:config.homotopy ?jobs:config.jobs circuit ~source ~start ~stop
-        ~step
+        ~policy:config.homotopy circuit ~source ~start ~stop ~step
     with Invalid_argument msg -> raise (Dc.Analysis_error msg)
   in
   let prints = default_prints circuit prints in
@@ -248,8 +243,8 @@ let tran_table ?(config = default_config) circuit prints ~tstep ~tstop =
 (* Wall-clock deadline enforcement.  The budget covers the whole deck:
    a check runs before every analysis, and a progress sink checks on
    every tick the analyses emit (sweep points, transient steps,
-   samples), raising {!Diag.Deadline} from whichever domain emitted —
-   the pool re-raises it in the caller.  Granularity is therefore one
+   samples), raising {!Diag.Deadline} out of the emitting analysis.
+   Granularity is therefore one
    progress tick: a single Newton solve that emits nothing (an .op
    card) is only interrupted at its analysis boundary.  Installing the
    sink turns the progress stream on, which costs one branch per call
@@ -346,11 +341,6 @@ let config_manifest (c : config) =
   let p = c.homotopy in
   Manifest.Obj
     [
-      ( "jobs",
-        Manifest.Int
-          (match c.jobs with
-          | Some j -> j
-          | None -> Cnt_par.Pool.default_jobs ()) );
       ("gmin", Manifest.Float c.gmin);
       ("tol", Manifest.Float c.tol);
       ("max_iter", Manifest.Int c.max_iter);

@@ -10,14 +10,10 @@ type table = {
           DC, transient and AC paths *)
 }
 
-(** Every knob the analyses share, in one record.  Build one with a
-    functional update of {!default_config}:
-    [{ Engine.default_config with jobs = Some 4 }]. *)
+(** Every knob the analyses share, in one record.  Build one with
+    {!config}, or with a functional update of {!default_config}:
+    [{ Engine.default_config with max_iter = 400 }]. *)
 type config = {
-  jobs : int option;
-      (** DC-sweep fan-out domains; [None] means
-          [Cnt_par.Pool.default_jobs ()] ([CNT_JOBS] or 1).  Results
-          are identical at any value. *)
   gmin : float;  (** target node-to-ground conductance (default 1e-12) *)
   tol : float;  (** Newton convergence tolerance (default 1e-9) *)
   max_iter : int;  (** Newton iteration budget per solve (default 200) *)
@@ -56,12 +52,14 @@ val config :
   config
 (** Build a config; every omitted knob takes its {!default_config}
     value.  Prefer this over literal record construction — new fields
-    never break builder call sites. *)
+    never break builder call sites.  [jobs] is accepted and read by
+    nothing: it is kept only because cnt-bench still passes it, and
+    goes once cnt-bench stops. *)
 
 val check_config : config -> (unit, string * string) result
 (** Range-check the numeric knobs: [tol] finite and > 0, [gmin] finite
-    and >= 0, [max_iter] >= 1, [jobs] >= 1 and [deadline] > 0 (not
-    NaN) when set.  [Error (field, reason)] names the first bad field
+    and >= 0, [max_iter] >= 1 and [deadline] > 0 (not NaN) when
+    set.  [Error (field, reason)] names the first bad field
     by its record label.  {!config} does not call it; every front end
     that builds a config from user input (CLI flags, cnt-rpc/1 request
     fields) does, and rejects the run as a usage error. *)
@@ -97,9 +95,9 @@ val table_to_csv : table -> string
     [--report] (see {!Cnt_obs.Manifest}). *)
 
 val config_manifest : config -> Cnt_obs.Manifest.json
-(** The configuration {e as resolved}: [None] knobs (jobs, model)
-    render as the ambient default they will actually use, so two
-    manifests differ exactly when the runs could. *)
+(** The configuration {e as resolved}: a [None] model renders as the
+    ambient default it will actually use, so two manifests differ
+    exactly when the runs could. *)
 
 val table_manifest : table -> Cnt_obs.Manifest.json
 (** Analysis label, column names, row count, per-analysis solver stats

@@ -7,11 +7,8 @@
    sweep-point context up to date.  Faults come either from the
    [CNT_FAULT] environment variable or from [with_faults] in tests.
 
-   The context lives in domain-local storage: sweeps evaluate points on
-   pool worker domains, and a shared ref would let one domain's rung
-   leak into another's fault decision.  The installed spec itself is a
-   plain global — it is set before any parallel region starts and only
-   read inside, so every domain sees the same spec. *)
+   The spec and the context are plain globals: every analysis runs on
+   its caller's domain, one solve at a time. *)
 
 type kind = Singular_matrix | Nan_eval | Exhaust_iters
 
@@ -91,9 +88,8 @@ let to_string sp =
 (* Installation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Read at start-up, not through a [Lazy.t]: [current] runs on every
-   pool domain, and two domains forcing one lazy at once raise
-   [CamlinternalLazy.Undefined]. *)
+(* Read once at start-up: the environment is a process-wide input, so
+   every solve in the process sees the same spec. *)
 let env_spec =
   match Sys.getenv_opt "CNT_FAULT" with
   | None | Some "" -> None
@@ -119,18 +115,15 @@ let with_faults sp f =
   Fun.protect ~finally:(fun () -> override := saved) f
 
 (* ------------------------------------------------------------------ *)
-(* Domain-local solve context                                          *)
+(* Solve context                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let rung_key : Diag.rung Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Diag.Plain_newton)
-
-let point_key : float option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let set_rung r = Domain.DLS.set rung_key r
-let current_rung () = Domain.DLS.get rung_key
-let set_point p = Domain.DLS.set point_key p
-let current_point () = Domain.DLS.get point_key
+let rung = ref Diag.Plain_newton
+let point : float option ref = ref None
+let set_rung r = rung := r
+let current_rung () = !rung
+let set_point p = point := p
+let current_point () = !point
 
 let rung_index r =
   let rec go i = function

@@ -44,14 +44,13 @@ val current : unit -> spec option
 
 val with_faults : spec -> (unit -> 'a) -> 'a
 (** Install [spec] for the duration of the callback, then restore the
-    previous state (also on exceptions).  Install before starting any
-    parallel region — the installed spec is a process-wide global. *)
+    previous state (also on exceptions).  The installed spec is a
+    process-wide global. *)
 
 (** {1 Solve context}
 
-    Maintained by {!Homotopy} (rung) and the analyses (sweep point) in
-    domain-local storage, so parallel sweep workers cannot see each
-    other's context. *)
+    Maintained by {!Homotopy} (rung) and the analyses (sweep point) as
+    process-wide globals, like the spec. *)
 
 val set_rung : Diag.rung -> unit
 val current_rung : unit -> Diag.rung

@@ -223,9 +223,9 @@ let solve ?(gmin = 1e-12) ?(tol = 1e-9) ?(max_iter = 200) ?(max_step = 0.5)
         if rung <> Diag.Plain_newton then begin
           Obs.incr c_rescues;
           (* A milestone, not a tick: escalation is a property of the
-             deck and the policy, not of scheduling, so the stream is
-             identical at any --jobs.  The sweep point comes from the
-             domain-local fault context the analyses already maintain. *)
+             deck and the policy, so the stream is identical on every
+             run.  The sweep point comes from the fault context the
+             analyses already maintain. *)
           if Cnt_obs.Progress.on () then
             Cnt_obs.Progress.emit
               (Cnt_obs.Progress.Rung_escalation

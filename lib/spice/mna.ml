@@ -162,8 +162,8 @@ type device =
    and models in parallel arrays, bias and output slots in contiguous
    Bigarray float64 columns.  Row [ti] of every column belongs to the
    device carrying that [ti].  The node/model columns are immutable and
-   shared between clones; the float columns are per-workspace scratch
-   overwritten every iteration. *)
+   shared between clones (see the compile cache); the float columns are
+   per-workspace scratch overwritten every iteration. *)
 type cnfet_table = {
   ct_n : int;
   ct_d : int array; (* drain node index, -1 = ground *)
@@ -176,7 +176,7 @@ type cnfet_table = {
   ct_gm : Cnt_core.Device_model.vec;
   ct_gds : Cnt_core.Device_model.vec;
   (* the rows' range kernels and their scratch (solver plans); never
-     shared between clones (clones may evaluate concurrently) *)
+     shared between clones *)
   ct_kernel : Cnt_core.Device_model.kernel;
 }
 
@@ -466,13 +466,12 @@ let compile_uncached circuit =
     table;
   }
 
-(* A second numeric workspace over the same symbolic compilation: the
-   netlist, node tables, device array, solver permutation and pattern,
-   and so the slot program, are shared (immutable after compile); the
-   solver values and LU workspace, rhs and stats are fresh, so a clone
-   can run Newton concurrently with the original on another domain.
-   Fold the clone's [stats] back with {!add_stats} if a combined report
-   is wanted. *)
+(* A second numeric workspace over the same symbolic compilation, for
+   the compile cache: the netlist, node tables, device array, solver
+   permutation and pattern, and so the slot program, are shared
+   (immutable after compile); the solver values and LU workspace, rhs
+   and stats are fresh, so each request's run starts from zeroed stats
+   and leaves the cached template untouched. *)
 let clone c =
   let n = size c in
   {
@@ -687,7 +686,7 @@ let scatter c ~eval_wave ~caps ~inds ~gmin x =
    table through the backends' range kernels — and the scatter reads
    the output columns.  The [Fault.Nan_eval] decision is made once per
    refill: [Fault.fires] is a pure function of the installed spec and
-   the domain-local rung/point context, none of which change within
+   the rung/point context, none of which change within
    one refill. *)
 let refill c ~eval_wave ~caps ~inds ~gmin x =
   match c.table with

@@ -63,7 +63,7 @@ val compile : Circuit.t -> compiled
 (** {2 Compile cache}
 
     Opt-in process-global memo over {!compile}, keyed by the circuit
-    value's {e physical} identity.  A hit returns a {!clone} of the
+    value's {e physical} identity.  A hit returns a clone of the
     cached template — symbolic pattern, node tables, device array and
     solver ordering shared; numeric workspace and stats fresh — so
     repeated compiles of the same circuit value skip the whole symbolic
@@ -82,14 +82,6 @@ val disable_compile_cache : unit -> unit
 val compile_cache_stats : unit -> int * int
 (** [(hits, misses)] since the process started.  Also ticked as the
     telemetry counters [mna.compile_cache.hits] / [.misses]. *)
-
-val clone : compiled -> compiled
-(** A fresh numeric workspace (solver values and LU workspace, rhs,
-    zeroed stats) over the same symbolic compilation — netlist, node
-    tables, device array, solver ordering and stamp program are
-    shared.  Clones may run {!newton}
-    concurrently on separate domains; fold a clone's {!stats} back with
-    {!add_stats} for a combined report. *)
 
 val size : compiled -> int
 (** Number of unknowns: non-ground nodes plus voltage-source and

@@ -7,12 +7,14 @@
      ({!Cnt_obs.Manifest.digest_rows}) of the exact solution bits of
      that run.  They were first taken from the former scalar assembly,
      which evaluated every CNFET in place inside the stamping loop; the
-     batched pipeline matched those bits at any job count.  They were
-     rebased once when every circuit moved onto the one sparse LU under
-     minimum-degree ordering (the small circuits here had been solved by
-     dense LU): the solutions moved by at most 6.7e-16 V and the AC
-     phasors not at all.  A digest change means the pipeline changed
-     its floating-point program.  The bits include libm's exp/log1p
+     batched pipeline matched those bits.  They were rebased once when
+     every circuit moved onto the one sparse LU under minimum-degree
+     ordering (the small circuits here had been solved by dense LU): the
+     solutions moved by at most 6.7e-16 V and the AC phasors not at all.
+     The four sweep digests were rebased once more when a DC sweep
+     became one warm-started continuation: point 8 no longer restarts
+     cold, and the solutions moved by at most 1.1e-16 V.  A digest
+     change means the pipeline changed its floating-point program.  The bits include libm's exp/log1p
      results: on a platform whose libm rounds differently these pins
      move while the KCL checks below still hold.
    - KCL.  At every solved DC point, each node's net current is rebuilt
@@ -80,15 +82,10 @@ let test_op_equivalence () =
     [| (Dc.operating_point (inverter_circuit ())).Dc.solution |]
 
 let test_dc_sweep_equivalence () =
-  let c = inverter_circuit () in
-  List.iter
-    (fun jobs ->
-      check_digest
-        (Printf.sprintf "sweep (jobs=%d)" jobs)
-        "b1ab0a7b34398a94354d200336bc8411"
-        (sweep_rows
-           (Dc.sweep ~jobs c ~source:"vin" ~start:0.0 ~stop:0.6 ~step:0.05)))
-    [ 1; 4 ]
+  check_digest "sweep" "270fc6a1da47bcd0828432f8f1321dca"
+    (sweep_rows
+       (Dc.sweep (inverter_circuit ()) ~source:"vin" ~start:0.0 ~stop:0.6
+          ~step:0.05))
 
 let test_transient_equivalence () =
   check_digest "transient" "3ae7b5b7d8d177b149d86a51a1fcdf4d"
@@ -375,7 +372,7 @@ let mixed_sweep () =
    stencil-closure assembly; KCL holds at every point. *)
 let test_mixed_sweep () =
   let r = mixed_sweep () in
-  check_digest "mixed sweep" "b6b6e22497dadbd59a3e43c965c62acc" (sweep_rows r);
+  check_digest "mixed sweep" "5551533585ac9f206cb46cfb64f198ba" (sweep_rows r);
   Array.iteri
     (fun i (p : Dc.op_result) ->
       check_kcl
@@ -540,35 +537,23 @@ let test_amd_matches_scan () =
       Alcotest.failf "trial %d (n=%d): heap order differs from the scan" trial n
   done
 
-(* ------------------------------------------------------------------ *)
-(* Jobs capping                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_cap_jobs () =
-  let cores = Domain.recommended_domain_count () in
-  Alcotest.(check int) "1 stays 1" 1 (Cnt_par.Pool.cap_jobs 1);
-  Alcotest.(check int) "cores stay cores" cores (Cnt_par.Pool.cap_jobs cores);
-  Alcotest.(check int) "excess capped at cores" cores
-    (Cnt_par.Pool.cap_jobs (cores + 37));
-  Alcotest.(check int) "zero clamps to 1" 1 (Cnt_par.Pool.cap_jobs 0)
-
 let () =
   Alcotest.run "cnt_assembly"
     [
       ( "equivalence",
         [
           Alcotest.test_case "op scalar=batched" `Quick test_op_equivalence;
-          Alcotest.test_case "dc sweep scalar=batched at jobs 1 and 4" `Quick
+          Alcotest.test_case "dc sweep scalar=batched" `Quick
             test_dc_sweep_equivalence;
           Alcotest.test_case "transient scalar=batched" `Quick
             test_transient_equivalence;
           Alcotest.test_case "ac scalar=batched" `Quick test_ac_equivalence;
           Alcotest.test_case "sweep table scalar=batched (piecewise)" `Quick
             (test_sweep_table_equivalence
-               ("piecewise", "06d72eee8def893e6752f605fbe43c91"));
+               ("piecewise", "a16c057bdb0a4ba591bf6d0e50f3aa2d"));
           Alcotest.test_case "sweep table scalar=batched (vs)" `Quick
             (test_sweep_table_equivalence
-               ("vs", "ff2ca705ba63c19619be245c25214519"));
+               ("vs", "da0fbe0a5936d24190e5f75e27bffea2"));
         ] );
       ( "kcl",
         [
@@ -609,6 +594,4 @@ let () =
           Alcotest.test_case "amd heap equals the O(n^2) scan" `Quick
             test_amd_matches_scan;
         ] );
-      ( "jobs",
-        [ Alcotest.test_case "cap_jobs clamps at host cores" `Quick test_cap_jobs ] );
     ]

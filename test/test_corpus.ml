@@ -15,8 +15,8 @@
    The suite also pins the parser's non-CLI contracts: subcircuit
    patterns compile once per parameter binding (Obs counters),
    identical CNFET cards share one physical device model, Netlist.emit
-   round-trips to bit-identical result tables across jobs and
-   device-model backends, and the expression evaluator agrees bitwise
+   round-trips to bit-identical result tables on every device-model
+   backend, and the expression evaluator agrees bitwise
    with a reference evaluator on random expression trees. *)
 
 open Cnt_spice
@@ -94,12 +94,8 @@ let run_cspice name =
   let out = Filename.temp_file "cnt_corpus" ".out" in
   let err = Filename.temp_file "cnt_corpus" ".err" in
   let code =
-    (* CNT_JOBS=1: a matrix-supplied job count above the host's cores
-       would put the auto-cap warning on stderr and break the byte
-       comparison; stdout itself is jobs-invariant (the roundtrip
-       suite below pins that in-process). *)
     Sys.command
-      (Printf.sprintf "cd %s && CNT_JOBS=1 %s corpus/%s.cir > %s 2> %s"
+      (Printf.sprintf "cd %s && %s corpus/%s.cir > %s 2> %s"
          (Filename.quote run_dir) exe name (Filename.quote out)
          (Filename.quote err))
   in
@@ -275,13 +271,13 @@ let tables_signature tables =
                     t.Engine.rows))))
   |> String.concat "|"
 
-let run_tables ~jobs ~model deck =
-  let config = Engine.config ~jobs ~model () in
+let run_tables ~model deck =
+  let config = Engine.config ~model () in
   match Engine.run_deck_result ~config deck with
   | Ok tables -> tables_signature tables
   | Error err -> Alcotest.failf "run failed: %s" (Diag.error_message err)
 
-let test_roundtrip ~device ~jobs ~model () =
+let test_roundtrip ~device ~model () =
   let deck = Parser.parse (roundtrip_text ~device) in
   let model_dir =
     Filename.concat (Filename.get_temp_dir_name ()) "cnt_corpus_models"
@@ -292,9 +288,9 @@ let test_roundtrip ~device ~jobs ~model () =
   in
   let deck2 = Parser.parse ~file:"<emitted>" emitted in
   Alcotest.(check string)
-    (Printf.sprintf "tables bit-identical (jobs=%d, model=%s)" jobs model)
-    (run_tables ~jobs ~model deck)
-    (run_tables ~jobs ~model deck2)
+    (Printf.sprintf "tables bit-identical (model=%s)" model)
+    (run_tables ~model deck)
+    (run_tables ~model deck2)
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluator vs a reference evaluator                       *)
@@ -500,17 +496,11 @@ let () =
         ] );
       ( "roundtrip",
         [
-          tc "piecewise deck, jobs=1"
-            (test_roundtrip ~device:"CNFET" ~jobs:1 ~model:"piecewise");
-          tc "piecewise deck, jobs=4"
-            (test_roundtrip ~device:"CNFET" ~jobs:4 ~model:"piecewise");
-          tc "vs deck, jobs=1"
-            (test_roundtrip ~device:"CNFET model=vs" ~jobs:1 ~model:"vs");
-          tc "vs deck, jobs=4"
-            (test_roundtrip ~device:"CNFET model=vs" ~jobs:4 ~model:"vs");
-          tc "vs deck remodelled to piecewise, jobs=4"
-            (test_roundtrip ~device:"CNFET model=vs" ~jobs:4
-               ~model:"piecewise");
+          tc "piecewise deck"
+            (test_roundtrip ~device:"CNFET" ~model:"piecewise");
+          tc "vs deck" (test_roundtrip ~device:"CNFET model=vs" ~model:"vs");
+          tc "vs deck remodelled to piecewise"
+            (test_roundtrip ~device:"CNFET model=vs" ~model:"piecewise");
         ] );
       ( "expressions",
         [

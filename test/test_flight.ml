@@ -3,8 +3,8 @@
 
    The determinism contract under test (docs/OBSERVABILITY.md):
    milestone events (analysis start/finish, ladder escalations) carry
-   no wall-clock data and arrive in a schedule-independent order, so
-   their stream is bitwise-identical at any --jobs; stdout tables are
+   no wall-clock data, so their stream is bitwise-identical on every
+   run; sweep ticks arrive in sweep order; stdout tables are
    byte-identical with every observability flag on or off; write
    failures exit 2 with a structured "output error", never an uncaught
    Sys_error. *)
@@ -47,8 +47,6 @@ let run_command cmd =
   Sys.remove out;
   Sys.remove err;
   (code, stdout_text, stderr_text)
-
-let lines s = String.split_on_char '\n' s |> List.filter (fun l -> l <> "")
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -118,44 +116,72 @@ let test_throttle_and_milestones () =
   Alcotest.(check int) "one tick passed the throttle" 1 (List.length ticks);
   Alcotest.(check int) "milestone passed" 1 (List.length milestones)
 
-(* Library-level jobs invariance: sweeping the same circuit at jobs=1
-   and jobs=4 must produce the identical milestone sequence, exactly n
-   tick events, and the same tick payload multiset (order may differ). *)
-let test_sweep_jobs_invariance () =
-  let inverter () =
-    let open Cnt_spice in
-    Circuit.create
-      [
-        Circuit.vdc "vdd" "vdd" "0" 0.6;
-        Circuit.vdc "vin" "in" "0" 0.0;
-        Circuit.cnfet "mn" ~drain:"out" ~gate:"in" ~source:"0"
-          (Cnt_core.Cnt_model.model2 ());
-        Circuit.cnfet "mp" ~drain:"out" ~gate:"in" ~source:"vdd"
-          (Cnt_core.Cnt_model.model2 ~polarity:Cnt_core.Cnt_model.P_type ());
-      ]
+(* A DC sweep is one warm-started continuation: the 121-point inverter
+   VTC that cntd_mixed serves (VDD = 0.6 V, 5 mV step) solves point 0
+   cold through the ladder and every later point by plain Newton from
+   its predecessor.  Exact counts per backend: Newton iterations,
+   ladder rescues and plain-rung attempts (one: point 0's).  Progress
+   ticks carry k = 1..n in sweep order, tick k at sweep point k - 1,
+   between the analysis start and finish milestones. *)
+let test_sweep_continuation () =
+  let deck =
+    Cnt_spice.Parser.parse
+      "inverter VTC\nVDD vdd 0 0.6\nVIN in 0 0\nMP out in vdd PCNFET\n\
+       MN out in 0 CNFET\n.dc VIN 0 0.6 0.005\n.print v(out) id(MN)\n.end\n"
   in
-  let capture ~jobs =
-    let got = ref [] in
-    let s = Progress.sink (fun ev -> got := ev :: !got) in
-    Progress.with_sink s (fun () ->
-        ignore
-          (Cnt_spice.Dc.sweep ~jobs (inverter ()) ~source:"vin" ~start:0.0
-             ~stop:0.6 ~step:0.1));
-    List.rev !got
-  in
-  let n_expected = 7 in
-  let events1 = capture ~jobs:1 and events4 = capture ~jobs:4 in
-  let split evs = List.partition Progress.milestone evs in
-  let m1, t1 = split events1 and m4, t4 = split events4 in
-  Alcotest.(check (list string))
-    "milestone streams identical at jobs=1 and jobs=4"
-    (List.map Progress.event_to_json m1)
-    (List.map Progress.event_to_json m4);
-  Alcotest.(check int) "jobs=1 tick count" n_expected (List.length t1);
-  Alcotest.(check int) "jobs=4 tick count" n_expected (List.length t4);
-  let multiset evs = List.sort compare (List.map Progress.event_to_json evs) in
-  Alcotest.(check (list string))
-    "tick payload multiset identical" (multiset t1) (multiset t4)
+  let n = 121 in
+  List.iter
+    (fun (backend, iterations, rescues) ->
+      let got = ref [] in
+      let s = Progress.sink (fun ev -> got := ev :: !got) in
+      Obs.reset ();
+      Obs.enable ();
+      let result =
+        Fun.protect ~finally:Obs.disable (fun () ->
+            Progress.with_sink s (fun () ->
+                Cnt_spice.Engine.run_deck_result
+                  ~config:(Cnt_spice.Engine.config ~model:backend ())
+                  deck))
+      in
+      let table =
+        match result with
+        | Ok [ t ] -> t
+        | Ok _ -> Alcotest.fail "expected one table"
+        | Error e ->
+            Alcotest.failf "%s: %s" backend (Cnt_spice.Diag.error_message e)
+      in
+      let counter name = List.assoc name (Obs.counters ()) in
+      Alcotest.(check int)
+        (backend ^ " newton iterations")
+        iterations table.stats.newton_iterations;
+      Alcotest.(check int)
+        (backend ^ " rescues")
+        rescues (counter "homotopy.rescues");
+      Alcotest.(check int)
+        (backend ^ " plain-rung attempts")
+        1
+        (counter "homotopy.rung.plain-newton");
+      let events = List.rev !got in
+      let milestones, ticks = List.partition Progress.milestone events in
+      Alcotest.(check int) (backend ^ " tick count") n (List.length ticks);
+      List.iteri
+        (fun i ev ->
+          match ev with
+          | Progress.Sweep_point { k; n = total; value } ->
+              Alcotest.(check int) (backend ^ " tick k") (i + 1) k;
+              Alcotest.(check int) (backend ^ " tick n") n total;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s tick %d value is point %d" backend k i)
+                true
+                (value = table.rows.(i).(0))
+          | _ -> Alcotest.fail "unexpected tick")
+        ticks;
+      (match (milestones, List.rev milestones) with
+      | Progress.Analysis_start _ :: _, Progress.Analysis_finish { points; _ } :: _
+        ->
+          Alcotest.(check int) (backend ^ " finish points") n points
+      | _ -> Alcotest.fail "expected start and finish milestones"))
+    [ ("piecewise", 423, 0); ("vs", 619, 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Manifest                                                            *)
@@ -230,30 +256,8 @@ let test_prometheus () =
     (contains ~needle:"cnt_flight_test_hist_count 4" text)
 
 (* ------------------------------------------------------------------ *)
-(* CLI: milestone invariance, stdout invariance, artefacts             *)
+(* CLI: stdout invariance, artefacts                                   *)
 (* ------------------------------------------------------------------ *)
-
-let milestone_lines stderr_text =
-  List.filter (fun l -> contains ~needle:"\"milestone\":true" l) (lines stderr_text)
-
-let test_cli_milestones_jobs_invariant () =
-  let run jobs =
-    let code, out, err =
-      run_command
-        (Printf.sprintf "%s --progress jsonl --jobs %d %s" (exe "cspice") jobs
-           (deck "golden_inverter"))
-    in
-    Alcotest.(check int) (Printf.sprintf "exit at jobs=%d" jobs) 0 code;
-    (out, err)
-  in
-  let out1, err1 = run 1 and out4, err4 = run 4 in
-  Alcotest.(check string) "stdout identical across jobs" out1 out4;
-  Alcotest.(check (list string))
-    "milestone stream identical across jobs" (milestone_lines err1)
-    (milestone_lines err4);
-  Alcotest.(check bool)
-    "stream has milestones" true
-    (List.length (milestone_lines err1) >= 2)
 
 let test_cli_stdout_invariant_with_flags () =
   let tmp = Filename.temp_file "cnt_flight" "" in
@@ -369,7 +373,7 @@ let () =
           tc "off by default" test_off_by_default;
           tc "throttle drops ticks, passes milestones"
             test_throttle_and_milestones;
-          tc "dc sweep jobs invariance" test_sweep_jobs_invariance;
+          tc "dc sweep continuation" test_sweep_continuation;
         ] );
       ( "manifest",
         [
@@ -380,8 +384,6 @@ let () =
       ("prometheus", [ tc "text exposition" test_prometheus ]);
       ( "cli",
         [
-          tc "milestones identical at jobs=1/4"
-            test_cli_milestones_jobs_invariant;
           tc "stdout identical with flags on"
             test_cli_stdout_invariant_with_flags;
           tc "metrics pin scv.fallback_bisection=0"

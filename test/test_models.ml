@@ -1,7 +1,6 @@
 (* The pluggable device-model tier: registry dispatch, deck [model=]
    parsing, per-backend evaluation invariants (batched stencil bitwise
-   equal to scalar calls, jobs-count independence, I_DS monotone in
-   V_DS), closed-form gm/gds against a central-difference oracle, the
+   equal to scalar calls, I_DS monotone in V_DS), closed-form gm/gds against a central-difference oracle, the
    --model / CNT_MODEL run override, the deck-cache identity contract
    (two decks differing only in model never share entries), and
    per-backend golden CSVs for a DC sweep and a transient.
@@ -239,12 +238,6 @@ let sweep_deck_text ?(step = 0.05) backend =
     "t\nVDD vdd 0 0.6\nVIN in 0 0\nMP out in vdd PCNFET model=%s\nMN out in 0 \
      CNFET model=%s\n.dc VIN 0 0.6 %g\n.print v(out) id(MN)\n.end"
     backend backend step
-
-let test_jobs_invariance backend () =
-  let run jobs =
-    run_ok ~config:(Engine.config ~jobs ()) (Parser.parse (sweep_deck_text backend))
-  in
-  check_tables_bitwise (backend ^ ": jobs 1 = jobs 4") (run 1) (run 4)
 
 (* ------------------------------------------------------------------ *)
 (* Closed-form conductances against the finite-difference oracle       *)
@@ -695,8 +688,7 @@ let () =
         ] );
       ( "invariants",
         per_backend "stencil = scalar bitwise" test_stencil_matches_scalar
-        @ per_backend "ids monotone in vds" test_monotone_ids
-        @ per_backend "jobs invariance" test_jobs_invariance );
+        @ per_backend "ids monotone in vds" test_monotone_ids );
       ( "jacobians",
         [
           QCheck_alcotest.to_alcotest prop_jacobian_matches_fd;

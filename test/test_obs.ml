@@ -472,93 +472,6 @@ let test_events_jsonl_parses () =
     lines;
   fresh ()
 
-(* ------------------------------------------------------------------ *)
-(* Slot sharding and merge                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* All from one domain: set_slot re-binds the calling domain, which the
-   API allows as long as no other domain records into the same slot. *)
-let with_slot ix f =
-  Obs.set_slot ix;
-  Fun.protect ~finally:(fun () -> Obs.set_slot 0) f
-
-let test_merge_counters_equal_sequential_total () =
-  fresh ();
-  Obs.enable ();
-  Obs.ensure_slots 3;
-  let c = Obs.counter "test.merge_counter" in
-  Obs.incr ~by:5 c;
-  with_slot 1 (fun () -> Obs.incr ~by:7 c);
-  with_slot 2 (fun () -> Obs.incr ~by:11 c);
-  (* aggregate reads fold across slots before any merge *)
-  Alcotest.(check int) "value sums the slots" 23 (Obs.value c);
-  Alcotest.(check (list (pair string int)))
-    "counters listing folds slots"
-    [ ("test.merge_counter", 23) ]
-    (List.filter (fun (n, _) -> n = "test.merge_counter") (Obs.counters ()));
-  Obs.merge ();
-  Alcotest.(check int) "merge preserves the total" 23 (Obs.value c);
-  (* worker slots are cleared: recording again still sums correctly *)
-  with_slot 1 (fun () -> Obs.incr c);
-  Alcotest.(check int) "post-merge increments accumulate" 24 (Obs.value c);
-  fresh ()
-
-let test_merge_histogram_union_quantiles () =
-  fresh ();
-  Obs.enable ();
-  Obs.ensure_slots 3;
-  let h = Obs.histogram "test.merge_hist" in
-  (* deal 0..11 across three slots; quantiles must see the union *)
-  List.iteri
-    (fun i v ->
-      let record () = Obs.observe h v in
-      match i mod 3 with 0 -> record () | s -> with_slot s record)
-    [ 0.; 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8.; 9.; 10.; 11. ];
-  Alcotest.(check int) "count over union" 12 (Obs.histogram_count h);
-  check_float "median over union" 5.5 (Obs.quantile h 0.5);
-  check_float "min over union" 0.0 (Obs.quantile h 0.0);
-  check_float "max over union" 11.0 (Obs.quantile h 1.0);
-  let before = Obs.quantile h 0.9 in
-  Obs.merge ();
-  Alcotest.(check int) "merge preserves count" 12 (Obs.histogram_count h);
-  check_float "merge preserves quantiles" before (Obs.quantile h 0.9);
-  check_float "merge preserves median" 5.5 (Obs.quantile h 0.5);
-  fresh ()
-
-let test_merge_events_and_slot_base () =
-  fresh ();
-  Obs.enable ();
-  Obs.ensure_slots 2;
-  (* a worker slot whose base is the caller's open frame records spans
-     that nest under the caller's path, as during a pool region *)
-  let tok = Obs.start_span "region" in
-  Obs.set_slot_base 1 (Obs.open_frame ());
-  with_slot 1 (fun () -> Obs.span "task" (fun () -> ()));
-  Obs.set_slot_base 1 None;
-  Obs.end_span tok;
-  Obs.merge ();
-  (* events list slot 0 first, then worker slots *)
-  let paths = List.map (fun e -> e.Obs.ev_path) (Obs.events ()) in
-  Alcotest.(check (list string))
-    "worker span nests under the caller's open span"
-    [ "region"; "region/task" ] paths;
-  let depths = List.map (fun e -> e.Obs.ev_depth) (Obs.events ()) in
-  Alcotest.(check (list int)) "depths follow the base" [ 0; 1 ] depths;
-  (* merged events all live in slot 0 afterwards *)
-  Obs.merge ();
-  Alcotest.(check int) "idempotent merge keeps events" 2 (Obs.event_count ());
-  fresh ()
-
-let test_set_slot_validation () =
-  fresh ();
-  Obs.ensure_slots 2;
-  Alcotest.(check bool) "slot count grew" true (Obs.slot_count () >= 2);
-  (match Obs.set_slot 999 with
-  | () -> Alcotest.fail "unallocated slot should be rejected"
-  | exception Invalid_argument _ -> ());
-  Alcotest.(check int) "current slot still 0" 0 (Obs.current_slot ());
-  fresh ()
-
 let () =
   Alcotest.run "cnt_obs"
     [
@@ -598,15 +511,5 @@ let () =
           Alcotest.test_case "chrome trace well-formed" `Quick
             test_chrome_trace_well_formed;
           Alcotest.test_case "events jsonl parses" `Quick test_events_jsonl_parses;
-        ] );
-      ( "merge",
-        [
-          Alcotest.test_case "counters equal sequential totals" `Quick
-            test_merge_counters_equal_sequential_total;
-          Alcotest.test_case "histogram quantiles over the union" `Quick
-            test_merge_histogram_union_quantiles;
-          Alcotest.test_case "events and slot bases" `Quick
-            test_merge_events_and_slot_base;
-          Alcotest.test_case "set_slot validation" `Quick test_set_slot_validation;
         ] );
     ]

@@ -101,7 +101,6 @@ let test_config_roundtrip () =
   let config =
     {
       Cnt_spice.Engine.default_config with
-      jobs = Some 3;
       tol = 1e-7;
       deadline = Some 2.5;
       homotopy = { Cnt_spice.Homotopy.default with gmin_steps = 17 };
@@ -128,9 +127,9 @@ let test_config_partial_override () =
 
 (* Keys outside the decoded set are an error naming the key, never a
    silent run on the base config: a misspelling, the retired [cache],
-   [assembly], [backend] and [ordering] keys, an unknown homotopy
-   field, and a [config] or
-   [homotopy] that is not an object.  So is a value out of
+   [assembly], [backend], [ordering] and [jobs] keys, an unknown
+   homotopy field, and a [config] or [homotopy] that is not an
+   object.  So is a value out of
    [Engine.check_config]'s range.  [null] still means "inherit". *)
 let bad_configs =
   [
@@ -139,6 +138,7 @@ let bad_configs =
     ("{\"assembly\":\"scalar\"}", "assembly");
     ("{\"backend\":\"dense\"}", "backend");
     ("{\"ordering\":\"amd\"}", "ordering");
+    ("{\"jobs\":2}", "jobs");
     ("{\"homotopy\":{\"gmin_step\":3}}", "homotopy.gmin_step");
     ("5", "config");
     ("{\"homotopy\":true}", "homotopy");
@@ -146,7 +146,6 @@ let bad_configs =
     ("{\"tol\":0}", "tol");
     ("{\"gmin\":-1}", "gmin");
     ("{\"max_iter\":0}", "max_iter");
-    ("{\"jobs\":-3}", "jobs");
     ("{\"deadline_s\":-1}", "deadline_s");
   ]
 
