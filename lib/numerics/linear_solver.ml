@@ -24,12 +24,10 @@ let create n pattern =
   let perm, fill = Sparse.amd_order ~n pattern in
   let pinv = Array.make n 0 in
   Array.iteri (fun k v -> pinv.(v) <- k) perm;
-  let b = Sparse.Builder.create n in
-  Array.iter (fun (i, j) -> Sparse.Builder.add b pinv.(i) pinv.(j)) pattern;
-  let m = Sparse.Builder.finalize b in
+  let m = Sparse.of_pattern ~pinv n pattern in
   {
     m;
-    lu = Sparse.lu_create m;
+    lu = Sparse.lu_create ~fill m;
     perm;
     pinv;
     xp = Array.make n 0.0;
@@ -43,7 +41,7 @@ let clone t =
   {
     t with
     m;
-    lu = Sparse.lu_create m;
+    lu = Sparse.lu_create ~fill:t.fill m;
     xp = Array.make n 0.0;
     bp = Array.make n 0.0;
   }

@@ -1,11 +1,11 @@
 (* Sparse matrices for MNA-style systems.
 
-   Storage is compressed sparse row with a frozen pattern: a Builder
-   collects the set of (row, col) locations once (the symbolic phase),
-   finalize sorts them into CSR arrays, and from then on only the value
-   array changes (the numeric phase).  Columns are sorted within each
-   row, so a location's value slot is found by binary search over its
-   row; callers resolve slots once and cache them for allocation-free
+   Storage is compressed sparse row with a frozen pattern: [of_pattern]
+   freezes the set of (row, col) locations once (the symbolic phase)
+   into CSR arrays, and from then on only the value array changes (the
+   numeric phase).  Columns are sorted within each row, so a
+   location's value slot is found by binary search over its row;
+   callers resolve slots once and cache them for allocation-free
    refill.
 
    The factorisation is a left-looking Gilbert-Peierls sparse LU with
@@ -35,50 +35,61 @@ type t = {
   values : float array;
 }
 
-module Builder = struct
-  type matrix = t
-
-  type t = {
-    n : int;
-    seen : (int, unit) Hashtbl.t;
-  }
-
-  let create n =
-    if n < 0 then invalid_arg "Sparse.Builder.create: negative dimension";
-    { n; seen = Hashtbl.create (4 * (n + 1)) }
-
-  let add b i j =
-    if i < 0 || j < 0 || i >= b.n || j >= b.n then
-      invalid_arg (Printf.sprintf "Sparse.Builder.add: (%d, %d) out of range" i j);
-    let key = (i * b.n) + j in
-    if not (Hashtbl.mem b.seen key) then Hashtbl.add b.seen key ()
-
-  let finalize b : matrix =
-    let keys = Array.make (Hashtbl.length b.seen) 0 in
-    let k = ref 0 in
-    Hashtbl.iter
-      (fun key () ->
-        keys.(!k) <- key;
-        incr k)
-      b.seen;
-    (* packed keys sort row-major, which is exactly CSR order *)
-    Array.sort Int.compare keys;
-    let row_ptr = Array.make (b.n + 1) 0 in
-    Array.iter
-      (fun key ->
-        let i = (key / b.n) + 1 in
-        row_ptr.(i) <- row_ptr.(i) + 1)
-      keys;
-    for i = 0 to b.n - 1 do
-      row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
-    done;
-    {
-      n = b.n;
-      row_ptr;
-      cols = Array.map (fun key -> key mod b.n) keys;
-      values = Array.make (Array.length keys) 0.0;
-    }
-end
+(* Freeze a pattern into CSR by two counting sorts: bucket the entries
+   by column, then sweep the columns in increasing order dealing each
+   entry into its row, so every row receives its columns already sorted
+   and a repeated location is always the row's last column so far. *)
+let of_pattern ?pinv n pattern =
+  if n < 0 then invalid_arg "Sparse.of_pattern: negative dimension";
+  let renumber i = match pinv with None -> i | Some q -> q.(i) in
+  let col_ptr = Array.make (n + 1) 0 in
+  Array.iter
+    (fun (i, j) ->
+      if i < 0 || j < 0 || i >= n || j >= n then
+        invalid_arg (Printf.sprintf "Sparse.of_pattern: (%d, %d) out of range" i j);
+      let j = renumber j in
+      col_ptr.(j + 1) <- col_ptr.(j + 1) + 1)
+    pattern;
+  for j = 0 to n - 1 do
+    col_ptr.(j + 1) <- col_ptr.(j + 1) + col_ptr.(j)
+  done;
+  let rows_by_col = Array.make (Array.length pattern) 0 in
+  let next = Array.sub col_ptr 0 (n + 1) in
+  Array.iter
+    (fun (i, j) ->
+      let j = renumber j in
+      rows_by_col.(next.(j)) <- renumber i;
+      next.(j) <- next.(j) + 1)
+    pattern;
+  (* first sweep counts each row's distinct columns, the second deals
+     them; [last.(i)] is the column row [i] received last *)
+  let last = Array.make n (-1) and row_ptr = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    for p = col_ptr.(j) to col_ptr.(j + 1) - 1 do
+      let i = rows_by_col.(p) in
+      if last.(i) <> j then begin
+        last.(i) <- j;
+        row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
+      end
+    done
+  done;
+  for i = 0 to n - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
+  done;
+  let cols = Array.make row_ptr.(n) 0 in
+  Array.fill last 0 n (-1);
+  Array.blit row_ptr 0 next 0 (n + 1);
+  for j = 0 to n - 1 do
+    for p = col_ptr.(j) to col_ptr.(j + 1) - 1 do
+      let i = rows_by_col.(p) in
+      if last.(i) <> j then begin
+        last.(i) <- j;
+        cols.(next.(i)) <- j;
+        next.(i) <- next.(i) + 1
+      end
+    done
+  done;
+  { n; row_ptr; cols; values = Array.make row_ptr.(n) 0.0 }
 
 let dim m = m.n
 let nnz m = Array.length m.cols
@@ -97,17 +108,80 @@ let copy_pattern m = { m with values = Array.make (nnz m) 0.0 }
    work and memory.  Deterministic: degree ties break toward the lowest
    vertex index. *)
 
-(* Symmetrised adjacency (no self loops) as per-vertex hash sets. *)
+(* Symmetrised adjacency (no self loops) as per-vertex int arrays:
+   [adj.(v)] holds [deg.(v)] distinct neighbours, in no particular order,
+   and grows by doubling.  [mark] is a scratch marker array: a vertex
+   is in the set being scanned when its mark equals the current stamp. *)
+type adjacency = {
+  adj : int array array;
+  deg : int array;
+  mark : int array;
+  mutable stamp : int;
+}
+
+let adj_append g u w =
+  let a = g.adj.(u) and d = g.deg.(u) in
+  let a =
+    if d < Array.length a then a
+    else begin
+      let grown = Array.make (max 4 (2 * d)) 0 in
+      Array.blit a 0 grown 0 d;
+      g.adj.(u) <- grown;
+      grown
+    end
+  in
+  a.(d) <- w;
+  g.deg.(u) <- d + 1
+
+(* Stamp the current neighbours of [u] (and [u] itself) as present. *)
+let adj_mark g u =
+  g.stamp <- g.stamp + 1;
+  let a = g.adj.(u) in
+  for k = 0 to g.deg.(u) - 1 do
+    g.mark.(a.(k)) <- g.stamp
+  done;
+  g.mark.(u) <- g.stamp
+
 let ordering_adjacency ~n pattern =
-  let adj = Array.init n (fun _ -> Hashtbl.create 8) in
+  (* raw lists with repeats, sized exactly, then deduplicated in place *)
+  let raw = Array.make n 0 in
+  let in_range (i, j) = i <> j && i >= 0 && j >= 0 && i < n && j < n in
   Array.iter
-    (fun (i, j) ->
-      if i <> j && i >= 0 && j >= 0 && i < n && j < n then begin
-        if not (Hashtbl.mem adj.(i) j) then Hashtbl.add adj.(i) j ();
-        if not (Hashtbl.mem adj.(j) i) then Hashtbl.add adj.(j) i ()
+    (fun ((i, j) as e) ->
+      if in_range e then begin
+        raw.(i) <- raw.(i) + 1;
+        raw.(j) <- raw.(j) + 1
       end)
     pattern;
-  adj
+  let g =
+    {
+      adj = Array.map (fun k -> Array.make k 0) raw;
+      deg = Array.make n 0;
+      mark = Array.make n 0;
+      stamp = 0;
+    }
+  in
+  Array.iter
+    (fun ((i, j) as e) ->
+      if in_range e then begin
+        adj_append g i j;
+        adj_append g j i
+      end)
+    pattern;
+  for v = 0 to n - 1 do
+    g.stamp <- g.stamp + 1;
+    let a = g.adj.(v) and d = ref 0 in
+    for k = 0 to g.deg.(v) - 1 do
+      let u = a.(k) in
+      if g.mark.(u) <> g.stamp then begin
+        g.mark.(u) <- g.stamp;
+        a.(!d) <- u;
+        incr d
+      end
+    done;
+    g.deg.(v) <- !d
+  done;
+  g
 
 (* The next pivot comes from a binary min-heap of packed keys
    [degree * (n + 1) + vertex], so the smallest key is the lowest
@@ -115,9 +189,9 @@ let ordering_adjacency ~n pattern =
    whose degree changes is pushed again under its new key, and a popped
    key that no longer matches its live vertex is skipped. *)
 let amd_order ~n pattern =
-  let adj = ordering_adjacency ~n pattern in
+  let g = ordering_adjacency ~n pattern in
   let stride = n + 1 in
-  let key v = (Hashtbl.length adj.(v) * stride) + v in
+  let key v = (g.deg.(v) * stride) + v in
   let heap = ref (Array.make (max 16 n) 0) and size = ref 0 in
   let push x =
     if !size = Array.length !heap then begin
@@ -158,46 +232,55 @@ let amd_order ~n pattern =
   let perm = Array.make n 0 in
   let fill = ref 0 in
   for k = 0 to n - 1 do
-    let rec next () =
-      let top = pop () in
-      let v = top mod stride in
-      if eliminated.(v) || top <> key v then next () else v
-    in
-    let v = next () in
+    (* skip stale keys: eliminated vertices and outdated degrees *)
+    let top = ref (pop ()) in
+    while eliminated.(!top mod stride) || !top <> key (!top mod stride) do
+      top := pop ()
+    done;
+    let v = !top mod stride in
     perm.(k) <- v;
     eliminated.(v) <- true;
-    let nbrs = Hashtbl.fold (fun u () acc -> u :: acc) adj.(v) [] in
-    fill := !fill + List.length nbrs;
-    List.iter (fun u -> Hashtbl.remove adj.(u) v) nbrs;
-    let rec clique = function
-      | [] -> ()
-      | u :: rest ->
-          List.iter
-            (fun w ->
-              if not (Hashtbl.mem adj.(u) w) then begin
-                Hashtbl.add adj.(u) w ();
-                Hashtbl.add adj.(w) u ()
-              end)
-            rest;
-          clique rest
-    in
-    clique nbrs;
-    List.iter (fun u -> push (key u)) nbrs
+    (* [v]'s own list is left alone below: it is in no clique and no
+       other vertex lists it once it is removed from its neighbours *)
+    let nbrs = g.adj.(v) and dv = g.deg.(v) in
+    fill := !fill + dv;
+    for e = 0 to dv - 1 do
+      let u = nbrs.(e) in
+      let a = g.adj.(u) and last = g.deg.(u) - 1 in
+      let p = ref 0 in
+      while a.(!p) <> v do
+        incr p
+      done;
+      a.(!p) <- a.(last);
+      g.deg.(u) <- last
+    done;
+    (* connect the neighbours into a clique *)
+    for e = 0 to dv - 1 do
+      let u = nbrs.(e) in
+      adj_mark g u;
+      let stamp = g.stamp in
+      for f = 0 to dv - 1 do
+        let w = nbrs.(f) in
+        if g.mark.(w) <> stamp then adj_append g u w
+      done
+    done;
+    for e = 0 to dv - 1 do
+      push (key nbrs.(e))
+    done
   done;
   (perm, !fill)
 
 (* Value slot of column [j] in row [i] by binary search over the row's
    sorted columns; -1 when absent. *)
-let find m i j =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else begin
-      let mid = (lo + hi) lsr 1 in
-      let c = m.cols.(mid) in
-      if c = j then mid else if c < j then go (mid + 1) hi else go lo mid
-    end
-  in
-  go m.row_ptr.(i) m.row_ptr.(i + 1)
+let rec search cols j lo hi =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    let c = cols.(mid) in
+    if c = j then mid else if c < j then search cols j (mid + 1) hi else search cols j lo mid
+  end
+
+let find m i j = search m.cols j m.row_ptr.(i) m.row_ptr.(i + 1)
 
 let slot m i j =
   if i < 0 || j < 0 || i >= m.n || j >= m.n then
@@ -261,9 +344,14 @@ type lu = {
   y : float array; (* solve scratch *)
 }
 
-let lu_create m =
+(* Each factor holds [fill] off-diagonal entries plus its diagonal, and
+   [refactor] wants room for one more full column before it starts a
+   column, so [fill + 2n + 1] entries never grow when pivoting adds no
+   fill beyond the ordering's estimate. *)
+let lu_create ?fill m =
   let n = m.n in
-  let cap = max 16 ((4 * nnz m) + n + 1) in
+  let fill = match fill with Some f -> f | None -> nnz m in
+  let cap = max 16 (fill + (2 * n) + 1) in
   {
     lu_n = n;
     lp = Array.make (n + 1) 0;

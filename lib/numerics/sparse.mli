@@ -6,13 +6,13 @@
     The intended life cycle mirrors a Newton loop:
 
     {[
-      let b = Sparse.Builder.create n in
-      (* symbolic phase: register every (row, col) that will ever be
-         written; duplicates are fine *)
-      Sparse.Builder.add b i j;
-      ...
-      let m = Sparse.Builder.finalize b in
-      let lu = Sparse.lu_create m in
+      (* symbolic phase: every (row, col) that will ever be written;
+         duplicates are fine *)
+      let pattern = [| (i, j); ... |] in
+      let m = Sparse.of_pattern n pattern in
+      (* sized from the fill estimate of the order m is stored in
+         (Linear_solver stores the pattern under amd_order's perm) *)
+      let lu = Sparse.lu_create ~fill m in
       (* numeric phase, once per iteration, no allocation: *)
       Sparse.clear m;
       Sparse.add_slot m (Sparse.slot m i j) v;
@@ -29,21 +29,13 @@ exception Singular of int
 type t
 (** A square sparse matrix with a frozen sparsity pattern. *)
 
-(** Pattern accumulation before the structure is frozen. *)
-module Builder : sig
-  type matrix := t
-  type t
-
-  val create : int -> t
-  (** [create n] starts an empty pattern for an [n x n] matrix. *)
-
-  val add : t -> int -> int -> unit
-  (** Register location [(row, col)].  Duplicates are collapsed.
-      Raises [Invalid_argument] on out-of-range indices. *)
-
-  val finalize : t -> matrix
-  (** Freeze the pattern into a CSR matrix with all values zero. *)
-end
+val of_pattern : ?pinv:int array -> int -> (int * int) array -> t
+(** [of_pattern n pattern] freezes the locations [(row, col)] of an
+    [n x n] matrix into CSR form with all values zero.  Duplicates are
+    collapsed and columns are sorted within each row.  With [pinv] each
+    location [(i, j)] is stored at [(pinv.(i), pinv.(j))]: the matrix
+    under a symmetric permutation.  Raises [Invalid_argument] on a
+    negative [n] or an out-of-range location. *)
 
 val dim : t -> int
 val nnz : t -> int
@@ -90,7 +82,11 @@ type lu
     per structure; {!refactor} grows its fill arrays only when needed
     and otherwise runs allocation-free. *)
 
-val lu_create : t -> lu
+val lu_create : ?fill:int -> t -> lu
+(** A workspace sized for factors with [fill] off-diagonal entries each
+    (default: the pattern's [nnz]), such as the symbolic fill
+    {!amd_order} reports for the order the matrix is stored in.  An
+    estimate too small only costs a grow inside {!refactor}. *)
 
 val refactor : lu -> t -> unit
 (** Factor the matrix's current values with partial pivoting,

@@ -37,7 +37,8 @@ let diameter { n; m } =
 
 (* Band gap in eV from the tube diameter in metres. *)
 let band_gap_of_diameter d =
-  if d <= 0.0 then invalid_arg "Band.band_gap_of_diameter: diameter must be positive";
+  if not (d > 0.0) then
+    invalid_arg "Band.band_gap_of_diameter: diameter must be positive";
   2.0 *. a_cc *. hopping_energy_ev /. d
 
 let band_gap c =

@@ -33,7 +33,8 @@ type profile = {
 }
 
 let profile ?(tol = 1e-10) ~dos ~temp ~fermi () =
-  if temp <= 0.0 then invalid_arg "Charge.profile: temperature must be positive";
+  if not (temp > 0.0) then
+    invalid_arg "Charge.profile: temperature must be positive";
   { dos; temp; fermi; tol }
 
 (* Contribution of one subband with half-gap [delta] (eV) whose edge

@@ -24,14 +24,18 @@ type t = {
 let create ?(name = "cnfet") ?(diameter = 1.0e-9) ?(oxide_thickness = 1.5e-9)
     ?(dielectric = 3.9) ?(temp = 300.0) ?(fermi = -0.32) ?(alpha_g = 0.88)
     ?(alpha_d = 0.035) ?(subbands = 1) () =
-  if diameter <= 0.0 then invalid_arg "Device.create: diameter must be positive";
-  if oxide_thickness <= 0.0 then
+  (* every guard is written as [not (in range)], so a NaN is rejected *)
+  if not (diameter > 0.0) then
+    invalid_arg "Device.create: diameter must be positive";
+  if not (oxide_thickness > 0.0) then
     invalid_arg "Device.create: oxide thickness must be positive";
-  if dielectric < 1.0 then invalid_arg "Device.create: dielectric constant below 1";
-  if temp <= 0.0 then invalid_arg "Device.create: temperature must be positive";
-  if alpha_g <= 0.0 || alpha_g > 1.0 then
+  if not (dielectric >= 1.0) then
+    invalid_arg "Device.create: dielectric constant below 1";
+  if not (temp > 0.0) then
+    invalid_arg "Device.create: temperature must be positive";
+  if not (alpha_g > 0.0 && alpha_g <= 1.0) then
     invalid_arg "Device.create: alpha_g outside (0, 1]";
-  if alpha_d < 0.0 || alpha_g +. alpha_d > 1.0 then
+  if not (alpha_d >= 0.0 && alpha_g +. alpha_d <= 1.0) then
     invalid_arg "Device.create: alpha_d negative or alpha_g + alpha_d > 1";
   if subbands < 1 then invalid_arg "Device.create: need at least one subband";
   {

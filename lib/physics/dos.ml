@@ -24,7 +24,8 @@ let create half_gaps =
   if not (Grid.is_sorted half_gaps) then
     invalid_arg "Dos.create: half gaps must be ascending";
   Array.iter
-    (fun d -> if d <= 0.0 then invalid_arg "Dos.create: half gaps must be positive")
+    (fun d ->
+      if not (d > 0.0) then invalid_arg "Dos.create: half gaps must be positive")
     half_gaps;
   { half_gaps = Array.copy half_gaps }
 

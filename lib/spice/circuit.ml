@@ -53,12 +53,31 @@ type element =
       params : cnfet_params;
     }
 
+module Names = Hashtbl.Make (String)
+
 type t = {
   elements : element list; (* in declaration order *)
+  nodes : string list; (* see [nodes] below; computed once in [create] *)
+  node_index : int Names.t; (* lower-cased node -> position in [nodes] *)
+  terminals : int array; (* see [terminals] below *)
 }
 
 let is_ground n =
-  match String.lowercase_ascii n with "0" | "gnd" -> true | _ -> false
+  match String.length n with
+  | 1 -> n.[0] = '0'
+  | 3 ->
+      Char.lowercase_ascii n.[0] = 'g'
+      && Char.lowercase_ascii n.[1] = 'n'
+      && Char.lowercase_ascii n.[2] = 'd'
+  | _ -> false
+
+(* [String.lowercase_ascii], except that a name already in lower case
+   (every name the parser builds for an instance) comes back as it is
+   instead of as a copy. *)
+let rec lower_from s i =
+  i = String.length s || ((s.[i] < 'A' || s.[i] > 'Z') && lower_from s (i + 1))
+
+let lowercase s = if lower_from s 0 then s else String.lowercase_ascii s
 
 let element_name = function
   | Resistor r -> r.name
@@ -68,63 +87,95 @@ let element_name = function
   | Isource i -> i.name
   | Cnfet f -> f.name
 
-let element_nodes = function
-  | Resistor r -> [ r.n1; r.n2 ]
-  | Capacitor c -> [ c.n1; c.n2 ]
-  | Inductor l -> [ l.n1; l.n2 ]
-  | Vsource v -> [ v.npos; v.nneg ]
-  | Isource i -> [ i.npos; i.nneg ]
-  | Cnfet f -> [ f.drain; f.gate; f.source ]
+(* [f] on each node an element connects: n1 n2, npos nneg, or drain
+   gate source. *)
+let iter_nodes f = function
+  | Resistor { n1; n2; _ } | Capacitor { n1; n2; _ } | Inductor { n1; n2; _ }
+    ->
+      f n1;
+      f n2
+  | Vsource { npos; nneg; _ } | Isource { npos; nneg; _ } ->
+      f npos;
+      f nneg
+  | Cnfet { drain; gate; source; _ } ->
+      f drain;
+      f gate;
+      f source
+
+(* Add [key] to [set]; false when it was there already.  One hash. *)
+let add_new set key =
+  let before = Names.length set in
+  Names.replace set key ();
+  Names.length set > before
+
+(* All distinct non-ground node names, lower-cased, in first-appearance
+   order; the table from each to its position; and the position of
+   every terminal's node (-1: ground), element by element. *)
+let distinct_nodes elements ~count =
+  let index = Names.create (count / 2) in
+  let out = ref [] in
+  let n_terminals =
+    List.fold_left
+      (fun acc e -> acc + match e with Cnfet _ -> 3 | _ -> 2)
+      0 elements
+  in
+  let terminals = Array.make n_terminals (-1) and k = ref 0 in
+  List.iter
+    (iter_nodes (fun n ->
+         if not (is_ground n) then begin
+           let key = lowercase n in
+           terminals.(!k) <-
+             (match Names.find index key with
+             | i -> i
+             | exception Not_found ->
+                 let i = Names.length index in
+                 Names.add index key i;
+                 out := key :: !out;
+                 i)
+         end;
+         incr k))
+    elements;
+  (List.rev !out, index, terminals)
 
 let create elements =
-  (* validate unique names and positive passive values *)
-  let seen = Hashtbl.create 16 in
+  (* validate unique names and positive passive values; the guards are
+     written [not (x > 0.0)] so a NaN value is rejected too *)
+  let count = List.length elements in
+  (* two bindings a bucket on average: the size [Hashtbl] grows to *)
+  let seen = Names.create (count / 2) in
   List.iter
     (fun e ->
-      let name = String.lowercase_ascii (element_name e) in
-      if Hashtbl.mem seen name then
+      let name = lowercase (element_name e) in
+      if not (add_new seen name) then
         raise (Bad_circuit (Printf.sprintf "duplicate element name %s" name));
-      Hashtbl.add seen name ();
       (match e with
-      | Resistor r when r.ohms <= 0.0 ->
+      | Resistor r when not (r.ohms > 0.0) ->
           raise (Bad_circuit (Printf.sprintf "%s: resistance must be positive" r.name))
-      | Capacitor c when c.farads <= 0.0 ->
+      | Capacitor c when not (c.farads > 0.0) ->
           raise (Bad_circuit (Printf.sprintf "%s: capacitance must be positive" c.name))
-      | Inductor l when l.henries <= 0.0 ->
+      | Inductor l when not (l.henries > 0.0) ->
           raise (Bad_circuit (Printf.sprintf "%s: inductance must be positive" l.name))
       | Resistor _ | Capacitor _ | Inductor _ | Vsource _ | Isource _ | Cnfet _ -> ()))
     elements;
-  let circuit = { elements } in
   (* every circuit needs a ground reference *)
-  let grounded =
-    List.exists (fun e -> List.exists is_ground (element_nodes e)) elements
-  in
-  if elements <> [] && not grounded then
+  let grounded = ref false in
+  List.iter (iter_nodes (fun n -> if is_ground n then grounded := true)) elements;
+  if elements <> [] && not !grounded then
     raise (Bad_circuit "no element connects to ground (node 0/gnd)");
-  circuit
+  let nodes, node_index, terminals = distinct_nodes elements ~count in
+  { elements; nodes; node_index; terminals }
 
 let elements t = t.elements
+let nodes t = t.nodes
 
-(* All distinct non-ground node names, in first-appearance order. *)
-let nodes t =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun n ->
-          let key = String.lowercase_ascii n in
-          if (not (is_ground n)) && not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            out := key :: !out
-          end)
-        (element_nodes e))
-    t.elements;
-  List.rev !out
+let node_index t name =
+  if is_ground name then -1 else Names.find t.node_index (lowercase name)
+
+let terminals t = t.terminals
 
 let find t name =
-  let key = String.lowercase_ascii name in
-  List.find_opt (fun e -> String.lowercase_ascii (element_name e) = key) t.elements
+  let key = lowercase name in
+  List.find_opt (fun e -> lowercase (element_name e) = key) t.elements
 
 let vsources t =
   List.filter_map (function Vsource _ as v -> Some v | _ -> None) t.elements
@@ -176,4 +227,4 @@ let remodel t ~backend =
         | e -> e)
       t.elements
   in
-  if !changed then { elements } else t
+  if !changed then { t with elements } else t

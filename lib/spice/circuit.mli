@@ -55,17 +55,34 @@ type t
 
 val is_ground : string -> bool
 
+module Names : Hashtbl.S with type key = string
+(** Hash tables keyed by (canonical) names. *)
+
+val lowercase : string -> string
+(** The canonical (lower-case) spelling of a node or element name:
+    [String.lowercase_ascii], returning the argument itself when it is
+    already lower case. *)
+
 val create : element list -> t
 (** Validates name uniqueness, positive R/C values, and the presence of
     a ground connection.  Raises {!Bad_circuit} otherwise. *)
 
 val elements : t -> element list
 val element_name : element -> string
-val element_nodes : element -> string list
 
 val nodes : t -> string list
 (** Distinct non-ground nodes, lower-cased, in first-appearance
-    order. *)
+    order.  Computed once, by {!create}. *)
+
+val node_index : t -> string -> int
+(** Position of a node (any case) in {!nodes}; [-1] for ground.
+    Raises [Not_found] for a node no element references. *)
+
+val terminals : t -> int array
+(** {!node_index} of every terminal, computed once by {!create}:
+    element by element in declaration order, each element's terminals
+    in the order its record lists them ([n1 n2], [npos nneg] or
+    [drain gate source]). *)
 
 val find : t -> string -> element option
 (** Look an element up by (case-insensitive) name. *)

@@ -85,10 +85,12 @@ let default_prints circuit prints =
     List.map (fun n -> Parser.Print_v n) (Circuit.nodes circuit)
   end
 
+let call_label f arg = String.concat "" [ f; "("; arg; ")" ]
+
 let print_label = function
-  | Parser.Print_v n -> Printf.sprintf "v(%s)" n
-  | Parser.Print_i s -> Printf.sprintf "i(%s)" s
-  | Parser.Print_id d -> Printf.sprintf "id(%s)" d
+  | Parser.Print_v n -> call_label "v" n
+  | Parser.Print_i s -> call_label "i" s
+  | Parser.Print_id d -> call_label "id" d
 
 (* Analysis start/finish milestones around a table build, with the
    label fixed up front. *)
@@ -100,17 +102,54 @@ let with_progress ~analysis ~label build =
       (Progress.Analysis_finish { analysis; label; points = Array.length t.rows });
   t
 
-(* Drain current of a named CNFET at a solved bias point. *)
-let device_current circuit compiled solution name =
-  match Circuit.find circuit name with
-  | Some (Circuit.Cnfet { drain; gate; source; params; _ }) ->
-      let v n = Mna.voltage compiled solution n in
-      Cnt_core.Device_model.ids params.Circuit.model
-        ~vgs:(v gate -. v source)
-        ~vds:(v drain -. v source)
-  | Some _ ->
-      invalid_arg (Printf.sprintf "id(%s): element is not a CNFET" name)
-  | None -> invalid_arg (Printf.sprintf "id(%s): no such element" name)
+(* A print item resolved once per table against the compiled circuit:
+   the unknown it reads (-1: ground, which reads 0), or the CNFET whose
+   drain current it evaluates from the solved node voltages. *)
+type probe =
+  | Unknown of int
+  | Drain_current of {
+      d : int;
+      g : int;
+      s : int;
+      model : Cnt_core.Device_model.t;
+    }
+
+let probe circuit compiled = function
+  | Parser.Print_v n -> Unknown (Mna.node_id compiled n)
+  | Parser.Print_i s -> Unknown (Mna.branch_id compiled s)
+  | Parser.Print_id name -> (
+      match Circuit.find circuit name with
+      | Some (Circuit.Cnfet { drain; gate; source; params; _ }) ->
+          Drain_current
+            {
+              d = Mna.node_id compiled drain;
+              g = Mna.node_id compiled gate;
+              s = Mna.node_id compiled source;
+              model = params.Circuit.model;
+            }
+      | Some _ ->
+          invalid_arg (Printf.sprintf "id(%s): element is not a CNFET" name)
+      | None -> invalid_arg (Printf.sprintf "id(%s): no such element" name))
+
+(* Every item's probe, in print order, so the first bad item fails
+   first. *)
+let probes circuit compiled prints = Array.of_list (List.map (probe circuit compiled) prints)
+
+(* The probe's value in solution [x]. *)
+let read x = function
+  | Unknown i -> if i < 0 then 0.0 else x.(i)
+  | Drain_current { d; g; s; model } ->
+      let v i = if i < 0 then 0.0 else x.(i) in
+      Cnt_core.Device_model.ids model ~vgs:(v g -. v s) ~vds:(v d -. v s)
+
+(* One table row: [lead] (the sweep or time value) when given, then
+   every probe read in [x]. *)
+let row ?lead probes x =
+  let o = match lead with None -> 0 | Some _ -> 1 in
+  let r = Array.make (o + Array.length probes) 0.0 in
+  Option.iter (fun v -> r.(0) <- v) lead;
+  Array.iteri (fun k p -> r.(o + k) <- read x p) probes;
+  r
 
 let op_table ?(config = default_config) circuit prints =
   Obs.span "analysis.op" @@ fun () ->
@@ -121,17 +160,13 @@ let op_table ?(config = default_config) circuit prints =
   in
   let prints = default_prints circuit prints in
   let columns = Array.of_list (List.map print_label prints) in
-  let row =
-    Array.of_list
-      (List.map
-         (function
-           | Parser.Print_v n -> Dc.voltage r n
-           | Parser.Print_i s -> Dc.current r s
-           | Parser.Print_id d ->
-               device_current circuit r.Dc.compiled r.Dc.solution d)
-         prints)
-  in
-  { analysis_label = "op"; columns; rows = [| row |]; stats = Dc.stats r }
+  let probes = probes circuit r.Dc.compiled prints in
+  {
+    analysis_label = "op";
+    columns;
+    rows = [| row probes r.Dc.solution |];
+    stats = Dc.stats r;
+  }
 
 let dc_table ?(config = default_config) circuit prints ~source ~start ~stop
     ~step =
@@ -150,19 +185,10 @@ let dc_table ?(config = default_config) circuit prints ~source ~start ~stop
   let columns =
     Array.of_list (source :: List.map print_label prints)
   in
+  let probes = probes circuit r.Dc.compiled prints in
   let rows =
     Array.mapi
-      (fun i v ->
-        Array.of_list
-          (v
-          :: List.map
-               (function
-                 | Parser.Print_v n -> Dc.voltage r.Dc.points.(i) n
-                 | Parser.Print_i s -> Dc.current r.Dc.points.(i) s
-                 | Parser.Print_id d ->
-                     device_current circuit r.Dc.points.(i).Dc.compiled
-                       r.Dc.points.(i).Dc.solution d)
-               prints))
+      (fun i v -> row ~lead:v probes r.Dc.points.(i).Dc.solution)
       r.Dc.sweep_values
   in
   { analysis_label = label; columns; rows; stats = Dc.sweep_stats r }
@@ -222,20 +248,10 @@ let tran_table ?(config = default_config) circuit prints ~tstep ~tstop =
   in
   let prints = default_prints circuit prints in
   let columns = Array.of_list ("time" :: List.map print_label prints) in
-  let waves =
-    List.map
-      (function
-        | Parser.Print_v n -> Transient.voltage r n
-        | Parser.Print_i s -> Transient.vsource_current r s
-        | Parser.Print_id d ->
-            Array.map
-              (fun x -> device_current circuit r.Transient.compiled x d)
-              r.Transient.solutions)
-      prints
-  in
+  let probes = probes circuit r.Transient.compiled prints in
   let rows =
     Array.mapi
-      (fun i t -> Array.of_list (t :: List.map (fun w -> w.(i)) waves))
+      (fun i t -> row ~lead:t probes r.Transient.solutions.(i))
       r.Transient.times
   in
   { analysis_label = label; columns; rows; stats = Transient.stats r }
@@ -316,16 +332,35 @@ let run_deck_result ?(config = default_config) deck =
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
   | exception e -> Error (Diag.Internal (Printexc.to_string e))
 
+(* The C primitive [Printf]'s [%g] conversions end in: [Printf]'s
+   ["%-14.6g"] is this primitive's ["%.6g"] text padded on the right to
+   14 columns. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* One table line: every cell's text left-justified in 14 columns and
+   the cells joined by tabs, byte for byte what joining
+   [Printf.sprintf "%-14s"] (or ["%-14.6g"]) cells would give. *)
+let pp_line fmt buf cells cell =
+  Buffer.clear buf;
+  Array.iteri
+    (fun k c ->
+      if k > 0 then Buffer.add_char buf '\t';
+      let text = cell c in
+      Buffer.add_string buf text;
+      for _ = String.length text to 13 do
+        Buffer.add_char buf ' '
+      done)
+    cells;
+  Format.fprintf fmt "%s@." (Buffer.contents buf)
+
 let pp_table ?(max_rows = max_int) ?(stats = false) fmt t =
   Format.fprintf fmt "* %s@." t.analysis_label;
-  Format.fprintf fmt "%s@."
-    (String.concat "\t" (Array.to_list (Array.map (Printf.sprintf "%-14s") t.columns)));
+  let buf = Buffer.create 256 in
+  pp_line fmt buf t.columns Fun.id;
   let n = Array.length t.rows in
   let shown = min n max_rows in
   for i = 0 to shown - 1 do
-    Format.fprintf fmt "%s@."
-      (String.concat "\t"
-         (Array.to_list (Array.map (Printf.sprintf "%-14.6g") t.rows.(i))))
+    pp_line fmt buf t.rows.(i) (format_float "%.6g")
   done;
   if shown < n then Format.fprintf fmt "... (%d more rows)@." (n - shown);
   if stats then Format.fprintf fmt "%a@." Mna.pp_stats t.stats

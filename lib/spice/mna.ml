@@ -184,10 +184,9 @@ let fvec n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
 
 type compiled = {
   circuit : Circuit.t;
-  node_of_name : (string, int) Hashtbl.t;
   names : string array; (* node names by index *)
   n_nodes : int;
-  branch_of_vsource : (string, int) Hashtbl.t; (* name -> row offset *)
+  branch_of_vsource : int Circuit.Names.t; (* name -> row offset *)
   n_branches : int;
   devices : device array;
   zero_caps : cap_companion array; (* Open_circuit as all-zero companions *)
@@ -207,12 +206,10 @@ let stats c = c.stats
 
 (* Node index, or -1 for ground. *)
 let node_id c name =
-  if Circuit.is_ground name then -1
-  else begin
-    match Hashtbl.find_opt c.node_of_name (String.lowercase_ascii name) with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Mna.node_id: unknown node %s" name)
-  end
+  match Circuit.node_index c.circuit name with
+  | i -> i
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Mna.node_id: unknown node %s" name)
 
 let node_name c i = c.names.(i)
 
@@ -223,14 +220,14 @@ let unknown_name c i =
   else begin
     let off = i - c.n_nodes in
     let name = ref (Printf.sprintf "branch#%d" off) in
-    Hashtbl.iter
+    Circuit.Names.iter
       (fun k v -> if v = off then name := Printf.sprintf "i(%s)" k)
       c.branch_of_vsource;
     !name
   end
 
 let branch_id c vname =
-  match Hashtbl.find_opt c.branch_of_vsource (String.lowercase_ascii vname) with
+  match Circuit.Names.find_opt c.branch_of_vsource (Circuit.lowercase vname) with
   | Some i -> c.n_nodes + i
   | None -> invalid_arg (Printf.sprintf "Mna.branch_id: unknown source %s" vname)
 
@@ -286,44 +283,54 @@ let capacitors c =
    structural change must keep the two in step; a refill whose cursor
    does not end on the program's last slot is rejected. *)
 let stamp_pattern ~devices ~n_nodes =
-  let recorded = ref [] in
-  let add_j i j = if i >= 0 && j >= 0 then recorded := (i, j) :: !recorded in
-  let conductance a b =
-    add_j a a;
-    add_j b b;
-    add_j a b;
-    add_j b a
+  (* two walks over the same stamp sequence: the first counts, the
+     second fills an array of exactly that size *)
+  let walk add_j =
+    let add_j i j = if i >= 0 && j >= 0 then add_j i j in
+    let conductance a b =
+      add_j a a;
+      add_j b b;
+      add_j a b;
+      add_j b a
+    in
+    for i = 0 to n_nodes - 1 do
+      add_j i i
+    done;
+    Array.iter
+      (function
+        | Dresistor { a; b; _ } | Dcapacitor { a; b; _ } -> conductance a b
+        | Dinductor { a; b; row; _ } ->
+            add_j a row;
+            add_j b row;
+            add_j row a;
+            add_j row b;
+            add_j row row
+        | Dvsource { p; m; row; _ } ->
+            add_j p row;
+            add_j m row;
+            add_j row p;
+            add_j row m
+        | Disource _ -> ()
+        | Dcnfet { d; g; s; cgs_i; _ } ->
+            add_j d g;
+            add_j d s;
+            add_j s g;
+            add_j s s;
+            conductance d s;
+            if cgs_i >= 0 then begin
+              conductance g s;
+              conductance g d
+            end)
+      devices
   in
-  for i = 0 to n_nodes - 1 do
-    add_j i i
-  done;
-  Array.iter
-    (function
-      | Dresistor { a; b; _ } | Dcapacitor { a; b; _ } -> conductance a b
-      | Dinductor { a; b; row; _ } ->
-          add_j a row;
-          add_j b row;
-          add_j row a;
-          add_j row b;
-          add_j row row
-      | Dvsource { p; m; row; _ } ->
-          add_j p row;
-          add_j m row;
-          add_j row p;
-          add_j row m
-      | Disource _ -> ()
-      | Dcnfet { d; g; s; cgs_i; _ } ->
-          add_j d g;
-          add_j d s;
-          add_j s g;
-          add_j s s;
-          conductance d s;
-          if cgs_i >= 0 then begin
-            conductance g s;
-            conductance g d
-          end)
-    devices;
-  Array.of_list (List.rev !recorded)
+  let count = ref 0 in
+  walk (fun _ _ -> incr count);
+  let recorded = Array.make !count (0, 0) in
+  let k = ref 0 in
+  walk (fun i j ->
+      recorded.(!k) <- (i, j);
+      incr k);
+  recorded
 
 (* ------------------------------------------------------------------ *)
 (* Compilation: symbolic pass                                          *)
@@ -331,11 +338,9 @@ let stamp_pattern ~devices ~n_nodes =
 
 let compile_uncached circuit =
   Obs.span "mna.compile" @@ fun () ->
-  let node_of_name = Hashtbl.create 16 in
   let names = Circuit.nodes circuit in
-  List.iteri (fun i n -> Hashtbl.add node_of_name n i) names;
   let n_nodes = List.length names in
-  let branch_of_vsource = Hashtbl.create 4 in
+  let branch_of_vsource = Circuit.Names.create 4 in
   let n_branches = ref 0 in
   (* voltage sources and inductors each carry a branch-current unknown,
      allocated in element order *)
@@ -343,13 +348,16 @@ let compile_uncached circuit =
     (fun e ->
       match e with
       | Circuit.Vsource { name; _ } | Circuit.Inductor { name; _ } ->
-          Hashtbl.add branch_of_vsource (String.lowercase_ascii name) !n_branches;
+          Circuit.Names.add branch_of_vsource (Circuit.lowercase name) !n_branches;
           incr n_branches
       | _ -> ())
     (Circuit.elements circuit);
-  let id name =
-    if Circuit.is_ground name then -1
-    else Hashtbl.find node_of_name (String.lowercase_ascii name)
+  (* each element's node indices, in [Circuit.terminals] order *)
+  let terminals = Circuit.terminals circuit and t = ref 0 in
+  let next_node () =
+    let i = terminals.(!t) in
+    incr t;
+    i
   in
   (* resolve elements into the device array; allocate companion slots *)
   let n_caps = ref 0 and n_inds = ref 0 and branch = ref n_nodes in
@@ -357,25 +365,28 @@ let compile_uncached circuit =
   let devices =
     List.filter_map
       (fun e ->
+        let a = next_node () in
+        let b = next_node () in
         match e with
-        | Circuit.Resistor { n1; n2; ohms; _ } ->
-            Some (Dresistor { a = id n1; b = id n2; g = 1.0 /. ohms })
-        | Circuit.Capacitor { n1; n2; _ } ->
+        | Circuit.Resistor { ohms; _ } ->
+            Some (Dresistor { a; b; g = 1.0 /. ohms })
+        | Circuit.Capacitor _ ->
             let ci = !n_caps in
             incr n_caps;
-            Some (Dcapacitor { a = id n1; b = id n2; ci })
-        | Circuit.Inductor { n1; n2; _ } ->
+            Some (Dcapacitor { a; b; ci })
+        | Circuit.Inductor _ ->
             let row = !branch and li = !n_inds in
             incr branch;
             incr n_inds;
-            Some (Dinductor { a = id n1; b = id n2; row; li })
-        | Circuit.Vsource { name; npos; nneg; wave; _ } ->
+            Some (Dinductor { a; b; row; li })
+        | Circuit.Vsource { name; wave; _ } ->
             let row = !branch in
             incr branch;
-            Some (Dvsource { p = id npos; m = id nneg; row; name; wave })
-        | Circuit.Isource { name; npos; nneg; wave; _ } ->
-            Some (Disource { p = id npos; m = id nneg; name; wave })
-        | Circuit.Cnfet { drain; gate; source; params; _ } ->
+            Some (Dvsource { p = a; m = b; row; name; wave })
+        | Circuit.Isource { name; wave; _ } ->
+            Some (Disource { p = a; m = b; name; wave })
+        | Circuit.Cnfet { params; _ } ->
+            let d = a and g = b and s = next_node () in
             let cgs_i, cgd_i =
               match Circuit.cnfet_intrinsic_caps params with
               | None -> (-1, -1)
@@ -389,9 +400,9 @@ let compile_uncached circuit =
             Some
               (Dcnfet
                  {
-                   d = id drain;
-                   g = id gate;
-                   s = id source;
+                   d;
+                   g;
+                   s;
                    model = params.Circuit.model;
                    cgs_i;
                    cgd_i;
@@ -449,7 +460,6 @@ let compile_uncached circuit =
   in
   {
     circuit;
-    node_of_name;
     names = Array.of_list names;
     n_nodes;
     branch_of_vsource;

@@ -105,11 +105,13 @@ type state = {
   mutable file_order : string list; (* reversed registration order *)
 }
 
+(* Record a source's physical lines for excerpts; returns them. *)
 let register_source st file text =
   if not (Hashtbl.mem st.sources file) then
     st.file_order <- file :: st.file_order;
-  Hashtbl.replace st.sources file
-    (Array.of_list (String.split_on_char '\n' text))
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  Hashtbl.replace st.sources file lines;
+  lines
 
 (* "  12 | R1 in out {r}\n     |           ^" *)
 let excerpt_at st (l : loc) =
@@ -146,187 +148,206 @@ module Env = Map.Make (String)
    expression text so the caller can point a located error at it. *)
 exception Expr_error of int * string
 
+let expr_error i fmt = Printf.ksprintf (fun m -> raise (Expr_error (i, m))) fmt
+
+(* The evaluator's state: the expression text, the parameter binding it
+   reads, and the read position.  The recursive descent below is a set
+   of top-level functions over one cursor, so an evaluation allocates
+   the cursor, not a closure per rule. *)
+type cursor = { s : string; env : float Env.t; mutable pos : int }
+
+let is_digit c = c >= '0' && c <= '9'
+let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+let is_ident_start c = is_letter c || c = '_'
+let is_ident c = is_ident_start c || is_digit c
+let at_end c = c.pos >= String.length c.s
+
+(* The character under the cursor; '\000' at the end, which no rule
+   matches (an end that matters is tested with [at_end]). *)
+let peek c = if at_end c then '\000' else c.s.[c.pos]
+let advance c = c.pos <- c.pos + 1
+
+let skip_ws c =
+  while (not (at_end c)) && (c.s.[c.pos] = ' ' || c.s.[c.pos] = '\t') do
+    advance c
+  done
+
+(* Scale of the engineering suffix spelled by [s.[u0 .. u1-1]] (any
+   case; trailing letters after the suffix are a unit and ignored). *)
+let unit_scale s u0 u1 =
+  let low k = Char.lowercase_ascii s.[k] in
+  if u1 = u0 then 1.0
+  else if u1 - u0 >= 3 && low u0 = 'm' && low (u0 + 1) = 'e' && low (u0 + 2) = 'g'
+  then 1e6
+  else
+    match low u0 with
+    | 'f' -> 1e-15
+    | 'p' -> 1e-12
+    | 'n' -> 1e-9
+    | 'u' -> 1e-6
+    | 'm' -> 1e-3
+    | 'k' -> 1e3
+    | 'g' -> 1e9
+    | 't' -> 1e12
+    | _ ->
+        expr_error u0 "unknown unit suffix %S"
+          (String.lowercase_ascii (String.sub s u0 (u1 - u0)))
+
+let scan_number c =
+  let s = c.s in
+  let n = String.length s in
+  let i0 = c.pos in
+  while c.pos < n && (is_digit s.[c.pos] || s.[c.pos] = '.') do
+    advance c
+  done;
+  (if c.pos < n && (s.[c.pos] = 'e' || s.[c.pos] = 'E') then
+     let k = c.pos + 1 in
+     let k = if k < n && (s.[k] = '+' || s.[k] = '-') then k + 1 else k in
+     if k < n && is_digit s.[k] then begin
+       c.pos <- k;
+       while c.pos < n && is_digit s.[c.pos] do
+         advance c
+       done
+     end);
+  let mant = String.sub s i0 (c.pos - i0) in
+  let v =
+    match float_of_string_opt mant with
+    | Some v -> v
+    | None -> expr_error i0 "bad number %S" mant
+  in
+  let u0 = c.pos in
+  while c.pos < n && is_letter s.[c.pos] do
+    advance c
+  done;
+  v *. unit_scale s u0 c.pos
+
+let apply_fn i name args =
+  let one f =
+    match args with
+    | [ x ] -> f x
+    | _ -> expr_error i "%s expects 1 argument, got %d" name (List.length args)
+  in
+  let two f =
+    match args with
+    | [ x; y ] -> f x y
+    | _ -> expr_error i "%s expects 2 arguments, got %d" name (List.length args)
+  in
+  match name with
+  | "sqrt" -> one sqrt
+  | "exp" -> one exp
+  | "ln" | "log" -> one log
+  | "log10" -> one log10
+  | "abs" -> one abs_float
+  | "min" -> two min
+  | "max" -> two max
+  | "pow" -> two ( ** )
+  | _ -> expr_error i "unknown function %S" name
+
 (* Precedence, loosest to tightest: + - (binary), * /, unary + -, ^
    (right-associative, so 2^3^2 = 512 and -2^2 = -4 while 2^-2 works).
    Literals take SPICE engineering suffixes (f p n u m k meg g t;
    m = milli, meg = mega; trailing letters after a valid suffix are
    units and ignored, as in "1kohm"). *)
+let rec expr c =
+  let v = ref (term c) and more = ref true in
+  while !more do
+    skip_ws c;
+    match peek c with
+    | '+' ->
+        advance c;
+        v := !v +. term c
+    | '-' ->
+        advance c;
+        v := !v -. term c
+    | _ -> more := false
+  done;
+  !v
+
+and term c =
+  let v = ref (unary c) and more = ref true in
+  while !more do
+    skip_ws c;
+    match peek c with
+    | '*' ->
+        advance c;
+        v := !v *. unary c
+    | '/' ->
+        advance c;
+        v := !v /. unary c
+    | _ -> more := false
+  done;
+  !v
+
+and unary c =
+  skip_ws c;
+  match peek c with
+  | '-' ->
+      advance c;
+      -.unary c
+  | '+' ->
+      advance c;
+      unary c
+  | _ -> power c
+
+and power c =
+  let base = atom c in
+  skip_ws c;
+  match peek c with
+  | '^' ->
+      advance c;
+      base ** unary c
+  | _ -> base
+
+and atom c =
+  skip_ws c;
+  if at_end c then expr_error c.pos "expected a value";
+  match c.s.[c.pos] with
+  | '(' ->
+      advance c;
+      let v = expr c in
+      skip_ws c;
+      if peek c = ')' then advance c else expr_error c.pos "expected ')'";
+      v
+  | ch when is_digit ch || ch = '.' -> scan_number c
+  | ch when is_ident_start ch ->
+      let i0 = c.pos in
+      while (not (at_end c)) && is_ident c.s.[c.pos] do
+        advance c
+      done;
+      let name = String.lowercase_ascii (String.sub c.s i0 (c.pos - i0)) in
+      skip_ws c;
+      if peek c = '(' then begin
+        advance c;
+        skip_ws c;
+        let args = if peek c = ')' then (advance c; []) else call_args c [] in
+        apply_fn i0 name args
+      end
+      else begin
+        match Env.find_opt name c.env with
+        | Some v -> v
+        | None when name = "pi" -> Float.pi
+        | None -> expr_error i0 "unknown parameter %S" name
+      end
+  | ch -> expr_error c.pos "unexpected %C in expression" ch
+
+(* Comma-separated arguments up to the closing ')', in order. *)
+and call_args c acc =
+  let acc = expr c :: acc in
+  skip_ws c;
+  match peek c with
+  | ',' ->
+      advance c;
+      call_args c acc
+  | ')' ->
+      advance c;
+      List.rev acc
+  | _ -> expr_error c.pos "expected ',' or ')'"
+
 let eval_in env s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let error i fmt = Printf.ksprintf (fun m -> raise (Expr_error (i, m))) fmt in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let is_digit c = c >= '0' && c <= '9' in
-  let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') in
-  let is_ident_start c = is_letter c || c = '_' in
-  let is_ident c = is_ident_start c || is_digit c in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let scan_number () =
-    let i0 = !pos in
-    while !pos < n && (is_digit s.[!pos] || s.[!pos] = '.') do
-      incr pos
-    done;
-    (if !pos < n && (s.[!pos] = 'e' || s.[!pos] = 'E') then
-       let k = !pos + 1 in
-       let k = if k < n && (s.[k] = '+' || s.[k] = '-') then k + 1 else k in
-       if k < n && is_digit s.[k] then begin
-         pos := k;
-         while !pos < n && is_digit s.[!pos] do
-           incr pos
-         done
-       end);
-    let mant = String.sub s i0 (!pos - i0) in
-    let v =
-      match float_of_string_opt mant with
-      | Some v -> v
-      | None -> error i0 "bad number %S" mant
-    in
-    let u0 = !pos in
-    while !pos < n && is_letter s.[!pos] do
-      incr pos
-    done;
-    let unit = String.lowercase_ascii (String.sub s u0 (!pos - u0)) in
-    let scale =
-      if unit = "" then 1.0
-      else if String.length unit >= 3 && String.sub unit 0 3 = "meg" then 1e6
-      else
-        match unit.[0] with
-        | 'f' -> 1e-15
-        | 'p' -> 1e-12
-        | 'n' -> 1e-9
-        | 'u' -> 1e-6
-        | 'm' -> 1e-3
-        | 'k' -> 1e3
-        | 'g' -> 1e9
-        | 't' -> 1e12
-        | _ -> error u0 "unknown unit suffix %S" unit
-    in
-    v *. scale
-  in
-  let apply_fn i name args =
-    let one f = match args with [ x ] -> f x | _ ->
-      error i "%s expects 1 argument, got %d" name (List.length args)
-    in
-    let two f = match args with [ x; y ] -> f x y | _ ->
-      error i "%s expects 2 arguments, got %d" name (List.length args)
-    in
-    match name with
-    | "sqrt" -> one sqrt
-    | "exp" -> one exp
-    | "ln" | "log" -> one log
-    | "log10" -> one log10
-    | "abs" -> one abs_float
-    | "min" -> two min
-    | "max" -> two max
-    | "pow" -> two ( ** )
-    | _ -> error i "unknown function %S" name
-  in
-  let rec expr () =
-    let v = ref (term ()) in
-    let rec loop () =
-      skip_ws ();
-      match peek () with
-      | Some '+' ->
-          incr pos;
-          v := !v +. term ();
-          loop ()
-      | Some '-' ->
-          incr pos;
-          v := !v -. term ();
-          loop ()
-      | _ -> ()
-    in
-    loop ();
-    !v
-  and term () =
-    let v = ref (unary ()) in
-    let rec loop () =
-      skip_ws ();
-      match peek () with
-      | Some '*' ->
-          incr pos;
-          v := !v *. unary ();
-          loop ()
-      | Some '/' ->
-          incr pos;
-          v := !v /. unary ();
-          loop ()
-      | _ -> ()
-    in
-    loop ();
-    !v
-  and unary () =
-    skip_ws ();
-    match peek () with
-    | Some '-' ->
-        incr pos;
-        -.unary ()
-    | Some '+' ->
-        incr pos;
-        unary ()
-    | _ -> power ()
-  and power () =
-    let base = atom () in
-    skip_ws ();
-    match peek () with
-    | Some '^' ->
-        incr pos;
-        base ** unary ()
-    | _ -> base
-  and atom () =
-    skip_ws ();
-    match peek () with
-    | None -> error !pos "expected a value"
-    | Some '(' ->
-        incr pos;
-        let v = expr () in
-        skip_ws ();
-        (match peek () with
-        | Some ')' -> incr pos
-        | _ -> error !pos "expected ')'");
-        v
-    | Some c when is_digit c || c = '.' -> scan_number ()
-    | Some c when is_ident_start c ->
-        let i0 = !pos in
-        while !pos < n && is_ident s.[!pos] do
-          incr pos
-        done;
-        let name = String.lowercase_ascii (String.sub s i0 (!pos - i0)) in
-        skip_ws ();
-        if peek () = Some '(' then begin
-          incr pos;
-          let args = ref [] in
-          let rec collect () =
-            args := expr () :: !args;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                collect ()
-            | Some ')' -> incr pos
-            | _ -> error !pos "expected ',' or ')'"
-          in
-          skip_ws ();
-          (match peek () with
-          | Some ')' -> incr pos
-          | _ -> collect ());
-          apply_fn i0 name (List.rev !args)
-        end
-        else begin
-          match Env.find_opt name env with
-          | Some v -> v
-          | None when name = "pi" -> Float.pi
-          | None -> error i0 "unknown parameter %S" name
-        end
-    | Some c -> error !pos "unexpected %C in expression" c
-  in
-  let v = expr () in
-  skip_ws ();
-  if !pos < n then error !pos "unexpected %C in expression" s.[!pos];
+  let c = { s; env; pos = 0 } in
+  let v = expr c in
+  skip_ws c;
+  if not (at_end c) then expr_error c.pos "unexpected %C in expression" s.[c.pos];
   v
 
 (* Strip one layer of {...} or '...' and report the offset shift. *)
@@ -356,117 +377,109 @@ let eval_expr ?(params = []) text =
 
 type token = { text : string; at : loc }
 
-type card = { at : loc; toks : token list }
+(* A card holds its physical segments (location and text, in order)
+   and is cut into tokens on demand, so a card waiting to be resolved
+   holds only its text. *)
+type card = { at : loc; segs : (loc * string) list }
 
 let strip_comment line =
   match String.index_opt line '$' with
   | Some i -> String.sub line 0 i
   | None -> line
 
-let rtrim s =
-  let n = String.length s in
-  let rec stop i =
-    if i > 0 && (s.[i - 1] = ' ' || s.[i - 1] = '\t' || s.[i - 1] = '\r') then
-      stop (i - 1)
-    else i
-  in
-  String.sub s 0 (stop n)
+(* A card's physical segments joined by one space each, with where
+   every segment starts: its offset in [chars] and its source location.
+   Segment [k > 0] also owns the separator space before it, which maps
+   to the segment's own first column. *)
+type joined = {
+  chars : string;
+  seg_off : int array;
+  seg_at : loc array;
+}
 
-let first_nonws s =
-  let n = String.length s in
-  let rec go i =
-    if i >= n then None
-    else if s.[i] = ' ' || s.[i] = '\t' then go (i + 1)
-    else Some i
-  in
-  go 0
+let join_segments = function
+  | [ (at, chars) ] -> { chars; seg_off = [| 0 |]; seg_at = [| at |] }
+  | segs ->
+      let segs = Array.of_list segs in
+      let seg_at = Array.map fst segs in
+      let seg_off = Array.make (Array.length segs) 0 in
+      for k = 1 to Array.length segs - 1 do
+        seg_off.(k) <- seg_off.(k - 1) + String.length (snd segs.(k - 1)) + 1
+      done;
+      {
+        chars = String.concat " " (Array.to_list (Array.map snd segs));
+        seg_off;
+        seg_at;
+      }
 
-(* Join a card's continuation segments into one string plus a per-char
-   location map, so tokens (and errors inside them) keep pointing at
-   the physical source even across '+' lines. *)
-let join_segments segs =
-  let buf = Buffer.create 64 in
-  let locs = ref [] in
-  List.iteri
-    (fun i (l0, text) ->
-      if i > 0 then begin
-        Buffer.add_char buf ' ';
-        locs := l0 :: !locs
-      end;
-      String.iteri
-        (fun j c ->
-          Buffer.add_char buf c;
-          locs := { l0 with col = l0.col + j } :: !locs)
-        text)
-    segs;
-  (Buffer.contents buf, Array.of_list (List.rev !locs))
+(* Source location of offset [p] of the joined text. *)
+let loc_of_offset j p =
+  let k = ref (Array.length j.seg_off - 1) in
+  while !k > 0 && j.seg_off.(!k) - 1 > p do
+    decr k
+  done;
+  let l0 = j.seg_at.(!k) in
+  { l0 with col = l0.col + max 0 (p - j.seg_off.(!k)) }
 
 (* Split a joined card into tokens on spaces/tabs/commas, keeping
    (...), {...} and '...' groups intact: "pulse(0 1 2)" and "{2 * r}"
    are single tokens.  Total: unbalanced groups simply end with the
-   card and surface as errors at their use site. *)
-let tokenize_joined (text, locs) =
+   card and surface as errors at their use site.  A token is the run of
+   characters from its first one to the separator that ends it, so it
+   is cut out of the text once and located once. *)
+let tokenize_joined ?(limit = max_int) j =
+  let text = j.chars in
   let n = String.length text in
-  let buf = Buffer.create 16 in
-  let toks = ref [] in
-  let start = ref None in
-  let paren = ref 0 and brace = ref 0 in
-  let quoted = ref false in
-  let flush () =
-    match !start with
-    | Some at when Buffer.length buf > 0 ->
-        toks := { text = Buffer.contents buf; at } :: !toks;
-        Buffer.clear buf;
-        start := None
-    | _ ->
-        Buffer.clear buf;
-        start := None
+  let token start i =
+    { text = String.sub text start (i - start); at = loc_of_offset j start }
   in
-  for i = 0 to n - 1 do
-    let ch = text.[i] in
-    let mark () = if !start = None then start := Some locs.(i) in
-    if !quoted then begin
-      Buffer.add_char buf ch;
-      if ch = '\'' then quoted := false
+  (* [start]: the open token's first offset, -1 between tokens *)
+  let rec scan i start paren brace quoted count acc =
+    if count >= limit then List.rev acc
+    else if i >= n then List.rev (if start >= 0 then token start n :: acc else acc)
+    else begin
+      let ch = text.[i] in
+      if quoted then scan (i + 1) start paren brace (ch <> '\'') count acc
+      else
+        match ch with
+        | (' ' | '\t' | ',') when paren = 0 && brace = 0 ->
+            if start < 0 then scan (i + 1) start paren brace false count acc
+            else scan (i + 1) (-1) paren brace false (count + 1) (token start i :: acc)
+        | _ -> (
+            let start = if start < 0 then i else start in
+            match ch with
+            | '\'' -> scan (i + 1) start paren brace true count acc
+            | '(' -> scan (i + 1) start (paren + 1) brace false count acc
+            | ')' -> scan (i + 1) start (paren - 1) brace false count acc
+            | '{' -> scan (i + 1) start paren (brace + 1) false count acc
+            | '}' -> scan (i + 1) start paren (brace - 1) false count acc
+            | _ -> scan (i + 1) start paren brace false count acc)
     end
-    else
-      match ch with
-      | '\'' ->
-          mark ();
-          quoted := true;
-          Buffer.add_char buf ch
-      | '(' ->
-          mark ();
-          incr paren;
-          Buffer.add_char buf ch
-      | ')' ->
-          mark ();
-          decr paren;
-          Buffer.add_char buf ch
-      | '{' ->
-          mark ();
-          incr brace;
-          Buffer.add_char buf ch
-      | '}' ->
-          mark ();
-          decr brace;
-          Buffer.add_char buf ch
-      | (' ' | '\t' | ',') when !paren = 0 && !brace = 0 -> flush ()
-      | _ ->
-          mark ();
-          Buffer.add_char buf ch
-  done;
-  flush ();
-  List.rev !toks
+  in
+  scan 0 (-1) 0 0 false 0 []
+
+(* The card's tokens; with [limit], only that many from the start. *)
+let card_tokens ?limit card = tokenize_joined ?limit (join_segments card.segs)
+
+let card_head card =
+  match card_tokens ~limit:1 card with [ head ] -> Some head | _ -> None
+
+(* Whether the segments make at least one token: some character that is
+   not a separator. *)
+let has_token segs =
+  List.exists
+    (fun (_, text) -> String.exists (fun c -> c <> ' ' && c <> '\t' && c <> ',') text)
+    segs
 
 (* ".include FILE" — spliced at lex time so a card never spans an
    include boundary and every included card keeps its own file in its
    location. *)
+let rec include_from content k =
+  k = 8 || (Char.lowercase_ascii content.[k] = ".include".[k] && include_from content (k + 1))
+
 let is_include_line content =
-  let l = String.lowercase_ascii content in
-  String.length l >= 8
-  && String.sub l 0 8 = ".include"
-  && (String.length l = 8 || l.[8] = ' ' || l.[8] = '\t')
+  let l = String.length content in
+  l >= 8 && include_from content 0 && (l = 8 || content.[8] = ' ' || content.[8] = '\t')
 
 let read_file path =
   let ic = open_in_bin path in
@@ -490,6 +503,28 @@ let include_path st at content =
     Filename.concat base_dir arg
   else arg
 
+(* Where a physical line's text ends: at its first '$' (a comment). *)
+let comment_start raw =
+  match String.index_opt raw '$' with Some i -> i | None -> String.length raw
+
+(* The line's text from [from] up to [stop], without trailing blanks,
+   copied once. *)
+let content_from raw ~stop from =
+  let e = ref stop in
+  while !e > from && (raw.[!e - 1] = ' ' || raw.[!e - 1] = '\t' || raw.[!e - 1] = '\r') do
+    decr e
+  done;
+  String.sub raw from (!e - from)
+
+(* First character before [stop] that is not a space or tab; -1 on a
+   blank line. *)
+let first_nonws raw ~stop =
+  let i = ref 0 in
+  while !i < stop && (raw.[!i] = ' ' || raw.[!i] = '\t') do
+    incr i
+  done;
+  if !i >= stop then -1 else !i
+
 let rec lex_lines st ~stack ~file ~lines ~from emit =
   let current = ref None in
   let flush () =
@@ -497,28 +532,26 @@ let rec lex_lines st ~stack ~file ~lines ~from emit =
     | None -> ()
     | Some (at, segs) ->
         current := None;
-        let toks = tokenize_joined (join_segments (List.rev segs)) in
-        if toks <> [] then emit { at; toks }
+        if has_token segs then emit { at; segs = List.rev segs }
   in
   let nlines = Array.length lines in
   for idx = from to nlines - 1 do
-    let raw = strip_comment lines.(idx) in
-    match first_nonws raw with
-    | None -> ()
-    | Some s when raw.[s] = '*' -> ()
-    | Some s when raw.[s] = '+' ->
+    let raw = lines.(idx) in
+    let stop = comment_start raw in
+    match first_nonws raw ~stop with
+    | -1 -> ()
+    | s when raw.[s] = '*' -> ()
+    | s when raw.[s] = '+' ->
         let at = { file; line = idx + 1; col = s + 1 } in
         (match !current with
         | None -> fail st at "continuation line '+' with nothing before it"
         | Some (card_at, segs) ->
-            let content =
-              rtrim (String.sub raw (s + 1) (String.length raw - s - 1))
-            in
+            let content = content_from raw ~stop (s + 1) in
             let seg_at = { file; line = idx + 1; col = s + 2 } in
             current := Some (card_at, (seg_at, content) :: segs))
-    | Some s ->
+    | s ->
         flush ();
-        let content = rtrim (String.sub raw s (String.length raw - s)) in
+        let content = content_from raw ~stop s in
         let at = { file; line = idx + 1; col = s + 1 } in
         if is_include_line content then begin
           let path = include_path st at content in
@@ -533,9 +566,8 @@ let rec lex_lines st ~stack ~file ~lines ~from emit =
             | exception Sys_error msg ->
                 fail st at "cannot read .include file: %s" msg
           in
-          register_source st path text;
           lex_lines st ~stack:(path :: stack) ~file:path
-            ~lines:(Array.of_list (String.split_on_char '\n' text))
+            ~lines:(register_source st path text)
             ~from:0 emit
         end
         else current := Some (at, [ (at, content) ])
@@ -579,11 +611,18 @@ let has_eq t =
   (not (is_grouped t)) && String.contains t.text '='
 
 (* Evaluate an expression found at [at] (plus [coloff] characters in)
-   under the parameter binding [env]; located failure. *)
+   under the parameter binding [env]; located failure.  Every number of
+   a deck comes through here, so this is where a NaN or an infinity
+   (0/0, sqrt(-1), 1/0, an overflowing literal) is stopped: no device,
+   element or analysis downstream is asked to make sense of one. *)
 let eval_text st env ~at ~coloff text =
   let inner, base = unwrap_expr text in
   match eval_in env inner with
-  | v -> v
+  | v when Float.is_finite v -> v
+  | v ->
+      fail st { at with col = at.col + coloff + base }
+        "%s evaluates to %s, not a finite number" text
+        (if Float.is_nan v then "NaN" else if v > 0.0 then "+inf" else "-inf")
   | exception Expr_error (i, msg) ->
       fail st { at with col = at.col + coloff + base + i } "%s" msg
 
@@ -688,6 +727,7 @@ type rcard =
       nodes : string list;
       sub : subckt;
       ienv : float Env.t; (* full binding the instance body resolves under *)
+      sig_ : string; (* [env_signature ienv] *)
       rat : loc;
     }
 
@@ -698,6 +738,9 @@ and subckt = {
   body : card list;
   sloc : loc;
   patterns : (string, rcard list) Hashtbl.t; (* binding signature -> body *)
+  bindings : (string, float Env.t * float Env.t * string) Hashtbl.t;
+      (* an instance's override texts -> (caller binding, binding,
+         signature) *)
 }
 
 (* Separate .subckt blocks from top-level cards. *)
@@ -710,14 +753,14 @@ let extract_subckts st cards =
         | None -> List.rev acc
       end
     | (card : card) :: rest -> begin
-        match card.toks with
-        | [] -> go acc current rest
-        | head :: args -> begin
+        match card_head card with
+        | None -> go acc current rest
+        | Some head -> begin
             match (lc head.text, current) with
             | ".subckt", Some _ ->
                 fail st head.at ".subckt definitions cannot nest"
             | ".subckt", None -> begin
-                match args with
+                match List.tl (card_tokens card) with
                 | [] -> fail st head.at ".subckt needs a name and ports"
                 | name :: rest_toks ->
                     let sname = lc name.text in
@@ -746,6 +789,7 @@ let extract_subckts st cards =
                            body = [];
                            sloc = head.at;
                            patterns = Hashtbl.create 4;
+                           bindings = Hashtbl.create 4;
                          })
                       rest
               end
@@ -874,18 +918,29 @@ let cnfet_model st env ~at ~polarity attrs =
       | Error msg -> fail st at "%s" msg)
 
 (* Canonical signature of a parameter binding, used to share resolved
-   subcircuit patterns across instances. *)
+   subcircuit patterns across instances: for every binding in name
+   order, the name, a NUL (no name contains one) and the 8 bytes of the
+   value's bit pattern.  Bitwise-equal bindings, and only those, share
+   a signature. *)
 let env_signature env =
-  let buf = Buffer.create 32 in
-  Env.iter
-    (fun k v -> Buffer.add_string buf (Printf.sprintf "%s=%h;" k v))
-    env;
-  Buffer.contents buf
+  let size = Env.fold (fun k _ acc -> acc + String.length k + 9) env 0 in
+  let b = Bytes.create size in
+  let (_ : int) =
+    Env.fold
+      (fun k v pos ->
+        let l = String.length k in
+        Bytes.blit_string k 0 b pos l;
+        Bytes.set b (pos + l) '\000';
+        Bytes.set_int64_le b (pos + l + 1) (Int64.bits_of_float v);
+        pos + l + 9)
+      env 0
+  in
+  Bytes.unsafe_to_string b
 
 (* Resolve one element card under [env].  Node names are kept exactly
    as written; hierarchy is applied later by [emit_rcard]. *)
-let rec resolve_card st defs env (card : card) =
-  match card.toks with
+let rec resolve_card st defs env toks =
+  match toks with
   | [] -> assert false (* the lexer drops empty cards *)
   | head :: args -> begin
       let two kind usage =
@@ -901,12 +956,14 @@ let rec resolve_card st defs env (card : card) =
               }
         | _ -> fail st head.at "%s" usage
       in
-      match (lc head.text).[0] with
+      match Char.lowercase_ascii head.text.[0] with
       | 'r' -> two `R "resistor: Rname n1 n2 value"
       | 'c' -> two `C "capacitor: Cname n1 n2 value"
       | 'l' -> two `L "inductor: Lname n1 n2 value"
       | 'v' | 'i' -> begin
-          let kind = if (lc head.text).[0] = 'v' then `V else `I in
+          let kind =
+            if Char.lowercase_ascii head.text.[0] = 'v' then `V else `I
+          in
           match args with
           | np :: nn :: value ->
               let value, ac = split_ac st env value in
@@ -951,11 +1008,17 @@ let rec resolve_card st defs env (card : card) =
                 "cnfet: Mname drain gate source CNFET|PCNFET [key=value...]"
         end
       | 'x' -> begin
-          let args = glue_eq args in
-          let plains, kvs = List.partition (fun t -> not (has_eq t)) args in
-          match List.rev plains with
+          (* node and subcircuit tokens, last first; overrides in order *)
+          let rev_plains, rev_kvs =
+            List.fold_left
+              (fun (plains, kvs) t ->
+                if has_eq t then (plains, t :: kvs) else (t :: plains, kvs))
+              ([], []) (glue_eq args)
+          in
+          let kvs = List.rev rev_kvs in
+          match rev_plains with
           | subtok :: rev_nodes -> begin
-              let sub_name = lc subtok.text in
+              let sub_name = Circuit.lowercase subtok.text in
               let sub =
                 match Hashtbl.find_opt defs sub_name with
                 | Some d -> d
@@ -966,24 +1029,26 @@ let rec resolve_card st defs env (card : card) =
                 fail st head.at "%s expects %d ports, got %d" sub_name
                   (List.length sub.ports) (List.length nodes);
               (* overrides must name declared formals; both defaults
-                 and overrides evaluate in the caller's binding *)
-              let overrides =
-                List.map
-                  (fun t ->
-                    let key, v, vat = split_kv st t in
-                    if not (List.mem_assoc key sub.formals) then
-                      fail st t.at
-                        "%s is not a parameter of subcircuit %s%s" key
-                        sub_name
-                        (match sub.formals with
-                        | [] -> " (it declares none)"
-                        | fs ->
-                            Printf.sprintf " (parameters: %s)"
-                              (String.concat ", " (List.map fst fs)));
-                    (key, eval_text st env ~at:vat ~coloff:0 v))
-                  kvs
-              in
-              let ienv =
+                 and overrides evaluate in the caller's binding, so the
+                 same override texts under the same caller binding give
+                 the same binding: it is worked out once *)
+              let bind () =
+                let overrides =
+                  List.map
+                    (fun t ->
+                      let key, v, vat = split_kv st t in
+                      if not (List.mem_assoc key sub.formals) then
+                        fail st t.at
+                          "%s is not a parameter of subcircuit %s%s" key
+                          sub_name
+                          (match sub.formals with
+                          | [] -> " (it declares none)"
+                          | fs ->
+                              Printf.sprintf " (parameters: %s)"
+                                (String.concat ", " (List.map fst fs)));
+                      (key, eval_text st env ~at:vat ~coloff:0 v))
+                    kvs
+                in
                 List.fold_left
                   (fun acc (key, default_tok) ->
                     let v =
@@ -994,7 +1059,17 @@ let rec resolve_card st defs env (card : card) =
                     Env.add key v acc)
                   env sub.formals
               in
-              R_inst { rname = head.text; nodes; sub; ienv; rat = head.at }
+              let texts = String.concat "\000" (List.map (fun t -> t.text) kvs) in
+              let ienv, sig_ =
+                match Hashtbl.find_opt sub.bindings texts with
+                | Some (caller, ienv, sig_) when caller == env -> (ienv, sig_)
+                | _ ->
+                    let ienv = bind () in
+                    let sig_ = env_signature ienv in
+                    Hashtbl.replace sub.bindings texts (env, ienv, sig_);
+                    (ienv, sig_)
+              in
+              R_inst { rname = head.text; nodes; sub; ienv; sig_; rat = head.at }
             end
           | [] ->
               fail st head.at "instance: Xname node... SUBCKT [param=value...]"
@@ -1010,15 +1085,16 @@ let rec resolve_card st defs env (card : card) =
 
 (* Resolve a subcircuit body under one binding, sharing the result
    across instances with the same binding. *)
-and resolve_body st defs (def : subckt) ienv =
-  let sig_ = env_signature ienv in
+and resolve_body st defs (def : subckt) ienv sig_ =
   match Hashtbl.find_opt def.patterns sig_ with
   | Some cards ->
       Obs.incr c_pattern_hits;
       cards
   | None ->
       Obs.incr c_pattern_compiles;
-      let cards = List.map (resolve_card st defs ienv) def.body in
+      let cards =
+        List.map (fun card -> resolve_card st defs ienv (card_tokens card)) def.body
+      in
       Hashtbl.add def.patterns sig_ cards;
       cards
 
@@ -1026,14 +1102,42 @@ and resolve_body st defs (def : subckt) ienv =
 (* Hierarchy expansion over resolved cards                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [prefix], a '.' and [name] lower-cased, led by [name]'s first letter
+   (lower-cased) when [typed]: one string of exactly that size. *)
+let dotted ~typed prefix name =
+  let o = if typed then 1 else 0 in
+  let lp = String.length prefix and ln = String.length name in
+  let b = Bytes.create (o + lp + 1 + ln) in
+  if typed then Bytes.set b 0 (Char.lowercase_ascii name.[0]);
+  Bytes.blit_string prefix 0 b o lp;
+  Bytes.set b (o + lp) '.';
+  for k = 0 to ln - 1 do
+    Bytes.set b (o + lp + 1 + k) (Char.lowercase_ascii name.[k])
+  done;
+  Bytes.unsafe_to_string b
+
 (* The first character encodes the element type, so the instance
    prefix goes after it: MN1 in instance x1 -> "mx1.mn1". *)
 let element_name ~prefix name =
   if prefix = "" then name
-  else
-    Printf.sprintf "%c%s.%s"
-      (Char.lowercase_ascii name.[0])
-      prefix (lc name)
+  else dotted ~typed:true prefix name
+
+(* Case-insensitive name equality against a lower-case [port]. *)
+let rec same_from port n k =
+  k = String.length n
+  || (Char.lowercase_ascii n.[k] = port.[k] && same_from port n (k + 1))
+
+let is_port port n = String.length port = String.length n && same_from port n 0
+
+(* The actual node bound to body node [n] when [n] names a port; a
+   repeated port name binds its last actual. *)
+let rec port_actual n ports actual =
+  match (ports, actual) with
+  | port :: ports, a :: actual -> (
+      match port_actual n ports actual with
+      | Some _ as later -> later
+      | None -> if is_port port n then Some a else None)
+  | _ -> None
 
 let rec emit_rcard st defs ~depth ~prefix ~map_node elements r =
   match r with
@@ -1061,28 +1165,24 @@ let rec emit_rcard st defs ~depth ~prefix ~map_node elements r =
         Circuit.cnfet_model ~length (element_name ~prefix rname)
           ~drain:(map_node d) ~gate:(map_node g) ~source:(map_node s) model
         :: !elements
-  | R_inst { rname; nodes; sub; ienv; rat } ->
+  | R_inst { rname; nodes; sub; ienv; sig_; rat } ->
       if depth >= 20 then fail st rat "subcircuit nesting deeper than 20";
       Obs.incr c_instances;
       let actual = List.map map_node nodes in
       let child_prefix =
         if prefix = "" then lc rname else element_name ~prefix rname
       in
-      let node_map = Hashtbl.create 8 in
-      List.iter2
-        (fun port node -> Hashtbl.add node_map port node)
-        sub.ports actual;
       let map_child n =
         if Circuit.is_ground n then n
         else
-          match Hashtbl.find_opt node_map (lc n) with
+          match port_actual n sub.ports actual with
           | Some mapped -> mapped
-          | None -> child_prefix ^ "." ^ lc n
+          | None -> dotted ~typed:false child_prefix n
       in
       List.iter
         (emit_rcard st defs ~depth:(depth + 1) ~prefix:child_prefix
            ~map_node:map_child elements)
-        (resolve_body st defs sub ienv)
+        (resolve_body st defs sub ienv sig_)
 
 (* ------------------------------------------------------------------ *)
 (* Directives and the main walk                                        *)
@@ -1157,8 +1257,7 @@ let find_title lines =
 let parse ?(file = "<deck>") text =
   Cnt_obs.Obs.span "spice.parse" @@ fun () ->
   let st = { sources = Hashtbl.create 4; file_order = [] } in
-  register_source st file text;
-  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let lines = register_source st file text in
   let title_opt, from = find_title lines in
   let cards = ref [] in
   lex_lines st ~stack:[ file ] ~file ~lines ~from (fun c ->
@@ -1173,9 +1272,9 @@ let parse ?(file = "<deck>") text =
   List.iter
     (fun (card : card) ->
       if not !ended then begin
-        match card.toks with
+        match card_tokens card with
         | [] -> ()
-        | head :: args -> begin
+        | head :: args as toks -> begin
             let h = lc head.text in
             match h.[0] with
             | '.' -> begin
@@ -1219,7 +1318,7 @@ let parse ?(file = "<deck>") text =
             | 'r' | 'c' | 'l' | 'v' | 'i' | 'm' | 'x' ->
                 emit_rcard st defs ~depth:0 ~prefix:"" ~map_node:Fun.id
                   elements
-                  (resolve_card st defs !env card)
+                  (resolve_card st defs !env toks)
             | _ -> fail st head.at "unknown card %S" head.text
           end
       end)

@@ -412,18 +412,26 @@ let write_temp_deck text =
   close_out oc;
   path
 
-let run_tool ?(env = "") name args =
+(* [timeout] (seconds) kills a run that hangs; it then reads as exit
+   137. *)
+let run_tool ?(env = "") ?timeout name args =
   let exe = Filename.concat ".." (Filename.concat "bin" (name ^ ".exe")) in
   let err = Filename.temp_file "cnt_conv" ".err" in
+  let limit =
+    match timeout with
+    | None -> ""
+    | Some s -> Printf.sprintf "timeout -s KILL %d" s
+  in
   let cmd =
-    Printf.sprintf "%s %s %s > /dev/null 2> %s" env (in_test_dir exe) args err
+    Printf.sprintf "%s %s %s %s > /dev/null 2> %s" env limit (in_test_dir exe)
+      args err
   in
   let code = Sys.command cmd in
   let stderr_text = read_file err in
   Sys.remove err;
   (code, stderr_text)
 
-let run_cspice ?env args = run_tool ?env "cspice" args
+let run_cspice ?env ?timeout args = run_tool ?env ?timeout "cspice" args
 
 let has sub s =
   let n = String.length sub and m = String.length s in
@@ -461,6 +469,23 @@ let test_cli_exit_codes () =
       ("--tol", "-1"); ("--tol", "nan"); ("--tol", "0"); ("--max-iter", "0");
       ("--gmin", "-1"); ("--deadline", "nan"); ("--deadline", "-1");
     ];
+  (* a NaN device temperature or diameter would spin the model fit
+     forever: the parser must stop it as a located error (exit 2) well
+     inside the timeout *)
+  List.iter
+    (fun attr ->
+      let deck =
+        write_temp_deck
+          (Printf.sprintf
+             "t\nV1 in 0 0.5\nM1 out in 0 CNFET %s={0/0}\nR1 out 0 1k\n.op\n.end\n"
+             attr)
+      in
+      let code, err = run_cspice ~timeout:20 deck in
+      Sys.remove deck;
+      Alcotest.(check int) ("CNFET " ^ attr ^ "={0/0} is 2") 2 code;
+      Alcotest.(check bool) (attr ^ " NaN located on stderr") true
+        (has ":3:" err && has "NaN" err))
+    [ "temp"; "d" ];
   let code, err = run_cspice ~env:"CNT_FAULT=exhaust" easy in
   Alcotest.(check int) "convergence failure is 3" 3 code;
   Alcotest.(check bool) "trail printed to stderr" true

@@ -78,6 +78,7 @@ let bad_decks =
     "bad_continuation";
     "bad_subckt_port";
     "bad_override";
+    "bad_nonfinite";
   ]
 
 (* Run cspice on corpus/NAME.cir with the test directory as cwd so
@@ -428,6 +429,231 @@ let test_expr_rejects () =
   rejected "nosuchparam"
 
 (* ------------------------------------------------------------------ *)
+(* Lexer: located errors across continuation lines                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The card lexer as it was before it tokenized over offsets, kept as
+   the reference: join a card's segments with one space, keep a source
+   location for every character (the separator takes its segment's
+   first column), and cut tokens on spaces, tabs and commas outside
+   (...), {...} and '...' groups.  Each token also records its offset
+   in the joined text. *)
+type ref_loc = { rline : int; rcol : int }
+
+let ref_join_segments segs =
+  let buf = Buffer.create 64 in
+  let locs = ref [] in
+  List.iteri
+    (fun i (l0, text) ->
+      if i > 0 then begin
+        Buffer.add_char buf ' ';
+        locs := l0 :: !locs
+      end;
+      String.iteri
+        (fun j c ->
+          Buffer.add_char buf c;
+          locs := { l0 with rcol = l0.rcol + j } :: !locs)
+        text)
+    segs;
+  (Buffer.contents buf, Array.of_list (List.rev !locs))
+
+let ref_tokenize_joined (text, locs) =
+  let n = String.length text in
+  let buf = Buffer.create 16 in
+  let toks = ref [] in
+  let start = ref None in
+  let paren = ref 0 and brace = ref 0 in
+  let quoted = ref false in
+  let flush () =
+    match !start with
+    | Some (off, at) when Buffer.length buf > 0 ->
+        toks := (off, Buffer.contents buf, at) :: !toks;
+        Buffer.clear buf;
+        start := None
+    | _ ->
+        Buffer.clear buf;
+        start := None
+  in
+  for i = 0 to n - 1 do
+    let ch = text.[i] in
+    let mark () = if !start = None then start := Some (i, locs.(i)) in
+    if !quoted then begin
+      Buffer.add_char buf ch;
+      if ch = '\'' then quoted := false
+    end
+    else
+      match ch with
+      | '\'' ->
+          mark ();
+          quoted := true;
+          Buffer.add_char buf ch
+      | '(' ->
+          mark ();
+          incr paren;
+          Buffer.add_char buf ch
+      | ')' ->
+          mark ();
+          decr paren;
+          Buffer.add_char buf ch
+      | '{' ->
+          mark ();
+          incr brace;
+          Buffer.add_char buf ch
+      | '}' ->
+          mark ();
+          decr brace;
+          Buffer.add_char buf ch
+      | (' ' | '\t' | ',') when !paren = 0 && !brace = 0 -> flush ()
+      | _ ->
+          mark ();
+          Buffer.add_char buf ch
+  done;
+  flush ();
+  List.rev !toks
+
+let rtrim s =
+  let e = ref (String.length s) in
+  while !e > 0 && (s.[!e - 1] = ' ' || s.[!e - 1] = '\t') do
+    decr e
+  done;
+  String.sub s 0 !e
+
+(* A resistor card "R1 n1 n2 value" cut into physical lines: the value
+   is an expression with the unknown parameter zz planted at a random
+   leaf; node tokens and separators mix balanced and unbalanced groups,
+   tabs and commas; each continuation line has its own indentation.
+   Returns the lines and the card's segments as the lexer sees them
+   (location of the first content column, content). *)
+let gen_split_card =
+  let open QCheck2.Gen in
+  let sep = oneofl [ " "; "\t"; ","; " , "; "  "; "\t,"; ", " ] in
+  let node =
+    oneofl
+      [ "a"; "n1"; "out"; "x(1)"; "{b}"; "'q r'"; "m)"; "p("; "{c"; "d}"; "'e";
+        "f,g"; "(h i)"; "j)k" ]
+  in
+  let blank = oneofl [ ""; " "; "  "; "\t"; " \t " ] in
+  let num = oneofl [ "1"; "2.5"; "3k"; "4e-3"; "0.5meg" ] in
+  let op = oneofl [ "+"; "-"; "*"; "/" ] in
+  let* leaves = int_range 1 4 in
+  let* zz_at = int_bound (leaves - 1) in
+  let* nums = list_repeat leaves num in
+  let* ops = list_repeat leaves op in
+  let* spaced = bool in
+  let* paren = bool in
+  let* wrap = oneofl [ `Brace; `Quote; `Bare ] in
+  let gap = if spaced && wrap <> `Bare then " " else "" in
+  let expr =
+    String.concat ""
+      (List.concat
+         (List.mapi
+            (fun k n ->
+              let leaf = if k = zz_at then "zz" else n in
+              if k = 0 then [ leaf ] else [ gap; List.nth ops k; gap; leaf ])
+            nums))
+  in
+  let expr = if paren then "(" ^ expr ^ ")" else expr in
+  let value =
+    match wrap with
+    | `Brace -> "{" ^ expr ^ "}"
+    | `Quote -> "'" ^ expr ^ "'"
+    | `Bare -> expr
+  in
+  let* n1 = node and* n2 = node in
+  let* s1 = sep and* s2 = sep and* s3 = sep in
+  let card = String.concat "" [ "R1"; s1; n1; s2; n2; s3; value ] in
+  (* up to three breaks anywhere after the card's first character *)
+  let* breaks = list_size (int_bound 3) (int_range 1 (String.length card - 1)) in
+  let breaks = List.sort_uniq compare breaks in
+  let rec parts from = function
+    | [] -> [ String.sub card from (String.length card - from) ]
+    | b :: rest -> String.sub card from (b - from) :: parts b rest
+  in
+  let parts = parts 0 breaks in
+  let* indents = list_repeat (List.length parts) blank in
+  let* pads = list_repeat (List.length parts) blank in
+  let lines, segs =
+    List.split
+      (List.mapi
+         (fun k part ->
+           let indent = List.nth indents k in
+           let line = 2 + k in
+           if k = 0 then
+             ( indent ^ part,
+               ({ rline = line; rcol = String.length indent + 1 }, rtrim part) )
+           else
+             let pad = List.nth pads k in
+             ( indent ^ "+" ^ pad ^ part,
+               ( { rline = line; rcol = String.length indent + 2 },
+                 rtrim (pad ^ part) ) ))
+         parts)
+  in
+  return (lines, segs)
+
+type outcome = Parsed | Located of Parser.error | Other of string
+
+let outcome deck =
+  match Parser.parse deck with
+  | _ -> Parsed
+  | exception Parser.Parse_error e -> Located e
+  | exception e -> Other (Printexc.to_string e)
+
+let show_outcome = function
+  | Parsed -> "parsed"
+  | Located e -> Diag.located_text e
+  | Other e -> e
+
+(* Written on one line, the joined card puts every error at its offset
+   in the joined text; across the physical lines, the error must sit
+   where the reference lexer put that offset: the location of the
+   token's first character plus the distance into the token. *)
+let prop_located_errors_match_reference =
+  QCheck2.Test.make ~name:"located errors match the reference lexer"
+    ~count:500
+    ~print:(fun (lines, _) -> String.concat "\n" lines)
+    gen_split_card
+    (fun (lines, segs) ->
+      let joined, locs = ref_join_segments segs in
+      let tokens = ref_tokenize_joined (joined, locs) in
+      let multi = "title\n" ^ String.concat "\n" lines ^ "\n" in
+      match (outcome ("title\n" ^ joined ^ "\n"), outcome multi) with
+      | Parsed, Parsed -> true
+      | Other a, Other b when a = b -> true
+      | Located { loc = Some single; message; _ }, Located got -> (
+          let p = single.Parser.col - 1 in
+          match
+            List.find_opt
+              (fun (off, text, _) -> off <= p && p <= off + String.length text)
+              tokens
+          with
+          | None -> QCheck2.Test.fail_reportf "offset %d lies in no token" p
+          | Some (off, _, at) ->
+              let line = at.rline and col = at.rcol + (p - off) in
+              let text =
+                String.map
+                  (fun c -> if c = '\t' then ' ' else c)
+                  (List.nth lines (line - 2))
+              in
+              let excerpt =
+                Printf.sprintf "%4d | %s\n     | %s^" line text
+                  (String.make (max 0 (min (col - 1) (String.length text))) ' ')
+              in
+              let want =
+                {
+                  Parser.loc = Some { Parser.file = "<deck>"; line; col };
+                  message;
+                  excerpt = Some excerpt;
+                }
+              in
+              got = want
+              || QCheck2.Test.fail_reportf "want %s:%d:%d %s, got %s" "<deck>" line
+                   col message
+                   (Diag.located_text got))
+      | single, got ->
+          QCheck2.Test.fail_reportf "one line: %s; physical lines: %s"
+            (show_outcome single) (show_outcome got))
+
+(* ------------------------------------------------------------------ *)
 (* .param semantics and located errors                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -435,6 +661,22 @@ let resistance deck name =
   match Circuit.find deck.Parser.circuit name with
   | Some (Circuit.Resistor { ohms; _ }) -> ohms
   | _ -> Alcotest.failf "no resistor %s" name
+
+let test_override_text_rebinds () =
+  (* X2 repeats X1's override text under the same .param binding and
+     shares its pattern; X3 repeats it after r is redefined, which is a
+     new binding *)
+  let deck, compiles, hits, _ =
+    pattern_deltas
+      "t\n.param r = 1k\n.subckt seg a b rs=1\nR1 a b {rs}\n.ends\n\
+       V1 n1 0 1\nX1 n1 n2 seg rs={r}\nX2 n2 n3 seg rs={r}\n.param r = 2k\n\
+       X3 n3 0 seg rs={r}\n.op\n.end\n"
+  in
+  Alcotest.(check (float 0.0)) "X1 under r = 1k" 1000.0 (resistance deck "rx1.r1");
+  Alcotest.(check (float 0.0)) "X2 under r = 1k" 1000.0 (resistance deck "rx2.r1");
+  Alcotest.(check (float 0.0)) "X3 under r = 2k" 2000.0 (resistance deck "rx3.r1");
+  Alcotest.(check int) "two bindings, two compiles" 2 compiles;
+  Alcotest.(check int) "one hit" 1 hits
 
 let test_param_redefinition () =
   let deck =
@@ -493,6 +735,8 @@ let () =
           tc "one compile per parameter binding" test_pattern_per_binding;
           tc "identical cards share one physical model"
             test_instances_share_model;
+          tc "same override text after .param is a new binding"
+            test_override_text_rebinds;
         ] );
       ( "roundtrip",
         [
@@ -509,6 +753,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_expr_matches_reference;
           QCheck_alcotest.to_alcotest prop_suffix_scaling;
         ] );
+      ( "lexer",
+        [ QCheck_alcotest.to_alcotest prop_located_errors_match_reference ] );
       ( "param-semantics",
         [
           tc ".param redefinition is sequential" test_param_redefinition;

@@ -681,6 +681,71 @@ let prop_percentile_monotone =
       in
       mono vals)
 
+(* Sparse.of_pattern against the way the CSR used to be built: hash the
+   distinct locations as packed keys, sort them (row-major is CSR
+   order), and a location's slot is its rank. *)
+let reference_slots n pattern =
+  let seen = Hashtbl.create 64 in
+  Array.iter (fun (i, j) -> Hashtbl.replace seen ((i * n) + j) ()) pattern;
+  let keys = Array.of_seq (Hashtbl.to_seq_keys seen) in
+  Array.sort Int.compare keys;
+  let slots = Hashtbl.create 64 in
+  Array.iteri (fun s key -> Hashtbl.replace slots (key / n, key mod n) s) keys;
+  slots
+
+let prop_of_pattern_matches_reference =
+  QCheck2.Test.make ~name:"of_pattern slots match hash-and-sort CSR" ~count:300
+    ~print:(fun (n, pattern) ->
+      Printf.sprintf "n=%d [%s]" n
+        (String.concat "; "
+           (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) pattern)))
+    QCheck2.Gen.(
+      let* n = int_range 1 25 in
+      let loc = pair (int_bound (n - 1)) (int_bound (n - 1)) in
+      let* distinct = list_size (int_bound (2 * n * n)) loc in
+      (* repeat a random share of the locations, then shuffle *)
+      let* repeats =
+        if distinct = [] then return []
+        else list_size (int_bound (List.length distinct)) (oneofl distinct)
+      in
+      let* pattern = shuffle_l (distinct @ repeats) in
+      return (n, pattern))
+    (fun (n, pattern) ->
+      let pattern = Array.of_list pattern in
+      let m = Sparse.of_pattern n pattern in
+      let slots = reference_slots n pattern in
+      if Sparse.nnz m <> Hashtbl.length slots then
+        QCheck2.Test.fail_reportf "nnz %d, reference %d" (Sparse.nnz m)
+          (Hashtbl.length slots);
+      (* every location: present ones at the reference slot, absent
+         ones raising *)
+      let show = function None -> "raises" | Some s -> string_of_int s in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let got =
+            match Sparse.slot m i j with
+            | s -> Some s
+            | exception Invalid_argument _ -> None
+          in
+          let want = Hashtbl.find_opt slots (i, j) in
+          if got <> want then
+            QCheck2.Test.fail_reportf "(%d, %d): slot %s, reference %s" i j
+              (show got) (show want)
+        done
+      done;
+      (* the range check stays *)
+      List.for_all
+        (fun bad ->
+          match Sparse.of_pattern n (Array.append pattern [| bad |]) with
+          | exception Invalid_argument msg
+            when msg = Printf.sprintf "Sparse.of_pattern: (%d, %d) out of range"
+                         (fst bad) (snd bad) ->
+              true
+          | _ ->
+              QCheck2.Test.fail_reportf "out-of-range (%d, %d) accepted" (fst bad)
+                (snd bad))
+        [ (n, 0); (0, n); (-1, 0); (0, -1) ])
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -694,6 +759,7 @@ let qcheck_cases =
       prop_brent_finds_bracketed_root;
       prop_pchip_stays_in_data_range;
       prop_percentile_monotone;
+      prop_of_pattern_matches_reference;
     ]
 
 
@@ -831,12 +897,12 @@ let test_complex_pivoting () =
 
 let sparse_of_dense rows =
   let n = Array.length rows in
-  let b = Sparse.Builder.create n in
+  let pattern = ref [] in
   Array.iteri
     (fun i row ->
-      Array.iteri (fun j v -> if v <> 0.0 then Sparse.Builder.add b i j) row)
+      Array.iteri (fun j v -> if v <> 0.0 then pattern := (i, j) :: !pattern) row)
     rows;
-  let m = Sparse.Builder.finalize b in
+  let m = Sparse.of_pattern n (Array.of_list !pattern) in
   Array.iteri
     (fun i row -> Array.iteri (fun j v -> if v <> 0.0 then Sparse.add_to m i j v) row)
     rows;
@@ -907,9 +973,7 @@ let test_sparse_singular () =
     | exception Sparse.Singular _ -> true
     | _ -> false);
   (* structurally singular: an empty row *)
-  let b = Sparse.Builder.create 2 in
-  Sparse.Builder.add b 0 0;
-  let m = Sparse.Builder.finalize b in
+  let m = Sparse.of_pattern 2 [| (0, 0) |] in
   Sparse.add_to m 0 0 1.0;
   Alcotest.(check bool) "structurally singular" true
     (match Sparse.solve m [| 1.0; 1.0 |] with

@@ -239,6 +239,30 @@ let test_device_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Every range guard must reject a NaN, not let it through to a fit or
+   a root search that never converges on it. *)
+let test_nan_rejected () =
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  rejects "Device.create ~temp:nan" (fun () -> ignore (Device.create ~temp:nan ()));
+  rejects "Device.create ~diameter:nan" (fun () ->
+      ignore (Device.create ~diameter:nan ()));
+  rejects "Device.create ~oxide_thickness:nan" (fun () ->
+      ignore (Device.create ~oxide_thickness:nan ()));
+  rejects "Device.create ~dielectric:nan" (fun () ->
+      ignore (Device.create ~dielectric:nan ()));
+  rejects "Device.create ~alpha_g:nan" (fun () ->
+      ignore (Device.create ~alpha_g:nan ()));
+  rejects "Device.create ~alpha_d:nan" (fun () ->
+      ignore (Device.create ~alpha_d:nan ()));
+  rejects "Charge.profile ~temp:nan" (fun () ->
+      ignore (Charge.profile ~dos:(Dos.of_diameter 1e-9) ~temp:nan ~fermi:0.0 ()));
+  rejects "Band.band_gap_of_diameter nan" (fun () ->
+      ignore (Band.band_gap_of_diameter nan));
+  rejects "Dos.create [| nan |]" (fun () -> ignore (Dos.create [| nan |]))
+
 let test_javey_device () =
   let d = Device.javey in
   check_close ~eps:1e-12 "diameter" 1.6e-9 d.Device.diameter;
@@ -427,6 +451,7 @@ let () =
           tc "terminal charge" test_device_terminal_charge;
           tc "validation" test_device_validation;
           tc "javey device" test_javey_device;
+          tc "NaN arguments rejected" test_nan_rejected;
         ] );
       ( "fettoy",
         [
