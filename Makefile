@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test check bench-check conv-check server-check models-check corpus-check corpus-bless repro clean
+.PHONY: all build test check examples-check bench-check conv-check server-check models-check corpus-check corpus-bless repro clean
 
 all: build
 
@@ -14,6 +14,15 @@ test:
 check:
 	dune build @all
 	dune runtest
+
+# Run every example program: each must exit 0.  The build only
+# compiles them, so without this one could break at run time unseen.
+examples-check:
+	dune build @examples/all
+	@for exe in _build/default/examples/*.exe; do \
+	  echo "examples-check: $$exe"; \
+	  "$$exe" > /dev/null || { echo "examples-check: failed: $$exe"; exit 1; }; \
+	done
 
 # cnt-bench's own output checks as a gate: every workload, 1 s timed
 # passes (about 45 s).  The last stdout line is the run's JSON summary;

@@ -17,8 +17,7 @@
    Following the paper's "purely numerical" methodology, the boundary
    offsets themselves are optimised to minimise the RMS deviation from
    the theoretical curves; {!optimise_boundaries} does this for one
-   operating condition and {!calibrate_offsets} across a grid of
-   (temperature, Fermi level) conditions. *)
+   operating condition. *)
 
 open Cnt_numerics
 open Cnt_physics
@@ -267,11 +266,10 @@ let rms_on_curve approx curve =
 let charge_rms_over ?(points = 200) profile approx ~lo ~hi =
   rms_on_curve approx (sample_theory ~points profile ~lo ~hi)
 
-(* Penalised objective shared by the optimisers: fit the candidate
-   boundaries against each precomputed curve and average the RMS over
-   the curves' full ranges.  Each curve carries its Fermi level and
-   tail value. *)
-let objective ~min_gap ~s curves offsets =
+(* Penalised objective of the boundary optimiser: fit the candidate
+   boundaries (offsets from [fermi]) against the precomputed theory
+   curve and score the RMS over the curve's full range. *)
+let objective ~min_gap ~s ~fermi ~tail_value curve offsets =
   let k = Array.length offsets in
   let ascending =
     let rec go i = i >= k - 1 || (offsets.(i + 1) -. offsets.(i) >= min_gap && go (i + 1)) in
@@ -280,20 +278,14 @@ let objective ~min_gap ~s curves offsets =
   if not ascending then 1e9
   else begin
     try
-      let total =
-        List.fold_left
-          (fun acc (fermi, tail_value, curve) ->
-            let bounds = Array.map (fun o -> fermi +. o) offsets in
-            let lo = bounds.(0) -. s.window and hi = bounds.(k - 1) in
-            let xs, ys = curve_between curve ~lo ~hi in
-            let approx, _, _ =
-              fit_samples ~bounds ~degrees:s.degrees ~weighting:s.weighting
-                ~tail_value xs ys
-            in
-            acc +. rms_on_curve approx curve)
-          0.0 curves
+      let bounds = Array.map (fun o -> fermi +. o) offsets in
+      let lo = bounds.(0) -. s.window and hi = bounds.(k - 1) in
+      let xs, ys = curve_between curve ~lo ~hi in
+      let approx, _, _ =
+        fit_samples ~bounds ~degrees:s.degrees ~weighting:s.weighting
+          ~tail_value xs ys
       in
-      total /. float_of_int (List.length curves)
+      rms_on_curve approx curve
     with Fit.Bad_fit _ | Linalg.Singular _ -> 1e9
   end
 
@@ -308,35 +300,8 @@ let optimise_boundaries ?(min_gap = 0.02) ?(max_iter = 300) profile s =
   let tail_value = tail_value_of profile s.tail in
   let best_offsets, best_rms =
     Optimize.nelder_mead ~tol:1e-8 ~max_iter ~initial_step:0.2
-      (objective ~min_gap ~s [ (fermi, tail_value, curve) ])
+      (objective ~min_gap ~s ~fermi ~tail_value curve)
       (Array.copy s.offsets)
   in
   let refined = with_offsets s best_offsets in
   (refined, fit profile refined, best_rms)
-
-(* Calibrate one boundary set across a grid of operating conditions,
-   exactly as the paper fixes its boundaries over 150-450 K and
-   -0.5..0 eV: minimise the mean charge RMS over all conditions. *)
-let calibrate_offsets ?(min_gap = 0.02) ?(max_iter = 300) ~make_profile
-    ~temps ~fermis s =
-  let k = Array.length s.offsets in
-  let curves =
-    List.concat_map
-      (fun temp ->
-        List.map
-          (fun fermi ->
-            let profile = make_profile ~temp ~fermi in
-            let lo = fermi +. s.offsets.(0) -. s.window -. 0.3 in
-            let hi = fermi +. s.offsets.(k - 1) +. 0.2 in
-            ( fermi,
-              tail_value_of profile s.tail,
-              sample_theory ~points:400 profile ~lo ~hi ))
-          fermis)
-      temps
-  in
-  let best_offsets, best_rms =
-    Optimize.nelder_mead ~tol:1e-7 ~max_iter ~initial_step:0.2
-      (objective ~min_gap ~s curves)
-      (Array.copy s.offsets)
-  in
-  (with_offsets s best_offsets, best_rms)

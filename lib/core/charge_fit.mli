@@ -6,8 +6,7 @@
     constrained least-squares problem producing a C1 piecewise
     polynomial that is exactly zero above the last boundary.
     Boundary offsets can be refined numerically — the paper's own
-    methodology — per condition ({!optimise_boundaries}) or across a
-    condition grid ({!calibrate_offsets}). *)
+    methodology — per condition ({!optimise_boundaries}). *)
 
 open Cnt_physics
 
@@ -102,16 +101,3 @@ val optimise_boundaries :
 (** Refine the boundary offsets by Nelder-Mead on the charge RMS for
     one operating condition.  Returns the refined spec, its fit, and
     the achieved RMS. *)
-
-val calibrate_offsets :
-  ?min_gap:float ->
-  ?max_iter:int ->
-  make_profile:(temp:float -> fermi:float -> Charge.profile) ->
-  temps:float list ->
-  fermis:float list ->
-  spec ->
-  spec * float
-(** Optimise one boundary set across a (temperature x Fermi level)
-    condition grid, minimising the mean charge RMS — how the paper
-    fixes its boundaries over 150-450 K and -0.5..0 eV.  Returns the
-    calibrated spec and the mean RMS. *)

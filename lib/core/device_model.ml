@@ -78,17 +78,7 @@ let gds t ~vgs ~vds =
   let _, _, g = small_signal t ~vgs ~vds in
   g
 
-let charges t ~vgs ~vds =
-  match t.impl with
-  | Piecewise m -> Cnt_model.charges m ~vgs ~vds
-  | Vs m -> Vs_model.charges m ~vgs ~vds
-
 let as_piecewise t = match t.impl with Piecewise m -> Some m | Vs _ -> None
-
-let pp t fmt =
-  match t.impl with
-  | Piecewise m -> Cnt_model.pp fmt m
-  | Vs m -> Vs_model.pp fmt m
 
 (* ---------------------------------------------------------------- *)
 (* Table kernels                                                    *)

@@ -59,19 +59,13 @@ val gm : t -> vgs:float -> vds:float -> float
 val gds : t -> vgs:float -> vds:float -> float
 (** Output conductance, the third component of {!small_signal}. *)
 
-val charges : t -> vgs:float -> vds:float -> float * float * float
-(** [(v_sc, q_s, q_d)]: backend-defined bias-point charge summary
-    (piecewise: self-consistent voltage and mobile charges in C/m). *)
-
 val intrinsic_caps : t -> length:float -> (float * float) option
 (** Meyer-style [(c_gs, c_gd)] intrinsic terminal capacitances for a
     tube of [length] metres; [None] when [length <= 0]. *)
 
 val as_piecewise : t -> Cnt_model.t option
 (** The underlying piecewise model, for piecewise-only consumers
-    (model export, RMS oracles).  [None] for other backends. *)
-
-val pp : t -> Format.formatter -> unit
+    (the netlist writer, RMS oracles).  [None] for other backends. *)
 
 (** {1 Table kernels}
 

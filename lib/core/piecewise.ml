@@ -24,14 +24,9 @@ let create ~boundaries ~pieces =
   done;
   { boundaries = Array.copy boundaries; pieces = Array.map Array.copy pieces }
 
-let constant c = { boundaries = [||]; pieces = [| Polynomial.constant c |] }
-
 let boundaries t = Array.copy t.boundaries
 let pieces t = Array.map Array.copy t.pieces
 let piece_count t = Array.length t.pieces
-
-let max_degree t =
-  Array.fold_left (fun acc p -> max acc (Polynomial.degree p)) (-1) t.pieces
 
 (* Index of the piece containing x.  Boundaries belong to the piece on
    their left, matching the paper's "V_SC <= E_F/q - 0.08" region

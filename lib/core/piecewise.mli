@@ -12,15 +12,9 @@ val create : boundaries:float array -> pieces:Polynomial.t array -> t
 (** Build from strictly ascending boundaries and one more piece than
     boundaries.  Raises [Invalid_argument] otherwise. *)
 
-val constant : float -> t
-(** The single-piece constant function. *)
-
 val boundaries : t -> float array
 val pieces : t -> Polynomial.t array
 val piece_count : t -> int
-
-val max_degree : t -> int
-(** Largest degree among the pieces ([-1] if all are zero). *)
 
 val piece_index : t -> float -> int
 (** Index of the piece containing the point; boundary points belong to

@@ -113,8 +113,7 @@ let residual_poly t ~qt ~vds x =
   let ps = Piecewise.piece_at t.qs x in
   (* piece of the drain curve as a function of V: q_d(V) = p(V + vds) *)
   let pd = Polynomial.shift (Piecewise.piece_at t.qs (x +. vds)) vds in
-  sub (sub linear ps) pd
-
+  add (add linear (neg ps)) (neg pd)
 
 (* Endpoints of interval [k] of the merged-breakpoint partition:
    interval 0 is (-inf, b_0], interval k is (b_{k-1}, b_k], interval n
@@ -140,11 +139,11 @@ let[@inline] representative_of ~lo ~hi =
 (* Closed-form roots into a caller buffer                              *)
 (* ------------------------------------------------------------------ *)
 
-(* {!Polynomial.real_roots_trimmed} over a caller buffer of length >= 3
-   instead of lists: the same per-degree formulas, the same
-   [sort_uniq]/ordering rules, the same Newton polish and final
-   ascending sort, so the values written are bitwise the elements the
-   list form returns.
+(* Real roots of a polynomial of degree <= 3 by the closed-form
+   linear, quadratic (cancellation-free) and Cardano (trigonometric
+   branch when all three roots are real) formulas, each root polished
+   by one Newton step, written ascending into a caller buffer of
+   length >= 3.
 
    These float helpers live in this module, marked [@inline], because
    a float that crosses a module boundary is boxed: the default (dev)
@@ -160,8 +159,8 @@ let[@inline] cbrt x =
   else -.Float.pow (-.x) (1.0 /. 3.0)
 
 (* One Newton step on [p] from [x], kept only if it does not increase
-   |p|: [Polynomial.polish], with its [eval_with_derivative] and [eval]
-   Horner passes written out. *)
+   |p|, with the value-and-derivative and value Horner passes written
+   out. *)
 let[@inline] polish p x =
   let v = ref 0.0 and d = ref 0.0 in
   for i = Array.length p - 1 downto 0 do
@@ -219,8 +218,7 @@ let[@inline] fcompare (f : float) g =
   Bool.to_int (f > g) - Bool.to_int (f < g) + Bool.to_int (f = f)
   - Bool.to_int (g = g)
 
-(* Ascending compare-sort of buf.(0 .. n-1) (n <= 3) — the fixed-size
-   equivalent of [List.sort compare]. *)
+(* Ascending compare-sort of buf.(0 .. n-1) (n <= 3). *)
 let sort3_into buf n =
   if n >= 2 then begin
     if fcompare buf.(0) buf.(1) > 0 then begin
@@ -243,8 +241,8 @@ let sort3_into buf n =
   end;
   n
 
-(* Adjacent dedup after [sort3_into]: together, [List.sort_uniq
-   compare]. *)
+(* Adjacent dedup after [sort3_into]: together, an ascending sort
+   that keeps one of each repeated value. *)
 let dedup3_into buf n =
   let kept = ref (if n > 0 then 1 else 0) in
   for i = 1 to n - 1 do
@@ -307,14 +305,13 @@ let real_roots_into p buf =
     | 3 -> roots_quadratic_into p.(2) p.(1) p.(0) buf
     | 4 -> roots_cubic_into p.(3) p.(2) p.(1) p.(0) buf
     | _ ->
-        invalid_arg
-          "Polynomial.real_roots_closed_form: degree exceeds 3 (use durand_kerner)"
+        invalid_arg "Scv_solver.real_roots_into: degree exceeds 3"
   in
   for i = 0 to nraw - 1 do
     buf.(i) <- polish p buf.(i)
   done;
   (* the per-degree producers emit <= 3 ascending values; polishing can
-     reorder them, so re-sort (duplicates kept, as [List.sort]) *)
+     reorder them, so re-sort (duplicates kept) *)
   sort3_into buf nraw
 
 (* ------------------------------------------------------------------ *)
@@ -616,8 +613,6 @@ let plan t ~vds =
   retarget p;
   p
 
-let plan_vds p = p.target.at
-
 (* [Polynomial.shift_into] on the drain piece, with the shift read from
    the plan's target rather than passed (and boxed) as an argument:
    writes the coefficients of [shift piece vds] to [acc] through the
@@ -712,7 +707,7 @@ let solve_cells p =
      scratch: each step adds coefficient-wise against a pre-negated
      piece over the max length and trims trailing [= 0.0]
      coefficients — the same floating-point sums and the same trim
-     rule as [Polynomial.(sub (sub (of_coeffs [|qt; c|]) ps) pd)],
+     rule as [residual_poly]'s [add (add linear (neg ps)) (neg pd)],
      without the intermediate allocations. *)
   let nps = p.iv_nps.(k) and npd = p.iv_npd.(k) in
   let lnps = Array.length nps in

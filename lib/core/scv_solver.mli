@@ -33,6 +33,15 @@ val residual_poly : t -> qt:float -> vds:float -> float -> Cnt_numerics.Polynomi
 (** The polynomial equal to [F] on the breakpoint interval containing
     the given point. *)
 
+val real_roots_into : float array -> float array -> int
+(** [real_roots_into p buf] writes the real roots of [p] (coefficients
+    lowest-degree first, no trailing zero, degree at most 3) into
+    [buf] (length at least 3), ascending, and returns how many: the
+    closed-form linear, quadratic and Cardano formulas, each root
+    polished by one Newton step.  Raises [Invalid_argument] above
+    degree 3.  Exposed for tests; the solver calls it on every
+    interval it solves. *)
+
 val solve_stats : t -> qt:float -> vds:float -> stats
 (** Solve [F(V) = 0] in closed form, with diagnostics. *)
 
@@ -77,8 +86,6 @@ type io = {
     writing its fields from another module neither boxes nor calls. *)
 
 val plan : t -> vds:float -> plan
-val plan_vds : plan -> float
-
 val io : plan -> io
 (** The plan's cells (the same record for the plan's lifetime). *)
 

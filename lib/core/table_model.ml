@@ -29,7 +29,7 @@ let make ?(points = 256) ?(span = 1.2) device =
   (* tabulate from deep accumulation to safely past the turn-on knee *)
   let lo = fermi -. span and hi = fermi +. 0.25 in
   let table =
-    Interp.of_function ~kind:`Pchip (fun v -> Charge.qs ~n0 profile v) lo hi points
+    Interp.of_function (fun v -> Charge.qs ~n0 profile v) lo hi points
   in
   let temp = device.Device.temp in
   {
@@ -79,6 +79,3 @@ let ids t ~vgs ~vds =
   let eta_s = (t.device.Device.fermi -. vsc) /. t.kt_ev in
   let eta_d = eta_s -. (vds /. t.kt_ev) in
   t.current_scale *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
-
-let output_family t ~vgs_list ~vds_points =
-  List.map (fun vgs -> (vgs, Array.map (fun vds -> ids t ~vgs ~vds) vds_points)) vgs_list

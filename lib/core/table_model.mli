@@ -18,6 +18,3 @@ val qs : t -> float -> float
 
 val solve_vsc : t -> vgs:float -> vds:float -> float
 val ids : t -> vgs:float -> vds:float -> float
-
-val output_family :
-  t -> vgs_list:float list -> vds_points:float array -> (float * float array) list

@@ -118,14 +118,6 @@ let ids t ~vgs ~vds =
   let _, i = solve_point t ~vgs:ovgs ~vds:ovds in
   match t.polarity with N_type -> i | P_type -> -.i
 
-(* Virtual-source charge and its drain-swapped counterpart, playing the
-   role of the piecewise model's source/drain mobile charges. *)
-let charges t ~vgs ~vds =
-  let ovgs, ovds = oriented t ~vgs ~vds in
-  let qs, _ = solve_point t ~vgs:ovgs ~vds:ovds in
-  let qd, _ = solve_point t ~vgs:(ovgs -. ovds) ~vds:(-.ovds) in
-  (0.0, qs, qd)
-
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* The MNA range kernel: for each row [first + j], [ids] and its
@@ -194,11 +186,3 @@ let gm t ~vgs ~vds =
 let gds t ~vgs ~vds =
   let _, _, g = small_signal t ~vgs ~vds in
   g
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>%s virtual-source model (%s)@ VT0 %g V, DIBL %g, n %g, vx0 %g m/s, \
-     beta %g, Vdsat %g V, Cinv %g F/m@]"
-    (match t.polarity with N_type -> "n-type" | P_type -> "p-type")
-    t.device.Device.name t.p.vt0 t.p.dibl t.p.n_ss t.p.vxo t.p.beta t.p.vdsat
-    t.p.cinv

@@ -55,11 +55,6 @@ val ids : t -> vgs:float -> vds:float -> float
 (** Drain current (A).  Negative for p-type devices under positive
     bias, matching {!Cnt_model.ids}. *)
 
-val charges : t -> vgs:float -> vds:float -> float * float * float
-(** [(0, q_s, q_d)]: the virtual-source charge (C/m) at the bias point
-    and at the source/drain-swapped point.  The first slot is 0 — this
-    model has no self-consistent voltage. *)
-
 val small_signal : t -> vgs:float -> vds:float -> float * float * float
 (** [(I_DS, gm, gds)] at a bias point, all closed-form: the current of
     {!ids} and its softplus/DIBL/saturation-function derivatives,
@@ -90,5 +85,3 @@ val eval_range :
     no per-bias plan to hoist, so a range is just its models.
     Allocates nothing per row.  [i0] is bitwise-equal to {!ids};
     [fault_i0] makes only [i0] NaN. *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,7 +16,6 @@ let table_vgs = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6 ]
 
 (* Condition grids of tables II-IV. *)
 let table_temps = [ 150.0; 300.0; 450.0 ]
-let table_fermis = [ -0.32; -0.5; 0.0 ]
 
 type models = {
   device : Device.t;

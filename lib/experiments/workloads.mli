@@ -14,7 +14,6 @@ val table_vgs : float list
 (** Gate voltages of tables II-IV: 0.1..0.6 V in 0.1 V steps. *)
 
 val table_temps : float list
-val table_fermis : float list
 
 type models = {
   device : Device.t;

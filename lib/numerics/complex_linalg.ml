@@ -1,6 +1,5 @@
 (* Dense complex linear algebra for AC (small-signal) circuit
-   analysis: complex vectors, matrices and LU solves mirroring the real
-   Linalg module. *)
+   analysis: a complex matrix to stamp into and its LU solve. *)
 
 exception Singular of string
 exception Dimension_mismatch of string
@@ -14,66 +13,28 @@ type cmat = {
 module Cvec = struct
   type t = Complex.t array
 
-  let make n x = Array.make n x
   let zero n = Array.make n Complex.zero
-  let init = Array.init
-  let dim = Array.length
-  let copy = Array.copy
-
-  let add a b =
-    if dim a <> dim b then raise (Dimension_mismatch "Cvec.add");
-    Array.init (dim a) (fun i -> Complex.add a.(i) b.(i))
 
   let sub a b =
-    if dim a <> dim b then raise (Dimension_mismatch "Cvec.sub");
-    Array.init (dim a) (fun i -> Complex.sub a.(i) b.(i))
-
-  let scale s a = Array.map (Complex.mul s) a
-
-  (* unconjugated dot product (the MNA equations are not Hermitian) *)
-  let dot a b =
-    if dim a <> dim b then raise (Dimension_mismatch "Cvec.dot");
-    let acc = ref Complex.zero in
-    for i = 0 to dim a - 1 do
-      acc := Complex.add !acc (Complex.mul a.(i) b.(i))
-    done;
-    !acc
+    if Array.length a <> Array.length b then raise (Dimension_mismatch "Cvec.sub");
+    Array.init (Array.length a) (fun i -> Complex.sub a.(i) b.(i))
 
   let norm_inf a =
     Array.fold_left (fun acc x -> Float.max acc (Complex.norm x)) 0.0 a
-
-  let of_real r = Array.map (fun x -> { Complex.re = x; im = 0.0 }) r
-  let real = Array.map (fun z -> z.Complex.re)
-  let imag = Array.map (fun z -> z.Complex.im)
-  let magnitude = Array.map Complex.norm
-  let phase = Array.map Complex.arg
 end
 
 module Cmat = struct
   type t = cmat
 
-  let make rows cols x =
-    if rows < 0 || cols < 0 then invalid_arg "Cmat.make";
-    { rows; cols; data = Array.init rows (fun _ -> Array.make cols x) }
-
-  let zero rows cols = make rows cols Complex.zero
+  let zero rows cols =
+    if rows < 0 || cols < 0 then invalid_arg "Cmat.zero";
+    { rows; cols; data = Array.init rows (fun _ -> Array.make cols Complex.zero) }
 
   let init rows cols f =
     { rows; cols; data = Array.init rows (fun i -> Array.init cols (fun j -> f i j)) }
 
-  let identity n =
-    init n n (fun i j -> if i = j then Complex.one else Complex.zero)
-
-  let rows m = m.rows
-  let cols m = m.cols
-  let get m i j = m.data.(i).(j)
-  let set m i j x = m.data.(i).(j) <- x
   let add_to m i j x = m.data.(i).(j) <- Complex.add m.data.(i).(j) x
   let copy m = { m with data = Array.map Array.copy m.data }
-
-  let of_real r =
-    init (Linalg.Mat.rows r) (Linalg.Mat.cols r) (fun i j ->
-        { Complex.re = Linalg.Mat.get r i j; im = 0.0 })
 
   let mul_vec a x =
     if a.cols <> Array.length x then raise (Dimension_mismatch "Cmat.mul_vec");
@@ -83,20 +44,6 @@ module Cmat = struct
           acc := Complex.add !acc (Complex.mul a.data.(i).(j) x.(j))
         done;
         !acc)
-
-  let mul a b =
-    if a.cols <> b.rows then raise (Dimension_mismatch "Cmat.mul");
-    let c = zero a.rows b.cols in
-    for i = 0 to a.rows - 1 do
-      for k = 0 to a.cols - 1 do
-        let aik = a.data.(i).(k) in
-        if aik <> Complex.zero then
-          for j = 0 to b.cols - 1 do
-            c.data.(i).(j) <- Complex.add c.data.(i).(j) (Complex.mul aik b.data.(k).(j))
-          done
-      done
-    done;
-    c
 end
 
 (* LU with partial pivoting on the modulus. *)

@@ -9,45 +9,22 @@ type cmat
 module Cvec : sig
   type t = Complex.t array
 
-  val make : int -> Complex.t -> t
   val zero : int -> t
-  val init : int -> (int -> Complex.t) -> t
-  val dim : t -> int
-  val copy : t -> t
-  val add : t -> t -> t
+
   val sub : t -> t -> t
-  val scale : Complex.t -> t -> t
-
-  val dot : t -> t -> Complex.t
-  (** Unconjugated dot product. *)
-
   val norm_inf : t -> float
-  val of_real : float array -> t
-  val real : t -> float array
-  val imag : t -> float array
-  val magnitude : t -> float array
-  val phase : t -> float array
 end
 
 module Cmat : sig
   type t = cmat
 
-  val make : int -> int -> Complex.t -> t
   val zero : int -> int -> t
   val init : int -> int -> (int -> int -> Complex.t) -> t
-  val identity : int -> t
-  val rows : t -> int
-  val cols : t -> int
-  val get : t -> int -> int -> Complex.t
-  val set : t -> int -> int -> Complex.t -> unit
 
   val add_to : t -> int -> int -> Complex.t -> unit
   (** Accumulate into an entry (the AC stamping primitive). *)
 
-  val copy : t -> t
-  val of_real : Linalg.mat -> t
   val mul_vec : t -> Cvec.t -> Cvec.t
-  val mul : t -> t -> t
 end
 
 val solve : cmat -> Cvec.t -> Cvec.t

@@ -12,9 +12,6 @@ let planck = 6.62607015e-34
 let hbar = planck /. (2.0 *. Float.pi)
 (* reduced Planck constant, Joule second *)
 
-let electron_mass = 9.1093837015e-31
-(* kilogram *)
-
 let vacuum_permittivity = 8.8541878128e-12
 (* Farad per metre *)
 
@@ -23,9 +20,6 @@ let electron_volt = elementary_charge
 
 (* Thermal energy k*T in Joules at temperature [t] in Kelvin. *)
 let thermal_energy t = boltzmann *. t
-
-(* Thermal voltage k*T/q in Volts at temperature [t] in Kelvin. *)
-let thermal_voltage t = boltzmann *. t /. elementary_charge
 
 (* Convert an energy in electron-volts to Joules. *)
 let ev_to_joule e = e *. electron_volt

@@ -14,9 +14,6 @@ val planck : float
 val hbar : float
 (** Reduced Planck constant [h/2pi], in J.s. *)
 
-val electron_mass : float
-(** Electron rest mass, in kg. *)
-
 val vacuum_permittivity : float
 (** Vacuum permittivity [eps0], in F/m. *)
 
@@ -25,9 +22,6 @@ val electron_volt : float
 
 val thermal_energy : float -> float
 (** [thermal_energy t] is [k*t] in Joules for [t] in Kelvin. *)
-
-val thermal_voltage : float -> float
-(** [thermal_voltage t] is [k*t/q] in Volts for [t] in Kelvin. *)
 
 val ev_to_joule : float -> float
 (** Convert electron-volts to Joules. *)

@@ -1,5 +1,5 @@
-(* Linear least-squares fitting, including the equality-constrained
-   form used by the piecewise charge-curve fits.
+(* Equality-constrained linear least squares, the form the piecewise
+   charge-curve fits are built on.
 
    The constrained problem is
        minimise ||A c - y||_2   subject to   C c = d
@@ -9,32 +9,6 @@
    solved by QR. *)
 
 exception Bad_fit of string
-
-(* Vandermonde design matrix for a polynomial basis of given degree. *)
-let vandermonde xs degree =
-  if degree < 0 then invalid_arg "Fit.vandermonde: negative degree";
-  Linalg.Mat.init (Array.length xs) (degree + 1) (fun i j -> Float.pow xs.(i) (float_of_int j))
-
-(* Unconstrained polynomial fit of [degree] through samples. *)
-let polyfit xs ys degree =
-  let n = Array.length xs in
-  if n <> Array.length ys then raise (Bad_fit "polyfit: length mismatch");
-  if n < degree + 1 then raise (Bad_fit "polyfit: not enough samples");
-  let a = vandermonde xs degree in
-  Polynomial.of_coeffs (Linalg.qr_least_squares a ys)
-
-(* Weighted polynomial fit: each sample row is scaled by sqrt(w_i). *)
-let polyfit_weighted xs ys ws degree =
-  let n = Array.length xs in
-  if n <> Array.length ys || n <> Array.length ws then
-    raise (Bad_fit "polyfit_weighted: length mismatch");
-  let sw = Array.map sqrt ws in
-  let a =
-    Linalg.Mat.init n (degree + 1) (fun i j ->
-        sw.(i) *. Float.pow xs.(i) (float_of_int j))
-  in
-  let y = Array.init n (fun i -> sw.(i) *. ys.(i)) in
-  Polynomial.of_coeffs (Linalg.qr_least_squares a y)
 
 (* Solve min ||A c - y|| s.t. C c = d.
 
@@ -123,15 +97,9 @@ let constrained_least_squares ~design:a ~rhs:y ~constraints:c ~targets:d =
     end
   end
 
-(* Constrained polynomial fit: minimise the misfit over samples subject
-   to point constraints of the form p^(k)(x) = v (value or derivative
-   pinning).  Constraint rows are rows of the derivative-Vandermonde. *)
-type point_constraint = {
-  at : float; (* abscissa of the constraint *)
-  order : int; (* 0 = value, 1 = first derivative, ... *)
-  value : float; (* required p^(order)(at) *)
-}
-
+(* Row of the derivative-Vandermonde: dotted with a coefficient vector
+   it gives p^(order)(x), so value and slope pins at a point become
+   constraint rows. *)
 let derivative_row ~degree ~order x =
   Array.init (degree + 1) (fun j ->
       if j < order then 0.0
@@ -143,18 +111,3 @@ let derivative_row ~degree ~order x =
         done;
         !fall *. Float.pow x (float_of_int (j - order))
       end)
-
-let polyfit_constrained xs ys degree constraints =
-  let n = Array.length xs in
-  if n <> Array.length ys then raise (Bad_fit "polyfit_constrained: length mismatch");
-  let a = vandermonde xs degree in
-  let m = List.length constraints in
-  let cmat =
-    Linalg.Mat.of_arrays
-      (Array.of_list
-         (List.map (fun pc -> derivative_row ~degree ~order:pc.order pc.at) constraints))
-  in
-  let d = Array.of_list (List.map (fun pc -> pc.value) constraints) in
-  ignore m;
-  Polynomial.of_coeffs
-    (constrained_least_squares ~design:a ~rhs:ys ~constraints:cmat ~targets:d)

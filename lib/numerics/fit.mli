@@ -1,20 +1,8 @@
-(** Linear least-squares fitting, unconstrained and with linear
-    equality constraints (value/derivative pinning at chosen points).
-    The constrained form is what builds the C1-continuous piecewise
-    charge approximations. *)
+(** Linear least squares with linear equality constraints
+    (value/derivative pinning at chosen points): what builds the
+    C1-continuous piecewise charge approximations. *)
 
 exception Bad_fit of string
-
-val vandermonde : float array -> int -> Linalg.mat
-(** [vandermonde xs degree] is the design matrix whose row [i] is
-    [1, xs.(i), xs.(i)^2, ..., xs.(i)^degree]. *)
-
-val polyfit : float array -> float array -> int -> Polynomial.t
-(** Ordinary least-squares polynomial fit of the given degree. *)
-
-val polyfit_weighted :
-  float array -> float array -> float array -> int -> Polynomial.t
-(** Weighted least squares; the third array gives per-sample weights. *)
 
 val constrained_least_squares :
   design:Linalg.mat ->
@@ -26,17 +14,7 @@ val constrained_least_squares :
     The constraint matrix must have full row rank and no more rows than
     unknowns. *)
 
-type point_constraint = {
-  at : float;  (** abscissa *)
-  order : int;  (** derivative order: 0 pins the value, 1 the slope *)
-  value : float;  (** required value of the derivative at [at] *)
-}
-
 val derivative_row : degree:int -> order:int -> float -> float array
 (** Row of the derivative-Vandermonde: coefficients such that the dot
     product with the polynomial coefficient vector equals
     [p^(order)(x)]. *)
-
-val polyfit_constrained :
-  float array -> float array -> int -> point_constraint list -> Polynomial.t
-(** Least-squares polynomial fit subject to point constraints. *)

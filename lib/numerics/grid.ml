@@ -14,17 +14,6 @@ let logspace a b n =
     invalid_arg "Grid.logspace: endpoints must be positive";
   Array.map exp (linspace (log a) (log b) n)
 
-let arange a b step =
-  if step <= 0.0 then invalid_arg "Grid.arange: step must be positive";
-  let n = int_of_float (Float.round ((b -. a) /. step)) + 1 in
-  let n = max n 1 in
-  Array.init n (fun i -> a +. (float_of_int i *. step))
-
-let midpoints xs =
-  let n = Array.length xs in
-  if n < 2 then invalid_arg "Grid.midpoints: need at least two points";
-  Array.init (n - 1) (fun i -> 0.5 *. (xs.(i) +. xs.(i + 1)))
-
 let map2 f xs ys =
   let n = Array.length xs in
   if n <> Array.length ys then invalid_arg "Grid.map2: length mismatch";

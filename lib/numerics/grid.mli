@@ -9,13 +9,6 @@ val logspace : float -> float -> int -> float array
 (** [logspace a b n] is [n] logarithmically spaced points from [a] to
     [b]; both endpoints must be positive. *)
 
-val arange : float -> float -> float -> float array
-(** [arange a b step] is the points [a, a+step, ...] up to (and
-    rounding-tolerantly including) [b].  [step] must be positive. *)
-
-val midpoints : float array -> float array
-(** Midpoints of consecutive elements; length decreases by one. *)
-
 val map2 : (float -> float -> 'a) -> float array -> float array -> 'a array
 (** Elementwise map over two arrays of equal length. *)
 

@@ -1,15 +1,13 @@
-(* Interpolation over tabulated data: piecewise linear and PCHIP
-   (monotonicity-preserving cubic Hermite).  PCHIP backs the fast
-   table-driven charge-model variant. *)
+(* PCHIP (monotonicity-preserving cubic Hermite) interpolation over
+   tabulated data.  It backs the fast table-driven charge-model
+   variant. *)
 
 exception Bad_table of string
 
 type t = {
   xs : float array;
   ys : float array;
-  (* PCHIP slopes; empty for linear interpolants *)
-  ms : float array;
-  kind : [ `Linear | `Pchip ];
+  ms : float array; (* Fritsch-Carlson slopes at the nodes *)
 }
 
 let check xs ys =
@@ -20,10 +18,6 @@ let check xs ys =
     if xs.(i + 1) <= xs.(i) then
       raise (Bad_table "Interp: abscissae must be strictly increasing")
   done
-
-let linear xs ys =
-  check xs ys;
-  { xs = Array.copy xs; ys = Array.copy ys; ms = [||]; kind = `Linear }
 
 (* Fritsch-Carlson monotone slopes. *)
 let pchip_slopes xs ys =
@@ -59,13 +53,10 @@ let pchip_slopes xs ys =
 let pchip xs ys =
   check xs ys;
   let xs = Array.copy xs and ys = Array.copy ys in
-  { xs; ys; ms = pchip_slopes xs ys; kind = `Pchip }
+  { xs; ys; ms = pchip_slopes xs ys }
 
-let domain t = (t.xs.(0), t.xs.(Array.length t.xs - 1))
-
-(* Clamped segment lookup: values outside the table use the first/last
-   segment (linear) or Hermite extension (pchip evaluates the boundary
-   cubic, which extrapolates with the boundary slope). *)
+(* Clamped segment lookup: values outside the table evaluate the
+   boundary cubic, which extrapolates with the boundary slope. *)
 let segment t x =
   let n = Array.length t.xs in
   let i = Grid.bracket t.xs x in
@@ -73,44 +64,33 @@ let segment t x =
 
 let eval t x =
   let i = segment t x in
-  match t.kind with
-  | `Linear ->
-      let x0 = t.xs.(i) and x1 = t.xs.(i + 1) in
-      let y0 = t.ys.(i) and y1 = t.ys.(i + 1) in
-      y0 +. ((y1 -. y0) *. (x -. x0) /. (x1 -. x0))
-  | `Pchip ->
-      let h = t.xs.(i + 1) -. t.xs.(i) in
-      let s = (x -. t.xs.(i)) /. h in
-      let s2 = s *. s in
-      let s3 = s2 *. s in
-      let h00 = (2.0 *. s3) -. (3.0 *. s2) +. 1.0 in
-      let h10 = s3 -. (2.0 *. s2) +. s in
-      let h01 = (-2.0 *. s3) +. (3.0 *. s2) in
-      let h11 = s3 -. s2 in
-      (h00 *. t.ys.(i))
-      +. (h10 *. h *. t.ms.(i))
-      +. (h01 *. t.ys.(i + 1))
-      +. (h11 *. h *. t.ms.(i + 1))
+  let h = t.xs.(i + 1) -. t.xs.(i) in
+  let s = (x -. t.xs.(i)) /. h in
+  let s2 = s *. s in
+  let s3 = s2 *. s in
+  let h00 = (2.0 *. s3) -. (3.0 *. s2) +. 1.0 in
+  let h10 = s3 -. (2.0 *. s2) +. s in
+  let h01 = (-2.0 *. s3) +. (3.0 *. s2) in
+  let h11 = s3 -. s2 in
+  (h00 *. t.ys.(i))
+  +. (h10 *. h *. t.ms.(i))
+  +. (h01 *. t.ys.(i + 1))
+  +. (h11 *. h *. t.ms.(i + 1))
 
 let eval_derivative t x =
   let i = segment t x in
-  match t.kind with
-  | `Linear ->
-      (t.ys.(i + 1) -. t.ys.(i)) /. (t.xs.(i + 1) -. t.xs.(i))
-  | `Pchip ->
-      let h = t.xs.(i + 1) -. t.xs.(i) in
-      let s = (x -. t.xs.(i)) /. h in
-      let s2 = s *. s in
-      let dh00 = ((6.0 *. s2) -. (6.0 *. s)) /. h in
-      let dh10 = ((3.0 *. s2) -. (4.0 *. s) +. 1.0) /. h in
-      let dh01 = ((-6.0 *. s2) +. (6.0 *. s)) /. h in
-      let dh11 = ((3.0 *. s2) -. (2.0 *. s)) /. h in
-      (dh00 *. t.ys.(i))
-      +. (dh10 *. h *. t.ms.(i))
-      +. (dh01 *. t.ys.(i + 1))
-      +. (dh11 *. h *. t.ms.(i + 1))
+  let h = t.xs.(i + 1) -. t.xs.(i) in
+  let s = (x -. t.xs.(i)) /. h in
+  let s2 = s *. s in
+  let dh00 = ((6.0 *. s2) -. (6.0 *. s)) /. h in
+  let dh10 = ((3.0 *. s2) -. (4.0 *. s) +. 1.0) /. h in
+  let dh01 = ((-6.0 *. s2) +. (6.0 *. s)) /. h in
+  let dh11 = ((3.0 *. s2) -. (2.0 *. s)) /. h in
+  (dh00 *. t.ys.(i))
+  +. (dh10 *. h *. t.ms.(i))
+  +. (dh01 *. t.ys.(i + 1))
+  +. (dh11 *. h *. t.ms.(i + 1))
 
-let of_function ?(kind = `Pchip) f a b n =
+let of_function f a b n =
   let xs = Grid.linspace a b n in
-  let ys = Array.map f xs in
-  match kind with `Linear -> linear xs ys | `Pchip -> pchip xs ys
+  pchip xs (Array.map f xs)

@@ -1,25 +1,18 @@
-(** Piecewise-linear and PCHIP (monotone cubic Hermite) interpolation
-    over tabulated samples. *)
+(** PCHIP (monotone cubic Hermite) interpolation over tabulated
+    samples. *)
 
 exception Bad_table of string
 
 type t
 
-val linear : float array -> float array -> t
-(** Piecewise-linear interpolant; abscissae must be strictly
-    increasing. *)
-
 val pchip : float array -> float array -> t
 (** Fritsch-Carlson monotone cubic interpolant: C1, and monotone on
-    every interval where the data are monotone. *)
+    every interval where the data are monotone.  Abscissae must be
+    strictly increasing. *)
 
-val of_function :
-  ?kind:[ `Linear | `Pchip ] -> (float -> float) -> float -> float -> int -> t
+val of_function : (float -> float) -> float -> float -> int -> t
 (** Tabulate a function on [n] uniform points of [[a, b]] and wrap it
-    in an interpolant (default PCHIP). *)
-
-val domain : t -> float * float
-(** Endpoints of the table. *)
+    in a PCHIP interpolant. *)
 
 val eval : t -> float -> float
 (** Evaluate; arguments outside the table extrapolate with the boundary

@@ -1,6 +1,9 @@
-(* Dense linear algebra: just enough for MNA circuit solves and
-   least-squares fitting.  Matrices are row-major [float array array]
-   wrapped in an abstract record to keep dimensions honest. *)
+(* Dense linear algebra for the constrained least-squares charge fits:
+   Householder QR plus the few matrix and vector operations the fit
+   builds its reduced problem with.  [solve] (LU with partial pivoting)
+   is the dense reference the sparse MNA solver is tested against.
+   Matrices are row-major [float array array] wrapped in an abstract
+   record to keep dimensions honest. *)
 
 exception Singular of string
 exception Dimension_mismatch of string
@@ -14,43 +17,13 @@ type mat = {
 module Vec = struct
   type t = float array
 
-  let make n x = Array.make n x
-  let init = Array.init
-  let dim = Array.length
-  let copy = Array.copy
-
   let add a b =
-    if dim a <> dim b then raise (Dimension_mismatch "Vec.add");
-    Array.init (dim a) (fun i -> a.(i) +. b.(i))
+    if Array.length a <> Array.length b then raise (Dimension_mismatch "Vec.add");
+    Array.init (Array.length a) (fun i -> a.(i) +. b.(i))
 
   let sub a b =
-    if dim a <> dim b then raise (Dimension_mismatch "Vec.sub");
-    Array.init (dim a) (fun i -> a.(i) -. b.(i))
-
-  let scale s a = Array.map (fun x -> s *. x) a
-
-  let dot a b =
-    if dim a <> dim b then raise (Dimension_mismatch "Vec.dot");
-    let acc = ref 0.0 in
-    for i = 0 to dim a - 1 do
-      acc := !acc +. (a.(i) *. b.(i))
-    done;
-    !acc
-
-  let norm2 a = sqrt (dot a a)
-
-  let norm_inf a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 a
-
-  let axpy ~alpha x y =
-    if dim x <> dim y then raise (Dimension_mismatch "Vec.axpy");
-    for i = 0 to dim x - 1 do
-      y.(i) <- y.(i) +. (alpha *. x.(i))
-    done
-
-  let pp fmt v =
-    Format.fprintf fmt "[|";
-    Array.iteri (fun i x -> Format.fprintf fmt "%s%g" (if i > 0 then "; " else " ") x) v;
-    Format.fprintf fmt " |]"
+    if Array.length a <> Array.length b then raise (Dimension_mismatch "Vec.sub");
+    Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
 end
 
 module Mat = struct
@@ -63,8 +36,6 @@ module Mat = struct
   let init rows cols f =
     { rows; cols; data = Array.init rows (fun i -> Array.init cols (fun j -> f i j)) }
 
-  let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
-
   let of_arrays a =
     let rows = Array.length a in
     let cols = if rows = 0 then 0 else Array.length a.(0) in
@@ -75,24 +46,9 @@ module Mat = struct
 
   let rows m = m.rows
   let cols m = m.cols
-  let get m i j = m.data.(i).(j)
   let set m i j x = m.data.(i).(j) <- x
-  let add_to m i j x = m.data.(i).(j) <- m.data.(i).(j) +. x
   let copy m = { m with data = Array.map Array.copy m.data }
   let row m i = Array.copy m.data.(i)
-  let to_arrays m = Array.map Array.copy m.data
-
-  let transpose m = init m.cols m.rows (fun i j -> m.data.(j).(i))
-
-  let add a b =
-    if a.rows <> b.rows || a.cols <> b.cols then raise (Dimension_mismatch "Mat.add");
-    init a.rows a.cols (fun i j -> a.data.(i).(j) +. b.data.(i).(j))
-
-  let sub a b =
-    if a.rows <> b.rows || a.cols <> b.cols then raise (Dimension_mismatch "Mat.sub");
-    init a.rows a.cols (fun i j -> a.data.(i).(j) -. b.data.(i).(j))
-
-  let scale s a = init a.rows a.cols (fun i j -> s *. a.data.(i).(j))
 
   let mul a b =
     if a.cols <> b.rows then raise (Dimension_mismatch "Mat.mul");
@@ -116,42 +72,15 @@ module Mat = struct
           acc := !acc +. (a.data.(i).(j) *. x.(j))
         done;
         !acc)
-
-  let norm_inf a =
-    let best = ref 0.0 in
-    for i = 0 to a.rows - 1 do
-      let s = ref 0.0 in
-      for j = 0 to a.cols - 1 do
-        s := !s +. Float.abs a.data.(i).(j)
-      done;
-      best := Float.max !best !s
-    done;
-    !best
-
-  let pp fmt m =
-    Format.fprintf fmt "@[<v>";
-    for i = 0 to m.rows - 1 do
-      Format.fprintf fmt "[";
-      for j = 0 to m.cols - 1 do
-        Format.fprintf fmt "%s%10.4g" (if j > 0 then " " else "") m.data.(i).(j)
-      done;
-      Format.fprintf fmt "]@,"
-    done;
-    Format.fprintf fmt "@]"
 end
 
 (* ------------------------------------------------------------------ *)
 (* LU decomposition with partial pivoting                              *)
 (* ------------------------------------------------------------------ *)
 
-type lu = {
-  lu_mat : mat; (* packed L (unit diagonal, below) and U (on/above) *)
-  perm : int array; (* row permutation *)
-  sign : float; (* determinant sign from row swaps *)
-}
-
-(* Factor [m] in place into packed L/U form, recording the row
-   permutation in [perm] (overwritten).  Returns the determinant sign. *)
+(* Factor [m] in place into packed L (unit diagonal, below) and U
+   (on/above) form, recording the row permutation in [perm]
+   (overwritten). *)
 let factor_in_place m perm =
   if m.rows <> m.cols then raise (Dimension_mismatch "lu_factor: square required");
   let n = m.rows in
@@ -159,7 +88,6 @@ let factor_in_place m perm =
   for i = 0 to n - 1 do
     perm.(i) <- i
   done;
-  let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* find pivot *)
     let pivot = ref k in
@@ -179,8 +107,7 @@ let factor_in_place m perm =
       m.data.(!pivot) <- tmp;
       let t = perm.(k) in
       perm.(k) <- perm.(!pivot);
-      perm.(!pivot) <- t;
-      sign := -. !sign
+      perm.(!pivot) <- t
     end;
     let pivval = m.data.(k).(k) in
     for i = k + 1 to n - 1 do
@@ -191,16 +118,14 @@ let factor_in_place m perm =
           m.data.(i).(j) <- m.data.(i).(j) -. (factor *. m.data.(k).(j))
         done
     done
-  done;
-  !sign
+  done
 
-let lu_decompose a =
-  let m = Mat.copy a in
+(* [a x = b] by LU with partial pivoting, then forward and back
+   substitution. *)
+let solve a b =
+  let lu_mat = Mat.copy a in
   let perm = Array.make a.rows 0 in
-  let sign = factor_in_place m perm in
-  { lu_mat = m; perm; sign }
-
-let lu_solve { lu_mat; perm; _ } b =
+  factor_in_place lu_mat perm;
   let n = lu_mat.rows in
   if Array.length b <> n then raise (Dimension_mismatch "lu_solve");
   let x = Array.init n (fun i -> b.(perm.(i))) in
@@ -221,31 +146,6 @@ let lu_solve { lu_mat; perm; _ } b =
     x.(i) <- !acc /. lu_mat.data.(i).(i)
   done;
   x
-
-let solve a b = lu_solve (lu_decompose a) b
-
-let det a =
-  match lu_decompose a with
-  | exception Singular _ -> 0.0
-  | f ->
-      let d = ref f.sign in
-      for i = 0 to f.lu_mat.rows - 1 do
-        d := !d *. f.lu_mat.data.(i).(i)
-      done;
-      !d
-
-let inverse a =
-  let n = a.rows in
-  let f = lu_decompose a in
-  let inv = Mat.make n n 0.0 in
-  for j = 0 to n - 1 do
-    let e = Array.init n (fun i -> if i = j then 1.0 else 0.0) in
-    let col = lu_solve f e in
-    for i = 0 to n - 1 do
-      inv.data.(i).(j) <- col.(i)
-    done
-  done;
-  inv
 
 (* ------------------------------------------------------------------ *)
 (* QR decomposition (Householder) and least squares                    *)

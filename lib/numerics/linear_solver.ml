@@ -20,20 +20,21 @@ type t = {
   fill : int; (* symbolic fill of the applied order *)
 }
 
-let create n pattern =
-  let perm, fill = Sparse.amd_order ~n pattern in
+let create n rows cols =
+  let perm, fill = Sparse.amd_order ~n rows cols in
   let pinv = Array.make n 0 in
   Array.iteri (fun k v -> pinv.(v) <- k) perm;
-  let m = Sparse.of_pattern ~pinv n pattern in
-  {
-    m;
-    lu = Sparse.lu_create ~fill m;
-    perm;
-    pinv;
-    xp = Array.make n 0.0;
-    bp = Array.make n 0.0;
-    fill;
-  }
+  let m, slots = Sparse.of_pattern ~pinv n rows cols in
+  ( {
+      m;
+      lu = Sparse.lu_create ~fill m;
+      perm;
+      pinv;
+      xp = Array.make n 0.0;
+      bp = Array.make n 0.0;
+      fill;
+    },
+    slots )
 
 let clone t =
   let m = Sparse.copy_pattern t.m in

@@ -2,10 +2,10 @@
     LU ({!Sparse}) under a minimum-degree symmetric permutation
     ({!Sparse.amd_order}) computed once per pattern.
 
-    Callers drive it through the stamp life cycle: resolve each pattern
-    location to a stable {e slot} once, then per iteration [clear],
-    accumulate values into slots, and [solve] — with no per-iteration
-    matrix allocation.  The permutation is internal: slots, residuals,
+    Callers drive it through the stamp life cycle: {!create} hands back
+    each pattern location's stable {e slot}, then per iteration
+    [clear], accumulate values into slots, and [solve] — with no
+    per-iteration matrix allocation.  The permutation is internal: slots, residuals,
     solutions and {!Singular} all use the caller's original unknown
     numbering. *)
 
@@ -15,10 +15,11 @@ exception Singular of int
 
 type t
 
-val create : int -> (int * int) array -> t
-(** [create n pattern] orders and allocates an [n x n] system whose
-    writable locations are the (row, col) pairs of [pattern]
-    (duplicates allowed). *)
+val create : int -> int array -> int array -> t * int array
+(** [create n rows cols] orders and allocates an [n x n] system whose
+    writable locations are the pairs [(rows.(k), cols.(k))]
+    (duplicates allowed), and returns it with each location's slot:
+    entry [k] of the second result is [slot t rows.(k) cols.(k)]. *)
 
 val clone : t -> t
 (** A second numeric workspace over the same structure: the
@@ -35,14 +36,15 @@ val fill : t -> int
     {!Sparse.amd_order}). *)
 
 val slot : t -> int -> int -> int
-(** Stable handle of a pattern location, for allocation-free refill.
-    Raises [Invalid_argument] outside the pattern. *)
+(** Stable handle of a pattern location, for allocation-free refill,
+    found by search (the same slot {!create} returned for it).  Raises
+    [Invalid_argument] outside the pattern. *)
 
 val clear : t -> unit
 (** Zero all values, keeping the structure. *)
 
 val add_slot : t -> int -> float -> unit
-(** Accumulate into a slot obtained from {!slot}. *)
+(** Accumulate into a slot. *)
 
 val values : t -> float array
 (** The CSR value array the slots index ({!Sparse.values}): a refill

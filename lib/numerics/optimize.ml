@@ -1,118 +1,6 @@
-(* Derivative-free minimisation: golden-section and Brent in one
-   dimension, Nelder-Mead simplex in several.  Used to optimise the
-   piecewise-region boundaries against RMS fitting error. *)
-
-exception Not_converged of string
-
-let golden_ratio = (sqrt 5.0 -. 1.0) /. 2.0
-
-(* Golden-section search for the minimum of a unimodal f on [a, b]. *)
-let golden_section ?(tol = 1e-10) ?(max_iter = 200) f a b =
-  let a = ref (Float.min a b) and b = ref (Float.max a b) in
-  let x1 = ref (!b -. (golden_ratio *. (!b -. !a))) in
-  let x2 = ref (!a +. (golden_ratio *. (!b -. !a))) in
-  let f1 = ref (f !x1) and f2 = ref (f !x2) in
-  let iter = ref 0 in
-  while !b -. !a > tol *. Float.max 1.0 (Float.abs !a +. Float.abs !b)
-        && !iter < max_iter do
-    incr iter;
-    if !f1 < !f2 then begin
-      b := !x2;
-      x2 := !x1;
-      f2 := !f1;
-      x1 := !b -. (golden_ratio *. (!b -. !a));
-      f1 := f !x1
-    end
-    else begin
-      a := !x1;
-      x1 := !x2;
-      f1 := !f2;
-      x2 := !a +. (golden_ratio *. (!b -. !a));
-      f2 := f !x2
-    end
-  done;
-  let x = 0.5 *. (!a +. !b) in
-  (x, f x)
-
-(* Brent's parabolic-interpolation minimiser on [a, b]. *)
-let brent_min ?(tol = 1e-10) ?(max_iter = 200) f a b =
-  let cgold = 0.3819660 in
-  let zeps = 1e-18 in
-  let a = ref (Float.min a b) and b = ref (Float.max a b) in
-  let x = ref (!a +. (cgold *. (!b -. !a))) in
-  let w = ref !x and v = ref !x in
-  let fx = ref (f !x) in
-  let fw = ref !fx and fv = ref !fx in
-  let d = ref 0.0 and e = ref 0.0 in
-  let answer = ref None in
-  let iter = ref 0 in
-  while !answer = None && !iter < max_iter do
-    incr iter;
-    let xm = 0.5 *. (!a +. !b) in
-    let tol1 = (tol *. Float.abs !x) +. zeps in
-    let tol2 = 2.0 *. tol1 in
-    if Float.abs (!x -. xm) <= tol2 -. (0.5 *. (!b -. !a)) then
-      answer := Some (!x, !fx)
-    else begin
-      let use_golden = ref true in
-      if Float.abs !e > tol1 then begin
-        (* trial parabolic fit through x, v, w *)
-        let r = (!x -. !w) *. (!fx -. !fv) in
-        let q = (!x -. !v) *. (!fx -. !fw) in
-        let p = ((!x -. !v) *. q) -. ((!x -. !w) *. r) in
-        let q = 2.0 *. (q -. r) in
-        let p = if q > 0.0 then -.p else p in
-        let q = Float.abs q in
-        let etemp = !e in
-        e := !d;
-        if
-          Float.abs p < Float.abs (0.5 *. q *. etemp)
-          && p > q *. (!a -. !x)
-          && p < q *. (!b -. !x)
-        then begin
-          d := p /. q;
-          let u = !x +. !d in
-          if u -. !a < tol2 || !b -. u < tol2 then
-            d := if xm >= !x then tol1 else -.tol1;
-          use_golden := false
-        end
-      end;
-      if !use_golden then begin
-        e := (if !x >= xm then !a else !b) -. !x;
-        d := cgold *. !e
-      end;
-      let u =
-        if Float.abs !d >= tol1 then !x +. !d
-        else !x +. (if !d >= 0.0 then tol1 else -.tol1)
-      in
-      let fu = f u in
-      if fu <= !fx then begin
-        if u >= !x then a := !x else b := !x;
-        v := !w;
-        fv := !fw;
-        w := !x;
-        fw := !fx;
-        x := u;
-        fx := fu
-      end
-      else begin
-        if u < !x then a := u else b := u;
-        if fu <= !fw || !w = !x then begin
-          v := !w;
-          fv := !fw;
-          w := u;
-          fw := fu
-        end
-        else if fu <= !fv || !v = !x || !v = !w then begin
-          v := u;
-          fv := fu
-        end
-      end
-    end
-  done;
-  match !answer with
-  | Some r -> r
-  | None -> (!x, !fx)
+(* Derivative-free minimisation: the Nelder-Mead simplex, which
+   optimises the piecewise-region boundaries against RMS fitting error
+   and tunes the Model 1 offsets against the drain-current error. *)
 
 (* Nelder-Mead downhill simplex.  Standard reflection/expansion/
    contraction/shrink coefficients.  Returns the best vertex. *)

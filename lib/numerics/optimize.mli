@@ -1,17 +1,5 @@
 (** Derivative-free minimisation. *)
 
-exception Not_converged of string
-
-val golden_section :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float * float
-(** [golden_section f a b] locates the minimum of a unimodal [f] on
-    [[a, b]]; returns [(x_min, f x_min)]. *)
-
-val brent_min :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float * float
-(** Brent's minimiser (golden section accelerated by parabolic
-    interpolation) on [[a, b]]. *)
-
 val nelder_mead :
   ?tol:float ->
   ?max_iter:int ->

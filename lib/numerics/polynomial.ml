@@ -7,7 +7,6 @@
 type t = float array
 
 let zero : t = [||]
-let one : t = [| 1.0 |]
 
 let of_coeffs c = Array.copy c
 
@@ -24,16 +23,7 @@ let degree p =
   let p = normalise p in
   Array.length p - 1
 
-let is_zero p = degree p < 0
-
 let constant c = if c = 0.0 then zero else [| c |]
-
-(* x^n with unit coefficient *)
-let monomial n =
-  if n < 0 then invalid_arg "Polynomial.monomial: negative exponent";
-  let p = Array.make (n + 1) 0.0 in
-  p.(n) <- 1.0;
-  p
 
 let coeff p i = if i < 0 || i >= Array.length p then 0.0 else p.(i)
 
@@ -59,8 +49,6 @@ let add p q =
 
 let neg p = Array.map (fun c -> -.c) p
 
-let sub p q = add p (neg q)
-
 let scale s p = normalise (Array.map (fun c -> s *. c) p)
 
 let mul p q =
@@ -78,12 +66,6 @@ let derivative p =
   let n = Array.length p in
   if n <= 1 then zero
   else Array.init (n - 1) (fun i -> float_of_int (i + 1) *. p.(i + 1))
-
-(* Antiderivative with integration constant [c]. *)
-let antiderivative ?(constant_term = 0.0) p =
-  let n = Array.length p in
-  Array.init (n + 1) (fun i ->
-      if i = 0 then constant_term else p.(i - 1) /. float_of_int i)
 
 (* Composition p(q(x)) by Horner over polynomial arithmetic. *)
 let compose p q =
@@ -167,183 +149,4 @@ let to_string ?(var = "x") p =
       end
     done;
     Buffer.contents buf
-  end
-
-let pp fmt p = Format.pp_print_string fmt (to_string p)
-
-(* ------------------------------------------------------------------ *)
-(* Closed-form real roots for degree <= 3                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Real roots of a*x + b = 0. *)
-let roots_linear a b = if a = 0.0 then [] else [ -.b /. a ]
-
-(* Numerically stable real roots of a*x^2 + b*x + c = 0, in ascending
-   order.  Uses the q = -(b + sign(b)*sqrt(disc))/2 trick to avoid
-   cancellation. *)
-let roots_quadratic a b c =
-  if a = 0.0 then roots_linear b c
-  else begin
-    let disc = (b *. b) -. (4.0 *. a *. c) in
-    if disc < 0.0 then []
-    else if disc = 0.0 then [ -.b /. (2.0 *. a) ]
-    else begin
-      let sq = sqrt disc in
-      let q = -0.5 *. (b +. (Special.signum b *. sq)) in
-      let q = if b = 0.0 then -0.5 *. sq else q in
-      let r1 = q /. a and r2 = c /. q in
-      if r1 <= r2 then [ r1; r2 ] else [ r2; r1 ]
-    end
-  end
-
-(* Real roots of a*x^3 + b*x^2 + c*x + d = 0, ascending.  Cardano with
-   the trigonometric branch for three real roots; the depressed cubic
-   t^3 + p t + q with x = t - b/(3a). *)
-let roots_cubic a b c d =
-  if a = 0.0 then roots_quadratic b c d
-  else begin
-    let b = b /. a and c = c /. a and d = d /. a in
-    let shift = b /. 3.0 in
-    let p = c -. (b *. b /. 3.0) in
-    let q = ((2.0 *. b *. b *. b) -. (9.0 *. b *. c)) /. 27.0 +. d in
-    let disc = ((q *. q) /. 4.0) +. ((p *. p *. p) /. 27.0) in
-    let ts =
-      if Float.abs p < 1e-300 && Float.abs q < 1e-300 then [ 0.0 ]
-      else if disc > 0.0 then begin
-        (* one real root *)
-        let sq = sqrt disc in
-        let u = Special.cbrt ((-.q /. 2.0) +. sq) in
-        let v = Special.cbrt ((-.q /. 2.0) -. sq) in
-        [ u +. v ]
-      end
-      else if disc = 0.0 then begin
-        (* repeated roots, all real *)
-        let u = Special.cbrt (-.q /. 2.0) in
-        [ 2.0 *. u; -.u ]
-      end
-      else begin
-        (* three distinct real roots: trigonometric method *)
-        let r = sqrt (-.p *. p *. p /. 27.0) in
-        let phi = acos (Float.max (-1.0) (Float.min 1.0 (-.q /. (2.0 *. r)))) in
-        let m = 2.0 *. sqrt (-.p /. 3.0) in
-        [
-          m *. cos (phi /. 3.0);
-          m *. cos ((phi +. (2.0 *. Float.pi)) /. 3.0);
-          m *. cos ((phi +. (4.0 *. Float.pi)) /. 3.0);
-        ]
-      end
-    in
-    let roots = List.map (fun t -> t -. shift) ts in
-    List.sort_uniq compare roots
-  end
-
-(* One step of Newton polishing to tighten a closed-form root. *)
-let polish p x =
-  let v, d = eval_with_derivative p x in
-  if d = 0.0 || not (Float.is_finite (x -. (v /. d))) then x
-  else begin
-    let x' = x -. (v /. d) in
-    let v' = eval p x' in
-    if Float.abs v' <= Float.abs v then x' else x
-  end
-
-(* Real roots for degree <= 3 of an already-normalised polynomial (no
-   trailing zero coefficient).  Skips the defensive re-normalise copy
-   of {!real_roots_closed_form} but is otherwise the same
-   floating-point program, so the two agree bitwise on trimmed
-   input — hot callers that build their coefficients trimmed use this
-   directly. *)
-let real_roots_trimmed p =
-  let raw =
-    match Array.length p with
-    | 0 | 1 -> []
-    | 2 -> roots_linear p.(1) p.(0)
-    | 3 -> roots_quadratic p.(2) p.(1) p.(0)
-    | 4 -> roots_cubic p.(3) p.(2) p.(1) p.(0)
-    | _ ->
-        invalid_arg
-          "Polynomial.real_roots_closed_form: degree exceeds 3 (use durand_kerner)"
-  in
-  List.sort compare (List.map (polish p) raw)
-
-(* Real roots for degree <= 3, closed form, ascending, Newton-polished. *)
-let real_roots_closed_form p = real_roots_trimmed (normalise p)
-
-(* ------------------------------------------------------------------ *)
-(* General roots: Durand-Kerner simultaneous iteration                 *)
-(* ------------------------------------------------------------------ *)
-
-let durand_kerner ?(tol = 1e-13) ?(max_iter = 500) p =
-  let p = normalise p in
-  let n = Array.length p - 1 in
-  if n < 1 then [||]
-  else begin
-    (* monic coefficients *)
-    let lead = p.(n) in
-    let m = Array.map (fun c -> c /. lead) p in
-    let eval_c z =
-      let acc = ref Complex.zero in
-      for i = n downto 0 do
-        acc := Complex.add (Complex.mul !acc z) { Complex.re = m.(i); im = 0.0 }
-      done;
-      !acc
-    in
-    (* initial guesses on a circle of radius ~ coefficient bound *)
-    let radius =
-      1.0
-      +. Array.fold_left (fun acc c -> Float.max acc (Float.abs c)) 0.0
-           (Array.sub m 0 n)
-    in
-    let roots =
-      Array.init n (fun i ->
-          let theta =
-            (2.0 *. Float.pi *. float_of_int i /. float_of_int n) +. 0.4
-          in
-          { Complex.re = radius *. cos theta; im = radius *. sin theta })
-    in
-    let converged = ref false in
-    let iter = ref 0 in
-    while (not !converged) && !iter < max_iter do
-      incr iter;
-      let max_delta = ref 0.0 in
-      for i = 0 to n - 1 do
-        let zi = roots.(i) in
-        let denom = ref Complex.one in
-        for j = 0 to n - 1 do
-          if j <> i then denom := Complex.mul !denom (Complex.sub zi roots.(j))
-        done;
-        let delta = Complex.div (eval_c zi) !denom in
-        roots.(i) <- Complex.sub zi delta;
-        max_delta := Float.max !max_delta (Complex.norm delta)
-      done;
-      if !max_delta <= tol then converged := true
-    done;
-    roots
-  end
-
-(* Real roots of any polynomial: Durand-Kerner filtered to (nearly)
-   real values, each polished by Newton. *)
-let real_roots ?(imag_tol = 1e-8) p =
-  let p = normalise p in
-  if Array.length p <= 4 then real_roots_closed_form p
-  else begin
-    let zs = durand_kerner p in
-    let candidates =
-      Array.to_list zs
-      |> List.filter_map (fun z ->
-             if
-               Float.abs z.Complex.im
-               <= imag_tol *. Float.max 1.0 (Complex.norm z)
-             then Some (polish p (polish p z.Complex.re))
-             else None)
-    in
-    (* merge duplicates produced by conjugate pairs collapsing *)
-    let sorted = List.sort compare candidates in
-    let rec dedup = function
-      | a :: b :: rest when Special.approx_equal ~atol:1e-10 ~rtol:1e-8 a b ->
-          dedup (a :: rest)
-      | a :: rest -> a :: dedup rest
-      | [] -> []
-    in
-    dedup sorted
   end

@@ -1,28 +1,5 @@
-(* One-dimensional numerical integration.
-
-   The workhorse for this library is [adaptive_simpson]; the
-   Gauss-Kronrod pair provides an independent cross-check and the
-   fixed-order rules serve the property tests. *)
-
-let trapezoid f a b n =
-  if n <= 0 then invalid_arg "Quadrature.trapezoid: n must be positive";
-  let h = (b -. a) /. float_of_int n in
-  let sum = ref (0.5 *. (f a +. f b)) in
-  for i = 1 to n - 1 do
-    sum := !sum +. f (a +. (float_of_int i *. h))
-  done;
-  !sum *. h
-
-let simpson f a b n =
-  if n <= 0 || n mod 2 <> 0 then
-    invalid_arg "Quadrature.simpson: n must be positive and even";
-  let h = (b -. a) /. float_of_int n in
-  let sum = ref (f a +. f b) in
-  for i = 1 to n - 1 do
-    let w = if i mod 2 = 1 then 4.0 else 2.0 in
-    sum := !sum +. (w *. f (a +. (float_of_int i *. h)))
-  done;
-  !sum *. h /. 3.0
+(* One-dimensional numerical integration: adaptive Simpson, which the
+   reference charge integrals (paper eqs. 2-3) and FETToy run on. *)
 
 (* Adaptive Simpson with the classic Lyness error estimate.  Depth is
    bounded to keep pathological integrands from recursing forever; the
@@ -48,122 +25,3 @@ let adaptive_simpson ?(tol = 1e-12) ?(max_depth = 40) f a b =
     let whole = simpson_step fa fm fb a b in
     refine a b fa fm fb whole tol max_depth
   end
-
-(* 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule,
-   on [-1, 1].  Standard QUADPACK constants. *)
-let kronrod_nodes =
-  [| 0.991455371120813; 0.949107912342759; 0.864864423359769;
-     0.741531185599394; 0.586087235467691; 0.405845151377397;
-     0.207784955007898; 0.0 |]
-
-let kronrod_weights =
-  [| 0.022935322010529; 0.063092092629979; 0.104790010322250;
-     0.140653259715525; 0.169004726639267; 0.190350578064785;
-     0.204432940075298; 0.209482141084728 |]
-
-let gauss_weights =
-  [| 0.129484966168870; 0.279705391489277; 0.381830050505119;
-     0.417959183673469 |]
-
-(* One application of the G7-K15 pair on [a, b]: returns the Kronrod
-   value and an error estimate from the Gauss-Kronrod difference. *)
-let gk15 f a b =
-  let c = 0.5 *. (a +. b) and h = 0.5 *. (b -. a) in
-  let fc = f c in
-  let resk = ref (kronrod_weights.(7) *. fc) in
-  let resg = ref (gauss_weights.(3) *. fc) in
-  for i = 0 to 6 do
-    let x = h *. kronrod_nodes.(i) in
-    let fsum = f (c -. x) +. f (c +. x) in
-    resk := !resk +. (kronrod_weights.(i) *. fsum);
-    (* odd-indexed Kronrod nodes are the embedded Gauss nodes *)
-    if i mod 2 = 1 then resg := !resg +. (gauss_weights.(i / 2) *. fsum)
-  done;
-  let value = !resk *. h in
-  let err = Float.abs ((!resk -. !resg) *. h) in
-  (value, err)
-
-(* Globally adaptive Gauss-Kronrod: repeatedly split the interval with
-   the largest error estimate.  Interval list is kept as a plain sorted
-   insertion; segment counts stay small for our smooth integrands. *)
-let adaptive_gk ?(tol = 1e-12) ?(max_intervals = 2048) f a b =
-  if a = b then 0.0
-  else begin
-    let segments = ref [ (let v, e = gk15 f a b in (e, a, b, v)) ] in
-    let total_err () =
-      List.fold_left (fun acc (e, _, _, _) -> acc +. e) 0.0 !segments
-    in
-    let total_val () =
-      List.fold_left (fun acc (_, _, _, v) -> acc +. v) 0.0 !segments
-    in
-    let count = ref 1 in
-    let continue_ = ref true in
-    while !continue_ && total_err () > tol && !count < max_intervals do
-      match List.sort (fun (e1, _, _, _) (e2, _, _, _) -> compare e2 e1) !segments with
-      | [] -> continue_ := false
-      | (_, sa, sb, _) :: rest ->
-          let m = 0.5 *. (sa +. sb) in
-          if m = sa || m = sb then continue_ := false
-          else begin
-            let v1, e1 = gk15 f sa m and v2, e2 = gk15 f m sb in
-            segments := (e1, sa, m, v1) :: (e2, m, sb, v2) :: rest;
-            incr count
-          end
-    done;
-    total_val ()
-  end
-
-(* Romberg integration: Richardson extrapolation of the trapezoid rule.
-   [prev] and [cur] hold consecutive rows of the Romberg tableau. *)
-let romberg ?(tol = 1e-12) ?(max_levels = 20) f a b =
-  if a = b then 0.0
-  else begin
-    let prev = Array.make max_levels 0.0 in
-    let cur = Array.make max_levels 0.0 in
-    let h = ref (b -. a) in
-    prev.(0) <- 0.5 *. !h *. (f a +. f b);
-    let result = ref prev.(0) in
-    (try
-       for level = 1 to max_levels - 1 do
-         (* trapezoid refinement: add midpoints of the previous level *)
-         let n = 1 lsl (level - 1) in
-         let sum = ref 0.0 in
-         for i = 0 to n - 1 do
-           sum := !sum +. f (a +. ((float_of_int i +. 0.5) *. !h))
-         done;
-         cur.(0) <- (0.5 *. prev.(0)) +. (0.5 *. !h *. !sum);
-         h := 0.5 *. !h;
-         let pow4 = ref 1.0 in
-         for j = 1 to level do
-           pow4 := !pow4 *. 4.0;
-           cur.(j) <- cur.(j - 1) +. ((cur.(j - 1) -. prev.(j - 1)) /. (!pow4 -. 1.0))
-         done;
-         let converged =
-           level > 2
-           && Float.abs (cur.(level) -. prev.(level - 1))
-              <= tol *. Float.max 1.0 (Float.abs cur.(level))
-         in
-         result := cur.(level);
-         Array.blit cur 0 prev 0 (level + 1);
-         if converged then raise Exit
-       done
-     with Exit -> ());
-    !result
-  end
-
-(* Semi-infinite integral over [a, +inf) via the substitution
-   x = a + t/(1-t), t in [0,1); the integrand must decay fast enough
-   for the transformed integrand to vanish at t -> 1 (exponential decay
-   is more than sufficient). *)
-let integrate_to_infinity ?(tol = 1e-12) f a =
-  let g t =
-    if t >= 1.0 then 0.0
-    else begin
-      let one_minus = 1.0 -. t in
-      let x = a +. (t /. one_minus) in
-      let jac = 1.0 /. (one_minus *. one_minus) in
-      let v = f x *. jac in
-      if Float.is_nan v then 0.0 else v
-    end
-  in
-  adaptive_simpson ~tol g 0.0 1.0

@@ -1,41 +1,8 @@
-(** One-dimensional numerical integration.
-
-    All integrators take the integrand as a plain [float -> float]
-    function and integrate over a closed interval [[a, b]] (or a
-    semi-infinite one for {!integrate_to_infinity}). *)
-
-val trapezoid : (float -> float) -> float -> float -> int -> float
-(** [trapezoid f a b n] is the composite trapezoid rule with [n]
-    uniform panels. *)
-
-val simpson : (float -> float) -> float -> float -> int -> float
-(** [simpson f a b n] is the composite Simpson rule; [n] must be even
-    and positive. *)
+(** One-dimensional numerical integration. *)
 
 val adaptive_simpson :
   ?tol:float -> ?max_depth:int -> (float -> float) -> float -> float -> float
-(** Adaptive Simpson integration with Richardson error control to
-    absolute tolerance [tol] (default 1e-12); recursion depth is capped
-    at [max_depth] (default 40). *)
-
-val gk15 : (float -> float) -> float -> float -> float * float
-(** One application of the Gauss(7)-Kronrod(15) pair; returns
-    [(value, error_estimate)]. *)
-
-val adaptive_gk :
-  ?tol:float -> ?max_intervals:int -> (float -> float) -> float -> float -> float
-(** Globally adaptive Gauss-Kronrod integration: the interval with the
-    largest error estimate is bisected until the summed estimate drops
-    below [tol] or [max_intervals] segments exist. *)
-
-val romberg :
-  ?tol:float -> ?max_levels:int -> (float -> float) -> float -> float -> float
-(** Romberg integration (Richardson-extrapolated trapezoid rule).
-    Best suited to smooth integrands. *)
-
-val integrate_to_infinity :
-  ?tol:float -> (float -> float) -> float -> float
-(** [integrate_to_infinity f a] integrates [f] over [[a, +infinity)]
-    via the rational substitution [x = a + t/(1-t)].  The integrand
-    must decay at least as fast as [1/x^2]; the exponentially decaying
-    Fermi tails integrated in this library qualify comfortably. *)
+(** [adaptive_simpson f a b] integrates [f] over [[a, b]] by adaptive
+    Simpson with Richardson error control to absolute tolerance [tol]
+    (default 1e-12); recursion depth is capped at [max_depth] (default
+    40). *)

@@ -44,174 +44,6 @@ let bisect ?(tol = 1e-14) ?(max_iter = 200) f a b =
       let r = 0.5 *. (!a +. !b) in
       { root = r; iterations = !i; residual = f r }
 
-let newton ?(tol = 1e-14) ?(max_iter = 100) ~f ~f' x0 =
-  let rec go x i =
-    if i >= max_iter then
-      raise (Not_converged (Printf.sprintf "Rootfind.newton: %d iterations" i))
-    else begin
-      let fx = f x in
-      if Float.abs fx = 0.0 then { root = x; iterations = i; residual = fx }
-      else begin
-        let dfx = f' x in
-        if dfx = 0.0 then
-          raise (Not_converged "Rootfind.newton: zero derivative")
-        else begin
-          let x' = x -. (fx /. dfx) in
-          if Float.abs (x' -. x) <= tol *. Float.max 1.0 (Float.abs x') then
-            { root = x'; iterations = i + 1; residual = f x' }
-          else go x' (i + 1)
-        end
-      end
-    end
-  in
-  go x0 0
-
-let secant ?(tol = 1e-14) ?(max_iter = 100) f x0 x1 =
-  let rec go x0 f0 x1 f1 i =
-    if i >= max_iter then
-      raise (Not_converged (Printf.sprintf "Rootfind.secant: %d iterations" i))
-    else if f1 = 0.0 then { root = x1; iterations = i; residual = 0.0 }
-    else if f1 = f0 then
-      raise (Not_converged "Rootfind.secant: flat secant")
-    else begin
-      let x2 = x1 -. (f1 *. (x1 -. x0) /. (f1 -. f0)) in
-      if Float.abs (x2 -. x1) <= tol *. Float.max 1.0 (Float.abs x2) then
-        { root = x2; iterations = i + 1; residual = f x2 }
-      else go x1 f1 x2 (f x2) (i + 1)
-    end
-  in
-  go x0 (f x0) x1 (f x1) 0
-
-(* Brent's method: inverse quadratic interpolation guarded by
-   bisection.  Implementation follows Numerical Recipes' zbrent. *)
-let brent ?(tol = 1e-14) ?(max_iter = 200) f a b =
-  match check_bracket "Rootfind.brent" f a b with
-  | Some r -> { root = r; iterations = 0; residual = 0.0 }
-  | None ->
-      let a = ref a and b = ref b in
-      let fa = ref (f !a) and fb = ref (f !b) in
-      let c = ref !a and fc = ref !fa in
-      let d = ref (!b -. !a) and e = ref (!b -. !a) in
-      let result = ref None in
-      let iter = ref 0 in
-      while !result = None && !iter < max_iter do
-        incr iter;
-        if (!fb > 0.0 && !fc > 0.0) || (!fb < 0.0 && !fc < 0.0) then begin
-          c := !a;
-          fc := !fa;
-          d := !b -. !a;
-          e := !d
-        end;
-        if Float.abs !fc < Float.abs !fb then begin
-          a := !b;
-          b := !c;
-          c := !a;
-          fa := !fb;
-          fb := !fc;
-          fc := !fa
-        end;
-        let tol1 = (2.0 *. epsilon_float *. Float.abs !b) +. (0.5 *. tol) in
-        let xm = 0.5 *. (!c -. !b) in
-        if Float.abs xm <= tol1 || !fb = 0.0 then
-          result := Some { root = !b; iterations = !iter; residual = !fb }
-        else begin
-          if Float.abs !e >= tol1 && Float.abs !fa > Float.abs !fb then begin
-            (* attempt inverse quadratic / secant step *)
-            let s = !fb /. !fa in
-            let p, q =
-              if !a = !c then begin
-                let p = 2.0 *. xm *. s in
-                let q = 1.0 -. s in
-                (p, q)
-              end
-              else begin
-                let q = !fa /. !fc and r = !fb /. !fc in
-                let p =
-                  s *. ((2.0 *. xm *. q *. (q -. r)) -. ((!b -. !a) *. (r -. 1.0)))
-                in
-                let q = (q -. 1.0) *. (r -. 1.0) *. (s -. 1.0) in
-                (p, q)
-              end
-            in
-            let p, q = if p > 0.0 then (p, -.q) else (-.p, q) in
-            let min1 = (3.0 *. xm *. q) -. Float.abs (tol1 *. q) in
-            let min2 = Float.abs (!e *. q) in
-            if 2.0 *. p < Float.min min1 min2 then begin
-              e := !d;
-              d := p /. q
-            end
-            else begin
-              d := xm;
-              e := !d
-            end
-          end
-          else begin
-            d := xm;
-            e := !d
-          end;
-          a := !b;
-          fa := !fb;
-          if Float.abs !d > tol1 then b := !b +. !d
-          else b := !b +. (if xm >= 0.0 then tol1 else -.tol1);
-          fb := f !b
-        end
-      done;
-      (match !result with
-      | Some r -> r
-      | None ->
-          raise (Not_converged (Printf.sprintf "Rootfind.brent: %d iterations" max_iter)))
-
-(* Ridders' method: exponential correction of the false-position step. *)
-let ridders ?(tol = 1e-14) ?(max_iter = 200) f a b =
-  match check_bracket "Rootfind.ridders" f a b with
-  | Some r -> { root = r; iterations = 0; residual = 0.0 }
-  | None ->
-      let a = ref a and b = ref b in
-      let fa = ref (f !a) and fb = ref (f !b) in
-      let ans = ref nan in
-      let result = ref None in
-      let iter = ref 0 in
-      while !result = None && !iter < max_iter do
-        incr iter;
-        let m = 0.5 *. (!a +. !b) in
-        let fm = f m in
-        let s = sqrt ((fm *. fm) -. (!fa *. !fb)) in
-        if s = 0.0 then
-          result := Some { root = m; iterations = !iter; residual = fm }
-        else begin
-          let sign = if !fa >= !fb then 1.0 else -1.0 in
-          let x = m +. ((m -. !a) *. sign *. fm /. s) in
-          if (not (Float.is_nan !ans))
-             && Float.abs (x -. !ans) <= tol *. Float.max 1.0 (Float.abs x)
-          then result := Some { root = x; iterations = !iter; residual = f x }
-          else begin
-            ans := x;
-            let fx = f x in
-            if fx = 0.0 then
-              result := Some { root = x; iterations = !iter; residual = 0.0 }
-            else if fm *. fx < 0.0 then begin
-              a := m;
-              fa := fm;
-              b := x;
-              fb := fx
-            end
-            else if !fa *. fx < 0.0 then begin
-              b := x;
-              fb := fx
-            end
-            else begin
-              a := x;
-              fa := fx
-            end
-          end
-        end
-      done;
-      (match !result with
-      | Some r -> r
-      | None ->
-          raise
-            (Not_converged (Printf.sprintf "Rootfind.ridders: %d iterations" max_iter)))
-
 (* Newton guarded by a bracket: falls back to bisection whenever the
    Newton step leaves the interval or fails to shrink it fast enough.
    This is the solver used by the FETToy reference model. *)

@@ -5,8 +5,7 @@ exception No_bracket of string
     sign. *)
 
 exception Not_converged of string
-(** Raised when the iteration budget is exhausted or the method
-    degenerates (zero derivative, flat secant). *)
+(** Raised when the iteration budget is exhausted. *)
 
 type result = {
   root : float;  (** located root *)
@@ -18,28 +17,6 @@ val bisect :
   ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> result
 (** Bisection on a sign-changing interval.  Robust, linear
     convergence. *)
-
-val newton :
-  ?tol:float ->
-  ?max_iter:int ->
-  f:(float -> float) ->
-  f':(float -> float) ->
-  float ->
-  result
-(** Unguarded Newton-Raphson from an initial guess. *)
-
-val secant :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> result
-(** Secant method from two initial points. *)
-
-val brent :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> result
-(** Brent's method (inverse quadratic interpolation guarded by
-    bisection) on a sign-changing interval. *)
-
-val ridders :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> result
-(** Ridders' method on a sign-changing interval. *)
 
 val newton_bracketed :
   ?tol:float ->

@@ -3,10 +3,9 @@
    Storage is compressed sparse row with a frozen pattern: [of_pattern]
    freezes the set of (row, col) locations once (the symbolic phase)
    into CSR arrays, and from then on only the value array changes (the
-   numeric phase).  Columns are sorted within each row, so a
-   location's value slot is found by binary search over its row;
-   callers resolve slots once and cache them for allocation-free
-   refill.
+   numeric phase).  The build returns every location's value slot, so
+   callers refill without searching; columns are sorted within each
+   row, so [slot] can also find one by binary search over its row.
 
    The factorisation is a left-looking Gilbert-Peierls sparse LU with
    partial pivoting.  It is formulated on the CSC view of the matrix:
@@ -38,29 +37,34 @@ type t = {
 (* Freeze a pattern into CSR by two counting sorts: bucket the entries
    by column, then sweep the columns in increasing order dealing each
    entry into its row, so every row receives its columns already sorted
-   and a repeated location is always the row's last column so far. *)
-let of_pattern ?pinv n pattern =
+   and a repeated location is always the row's last column so far.  The
+   deal also records each entry's value slot. *)
+let of_pattern ?pinv n rows cols =
   if n < 0 then invalid_arg "Sparse.of_pattern: negative dimension";
+  let ne = Array.length rows in
+  if Array.length cols <> ne then
+    invalid_arg "Sparse.of_pattern: rows and cols differ in length";
   let renumber i = match pinv with None -> i | Some q -> q.(i) in
   let col_ptr = Array.make (n + 1) 0 in
-  Array.iter
-    (fun (i, j) ->
-      if i < 0 || j < 0 || i >= n || j >= n then
-        invalid_arg (Printf.sprintf "Sparse.of_pattern: (%d, %d) out of range" i j);
-      let j = renumber j in
-      col_ptr.(j + 1) <- col_ptr.(j + 1) + 1)
-    pattern;
+  for k = 0 to ne - 1 do
+    let i = rows.(k) and j = cols.(k) in
+    if i < 0 || j < 0 || i >= n || j >= n then
+      invalid_arg (Printf.sprintf "Sparse.of_pattern: (%d, %d) out of range" i j);
+    let j = renumber j in
+    col_ptr.(j + 1) <- col_ptr.(j + 1) + 1
+  done;
   for j = 0 to n - 1 do
     col_ptr.(j + 1) <- col_ptr.(j + 1) + col_ptr.(j)
   done;
-  let rows_by_col = Array.make (Array.length pattern) 0 in
+  (* each column's entries, in input order: row and entry index *)
+  let rows_by_col = Array.make ne 0 and entry_by_col = Array.make ne 0 in
   let next = Array.sub col_ptr 0 (n + 1) in
-  Array.iter
-    (fun (i, j) ->
-      let j = renumber j in
-      rows_by_col.(next.(j)) <- renumber i;
-      next.(j) <- next.(j) + 1)
-    pattern;
+  for k = 0 to ne - 1 do
+    let j = renumber cols.(k) in
+    rows_by_col.(next.(j)) <- renumber rows.(k);
+    entry_by_col.(next.(j)) <- k;
+    next.(j) <- next.(j) + 1
+  done;
   (* first sweep counts each row's distinct columns, the second deals
      them; [last.(i)] is the column row [i] received last *)
   let last = Array.make n (-1) and row_ptr = Array.make (n + 1) 0 in
@@ -76,7 +80,7 @@ let of_pattern ?pinv n pattern =
   for i = 0 to n - 1 do
     row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
   done;
-  let cols = Array.make row_ptr.(n) 0 in
+  let csr_cols = Array.make row_ptr.(n) 0 and slots = Array.make ne 0 in
   Array.fill last 0 n (-1);
   Array.blit row_ptr 0 next 0 (n + 1);
   for j = 0 to n - 1 do
@@ -84,12 +88,14 @@ let of_pattern ?pinv n pattern =
       let i = rows_by_col.(p) in
       if last.(i) <> j then begin
         last.(i) <- j;
-        cols.(next.(i)) <- j;
+        csr_cols.(next.(i)) <- j;
         next.(i) <- next.(i) + 1
-      end
+      end;
+      (* a repeat is the row's last column so far, one slot back *)
+      slots.(entry_by_col.(p)) <- next.(i) - 1
     done
   done;
-  { n; row_ptr; cols; values = Array.make row_ptr.(n) 0.0 }
+  ({ n; row_ptr; cols = csr_cols; values = Array.make row_ptr.(n) 0.0 }, slots)
 
 let dim m = m.n
 let nnz m = Array.length m.cols
@@ -142,17 +148,17 @@ let adj_mark g u =
   done;
   g.mark.(u) <- g.stamp
 
-let ordering_adjacency ~n pattern =
+let ordering_adjacency ~n rows cols =
   (* raw lists with repeats, sized exactly, then deduplicated in place *)
   let raw = Array.make n 0 in
-  let in_range (i, j) = i <> j && i >= 0 && j >= 0 && i < n && j < n in
-  Array.iter
-    (fun ((i, j) as e) ->
-      if in_range e then begin
-        raw.(i) <- raw.(i) + 1;
-        raw.(j) <- raw.(j) + 1
-      end)
-    pattern;
+  let in_range i j = i <> j && i >= 0 && j >= 0 && i < n && j < n in
+  for k = 0 to Array.length rows - 1 do
+    let i = rows.(k) and j = cols.(k) in
+    if in_range i j then begin
+      raw.(i) <- raw.(i) + 1;
+      raw.(j) <- raw.(j) + 1
+    end
+  done;
   let g =
     {
       adj = Array.map (fun k -> Array.make k 0) raw;
@@ -161,13 +167,13 @@ let ordering_adjacency ~n pattern =
       stamp = 0;
     }
   in
-  Array.iter
-    (fun ((i, j) as e) ->
-      if in_range e then begin
-        adj_append g i j;
-        adj_append g j i
-      end)
-    pattern;
+  for k = 0 to Array.length rows - 1 do
+    let i = rows.(k) and j = cols.(k) in
+    if in_range i j then begin
+      adj_append g i j;
+      adj_append g j i
+    end
+  done;
   for v = 0 to n - 1 do
     g.stamp <- g.stamp + 1;
     let a = g.adj.(v) and d = ref 0 in
@@ -188,8 +194,10 @@ let ordering_adjacency ~n pattern =
    degree with ties to the lowest index.  Deletion is lazy: a vertex
    whose degree changes is pushed again under its new key, and a popped
    key that no longer matches its live vertex is skipped. *)
-let amd_order ~n pattern =
-  let g = ordering_adjacency ~n pattern in
+let amd_order ~n rows cols =
+  if Array.length cols <> Array.length rows then
+    invalid_arg "Sparse.amd_order: rows and cols differ in length";
+  let g = ordering_adjacency ~n rows cols in
   let stride = n + 1 in
   let key v = (g.deg.(v) * stride) + v in
   let heap = ref (Array.make (max 16 n) 0) and size = ref 0 in

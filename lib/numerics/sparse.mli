@@ -8,14 +8,14 @@
     {[
       (* symbolic phase: every (row, col) that will ever be written;
          duplicates are fine *)
-      let pattern = [| (i, j); ... |] in
-      let m = Sparse.of_pattern n pattern in
+      let rows = [| i; ... |] and cols = [| j; ... |] in
+      let m, slots = Sparse.of_pattern n rows cols in
       (* sized from the fill estimate of the order m is stored in
          (Linear_solver stores the pattern under amd_order's perm) *)
       let lu = Sparse.lu_create ~fill m in
       (* numeric phase, once per iteration, no allocation: *)
       Sparse.clear m;
-      Sparse.add_slot m (Sparse.slot m i j) v;
+      Sparse.add_slot m slots.(k) v;
       ...
       Sparse.refactor lu m;
       let x = Sparse.lu_solve lu rhs in
@@ -29,13 +29,17 @@ exception Singular of int
 type t
 (** A square sparse matrix with a frozen sparsity pattern. *)
 
-val of_pattern : ?pinv:int array -> int -> (int * int) array -> t
-(** [of_pattern n pattern] freezes the locations [(row, col)] of an
-    [n x n] matrix into CSR form with all values zero.  Duplicates are
-    collapsed and columns are sorted within each row.  With [pinv] each
-    location [(i, j)] is stored at [(pinv.(i), pinv.(j))]: the matrix
-    under a symmetric permutation.  Raises [Invalid_argument] on a
-    negative [n] or an out-of-range location. *)
+val of_pattern :
+  ?pinv:int array -> int -> int array -> int array -> t * int array
+(** [of_pattern n rows cols] freezes the locations
+    [(rows.(k), cols.(k))] of an [n x n] matrix into CSR form with all
+    values zero, and returns it with [slots]: [slots.(k)] is the value
+    slot of location [k], as {!slot} would find it.  Duplicates are
+    collapsed (each copy gets the same slot) and columns are sorted
+    within each row.  With [pinv] each location [(i, j)] is stored at
+    [(pinv.(i), pinv.(j))]: the matrix under a symmetric permutation.
+    Raises [Invalid_argument] on a negative [n], arrays of different
+    lengths or an out-of-range location. *)
 
 val dim : t -> int
 val nnz : t -> int
@@ -94,8 +98,9 @@ val refactor : lu -> t -> unit
     with the failing column on a structurally or numerically singular
     matrix. *)
 
-val amd_order : n:int -> (int * int) array -> int array * int
-(** Greedy minimum-degree ordering of the symmetrised pattern graph
+val amd_order : n:int -> int array -> int array -> int array * int
+(** [amd_order ~n rows cols] is a greedy minimum-degree ordering of the
+    symmetrised graph of the locations [(rows.(k), cols.(k))]
     (the exact-degree special case of approximate minimum degree),
     with deterministic lowest-index tie-breaking; each pivot comes from
     a lazy-deletion binary heap, O((n + fill) log n).  Returns

@@ -27,27 +27,7 @@ let logistic' x =
   let f = logistic (Float.abs x) in
   -.(f *. (1.0 -. f))
 
-(* exp that clamps instead of overflowing to infinity; used where an
-   infinite intermediate would poison a later subtraction. *)
-let exp_clamped ?(max_exponent = 700.0) x =
-  if x > max_exponent then exp max_exponent
-  else if x < -.max_exponent then 0.0
-  else exp x
-
-(* Relative difference |a-b| / max(|a|,|b|,floor). *)
-let rel_diff ?(floor = 1e-300) a b =
-  let scale = Float.max (Float.abs a) (Float.max (Float.abs b) floor) in
-  Float.abs (a -. b) /. scale
-
 (* Approximate float equality with both absolute and relative slack. *)
 let approx_equal ?(atol = 1e-12) ?(rtol = 1e-9) a b =
   let diff = Float.abs (a -. b) in
   diff <= atol || diff <= rtol *. Float.max (Float.abs a) (Float.abs b)
-
-(* Sign as -1., 0. or 1. *)
-let signum x = if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0
-
-(* Cube root preserving sign (Float.cbrt is not in the 5.1 stdlib). *)
-let cbrt x =
-  if x >= 0.0 then Float.pow x (1.0 /. 3.0)
-  else -.Float.pow (-.x) (1.0 /. 3.0)

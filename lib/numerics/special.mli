@@ -13,20 +13,6 @@ val logistic : float -> float
 val logistic' : float -> float
 (** Derivative of {!logistic}; always in [[-0.25, 0]]. *)
 
-val exp_clamped : ?max_exponent:float -> float -> float
-(** [exp] clamped to avoid infinities; exponents beyond
-    [max_exponent] (default 700) saturate. *)
-
-val rel_diff : ?floor:float -> float -> float -> float
-(** Relative difference normalised by the larger magnitude (or
-    [floor]). *)
-
 val approx_equal : ?atol:float -> ?rtol:float -> float -> float -> bool
 (** Approximate equality with absolute tolerance [atol] (default 1e-12)
     and relative tolerance [rtol] (default 1e-9). *)
-
-val signum : float -> float
-(** Sign of the argument as [-1.], [0.] or [1.]. *)
-
-val cbrt : float -> float
-(** Real cube root, defined for negative arguments. *)

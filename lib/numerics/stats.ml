@@ -48,20 +48,6 @@ let relative_rms_error reference approx =
   let scale = rms reference in
   if scale = 0.0 then (if e = 0.0 then 0.0 else infinity) else e /. scale
 
-(* Maximum relative pointwise error with an absolute floor to ignore
-   noise around zero. *)
-let max_relative_error ?(floor = 0.0) reference approx =
-  if Array.length reference <> Array.length approx then
-    invalid_arg "Stats.max_relative_error: length mismatch";
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun i r ->
-      let denom = Float.max (Float.abs r) floor in
-      if denom > 0.0 then
-        worst := Float.max !worst (Float.abs (r -. approx.(i)) /. denom))
-    reference;
-  !worst
-
 let percentile xs p =
   check "Stats.percentile" xs;
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p outside [0,100]";

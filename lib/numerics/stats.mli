@@ -21,10 +21,6 @@ val relative_rms_error : float array -> float array -> float
 (** The paper's "average RMS error": RMS of the difference curve
     normalised by the RMS of the reference curve, as a fraction. *)
 
-val max_relative_error : ?floor:float -> float array -> float array -> float
-(** Worst pointwise relative error; reference magnitudes below [floor]
-    are clamped to [floor] so zeros do not blow up the ratio. *)
-
 val percentile : float array -> float -> float
 (** Linear-interpolated percentile, [p] in [[0, 100]]. *)
 

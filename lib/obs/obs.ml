@@ -164,7 +164,6 @@ let observe h v =
   end
 
 let histogram_count h = h.h_len
-let histogram_name h = h.h_name
 let histogram_values h = Array.sub h.h_values 0 h.h_len
 
 (* Quantile with linear interpolation between order statistics (the

@@ -84,8 +84,6 @@ val summary : histogram -> hist_summary option
 (** [None] when the histogram has no samples. *)
 
 val histogram_count : histogram -> int
-val histogram_name : histogram -> string
-
 val histogram_values : histogram -> float array
 (** A copy of the recorded samples (treat the order as
     unspecified). *)

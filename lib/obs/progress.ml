@@ -132,12 +132,6 @@ let install s =
   active := true;
   Mutex.unlock dispatch_mutex
 
-let clear () =
-  Mutex.lock dispatch_mutex;
-  sinks := [];
-  active := false;
-  Mutex.unlock dispatch_mutex
-
 let remove s =
   Mutex.lock dispatch_mutex;
   sinks := List.filter (fun s' -> s' != s) !sinks;

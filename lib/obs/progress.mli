@@ -86,9 +86,6 @@ val emit : event -> unit
     any thread. *)
 
 val install : sink -> unit
-val clear : unit -> unit
-(** Remove every sink (turns the stream off). *)
-
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** Install for the duration of the callback, then remove (also on
     exceptions). *)

@@ -161,31 +161,6 @@ let events_jsonl () =
     (Obs.events ());
   Buffer.contents buf
 
-(* Span totals and counters as one JSON object, for benchmark
-   artefacts. *)
-let phases_json () =
-  let tree = profile_tree () in
-  let buf = Buffer.create 1024 in
-  let rec flat acc n = List.fold_left flat (n :: acc) n.children in
-  let nodes = List.rev (List.fold_left flat [] tree) in
-  Buffer.add_string buf "{\"spans\":[";
-  Buffer.add_string buf
-    (String.concat ","
-       (List.map
-          (fun n ->
-            Printf.sprintf
-              "{\"path\":\"%s\",\"total_s\":%.9g,\"self_s\":%.9g,\"calls\":%d}"
-              n.path n.total_s n.self_s n.count)
-          nodes));
-  Buffer.add_string buf "],\"counters\":{";
-  Buffer.add_string buf
-    (String.concat ","
-       (List.map
-          (fun (name, v) -> Printf.sprintf "\"%s\":%d" name v)
-          (Obs.counters ())));
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)
 (* ------------------------------------------------------------------ *)

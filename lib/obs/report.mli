@@ -32,10 +32,6 @@ val events_jsonl : unit -> string
 (** One JSON object per completed span (epoch-relative times), newline
     separated. *)
 
-val phases_json : unit -> string
-(** Span totals and counters as a single JSON object, for benchmark
-    artefacts. *)
-
 val prometheus : unit -> string
 (** Prometheus text exposition (version 0.0.4) of the registry — the
     scrape format the [cntd] service will serve.  Counters export as

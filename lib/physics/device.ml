@@ -83,9 +83,6 @@ let charge_profile ?tol t =
    with the source taken as reference (V_S = 0). *)
 let terminal_charge t ~vgs ~vds = (c_gate t *. vgs) +. (c_drain t *. vds)
 
-let with_temp t temp = { t with temp }
-let with_fermi t fermi = { t with fermi }
-
 let pp fmt t =
   Format.fprintf fmt
     "@[<v>%s: d=%.2f nm, tox=%.1f nm, kappa=%.2f, T=%g K, EF=%g eV,@ Eg=%.3f \

@@ -56,6 +56,4 @@ val charge_profile : ?tol:float -> t -> Charge.profile
 val terminal_charge : t -> vgs:float -> vds:float -> float
 (** [Q_t = C_G V_GS + C_D V_DS] (paper eq. 8, source-referenced). *)
 
-val with_temp : t -> float -> t
-val with_fermi : t -> float -> t
 val pp : Format.formatter -> t -> unit

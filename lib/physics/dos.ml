@@ -34,8 +34,6 @@ let of_diameter ?(subbands = 1) d =
 
 let half_gaps t = Array.copy t.half_gaps
 
-let subband_count t = Array.length t.half_gaps
-
 (* Edge of subband p (0-based) in eV relative to the first edge. *)
 let edge t p = t.half_gaps.(p) -. t.half_gaps.(0)
 

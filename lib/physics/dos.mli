@@ -16,8 +16,6 @@ val of_diameter : ?subbands:int -> float -> t
     [subbands] subbands (default 1). *)
 
 val half_gaps : t -> float array
-val subband_count : t -> int
-
 val edge : t -> int -> float
 (** [edge t p] is the energy (eV, from the first edge) at which subband
     [p] (0-based) begins. *)

@@ -1,9 +1,8 @@
 (* Fermi-Dirac statistics.
 
    Energies are in eV throughout the physics layer; temperatures in
-   Kelvin.  The occupation factor, the closed-form order-0 integral
-   (paper eq. 13) and a general numeric Fermi-Dirac integral are
-   provided. *)
+   Kelvin.  Provides the occupation factor and the closed-form order-0
+   integral (paper eq. 13), the only order the model needs. *)
 
 open Cnt_numerics
 
@@ -13,56 +12,9 @@ let kt_ev temp = Constants.joule_to_ev (Constants.thermal_energy temp)
 (* Fermi occupation f(e) = 1 / (1 + exp((e - mu)/kT)), energies in eV. *)
 let occupation ~temp ~mu e = Special.logistic ((e -. mu) /. kt_ev temp)
 
-(* d f / d e, in 1/eV; always <= 0. *)
-let occupation_derivative ~temp ~mu e =
-  let kt = kt_ev temp in
-  Special.logistic' ((e -. mu) /. kt) /. kt
-
 (* Fermi-Dirac integral of order 0 (paper eq. 13):
    F0(eta) = ln(1 + exp eta).  Exact closed form. *)
 let integral_order0 eta = Special.log1p_exp eta
 
 (* Derivative of F0: the logistic function of -eta. *)
 let integral_order0' eta = Special.logistic (-.eta)
-
-(* Complete Fermi-Dirac integral of real order j > -1:
-
-     F_j(eta) = 1/Gamma(j+1) * int_0^inf  t^j / (1 + exp (t - eta)) dt
-
-   computed by adaptive quadrature with the standard normalisation.
-   Used for cross-checks; the model itself only needs j = 0. *)
-let rec log_gamma x =
-  (* Lanczos approximation, g = 7, n = 9 *)
-  if x < 0.5 then
-    (* reflection formula *)
-    log (Float.pi /. sin (Float.pi *. x)) -. log_gamma (1.0 -. x)
-  else begin
-    let coeffs =
-      [|
-        0.99999999999980993; 676.5203681218851; -1259.1392167224028;
-        771.32342877765313; -176.61502916214059; 12.507343278686905;
-        -0.13857109526572012; 9.9843695780195716e-6; 1.5056327351493116e-7;
-      |]
-    in
-    let x = x -. 1.0 in
-    let a = ref coeffs.(0) in
-    for i = 1 to 8 do
-      a := !a +. (coeffs.(i) /. (x +. float_of_int i))
-    done;
-    let t = x +. 7.5 in
-    (0.5 *. log (2.0 *. Float.pi)) +. ((x +. 0.5) *. log t) -. t +. log !a
-  end
-
-let integral ?(tol = 1e-10) ~order eta =
-  if order <= -1.0 then invalid_arg "Fermi.integral: order must exceed -1";
-  if order = 0.0 then integral_order0 eta
-  else begin
-    let norm = exp (log_gamma (order +. 1.0)) in
-    let integrand t =
-      if t = 0.0 && order < 0.0 then 0.0
-      else Float.pow t order *. Special.logistic (t -. eta)
-    in
-    (* integrate to where the tail is negligible *)
-    let upper = Float.max (eta +. 60.0) 60.0 in
-    Quadrature.adaptive_simpson ~tol integrand 0.0 upper /. norm
-  end

@@ -7,20 +7,9 @@ val occupation : temp:float -> mu:float -> float -> float
 (** [occupation ~temp ~mu e] is the Fermi factor
     [1/(1 + exp((e - mu)/kT))]. *)
 
-val occupation_derivative : temp:float -> mu:float -> float -> float
-(** Energy derivative of the occupation, in 1/eV (non-positive). *)
-
 val integral_order0 : float -> float
 (** Fermi-Dirac integral of order zero, exactly
     [ln (1 + exp eta)] (paper eq. 13). *)
 
 val integral_order0' : float -> float
 (** Derivative of {!integral_order0} with respect to [eta]. *)
-
-val log_gamma : float -> float
-(** Natural log of the Gamma function (Lanczos approximation). *)
-
-val integral : ?tol:float -> order:float -> float -> float
-(** Complete Fermi-Dirac integral of real [order > -1] with the
-    [1/Gamma(order+1)] normalisation, by adaptive quadrature (exact
-    closed form when [order = 0]). *)

@@ -153,9 +153,6 @@ let vsource_current r vname =
 let magnitude_db phasors =
   Array.map (fun z -> 20.0 *. log10 (Float.max (Complex.norm z) 1e-300)) phasors
 
-let phase_degrees phasors =
-  Array.map (fun z -> Complex.arg z *. 180.0 /. Float.pi) phasors
-
 (* -3 dB corner relative to the first sweep point, by log-linear
    interpolation on the magnitude curve; None when the response never
    drops 3 dB below its low-frequency value. *)

@@ -40,8 +40,6 @@ val vsource_current : result -> string -> Complex.t array
 val magnitude_db : Complex.t array -> float array
 (** [20 log10 |z|] per point. *)
 
-val phase_degrees : Complex.t array -> float array
-
 val corner_frequency : result -> string -> float option
 (** The -3 dB frequency of a node relative to the first sweep point,
     log-interpolated; [None] if the response never drops 3 dB. *)

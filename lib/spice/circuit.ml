@@ -177,9 +177,6 @@ let find t name =
   let key = lowercase name in
   List.find_opt (fun e -> lowercase (element_name e) = key) t.elements
 
-let vsources t =
-  List.filter_map (function Vsource _ as v -> Some v | _ -> None) t.elements
-
 (* Convenience constructors. *)
 let resistor name n1 n2 ohms = Resistor { name; n1; n2; ohms }
 let capacitor name n1 n2 farads = Capacitor { name; n1; n2; farads }

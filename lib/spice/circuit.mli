@@ -87,8 +87,6 @@ val terminals : t -> int array
 val find : t -> string -> element option
 (** Look an element up by (case-insensitive) name. *)
 
-val vsources : t -> element list
-
 val resistor : string -> string -> string -> float -> element
 val capacitor : string -> string -> string -> float -> element
 val inductor : string -> string -> string -> float -> element

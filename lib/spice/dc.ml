@@ -160,7 +160,5 @@ let sweep ?(gmin = 1e-12) ?tol ?max_iter ?policy circuit ~source ~start ~stop
   { compiled; sweep_values = values; points }
 
 let sweep_voltage r name = Array.map (fun p -> voltage p name) r.points
-let sweep_current r vname = Array.map (fun p -> current p vname) r.points
-
 let stats (r : op_result) = Mna.stats r.compiled
 let sweep_stats (r : sweep_result) = Mna.stats r.compiled

@@ -81,8 +81,6 @@ val sweep :
     beyond [stop]. *)
 
 val sweep_voltage : sweep_result -> string -> float array
-val sweep_current : sweep_result -> string -> float array
-
 val sweep_stats : sweep_result -> Mna.stats
 (** Telemetry accumulated across all sweep points (the compiled
     circuit is shared, so this is one record). *)

@@ -100,18 +100,15 @@ let env_spec =
           Printf.eprintf "warning: ignoring %s\n%!" msg;
           None)
 
-(* [Some s] when a spec (possibly [None] = faults off) was installed
-   programmatically, overriding the environment. *)
-let override : spec option option ref = ref None
+(* The spec {!with_faults} installed, overriding the environment. *)
+let override : spec option ref = ref None
 
 let current () =
-  match !override with Some s -> s | None -> env_spec
-
-let install s = override := Some s
+  match !override with Some _ as s -> s | None -> env_spec
 
 let with_faults sp f =
   let saved = !override in
-  override := Some (Some sp);
+  override := Some sp;
   Fun.protect ~finally:(fun () -> override := saved) f
 
 (* ------------------------------------------------------------------ *)

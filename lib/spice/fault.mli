@@ -36,10 +36,6 @@ val to_string : spec -> string
 
 (** {1 Installation} *)
 
-val install : spec option -> unit
-(** Programmatic override of [CNT_FAULT]; [install None] disables
-    faults even when the variable is set. *)
-
 val current : unit -> spec option
 
 val with_faults : spec -> (unit -> 'a) -> 'a

@@ -70,22 +70,6 @@ let plain_only =
     source_steps = 20;
   }
 
-let pp_policy fmt p =
-  let rungs =
-    List.filter_map
-      (fun (enabled, r) -> if enabled then Some (Diag.rung_name r) else None)
-      [
-        (true, Diag.Plain_newton);
-        (p.damped, Diag.Damped_newton);
-        (p.gmin_stepping, Diag.Gmin_stepping);
-        (p.source_stepping, Diag.Source_stepping);
-        (p.gmin_source, Diag.Gmin_source);
-      ]
-  in
-  Format.fprintf fmt "[%s] gmin_start=%g gmin_steps=%d source_steps=%d"
-    (String.concat " > " rungs)
-    p.gmin_start p.gmin_steps p.source_steps
-
 (* Re-exported so callers install faults without naming the Fault
    module: the ladder is the API surface of the robustness subsystem. *)
 let with_faults = Fault.with_faults

@@ -32,8 +32,6 @@ val plain_only : policy
     Newton attempt.  Used to demonstrate that a deck {e needs} the
     ladder, and as the per-step transient fast path. *)
 
-val pp_policy : Format.formatter -> policy -> unit
-
 val with_faults : Fault.spec -> (unit -> 'a) -> 'a
 (** {!Fault.with_faults}, re-exported: install a deterministic fault
     for the duration of the callback. *)

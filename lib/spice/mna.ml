@@ -3,8 +3,9 @@
 
    [compile] resolves the netlist once: node names become indices,
    elements become a typed device array, and a symbolic stamping pass
-   records the Jacobian sparsity pattern together with a slot
-   [program] — the exact sequence of matrix locations the stamps touch.
+   records the Jacobian sparsity pattern — the exact sequence of matrix
+   locations the stamps touch — whose CSR build returns the slot
+   [program]: each location's value slot, in stamp order.
    The backing matrix lives in a {!Linear_solver.t} (sparse CSR under
    a minimum-degree ordering), allocated once.
 
@@ -75,14 +76,6 @@ let fresh_stats ~backend ~unknowns ~nonzeros =
     solve_s = 0.0;
     residual = 0.0;
   }
-
-let reset_stats s =
-  s.newton_iterations <- 0;
-  s.linear_solves <- 0;
-  s.device_evals <- 0;
-  s.assemble_s <- 0.0;
-  s.solve_s <- 0.0;
-  s.residual <- 0.0
 
 (* Fold the mutable counters of [src] into [into]; structural fields
    are left alone.  Used to make an AC report include the DC solve it
@@ -211,8 +204,6 @@ let node_id c name =
   | exception Not_found ->
       invalid_arg (Printf.sprintf "Mna.node_id: unknown node %s" name)
 
-let node_name c i = c.names.(i)
-
 (* Human name of any unknown index: node name for voltage rows, the
    source/inductor current for branch rows.  Diagnostics only. *)
 let unknown_name c i =
@@ -276,15 +267,16 @@ let capacitors c =
 (* ------------------------------------------------------------------ *)
 
 (* The symbolic stamping pass: every (row, col) location a refill adds
-   into, in emission order, with ground rows and columns skipped.  The
-   sequence is value-independent: capacitors and inductors are always
-   stamped (with zero companions at DC).  [scatter] below emits its
-   values in exactly this sequence, one per recorded location, so any
-   structural change must keep the two in step; a refill whose cursor
-   does not end on the program's last slot is rejected. *)
+   into, in emission order, with ground rows and columns skipped, as a
+   rows array and a columns array.  The sequence is value-independent:
+   capacitors and inductors are always stamped (with zero companions
+   at DC).  [scatter] below emits its values in exactly this sequence,
+   one per recorded location, so any structural change must keep the
+   two in step; a refill whose cursor does not end on the program's
+   last slot is rejected. *)
 let stamp_pattern ~devices ~n_nodes =
   (* two walks over the same stamp sequence: the first counts, the
-     second fills an array of exactly that size *)
+     second fills arrays of exactly that size *)
   let walk add_j =
     let add_j i j = if i >= 0 && j >= 0 then add_j i j in
     let conductance a b =
@@ -325,12 +317,13 @@ let stamp_pattern ~devices ~n_nodes =
   in
   let count = ref 0 in
   walk (fun _ _ -> incr count);
-  let recorded = Array.make !count (0, 0) in
+  let rows = Array.make !count 0 and cols = Array.make !count 0 in
   let k = ref 0 in
   walk (fun i j ->
-      recorded.(!k) <- (i, j);
+      rows.(!k) <- i;
+      cols.(!k) <- j;
       incr k);
-  recorded
+  (rows, cols)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation: symbolic pass                                          *)
@@ -414,12 +407,10 @@ let compile_uncached circuit =
   let n = n_nodes + !n_branches in
   let zero_caps = Array.make !n_caps { geq = 0.0; ieq = 0.0 } in
   let zero_inds = Array.make !n_inds { zeq = 0.0; veq = 0.0 } in
-  let pattern = stamp_pattern ~devices ~n_nodes in
-  let solver = Linear_solver.create n pattern in
+  let rows, cols = stamp_pattern ~devices ~n_nodes in
+  (* the CSR build hands back each stamp location's slot: the program *)
+  let solver, program = Linear_solver.create n rows cols in
   Obs.incr ~by:(Linear_solver.fill solver) c_fill_applied;
-  let program =
-    Array.map (fun (i, j) -> Linear_solver.slot solver i j) pattern
-  in
   (* lower the CNFETs into the structure-of-arrays table the refill's
      gather, batch-eval and scatter passes work on *)
   let table =
@@ -549,12 +540,6 @@ let enable_compile_cache ?(max_entries = 64) () =
     invalid_arg "Mna.enable_compile_cache: max_entries must be >= 1";
   Mutex.lock compile_cache_mutex;
   compile_cache_max := max_entries;
-  Mutex.unlock compile_cache_mutex
-
-let disable_compile_cache () =
-  Mutex.lock compile_cache_mutex;
-  compile_cache_max := 0;
-  compile_cache := [];
   Mutex.unlock compile_cache_mutex
 
 let compile_cache_stats () = (!compile_cache_hits, !compile_cache_misses)

@@ -17,7 +17,7 @@ exception No_convergence of Diag.newton_report
 
 (** Accumulated per-analysis solver telemetry.  The structural fields
     ([backend], [unknowns], [nonzeros]) are fixed at compile time; the
-    counters accumulate across {!newton} calls until {!reset_stats}. *)
+    counters accumulate across {!newton} calls. *)
 type stats = {
   backend : string;
       (** linear-solver name: ["sparse"] for MNA, ["dense-complex"]
@@ -36,9 +36,6 @@ type stats = {
 
 val fresh_stats : backend:string -> unknowns:int -> nonzeros:int -> stats
 (** A zeroed record for analyses that run their own solver (AC). *)
-
-val reset_stats : stats -> unit
-(** Zero the mutable counters, keeping the structural fields. *)
 
 val add_stats : into:stats -> stats -> unit
 (** Fold the mutable counters of the second record into [into],
@@ -76,9 +73,6 @@ val enable_compile_cache : ?max_entries:int -> unit -> unit
 (** Turn the cache on ([max_entries] default 64; FIFO eviction).
     Raises [Invalid_argument] when [max_entries < 1]. *)
 
-val disable_compile_cache : unit -> unit
-(** Turn the cache off and drop every entry (the default state). *)
-
 val compile_cache_stats : unit -> int * int
 (** [(hits, misses)] since the process started.  Also ticked as the
     telemetry counters [mna.compile_cache.hits] / [.misses]. *)
@@ -99,8 +93,6 @@ val stats : compiled -> stats
 
 val node_id : compiled -> string -> int
 (** Index of a node ([-1] for ground). *)
-
-val node_name : compiled -> int -> string
 
 val unknown_name : compiled -> int -> string
 (** Human name of any unknown index: the node name for voltage rows,

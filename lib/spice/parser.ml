@@ -584,26 +584,44 @@ let is_grouped t =
   String.length t.text > 0
   && (t.text.[0] = '{' || t.text.[0] = '\'' || t.text.[0] = '(')
 
+(* A card operand after [glue_eq]: its token and, for a [key=value]
+   the lexer split on spaces around '=', where the value starts — in
+   the token it came from, so a diagnostic inside the value points into
+   the value.  [None] for an operand that was one lexer token, whose
+   value sits right after its first '='. *)
+type operand = { tok : token; vat : loc option }
+
 (* Re-attach key=value pairs the tokenizer split on spaces around '=':
    "w = 2", "w= 2" and "w =2" all become the single token "w=2". *)
 let glue_eq toks =
-  let ends_eq t =
-    (not (is_grouped t))
-    && String.length t.text > 0
-    && t.text.[String.length t.text - 1] = '='
+  let ends_eq s = String.length s > 0 && s.[String.length s - 1] = '=' in
+  let starts_eq s = String.length s > 0 && s.[0] = '=' in
+  (* the location right after the first '=' of the joined pieces: in
+     the piece holding that '=', or at the start of the next piece when
+     the '=' ends its own *)
+  let rec value_at = function
+    | [] -> None
+    | (p : token) :: ps -> (
+        match String.index_opt p.text '=' with
+        | None -> value_at ps
+        | Some j when j + 1 < String.length p.text ->
+            Some { p.at with col = p.at.col + j + 1 }
+        | Some _ -> ( match ps with q :: _ -> Some q.at | [] -> None))
   in
-  let starts_eq t =
-    (not (is_grouped t)) && String.length t.text > 0 && t.text.[0] = '='
-  in
+  (* [a] starts the run; [rev_glued] holds the tokens joined onto it *)
   let rec go = function
-    | a :: b :: rest when (not (is_grouped a)) && b.text = "=" ->
-        go ({ a with text = a.text ^ "=" } :: rest)
-    | a :: b :: rest when ends_eq a ->
-        go ({ a with text = a.text ^ b.text } :: rest)
-    | a :: b :: rest when (not (is_grouped a)) && starts_eq b ->
-        go ({ a with text = a.text ^ b.text } :: rest)
-    | a :: rest -> a :: go rest
     | [] -> []
+    | a :: rest when is_grouped a -> { tok = a; vat = None } :: go rest
+    | a :: rest -> run a a.text [] rest
+  and run a text rev_glued = function
+    | (b : token) :: rest when ends_eq text || starts_eq b.text ->
+        run a (text ^ b.text) (b :: rev_glued) rest
+    | rest ->
+        let o =
+          if rev_glued = [] then { tok = a; vat = None }
+          else { tok = { a with text }; vat = value_at (a :: List.rev rev_glued) }
+        in
+        o :: go rest
   in
   go toks
 
@@ -635,13 +653,18 @@ let is_ident_name s =
        (function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
-(* "key=value" token -> (key lowercase, value text, value loc). *)
-let split_kv st (tok : token) =
+(* "key=value" operand -> (key lowercase, value text, value loc). *)
+let split_kv st { tok; vat } =
   match String.index_opt tok.text '=' with
   | Some i when i > 0 && i < String.length tok.text - 1 ->
       let key = lc (String.sub tok.text 0 i) in
       let v = String.sub tok.text (i + 1) (String.length tok.text - i - 1) in
-      (key, v, { tok.at with col = tok.at.col + i + 1 })
+      let vat =
+        match vat with
+        | Some vat -> vat
+        | None -> { tok.at with col = tok.at.col + i + 1 }
+      in
+      (key, v, vat)
   | _ -> fail st tok.at "expected key=value, got %S" tok.text
 
 (* Extract "name(args)" -> (name, [arg strings]); plain tokens return
@@ -768,14 +791,14 @@ let extract_subckts st cards =
                       fail st name.at "duplicate subcircuit %s" sname;
                     let ports, formals =
                       List.partition_map
-                        (fun t ->
-                          if has_eq t then begin
-                            let key, v, vat = split_kv st t in
+                        (fun o ->
+                          if has_eq o.tok then begin
+                            let key, v, vat = split_kv st o in
                             if not (is_ident_name key) then
-                              fail st t.at "bad parameter name %S" key;
+                              fail st o.tok.at "bad parameter name %S" key;
                             Either.Right (key, { text = v; at = vat })
                           end
-                          else Either.Left (lc t.text))
+                          else Either.Left (lc o.tok.text))
                         (glue_eq rest_toks)
                     in
                     if ports = [] then
@@ -872,7 +895,7 @@ let source_wave st env ~at tokens =
 
 (* key=value attribute list for device cards: (key, text, value loc). *)
 let attributes st tokens =
-  List.map (fun tok -> split_kv st tok) (glue_eq tokens)
+  List.map (split_kv st) (glue_eq tokens)
 
 (* Resolve a CNFET card into a registered device model.  The registry
    ({!Cnt_core.Device_model.of_card}) picks the backend from [model=]
@@ -1011,8 +1034,8 @@ let rec resolve_card st defs env toks =
           (* node and subcircuit tokens, last first; overrides in order *)
           let rev_plains, rev_kvs =
             List.fold_left
-              (fun (plains, kvs) t ->
-                if has_eq t then (plains, t :: kvs) else (t :: plains, kvs))
+              (fun (plains, kvs) o ->
+                if has_eq o.tok then (plains, o :: kvs) else (o.tok :: plains, kvs))
               ([], []) (glue_eq args)
           in
           let kvs = List.rev rev_kvs in
@@ -1035,10 +1058,10 @@ let rec resolve_card st defs env toks =
               let bind () =
                 let overrides =
                   List.map
-                    (fun t ->
-                      let key, v, vat = split_kv st t in
+                    (fun o ->
+                      let key, v, vat = split_kv st o in
                       if not (List.mem_assoc key sub.formals) then
-                        fail st t.at
+                        fail st o.tok.at
                           "%s is not a parameter of subcircuit %s%s" key
                           sub_name
                           (match sub.formals with
@@ -1059,7 +1082,7 @@ let rec resolve_card st defs env toks =
                     Env.add key v acc)
                   env sub.formals
               in
-              let texts = String.concat "\000" (List.map (fun t -> t.text) kvs) in
+              let texts = String.concat "\000" (List.map (fun o -> o.tok.text) kvs) in
               let ienv, sig_ =
                 match Hashtbl.find_opt sub.bindings texts with
                 | Some (caller, ienv, sig_) when caller == env -> (ienv, sig_)
@@ -1208,20 +1231,23 @@ let parse_param st env ~at tokens =
      on; the next '='-bearing token starts the next assignment *)
   let assignments =
     List.fold_left
-      (fun acc tok ->
-        if has_eq tok then tok :: acc
+      (fun acc o ->
+        let tok = o.tok in
+        if has_eq tok then o :: acc
         else
           match acc with
-          | prev :: rest -> { prev with text = prev.text ^ " " ^ tok.text } :: rest
+          | prev :: rest ->
+              { prev with tok = { prev.tok with text = prev.tok.text ^ " " ^ tok.text } }
+              :: rest
           | [] -> fail st tok.at "expected name=expr, got %S" tok.text)
       [] tokens
     |> List.rev
   in
   List.iter
-    (fun tok ->
-      let key, v, vat = split_kv st tok in
+    (fun o ->
+      let key, v, vat = split_kv st o in
       if not (is_ident_name key) then
-        fail st tok.at "bad parameter name %S" key;
+        fail st o.tok.at "bad parameter name %S" key;
       env := Env.add key (eval_text st !env ~at:vat ~coloff:0 v) !env)
     assignments
 

@@ -8,6 +8,7 @@
    instances can coexist. *)
 
 open Cnt_core
+open Cnt_spice
 
 type family = {
   n_model : Cnt_model.t;

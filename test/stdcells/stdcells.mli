@@ -3,6 +3,7 @@
     model pair per family. *)
 
 open Cnt_core
+open Cnt_spice
 
 type family = {
   n_model : Cnt_model.t;

@@ -35,7 +35,7 @@ let sample_pw () =
 let test_pw_create_validation () =
   Alcotest.(check bool) "piece count" true
     (match
-       Piecewise.create ~boundaries:[| 0.0 |] ~pieces:[| Polynomial.one |]
+       Piecewise.create ~boundaries:[| 0.0 |] ~pieces:[| Polynomial.constant 1.0 |]
      with
     | exception Invalid_argument _ -> true
     | _ -> false);
@@ -43,7 +43,7 @@ let test_pw_create_validation () =
     (match
        Piecewise.create
          ~boundaries:[| 1.0; 0.0 |]
-         ~pieces:[| Polynomial.one; Polynomial.one; Polynomial.one |]
+         ~pieces:(Array.make 3 (Polynomial.constant 1.0))
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
@@ -275,6 +275,64 @@ let test_solver_rejects_bad_csigma () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The closed-form roots every interval solve runs, as a list. *)
+let closed_form_roots p =
+  let buf = Array.make 3 0.0 in
+  Array.to_list (Array.sub buf 0 (Scv_solver.real_roots_into p buf))
+
+let test_roots_linear () =
+  (match closed_form_roots [| -4.0; 2.0 |] with
+  | [ r ] -> check_close "root" 2.0 r
+  | _ -> Alcotest.fail "expected one root");
+  Alcotest.(check int) "constant" 0 (List.length (closed_form_roots [| 1.0 |]))
+
+let test_roots_quadratic () =
+  (match closed_form_roots [| 2.0; -3.0; 1.0 |] with
+  | [ r1; r2 ] ->
+      check_close "r1" 1.0 r1;
+      check_close "r2" 2.0 r2
+  | _ -> Alcotest.fail "expected two roots");
+  Alcotest.(check int) "no real roots" 0
+    (List.length (closed_form_roots [| 1.0; 0.0; 1.0 |]));
+  match closed_form_roots [| 1.0; -2.0; 1.0 |] with
+  | [ r ] -> check_close "double root" 1.0 r
+  | _ -> Alcotest.fail "expected one (double) root"
+
+let test_roots_quadratic_cancellation () =
+  (* b^2 >> 4ac: the naive formula loses the small root *)
+  match closed_form_roots [| 1.0; -1e8; 1.0 |] with
+  | [ r1; r2 ] ->
+      check_close ~eps:1e-6 "small root" 1e-8 r1;
+      check_close ~eps:1e-3 "large root" 1e8 r2
+  | _ -> Alcotest.fail "expected two roots"
+
+let test_roots_cubic_three_real () =
+  (* (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6 *)
+  match closed_form_roots [| -6.0; 11.0; -6.0; 1.0 |] with
+  | [ r1; r2; r3 ] ->
+      check_close ~eps:1e-8 "r1" 1.0 r1;
+      check_close ~eps:1e-8 "r2" 2.0 r2;
+      check_close ~eps:1e-8 "r3" 3.0 r3
+  | rs -> Alcotest.failf "expected three roots, got %d" (List.length rs)
+
+let test_roots_cubic_one_real () =
+  (* x^3 + x + 1: single real root near -0.6823 *)
+  match closed_form_roots [| 1.0; 1.0; 0.0; 1.0 |] with
+  | [ r ] -> check_close ~eps:1e-9 "root" (-0.6823278038280193) r
+  | rs -> Alcotest.failf "expected one root, got %d" (List.length rs)
+
+let test_roots_cubic_triple () =
+  (* (x-2)^3 *)
+  match closed_form_roots [| -8.0; 12.0; -6.0; 1.0 |] with
+  | [ r ] | [ r; _ ] -> check_close ~eps:1e-5 "triple root" 2.0 r
+  | rs -> Alcotest.failf "unexpected root count %d" (List.length rs)
+
+let test_roots_degree_guard () =
+  Alcotest.(check bool) "degree 4 rejected" true
+    (match closed_form_roots [| 0.0; 0.0; 0.0; 0.0; 1.0 |] with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Cnt_model                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -410,6 +468,33 @@ let test_current_error_zero_for_reference_clone () =
   Alcotest.(check bool) "reference surface finite" true
     (Array.for_all (fun row -> Array.for_all Float.is_finite row) surface)
 
+let small_float = QCheck2.Gen.float_range (-50.0) 50.0
+
+let prop_cubic_roots_residual =
+  QCheck2.Test.make ~name:"closed-form cubic roots satisfy p(r)=0" ~count:500
+    QCheck2.Gen.(quad small_float small_float small_float small_float)
+    (fun (a, b, c, d) ->
+      QCheck2.assume (Float.abs a > 1e-3);
+      let p = [| d; c; b; a |] in
+      let scale =
+        Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 1.0 p
+      in
+      List.for_all
+        (fun r ->
+          Float.abs (Polynomial.eval p r)
+          <= 1e-6 *. scale *. Float.max 1.0 (Float.abs r ** 3.0))
+        (closed_form_roots p))
+
+let prop_quadratic_root_count =
+  QCheck2.Test.make ~name:"quadratic root count matches discriminant" ~count:500
+    QCheck2.Gen.(triple small_float small_float small_float)
+    (fun (a, b, c) ->
+      QCheck2.assume (Float.abs a > 1e-3);
+      let disc = (b *. b) -. (4.0 *. a *. c) in
+      QCheck2.assume (Float.abs disc > 1e-6);
+      let n = List.length (closed_form_roots [| c; b; a |]) in
+      if disc > 0.0 then n = 2 else n = 0)
+
 (* property: closed-form solve equals bisection across random bias *)
 let prop_closed_form_equals_bisection =
   QCheck2.Test.make ~name:"closed-form VSC = bisection VSC" ~count:60
@@ -450,119 +535,6 @@ let prop_fit_c1_random_boundaries =
           let scale = Stats.max_abs r.Charge_fit.sample_ys in
           Piecewise.continuity_defect ~order:0 r.Charge_fit.approx < 1e-8 *. scale
           && Piecewise.continuity_defect ~order:1 r.Charge_fit.approx < 1e-6 *. scale)
-
-
-(* ------------------------------------------------------------------ *)
-(* Export (Verilog-A / VHDL-AMS)                                       *)
-(* ------------------------------------------------------------------ *)
-
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
-let test_poly_expression_evaluates () =
-  (* the emitted Horner string must encode the same polynomial: check
-     by parsing the structure indirectly -- evaluate the OCaml poly and
-     a hand-computed Horner of the printed coefficients *)
-  let p = Polynomial.of_coeffs [| 1.0; -2.0; 0.5 |] in
-  let s = Export.poly_expression ~var:"v" p in
-  Alcotest.(check bool) "mentions var" true (contains ~needle:"v" s);
-  Alcotest.(check bool) "balanced parens" true
-    (String.fold_left (fun acc c -> if c = '(' then acc + 1 else if c = ')' then acc - 1 else acc) 0 s = 0)
-
-let test_verilog_a_structure () =
-  let m = Lazy.force model2 in
-  let src = Export.verilog_a ~module_name:"my_cnfet" m in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) needle true (contains ~needle src))
-    [
-      "module my_cnfet (d, g, s);";
-      "endmodule";
-      "analog function real qs_charge";
-      "I(d,s) <+ ISCALE";
-      "CSIGMA";
-      "ln(1.0 + exp(eta_s))";
-    ];
-  (* all four region conditionals are present *)
-  Alcotest.(check bool) "else branch" true (contains ~needle:"else qs_charge" src)
-
-let test_vhdl_ams_structure () =
-  let m = Lazy.force model2 in
-  let src = Export.vhdl_ams ~entity_name:"my_cnfet" m in
-  List.iter
-    (fun needle -> Alcotest.(check bool) needle true (contains ~needle src))
-    [
-      "entity my_cnfet is";
-      "architecture piecewise of my_cnfet";
-      "function qs_charge";
-      "quantity vds across ids through drain to source;";
-      "end architecture piecewise;";
-    ]
-
-let test_export_embeds_fitted_coefficients () =
-  let m = Lazy.force model2 in
-  let src = Export.verilog_a m in
-  (* the linear piece's slope must appear verbatim (%.17e format) *)
-  let piece0 = (Piecewise.pieces (Cnt_model.charge_approx m)).(0) in
-  let slope = Polynomial.coeff piece0 1 in
-  Alcotest.(check bool) "slope embedded" true
-    (contains ~needle:(Printf.sprintf "%.17e" slope) src)
-
-let test_export_write () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "cnt_export_test" in
-  let m = Lazy.force model2 in
-  let va = Export.write ~dir ~lang:`Verilog_a ~name:"t1" m in
-  let vhd = Export.write ~dir ~lang:`Vhdl_ams ~name:"t1" m in
-  Alcotest.(check bool) "va exists" true (Sys.file_exists va);
-  Alcotest.(check bool) "vhd exists" true (Sys.file_exists vhd);
-  Alcotest.(check bool) "va extension" true (Filename.check_suffix va ".va");
-  Alcotest.(check bool) "vhd extension" true (Filename.check_suffix vhd ".vhd")
-
-(* ------------------------------------------------------------------ *)
-(* Nonballistic extension                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_nonballistic_limits () =
-  let m = Lazy.force model2 in
-  (* lambda >> L recovers the ballistic current *)
-  let nb = Nonballistic.make ~mean_free_path:1.0 ~channel_length:10e-9 m in
-  check_close ~eps:1e-6 "ballistic limit ratio" 1.0
-    (Nonballistic.ids nb ~vgs:0.5 ~vds:0.4 /. Cnt_model.ids m ~vgs:0.5 ~vds:0.4)
-
-let test_nonballistic_transmission_bounds () =
-  let m = Lazy.force model2 in
-  let nb = Nonballistic.make ~mean_free_path:100e-9 ~channel_length:300e-9 m in
-  List.iter
-    (fun vds ->
-      let t = Nonballistic.transmission nb ~vds in
-      Alcotest.(check bool) "in (0,1]" true (t > 0.0 && t <= 1.0))
-    [ 0.0; 0.01; 0.1; 0.6 ]
-
-let test_nonballistic_monotone_in_mfp () =
-  let m = Lazy.force model2 in
-  let i mfp =
-    Nonballistic.ids
-      (Nonballistic.make ~mean_free_path:mfp ~channel_length:300e-9 m)
-      ~vgs:0.5 ~vds:0.4
-  in
-  Alcotest.(check bool) "longer mfp, more current" true (i 200e-9 > i 50e-9)
-
-let test_nonballistic_saturation_recovery () =
-  (* in saturation only the kT layer matters, so transmission rises
-     with drain bias *)
-  let m = Lazy.force model2 in
-  let nb = Nonballistic.make ~mean_free_path:100e-9 ~channel_length:1000e-9 m in
-  Alcotest.(check bool) "transmission grows with vds" true
-    (Nonballistic.transmission nb ~vds:0.6 > Nonballistic.transmission nb ~vds:0.05)
-
-let test_nonballistic_validation () =
-  let m = Lazy.force model2 in
-  Alcotest.(check bool) "bad mfp" true
-    (match Nonballistic.make ~mean_free_path:0.0 ~channel_length:1e-7 m with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 
 (* ------------------------------------------------------------------ *)
@@ -724,6 +696,17 @@ let () =
           tc "monotone in terminal charge" test_solver_monotone_in_qt;
           tc "rejects bad c_sigma" test_solver_rejects_bad_csigma;
         ] );
+      (* the closed-form polynomial roots every interval solve runs *)
+      ( "polynomial",
+        [
+          tc "linear roots" test_roots_linear;
+          tc "quadratic roots" test_roots_quadratic;
+          tc "quadratic cancellation" test_roots_quadratic_cancellation;
+          tc "cubic three real roots" test_roots_cubic_three_real;
+          tc "cubic one real root" test_roots_cubic_one_real;
+          tc "cubic triple root" test_roots_cubic_triple;
+          tc "closed form degree guard" test_roots_degree_guard;
+        ] );
       ( "cnt_model",
         [
           tc "tracks reference" test_model_ids_against_reference;
@@ -755,14 +738,6 @@ let () =
           tc "self-consistent voltage" test_golden_vsc;
           tc "device quantities" test_golden_device_quantities;
         ] );
-      ( "export",
-        [
-          tc "horner expression" test_poly_expression_evaluates;
-          tc "verilog-a structure" test_verilog_a_structure;
-          tc "vhdl-ams structure" test_vhdl_ams_structure;
-          tc "fitted coefficients embedded" test_export_embeds_fitted_coefficients;
-          tc "file writing" test_export_write;
-        ] );
       ( "model_io",
         [
           tc "string round trip" test_model_io_roundtrip;
@@ -770,19 +745,13 @@ let () =
           tc "file round trip" test_model_io_file_roundtrip;
           tc "rejects garbage" test_model_io_rejects_garbage;
         ] );
-      ( "nonballistic",
-        [
-          tc "ballistic limit" test_nonballistic_limits;
-          tc "transmission bounds" test_nonballistic_transmission_bounds;
-          tc "monotone in mean free path" test_nonballistic_monotone_in_mfp;
-          tc "saturation recovery" test_nonballistic_saturation_recovery;
-          tc "validation" test_nonballistic_validation;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_closed_form_equals_bisection;
             prop_model_tracks_reference;
             prop_fit_c1_random_boundaries;
+            prop_cubic_roots_residual;
+            prop_quadratic_root_count;
           ] );
     ]

@@ -78,6 +78,7 @@ let bad_decks =
     "bad_continuation";
     "bad_subckt_port";
     "bad_override";
+    "bad_spaced_override";
     "bad_nonfinite";
   ]
 
@@ -708,7 +709,8 @@ let expect_located ~line ~col ~needle text =
   | _ -> Alcotest.fail "deck unexpectedly parsed"
 
 let test_forward_reference_located () =
-  expect_located ~line:2 ~col:13 ~needle:{|unknown parameter "vdd"|}
+  (* the caret sits on [vdd] itself, past the blanks around '=' *)
+  expect_located ~line:2 ~col:15 ~needle:{|unknown parameter "vdd"|}
     "t\n.param half = vdd / 2\n.param vdd = 0.6\nV1 in 0 {half}\nR1 in 0 1k\n\
      .op\n.end"
 

@@ -1024,54 +1024,6 @@ let test_inductor_parser_and_validation () =
 
 
 (* ------------------------------------------------------------------ *)
-(* Characterisation                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_characterize_inverter () =
-  let f = Stdcells.family ~load:5e-15 () in
-  let t =
-    Characterize.inverting_cell ~vdd_name:"vdd"
-      ~build:(fun ~input ~output ->
-        Stdcells.inverter f ~prefix:"dut" ~input ~output ~vdd_node:"vdd")
-      ()
-  in
-  Alcotest.(check bool) "delays positive" true (t.Characterize.tphl > 0.0 && t.Characterize.tplh > 0.0);
-  Alcotest.(check bool) "delays sub-ns at 5fF" true
-    (t.Characterize.tphl < 1e-9 && t.Characterize.tplh < 1e-9);
-  (* a full output cycle on CL draws ~CV^2 from the supply *)
-  let cv2 = 5e-15 *. 0.6 *. 0.6 in
-  check_close ~eps:0.15 "energy ~ C Vdd^2 ratio" 1.0 (t.Characterize.energy /. cv2)
-
-let test_characterize_load_slows_gate () =
-  let timing load =
-    let f = Stdcells.family ~load () in
-    Characterize.inverting_cell ~vdd_name:"vdd"
-      ~build:(fun ~input ~output ->
-        Stdcells.inverter f ~prefix:"dut" ~input ~output ~vdd_node:"vdd")
-      ()
-  in
-  let light = timing 2e-15 and heavy = timing 10e-15 in
-  Alcotest.(check bool) "heavier load, longer delay" true
-    (heavy.Characterize.tphl > 2.0 *. light.Characterize.tphl);
-  Alcotest.(check bool) "heavier load, more energy" true
-    (heavy.Characterize.energy > light.Characterize.energy)
-
-let test_characterize_detects_stuck_cell () =
-  (* a "cell" that just wires the output to ground never switches *)
-  Alcotest.(check bool) "raises" true
-    (match
-       Characterize.inverting_cell ~vdd_name:"vdd"
-         ~build:(fun ~input ~output ->
-           [
-             Circuit.resistor "rstuck" output "0" 10.0;
-             Circuit.resistor "rload" input output 1e6;
-           ])
-         ()
-     with
-    | exception Characterize.Characterisation_error _ -> true
-    | _ -> false)
-
-(* ------------------------------------------------------------------ *)
 (* Linear-solver backends: dense/sparse agreement and telemetry        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1459,12 +1411,6 @@ let () =
           tc "lc tank period" test_inductor_lc_tank_period;
           tc "rlc resonance" test_inductor_rlc_resonance;
           tc "parser and validation" test_inductor_parser_and_validation;
-        ] );
-      ( "characterize",
-        [
-          tc "inverter timing and energy" test_characterize_inverter;
-          tc "load dependence" test_characterize_load_slows_gate;
-          tc "stuck cell detected" test_characterize_detects_stuck_cell;
         ] );
       ( "netlist",
         [
