@@ -36,14 +36,19 @@ examples-check:
 # per-device stencil closures read 7.9 M and 7.6 M), and ladder_1000 at
 # or under 7.1e5 (the offset lexer, hoisted evaluator, reused instance
 # bindings and hash-free CSR build read about 0.57 M; the per-character
-# lexer and Printf pattern keys read 2.71 M).
+# lexer and Printf pattern keys read 2.71 M), and cntd_mixed at or
+# under 1e5: one daemon round trip with id() print probes on the
+# device's range kernel, the Printf-free number rendering, the
+# option-free JSON parser and one read buffer per connection reads
+# about 67 k; the scalar id() solve, Printf floats and per-character
+# options read 154 k.
 bench-check:
 	@last=$$(dune exec --root . --display quiet -- ./cntbench/bench.exe --workload all --seconds 1 | tail -n 1); \
 	case "$$last" in \
 	  *'"correct":true'*) echo "bench-check: every output check passed" ;; \
 	  *) echo "bench-check: failed: $$last"; exit 1 ;; \
 	esac; \
-	for wb in ring51_tran:1e6 table1_family:1e6 ladder_1000:7.1e5; do \
+	for wb in ring51_tran:1e6 table1_family:1e6 ladder_1000:7.1e5 cntd_mixed:1e5; do \
 	  w=$${wb%%:*}; bound=$${wb##*:}; \
 	  words=$$(printf '%s\n' "$$last" | sed -n "s/.*\"$$w\.gc\.minor_words_per_op\":{\"value\":\([^,}]*\).*/\1/p"); \
 	  if [ -z "$$words" ]; then echo "bench-check: failed: no $$w.gc.minor_words_per_op"; exit 1; fi; \

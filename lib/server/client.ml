@@ -4,7 +4,7 @@
    (float-exact, see {!Json}), so the caller prints them through the
    very same code path as an offline run and the bytes match. *)
 
-type connection = { fd : Unix.file_descr; mutable pending : string }
+type connection = { fd : Unix.file_descr; reader : Server.reader }
 
 type error = {
   kind : string;
@@ -52,7 +52,12 @@ let connect addr_string =
       in
       let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
       match Unix.connect fd addr with
-      | () -> Ok { fd; pending = "" }
+      | () ->
+          (* see [Server.write_line] *)
+          if domain = Unix.PF_INET then
+            (try Unix.setsockopt fd Unix.TCP_NODELAY true
+             with Unix.Unix_error _ -> ());
+          Ok { fd; reader = Server.reader fd }
       | exception Unix.Unix_error (e, _, _) ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
           Error
@@ -61,47 +66,18 @@ let connect addr_string =
 let close conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
 let send_line conn line =
-  let s = line ^ "\n" in
-  let len = String.length s in
-  let off = ref 0 in
-  try
-    while !off < len do
-      off := !off + Unix.write_substring conn.fd s !off (len - !off)
-    done;
-    Ok ()
+  try Ok (Server.write_line conn.fd line)
   with Unix.Unix_error (e, _, _) ->
     Error (transport ("send failed: " ^ Unix.error_message e))
 
 (* Result frames carry whole waveform tables, so the cap is generous —
    it only exists to bound a runaway peer. *)
 let max_frame_bytes = 256 * 1024 * 1024
-let chunk_size = 65536
 
 let read_line conn =
-  let chunk = Bytes.create chunk_size in
-  let rec go acc acc_len =
-    match String.index_opt conn.pending '\n' with
-    | Some i ->
-        let line = String.sub conn.pending 0 i in
-        conn.pending <-
-          String.sub conn.pending (i + 1) (String.length conn.pending - i - 1);
-        Some (String.concat "" (List.rev (line :: acc)))
-    | None ->
-        let acc_len = acc_len + String.length conn.pending in
-        let acc = if conn.pending = "" then acc else conn.pending :: acc in
-        conn.pending <- "";
-        if acc_len > max_frame_bytes then None
-        else begin
-          match Unix.read conn.fd chunk 0 chunk_size with
-          | 0 -> None
-          | n ->
-              conn.pending <- Bytes.sub_string chunk 0 n;
-              go acc acc_len
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go acc acc_len
-          | exception Unix.Unix_error (_, _, _) -> None
-        end
-  in
-  go [] 0
+  match Server.read_line conn.reader ~max_bytes:max_frame_bytes with
+  | Server.Line line -> Some line
+  | Server.Eof | Server.Oversized -> None
 
 let run conn ?(id = "1") ?file ~deck_text ~config ~progress
     ?(on_title = fun _ -> ()) ?(on_event = fun _ -> ()) () =

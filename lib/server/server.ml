@@ -76,6 +76,106 @@ let default_config ~listen =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Line framing                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [line] and then its newline: two writes rather than a copy of the
+   frame with the newline appended.  TCP connections run with
+   TCP_NODELAY, so the newline is never held back waiting for the
+   peer's ACK of the line. *)
+let write_line fd line =
+  let write s =
+    let len = String.length s in
+    let off = ref 0 in
+    while !off < len do
+      off := !off + Unix.write_substring fd s !off (len - !off)
+    done
+  in
+  write line;
+  write "\n"
+
+type read_outcome =
+  | Line of string
+  | Eof
+  | Oversized
+
+(* One read buffer for a connection's life: [buf.[lo, hi)] holds the
+   bytes read but not yet returned, and [buf.[lo, scanned)] holds no
+   newline.  A line is cut out of it with one copy, however many reads
+   it took.  The buffer starts at [initial_size], small enough for the
+   minor heap, so a short request line never touches the major heap;
+   it doubles when a line fills it, up to the line cap, and drops back
+   to [initial_size] whenever it is empty and larger than
+   [keep_size]. *)
+type reader = {
+  rfd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable lo : int;
+  mutable hi : int;
+  mutable scanned : int;
+}
+
+let initial_size = 1024
+let keep_size = 65536
+
+let reader fd =
+  { rfd = fd; buf = Bytes.create initial_size; lo = 0; hi = 0; scanned = 0 }
+
+let rec newline_at b i hi =
+  if i >= hi then -1
+  else if Bytes.unsafe_get b i = '\n' then i
+  else newline_at b (i + 1) hi
+
+let rec read_line r ~max_bytes =
+  let i = newline_at r.buf r.scanned r.hi in
+  if i >= 0 then begin
+    let line = Bytes.sub_string r.buf r.lo (i - r.lo) in
+    if i + 1 = r.hi then begin
+      r.lo <- 0;
+      r.hi <- 0;
+      if Bytes.length r.buf > keep_size then r.buf <- Bytes.create initial_size
+    end
+    else r.lo <- i + 1;
+    r.scanned <- r.lo;
+    let line =
+      (* tolerate CRLF peers *)
+      let n = String.length line in
+      if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+    in
+    (* the cap below only guards unterminated streams; a complete line
+       that arrived within one read must be checked too *)
+    if String.length line > max_bytes then Oversized else Line line
+  end
+  else begin
+    r.scanned <- r.hi;
+    let len = r.hi - r.lo in
+    if len > max_bytes then Oversized
+    else begin
+      if r.hi = Bytes.length r.buf then begin
+        (* no room left: move the partial line to the front, into a
+           buffer twice the size when it fills more than half *)
+        let size = Bytes.length r.buf in
+        let buf =
+          if 2 * len > size then Bytes.create (min (2 * size) (max_bytes + 1))
+          else r.buf
+        in
+        Bytes.blit r.buf r.lo buf 0 len;
+        r.buf <- buf;
+        r.lo <- 0;
+        r.hi <- len;
+        r.scanned <- len
+      end;
+      match Unix.read r.rfd r.buf r.hi (Bytes.length r.buf - r.hi) with
+      | 0 -> Eof (* a partial trailing line is dropped *)
+      | n ->
+          r.hi <- r.hi + n;
+          read_line r ~max_bytes
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line r ~max_bytes
+      | exception Unix.Unix_error (_, _, _) -> Eof
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Connections                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -84,8 +184,8 @@ exception Client_gone
 type conn = {
   fd : Unix.file_descr;
   peer : string;
+  reader : reader;
   write_mutex : Mutex.t;
-  mutable pending : string;  (* reader bytes after the last newline *)
   mutable busy : bool;  (* a request is executing on this connection *)
 }
 
@@ -98,7 +198,8 @@ type t = {
   mutable conns : conn list;
   mutable stopping : bool;
   mutable accept_thread : Thread.t option;
-  mutable requests_served : int;
+  requests_served : int Atomic.t;
+      (* requests answered with a result frame, ok or error *)
   started_at : float;
 }
 
@@ -111,64 +212,12 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* Full write of [line ^ "\n"]; any socket-level failure means the
-   client is gone. *)
+(* [line] and its newline, written in full; any socket-level failure
+   means the client is gone. *)
 let send_line conn line =
   locked conn.write_mutex @@ fun () ->
-  let s = line ^ "\n" in
-  let len = String.length s in
-  let off = ref 0 in
-  try
-    while !off < len do
-      off := !off + Unix.write_substring conn.fd s !off (len - !off)
-    done
+  try write_line conn.fd line
   with Unix.Unix_error (_, _, _) | Sys_error _ -> raise Client_gone
-
-(* Chunked line reader with a byte cap: accumulates reads until a
-   newline, never concatenating more than once per line. *)
-type read_outcome =
-  | Line of string
-  | Eof
-  | Oversized
-
-let chunk_size = 65536
-
-let read_line_capped conn ~max_bytes =
-  let chunk = Bytes.create chunk_size in
-  let rec go acc acc_len =
-    match String.index_opt conn.pending '\n' with
-    | Some i ->
-        let line = String.sub conn.pending 0 i in
-        conn.pending <-
-          String.sub conn.pending (i + 1) (String.length conn.pending - i - 1);
-        let line = String.concat "" (List.rev (line :: acc)) in
-        let line =
-          (* tolerate CRLF clients *)
-          let n = String.length line in
-          if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1)
-          else line
-        in
-        (* the cap below only guards unterminated streams; a complete
-           line that arrived within one read must be checked too *)
-        if String.length line > max_bytes then Oversized else Line line
-    | None ->
-        let acc_len = acc_len + String.length conn.pending in
-        let acc =
-          if conn.pending = "" then acc else conn.pending :: acc
-        in
-        conn.pending <- "";
-        if acc_len > max_bytes then Oversized
-        else begin
-          match Unix.read conn.fd chunk 0 chunk_size with
-          | 0 -> Eof (* a partial trailing line is dropped *)
-          | n ->
-              conn.pending <- Bytes.sub_string chunk 0 n;
-              go acc acc_len
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go acc acc_len
-          | exception Unix.Unix_error (_, _, _) -> Eof
-        end
-  in
-  go [] 0
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -181,7 +230,7 @@ let server_info t extra =
     ([
        ("version", Json.Str Cnt_obs.Version.version);
        ("uptime_s", Json.Num (now () -. t.started_at));
-       ("requests_served", Json.Num (float_of_int t.requests_served));
+       ("requests_served", Json.Num (float_of_int (Atomic.get t.requests_served)));
      ]
     @ extra)
 
@@ -209,9 +258,17 @@ let read_file path =
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   really_input_string ic (in_channel_length ic)
 
-let send_engine_error conn ~id err =
-  send_line conn
-    (Protocol.result_error_line ~id ~error_json:(Diag.error_json err))
+(* Every result frame goes out through here, so [requests_served]
+   counts each request the daemon answered: ok or error, protocol
+   errors included.  The count moves before [frame] is built, so a
+   result's own [server] object counts its request. *)
+let send_result t conn frame =
+  Atomic.incr t.requests_served;
+  send_line conn (frame ())
+
+let send_engine_error t conn ~id err =
+  send_result t conn (fun () ->
+      Protocol.result_error_line ~id ~error_json:(Diag.error_json err))
 
 let handle_run t conn ~id ~deck ~config_json ~progress =
   let deck_text =
@@ -222,7 +279,7 @@ let handle_run t conn ~id ~deck ~config_json ~progress =
         with Sys_error msg -> Error (Diag.Bad_deck msg))
   in
   match deck_text with
-  | Error err -> send_engine_error conn ~id err
+  | Error err -> send_engine_error t conn ~id err
   | Ok (text, file) -> (
       (* config resolves before the deck lookup: the model override is
          part of the deck-cache key *)
@@ -233,9 +290,9 @@ let handle_run t conn ~id ~deck ~config_json ~progress =
       in
       match config with
       | Error msg ->
-          send_line conn
-            (Protocol.request_error_line ~id
-               { code = "bad_request"; message = "bad config: " ^ msg })
+          send_result t conn (fun () ->
+              Protocol.request_error_line ~id
+                { code = "bad_request"; message = "bad config: " ^ msg })
       | Ok config -> (
           let model = Engine.resolved_model config in
           let model_known =
@@ -252,10 +309,10 @@ let handle_run t conn ~id ~deck ~config_json ~progress =
                             (Cnt_core.Device_model.backend_names ()))))
           in
           match model_known with
-          | Error err -> send_engine_error conn ~id err
+          | Error err -> send_engine_error t conn ~id err
           | Ok () -> (
           match Deck_cache.find_or_parse ?model ?file t.decks text with
-          | Error err -> send_engine_error conn ~id err
+          | Error err -> send_engine_error t conn ~id err
           | Ok (entry, deck_hit) ->
               send_line conn
                 (Protocol.accepted_line ~id ~title:entry.Deck_cache.deck.title);
@@ -289,9 +346,9 @@ let handle_run t conn ~id ~deck ~config_json ~progress =
                 (result, chits1 > chits0)
               in
               let run_s = now () -. t0 in
-              t.requests_served <- t.requests_served + 1;
               (match result with
               | Ok tables ->
+                  send_result t conn @@ fun () ->
                   let server =
                     server_info t
                       [
@@ -308,9 +365,8 @@ let handle_run t conn ~id ~deck ~config_json ~progress =
                         ("run_s", Json.Num run_s);
                       ]
                   in
-                  send_line conn
-                    (Protocol.result_ok_line ~id ~server ~tables)
-              | Error err -> send_engine_error conn ~id err);
+                  Protocol.result_ok_line ~id ~server ~tables
+              | Error err -> send_engine_error t conn ~id err);
               log t "request %s: %s deck=%s %.3fs" id
                 (match result with Ok _ -> "ok" | Error e -> Diag.error_kind e)
                 (String.sub entry.Deck_cache.md5 0 8)
@@ -318,7 +374,8 @@ let handle_run t conn ~id ~deck ~config_json ~progress =
 
 let handle_request t conn line =
   match Protocol.parse_request line with
-  | Error err -> send_line conn (Protocol.request_error_line ~id:"" err)
+  | Error err ->
+      send_result t conn (fun () -> Protocol.request_error_line ~id:"" err)
   | Ok (Protocol.Ping { id }) ->
       send_line conn (Protocol.pong_line ~id ~server:(server_info t (cache_info t)))
   | Ok (Protocol.Run { id; deck; config_json; progress }) ->
@@ -333,20 +390,20 @@ let handle_conn t conn =
       log t "disconnect %s" conn.peer)
   @@ fun () ->
   let rec loop () =
-    match read_line_capped conn ~max_bytes:t.cfg.max_request_bytes with
+    match read_line conn.reader ~max_bytes:t.cfg.max_request_bytes with
     | Eof -> ()
     | Oversized ->
         (* the line tail is unread, so the stream cannot be resynced:
            report and drop the connection (the daemon itself lives on) *)
         (try
-           send_line conn
-             (Protocol.request_error_line ~id:""
-                {
-                  code = "oversized";
-                  message =
-                    Printf.sprintf "request line exceeds %d bytes"
-                      t.cfg.max_request_bytes;
-                })
+           send_result t conn (fun () ->
+               Protocol.request_error_line ~id:""
+                 {
+                   code = "oversized";
+                   message =
+                     Printf.sprintf "request line exceeds %d bytes"
+                       t.cfg.max_request_bytes;
+                 })
          with Client_gone -> ())
     | Line line ->
         if String.trim line = "" then loop ()
@@ -358,7 +415,7 @@ let handle_conn t conn =
               (* a handler bug must not kill the daemon: report as an
                  internal error if the client is still there *)
               log t "request on %s raised %s" conn.peer (Printexc.to_string e);
-              (try send_engine_error conn ~id:"" (Diag.Internal (Printexc.to_string e))
+              (try send_engine_error t conn ~id:"" (Diag.Internal (Printexc.to_string e))
                with Client_gone -> ()));
           if locked t.state_mutex (fun () -> t.stopping) then () else loop ()
         end
@@ -383,14 +440,17 @@ let accept_loop t =
                 match addr with
                 | Unix.ADDR_UNIX _ -> "unix"
                 | Unix.ADDR_INET (a, p) ->
+                    (* see [write_line] *)
+                    (try Unix.setsockopt fd Unix.TCP_NODELAY true
+                     with Unix.Unix_error _ -> ());
                     Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
               in
               let conn =
                 {
                   fd;
                   peer;
+                  reader = reader fd;
                   write_mutex = Mutex.create ();
-                  pending = "";
                   busy = false;
                 }
               in
@@ -462,7 +522,7 @@ let start cfg =
       conns = [];
       stopping = false;
       accept_thread = None;
-      requests_served = 0;
+      requests_served = Atomic.make 0;
       started_at = now ();
     }
   in
@@ -515,8 +575,8 @@ let stop ?(grace_s = 1.0) ?(drain_s = 30.0) t =
     in
     wait ();
     log t "drained after %.2fs, %d requests served" (now () -. t_start)
-      t.requests_served
+      (Atomic.get t.requests_served)
   end
 
-let requests_served t = t.requests_served
+let requests_served t = Atomic.get t.requests_served
 let listen_addr t = t.cfg.listen

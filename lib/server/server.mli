@@ -46,6 +46,32 @@ type config = {
 val default_config : listen:listen -> config
 (** Engine defaults, 8 MiB request cap, 64-entry caches, quiet. *)
 
+(** {1 Line framing}
+
+    cnt-rpc/1 frames are newline-terminated lines; both ends of a
+    connection read and write them through these. *)
+
+val write_line : Unix.file_descr -> string -> unit
+(** Write [line] and then its newline, in full: two writes, never a
+    copy of the line with the newline appended.  Raises
+    [Unix.Unix_error] when the peer is gone. *)
+
+type reader
+(** A line reader on one socket, with one read buffer for the
+    connection's life: 1 KiB at first, so a short line never reaches
+    the major heap, doubled when a longer line needs it. *)
+
+val reader : Unix.file_descr -> reader
+
+type read_outcome =
+  | Line of string  (** the next line, without its [\n] or [\r\n] *)
+  | Eof  (** end of stream or a read error; a partial last line is dropped *)
+  | Oversized  (** the line exceeds the cap; the stream cannot resync *)
+
+val read_line : reader -> max_bytes:int -> read_outcome
+(** The next line, at most [max_bytes] long, copied out of the read
+    buffer once however many reads it took. *)
+
 (** {1 Lifecycle} *)
 
 type t
@@ -65,5 +91,7 @@ val stop : ?grace_s:float -> ?drain_s:float -> t -> unit
     [SIGTERM]/[SIGINT]. *)
 
 val requests_served : t -> int
+(** Requests answered with a [result] frame, [ok] or [error]: decks
+    that fail, bad configs and protocol errors count; pings do not. *)
 
 val listen_addr : t -> listen

@@ -4,6 +4,7 @@
 module Obs = Cnt_obs.Obs
 module Progress = Cnt_obs.Progress
 module Manifest = Cnt_obs.Manifest
+module Device_model = Cnt_core.Device_model
 
 type table = {
   analysis_label : string;
@@ -75,7 +76,7 @@ let check_config c =
    attachment, and it must still mean "no override". *)
 let resolved_model config =
   match config.model with
-  | Some "" | None -> Cnt_core.Device_model.default_override ()
+  | Some "" | None -> Device_model.default_override ()
   | Some _ as m -> m
 
 let default_prints circuit prints =
@@ -104,16 +105,29 @@ let with_progress ~analysis ~label build =
 
 (* A print item resolved once per table against the compiled circuit:
    the unknown it reads (-1: ground, which reads 0), or the CNFET whose
-   drain current it evaluates from the solved node voltages. *)
+   drain current it evaluates from the solved node voltages.  A drain
+   current probe is a one-row device table of its own: the backend's
+   range kernel and five one-cell columns, owned by the table being
+   built.  A read runs the kernel the assembly runs, so it allocates
+   nothing and its current is {!Device_model.ids}'s, bitwise. *)
 type probe =
   | Unknown of int
   | Drain_current of {
       d : int;
       g : int;
       s : int;
-      model : Cnt_core.Device_model.t;
+      kernel : Device_model.kernel;
+      vgs : Device_model.vec;
+      vds : Device_model.vec;
+      i0 : Device_model.vec;
+      gm : Device_model.vec;
+      gds : Device_model.vec;
     }
 
+let cell () = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout 1 (fun _ -> 0.0)
+
+(* The parser resolves every item of a deck's [.print] cards against
+   its circuit, so these raise only on a deck built in code. *)
 let probe circuit compiled = function
   | Parser.Print_v n -> Unknown (Mna.node_id compiled n)
   | Parser.Print_i s -> Unknown (Mna.branch_id compiled s)
@@ -125,7 +139,12 @@ let probe circuit compiled = function
               d = Mna.node_id compiled drain;
               g = Mna.node_id compiled gate;
               s = Mna.node_id compiled source;
-              model = params.Circuit.model;
+              kernel = Device_model.kernel [| params.Circuit.model |];
+              vgs = cell ();
+              vds = cell ();
+              i0 = cell ();
+              gm = cell ();
+              gds = cell ();
             }
       | Some _ ->
           invalid_arg (Printf.sprintf "id(%s): element is not a CNFET" name)
@@ -135,20 +154,27 @@ let probe circuit compiled = function
    first. *)
 let probes circuit compiled prints = Array.of_list (List.map (probe circuit compiled) prints)
 
+let[@inline] volt x i = if i < 0 then 0.0 else x.(i)
+
 (* The probe's value in solution [x]. *)
-let read x = function
-  | Unknown i -> if i < 0 then 0.0 else x.(i)
-  | Drain_current { d; g; s; model } ->
-      let v i = if i < 0 then 0.0 else x.(i) in
-      Cnt_core.Device_model.ids model ~vgs:(v g -. v s) ~vds:(v d -. v s)
+let[@inline] read x = function
+  | Unknown i -> volt x i
+  | Drain_current { d; g; s; kernel; vgs; vds; i0; gm; gds } ->
+      let vs = volt x s in
+      Bigarray.Array1.unsafe_set vgs 0 (volt x g -. vs);
+      Bigarray.Array1.unsafe_set vds 0 (volt x d -. vs);
+      Device_model.eval kernel ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds;
+      Bigarray.Array1.unsafe_get i0 0
 
 (* One table row: [lead] (the sweep or time value) when given, then
    every probe read in [x]. *)
 let row ?lead probes x =
   let o = match lead with None -> 0 | Some _ -> 1 in
   let r = Array.make (o + Array.length probes) 0.0 in
-  Option.iter (fun v -> r.(0) <- v) lead;
-  Array.iteri (fun k p -> r.(o + k) <- read x p) probes;
+  (match lead with Some v -> r.(0) <- v | None -> ());
+  for k = 0 to Array.length probes - 1 do
+    r.(o + k) <- read x probes.(k)
+  done;
   r
 
 let op_table ?(config = default_config) circuit prints =
@@ -284,13 +310,13 @@ let apply_model_override config circuit =
   match resolved_model config with
   | None -> circuit
   | Some backend -> (
-      match Cnt_core.Device_model.find backend with
+      match Device_model.find backend with
       | None ->
           raise
             (Dc.Analysis_error
                (Printf.sprintf "unknown device-model backend %S (known: %s)"
                   backend
-                  (Cnt_core.Device_model.backend_names ())))
+                  (Device_model.backend_names ())))
       | Some _ -> (
           try Circuit.remodel circuit ~backend
           with Circuit.Bad_circuit msg -> raise (Dc.Analysis_error msg)))

@@ -1211,17 +1211,54 @@ let rec emit_rcard st defs ~depth ~prefix ~map_node elements r =
 (* Directives and the main walk                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Each item with the location of its token, so that resolving it
+   against the circuit ([check_print]) can point at it. *)
 let parse_print st tokens =
   List.map
     (fun tok ->
-      match call_form tok.text with
-      | "v", [ node ] -> Print_v (lc node)
-      | "i", [ src ] -> Print_i (lc src)
-      | "id", [ dev ] -> Print_id (lc dev)
-      | _ ->
-          fail st tok.at
-            "bad print item %S (use v(node), i(vsrc) or id(device))" tok.text)
+      let item =
+        match call_form tok.text with
+        | "v", [ node ] -> Print_v (lc node)
+        | "i", [ src ] -> Print_i (lc src)
+        | "id", [ dev ] -> Print_id (lc dev)
+        | _ ->
+            fail st tok.at
+              "bad print item %S (use v(node), i(vsrc) or id(device))" tok.text
+      in
+      (item, tok.at))
     tokens
+
+let element_kind = function
+  | Circuit.Resistor _ -> "a resistor"
+  | Circuit.Capacitor _ -> "a capacitor"
+  | Circuit.Inductor _ -> "an inductor"
+  | Circuit.Vsource _ -> "a voltage source"
+  | Circuit.Isource _ -> "a current source"
+  | Circuit.Cnfet _ -> "a CNFET"
+
+(* A print item must name what the finished circuit has: a node for
+   v(), a voltage source or inductor (the elements with a branch
+   current) for i(), a CNFET for id(). *)
+let check_print st circuit (item, at) =
+  match item with
+  | Print_v n -> (
+      match Circuit.node_index circuit n with
+      | _ -> ()
+      | exception Not_found -> fail st at "unknown node %S in v(%s)" n n)
+  | Print_i name -> (
+      match Circuit.find circuit name with
+      | Some (Circuit.Vsource _ | Circuit.Inductor _) -> ()
+      | Some e ->
+          fail st at "%s is %s, not a voltage source or inductor, in i(%s)"
+            name (element_kind e) name
+      | None -> fail st at "unknown element %S in i(%s)" name name)
+  | Print_id name -> (
+      match Circuit.find circuit name with
+      | Some (Circuit.Cnfet _) -> ()
+      | Some e ->
+          fail st at "%s is %s, not a CNFET, in id(%s)" name (element_kind e)
+            name
+      | None -> fail st at "unknown element %S in id(%s)" name name)
 
 let parse_param st env ~at tokens =
   let tokens = glue_eq tokens in
@@ -1349,10 +1386,12 @@ let parse ?(file = "<deck>") text =
           end
       end)
     top;
+  let circuit = Circuit.create (List.rev !elements) in
+  List.iter (check_print st circuit) !prints;
   {
     title;
-    circuit = Circuit.create (List.rev !elements);
+    circuit;
     analyses = List.rev !analyses;
-    prints = !prints;
+    prints = List.map fst !prints;
     files = List.rev st.file_order;
   }

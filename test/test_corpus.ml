@@ -80,6 +80,10 @@ let bad_decks =
     "bad_override";
     "bad_spaced_override";
     "bad_nonfinite";
+    "bad_print_no_device";
+    "bad_print_not_cnfet";
+    "bad_print_no_node";
+    "bad_print_no_source";
   ]
 
 (* Run cspice on corpus/NAME.cir with the test directory as cwd so

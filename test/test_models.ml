@@ -233,6 +233,37 @@ let test_monotone_ids backend () =
       done)
     [ 0.3; 0.45; 0.6 ]
 
+(* A drain-current column runs the device's range kernel on a one-row
+   table of its own; every cell must be the scalar [DM.ids] at that
+   row's solved node voltages, bitwise, for the n-type and the p-type
+   device, through a DC sweep and a transient. *)
+let test_print_id_matches_ids backend () =
+  let deck =
+    Parser.parse
+      (Printf.sprintf
+         "t\nVDD vdd 0 0.6\nVIN in 0 PULSE(0 0.6 20p 20p 20p 100p 300p)\n\
+          MP out in vdd PCNFET model=%s l=100\nMN out in 0 CNFET model=%s l=100\n\
+          CL out 0 1f\n.dc VIN 0 0.6 0.02\n.tran 5p 200p\n\
+          .print v(in) v(out) v(vdd) id(MN) id(MP)\n.end"
+         backend backend)
+  in
+  let mn = cnfet_model deck.Parser.circuit "MN"
+  and mp = cnfet_model deck.Parser.circuit "MP" in
+  Alcotest.(check string) "n-type backend" backend (DM.backend mn);
+  Alcotest.(check bool) "p-type device" true (DM.polarity mp = DM.P_type);
+  let tables = run_ok deck in
+  Alcotest.(check int) "dc and tran tables" 2 (List.length tables);
+  List.iter
+    (fun (t : Engine.table) ->
+      Array.iteri
+        (fun i row ->
+          let vin = row.(1) and vout = row.(2) and vdd = row.(3) in
+          let tag dev = Printf.sprintf "%s %s row %d %s" backend t.analysis_label i dev in
+          check_bits (tag "id(mn)") (DM.ids mn ~vgs:vin ~vds:vout) row.(4);
+          check_bits (tag "id(mp)") (DM.ids mp ~vgs:(vin -. vdd) ~vds:(vout -. vdd)) row.(5))
+        t.rows)
+    tables
+
 let sweep_deck_text ?(step = 0.05) backend =
   Printf.sprintf
     "t\nVDD vdd 0 0.6\nVIN in 0 0\nMP out in vdd PCNFET model=%s\nMN out in 0 \
@@ -688,7 +719,8 @@ let () =
         ] );
       ( "invariants",
         per_backend "stencil = scalar bitwise" test_stencil_matches_scalar
-        @ per_backend "ids monotone in vds" test_monotone_ids );
+        @ per_backend "ids monotone in vds" test_monotone_ids
+        @ per_backend "id() cells = ids bitwise" test_print_id_matches_ids );
       ( "jacobians",
         [
           QCheck_alcotest.to_alcotest prop_jacobian_matches_fd;

@@ -94,6 +94,329 @@ let test_json_string_escapes () =
   | _ -> Alcotest.fail "string did not round-trip"
 
 (* ------------------------------------------------------------------ *)
+(* The codec against its earlier Printf / option-peek implementation   *)
+(* ------------------------------------------------------------------ *)
+
+(* The renderer and parser [Json] had before they stopped allocating
+   per number and per character, kept verbatim as the reference the
+   current ones must agree with: same text for every number, and the
+   same value, or the same error message at the same offset, for every
+   input. *)
+module Reference = struct
+  let num v =
+    if Float.is_nan v then "\"NaN\""
+    else if v = Float.infinity then "\"Infinity\""
+    else if v = Float.neg_infinity then "\"-Infinity\""
+    else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+    else Printf.sprintf "%.17g" v
+
+  exception Fail of string
+
+  let parse_exn text =
+    let pos = ref 0 in
+    let n = String.length text in
+    let fail msg = raise (Fail (Printf.sprintf "%s at offset %d" msg !pos)) in
+    let peek () = if !pos < n then Some text.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      if peek () = Some c then advance ()
+      else fail (Printf.sprintf "expected '%c'" c)
+    in
+    let literal word value =
+      if
+        !pos + String.length word <= n
+        && String.sub text !pos (String.length word) = word
+      then begin
+        pos := !pos + String.length word;
+        value
+      end
+      else fail (Printf.sprintf "bad literal (wanted %s)" word)
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        let c = text.[!pos] in
+        advance ();
+        match c with
+        | '"' -> Buffer.contents buf
+        | '\\' ->
+            if !pos >= n then fail "unterminated escape";
+            let e = text.[!pos] in
+            advance ();
+            (match e with
+            | '"' -> Buffer.add_char buf '"'
+            | '\\' -> Buffer.add_char buf '\\'
+            | '/' -> Buffer.add_char buf '/'
+            | 'n' -> Buffer.add_char buf '\n'
+            | 't' -> Buffer.add_char buf '\t'
+            | 'r' -> Buffer.add_char buf '\r'
+            | 'b' -> Buffer.add_char buf '\b'
+            | 'f' -> Buffer.add_char buf '\012'
+            | 'u' ->
+                if !pos + 4 > n then fail "truncated \\u escape";
+                let hex = String.sub text !pos 4 in
+                pos := !pos + 4;
+                let code =
+                  try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+                in
+                if code < 0x80 then Buffer.add_char buf (Char.chr code)
+                else Buffer.add_string buf (Printf.sprintf "\\u%s" hex)
+            | _ -> fail "bad escape");
+            go ()
+        | c ->
+            Buffer.add_char buf c;
+            go ()
+      in
+      go ()
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_num_char = function
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while (match peek () with Some c -> is_num_char c | None -> false) do
+        advance ()
+      done;
+      if !pos = start then fail "expected number";
+      match float_of_string_opt (String.sub text start (!pos - start)) with
+      | Some v -> v
+      | None -> fail "bad number"
+    in
+    let rec parse_value depth =
+      if depth > 64 then fail "nesting too deep";
+      skip_ws ();
+      match peek () with
+      | Some '{' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some '}' then begin
+            advance ();
+            Json.Obj []
+          end
+          else begin
+            let rec fields acc =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value (depth + 1) in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  fields ((k, v) :: acc)
+              | Some '}' ->
+                  advance ();
+                  Json.Obj (List.rev ((k, v) :: acc))
+              | _ -> fail "expected ',' or '}'"
+            in
+            fields []
+          end
+      | Some '[' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some ']' then begin
+            advance ();
+            Json.Arr []
+          end
+          else begin
+            let rec items acc =
+              let v = parse_value (depth + 1) in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  items (v :: acc)
+              | Some ']' ->
+                  advance ();
+                  Json.Arr (List.rev (v :: acc))
+              | _ -> fail "expected ',' or ']'"
+            in
+            items []
+          end
+      | Some '"' -> Json.Str (parse_string ())
+      | Some 't' -> literal "true" (Json.Bool true)
+      | Some 'f' -> literal "false" (Json.Bool false)
+      | Some 'n' -> literal "null" Json.Null
+      | Some _ -> Json.Num (parse_number ())
+      | None -> fail "unexpected end of input"
+    in
+    let v = parse_value 0 in
+    skip_ws ();
+    if !pos <> n then fail "trailing content";
+    v
+
+  let parse text =
+    match parse_exn text with v -> Ok v | exception Fail msg -> Error msg
+end
+
+(* Structural equality with numbers compared by bits. *)
+let rec same_json a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr xs, Json.Arr ys ->
+      List.length xs = List.length ys && List.for_all2 same_json xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (l, y) -> k = l && same_json x y) xs ys
+  | _ -> a = b
+
+let show_parse = function
+  | Ok j -> "Ok " ^ Json.to_string j
+  | Error msg -> "Error " ^ msg
+
+let agrees_with_reference text =
+  let got = Json.parse text and want = Reference.parse text in
+  let same =
+    match (got, want) with
+    | Ok a, Ok b -> same_json a b
+    | Error a, Error b -> a = b
+    | _ -> false
+  in
+  same
+  || QCheck2.Test.fail_reportf "%S:\n  reference: %s\n  Json.parse: %s" text
+       (show_parse want) (show_parse got)
+
+(* Numbers as a frame carries them, plus the edges of both renderings:
+   signed zeros, subnormals, the integers around 2^53, the %.0f/%.17g
+   switch at 1e15, the non-finite values, and raw bit patterns. *)
+let gen_float =
+  let open QCheck2.Gen in
+  let p53 = 9007199254740992.0 in
+  oneof
+    [
+      map Int64.float_of_bits ui64;
+      float;
+      oneofl
+        [
+          0.0; -0.0; 5e-324; -5e-324; Float.min_float; -.Float.min_float;
+          Float.pred Float.min_float; Float.max_float; -.Float.max_float;
+          Float.pred p53; p53; Float.succ p53; -.p53; 2.0 *. p53;
+          1e15; -1e15; Float.pred 1e15; Float.succ 1e15; Float.pred (-1e15);
+          Float.succ (-1e15); 999999999999999.0; 0.1; 1.0 /. 3.0;
+          Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity;
+        ];
+      map (fun i -> float_of_int i) (int_range (-100000) 100000);
+      map (fun i -> Int64.float_of_bits (Int64.of_int i)) (int_range 0 0xFFFFF);
+    ]
+
+let prop_num_text =
+  QCheck2.Test.make ~name:"numbers render as Printf did and parse back" ~count:2000
+    ~print:(Printf.sprintf "%h") gen_float (fun v ->
+      let text = Json.to_string (Json.Num v) in
+      let want = Reference.num v in
+      if text <> want then
+        QCheck2.Test.fail_reportf "%h: Printf %S, Json %S" v want text
+      else
+        match Option.bind (Result.to_option (Json.parse text)) Json.to_float with
+        | None -> QCheck2.Test.fail_reportf "%h: %S does not parse back" v text
+        | Some v' ->
+            Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v')
+            || (Float.is_nan v && Float.is_nan v')
+            || QCheck2.Test.fail_reportf "%h: %S parses to %h" v text v')
+
+(* Random documents: values rendered whole, then the same alphabet
+   thrown together with no grammar, to reach every error path. *)
+let gen_document =
+  let open QCheck2.Gen in
+  let key_char =
+    frequency
+      [ (8, char_range 'a' 'z'); (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\001'; '\xe9' ]) ]
+  in
+  let gen_str = string_size ~gen:key_char (int_range 0 8) in
+  let value =
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 pure Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun v -> Json.Num v) gen_float;
+                 map (fun s -> Json.Str s) gen_str;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (n / 3))));
+                 ( 1,
+                   map (fun l -> Json.Obj l)
+                     (list_size (int_range 0 4) (pair gen_str (self (n / 3)))) );
+               ])
+  in
+  let soup =
+    string_size (int_range 0 40)
+      ~gen:
+        (oneofl
+           [
+             '{'; '}'; '['; ']'; '"'; ':'; ','; ' '; '\n'; '\\'; 'u'; '0'; '1';
+             '9'; '.'; 'e'; 'E'; '+'; '-'; 't'; 'r'; 'f'; 'a'; 'l'; 's'; 'n';
+             'x'; 'A';
+           ])
+  in
+  frequency [ (1, map Json.to_string value); (1, soup) ]
+
+let prop_parse_documents =
+  QCheck2.Test.make ~name:"parse agrees with the reference on random documents"
+    ~count:2000 ~print:(Printf.sprintf "%S") gen_document agrees_with_reference
+
+(* A result frame as the daemon sends it, 1-3 bytes mutated. *)
+let sample_frame =
+  let stats = Cnt_spice.Mna.fresh_stats ~backend:"sparse" ~unknowns:5 ~nonzeros:11 in
+  let table =
+    {
+      Cnt_spice.Engine.analysis_label = "dc vin 0 0.6 0.005";
+      columns = [| "vin"; "v(out)"; "id(mn)" |];
+      rows =
+        Array.init 8 (fun i ->
+            let v = 0.005 *. float_of_int i in
+            [| v; 0.6 -. (v *. v); -1.25e-6 *. v; |]);
+      stats;
+    }
+  in
+  Protocol.result_ok_line ~id:"7"
+    ~server:(Json.Obj [ ("run_s", Json.Num 0.0123); ("deck_cache", Json.Str "hit") ])
+    ~tables:[ table ]
+
+let gen_mutated_frame =
+  let open QCheck2.Gen in
+  let n = String.length sample_frame in
+  let edit =
+    let* i = int_range 0 (n - 1) in
+    let* c = oneofl [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; 'e'; '-'; '.'; '9'; 'x'; ' ' ] in
+    oneofl
+      [
+        (fun s -> if i < String.length s then String.mapi (fun j d -> if j = i then c else d) s else s);
+        (fun s ->
+          if i < String.length s then String.sub s 0 i ^ String.sub s (i + 1) (String.length s - i - 1)
+          else s);
+        (fun s ->
+          let i = min i (String.length s) in
+          String.sub s 0 i ^ String.make 1 c ^ String.sub s i (String.length s - i));
+        (fun s -> String.sub s 0 (min i (String.length s)));
+      ]
+  in
+  let* edits = list_size (int_range 1 3) edit in
+  pure (List.fold_left (fun s f -> f s) sample_frame edits)
+
+let prop_parse_mutated_frames =
+  QCheck2.Test.make ~name:"parse agrees with the reference on mutated frames"
+    ~count:2000 ~print:(Printf.sprintf "%S") gen_mutated_frame agrees_with_reference
+
+(* ------------------------------------------------------------------ *)
 (* Protocol round-trips                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -263,6 +586,55 @@ let test_listen_parsing () =
       | Ok _ -> Alcotest.failf "accepted %S" s)
     [ "tcp:"; "tcp:host"; "tcp:host:0"; "tcp:host:notaport"; "" ]
 
+(* The line reader under any chunking of the stream: lines from empty
+   to past the reader's 64 KiB keep size, some ending in CRLF, written
+   in pieces of random size, come back whole and in order, then Eof;
+   a line over the cap is Oversized. *)
+let prop_reader_chunking =
+  let open QCheck2.Gen in
+  let line = pair (oneof [ int_range 0 100; int_range 0 5000; int_range 60000 150000 ]) bool in
+  QCheck2.Test.make ~name:"line reader returns every line under any chunking" ~count:40
+    (pair (list_size (int_range 1 6) line) (int_range 1 9000))
+    (fun (lines, piece) ->
+      let lines =
+        List.mapi (fun i (n, crlf) -> (String.init n (fun j -> Char.chr (97 + ((i + j) mod 26))), crlf)) lines
+      in
+      let stream =
+        String.concat "" (List.map (fun (l, crlf) -> l ^ if crlf then "\r\n" else "\n") lines)
+      in
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let writer =
+        Thread.create
+          (fun () ->
+            let n = String.length stream in
+            let off = ref 0 in
+            while !off < n do
+              let k = min piece (n - !off) in
+              ignore (Unix.write_substring a stream !off k);
+              off := !off + k
+            done;
+            Unix.close a)
+          ()
+      in
+      let r = Server.reader b in
+      let read () = Server.read_line r ~max_bytes:200_000 in
+      let got = List.map (fun _ -> read ()) lines in
+      let last = read () in
+      Thread.join writer;
+      Unix.close b;
+      (got = List.map (fun (l, _) -> Server.Line l) lines && last = Server.Eof)
+      || QCheck2.Test.fail_report "a line came back wrong")
+
+let test_reader_cap () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b) @@ fun () ->
+  ignore (Unix.write_substring a "short\n" 0 6);
+  let r = Server.reader b in
+  Alcotest.(check bool) "a line under the cap" true (Server.read_line r ~max_bytes:5 = Server.Line "short");
+  let long = String.make 3000 'x' ^ "\n" in
+  ignore (Unix.write_substring a long 0 (String.length long));
+  Alcotest.(check bool) "a line over the cap" true (Server.read_line r ~max_bytes:2000 = Server.Oversized)
+
 (* ------------------------------------------------------------------ *)
 (* Daemon lifecycle helpers                                            *)
 (* ------------------------------------------------------------------ *)
@@ -281,16 +653,17 @@ let fresh_sock () =
 
 (* Spawn a daemon, wait for its socket, run the body, then SIGTERM and
    assert the graceful-drain exit 0 — every daemon test doubles as a
-   drain test. *)
-let with_daemon ?(args = []) body =
+   drain test.  The daemon's stderr goes to [stderr_to], else
+   nowhere. *)
+let with_daemon ?(args = []) ?(stderr_to = "/dev/null") body =
   let sock = fresh_sock () in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err = Unix.openfile stderr_to [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let pid =
     Unix.create_process cntd
       (Array.of_list (("cntd" :: "--listen" :: sock :: args)))
-      Unix.stdin Unix.stdout null
+      Unix.stdin Unix.stdout err
   in
-  Unix.close null;
+  Unix.close err;
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec wait_sock () =
     if Sys.file_exists sock then ()
@@ -427,6 +800,28 @@ let test_connect_error_parity () =
   Alcotest.(check int) "parse error exit parity (2)" code_off code_on;
   Alcotest.(check string) "parse error stderr parity" err_off err_on
 
+(* A print item that names nothing in the circuit is a located parse
+   error, the same bytes offline and through the daemon. *)
+let bad_print_decks =
+  [ "bad_print_no_device"; "bad_print_not_cnfet"; "bad_print_no_node"; "bad_print_no_source" ]
+
+let test_print_error_parity () =
+  with_daemon @@ fun sock ->
+  List.iter
+    (fun name ->
+      let path = in_test_dir (Filename.concat "corpus" (name ^ ".cir")) in
+      let code_off, _, err_off = run_command (Printf.sprintf "%s %s" cspice path) in
+      let code_on, _, err_on =
+        run_command (Printf.sprintf "%s --connect %s %s" cspice sock path)
+      in
+      Alcotest.(check int) (name ^ " offline exit 2") 2 code_off;
+      Alcotest.(check int) (name ^ " connect exit 2") 2 code_on;
+      Alcotest.(check bool)
+        (name ^ " is a located parse error") true
+        (contains ~needle:"parse error: " err_off && contains ~needle:"^" err_off);
+      Alcotest.(check string) (name ^ " stderr byte-identical") err_off err_on)
+    bad_print_decks
+
 let test_connect_refused () =
   let code, _, err =
     run_command
@@ -544,6 +939,52 @@ let test_disconnect_mid_request () =
   ping_works sock "after mid-request disconnect";
   (* and real work still round-trips *)
   check_parity sock "golden_divider"
+
+(* [requests_served] counts every request answered with a result frame,
+   ok or error: decks that do not parse and frames that are not JSON
+   count, pings do not.  The ping's count and the drain line agree. *)
+let test_requests_served () =
+  let log = Filename.temp_file "cntd_served" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove log) @@ fun () ->
+  let bad = [ "t\nR1 a b not_a_number\n.op\n.end\n"; "t\nV1 a 0 1\nR1 a 0 1k\n.op\n.print id(m1)\n.end\n" ] in
+  let good = [ "t\nV1 a 0 1\nR1 a 0 1k\n.op\n.end\n"; "t\nV1 a 0 2\nR1 a 0 1k\n.op\n.end\n" ] in
+  let answered = List.length bad + 1 + List.length good in
+  (with_daemon ~stderr_to:log @@ fun sock ->
+   let fd = raw_connect sock in
+   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+   let rec result () =
+     match raw_read_line fd with
+     | None -> Alcotest.fail "daemon closed before the result"
+     | Some line when contains ~needle:"\"frame\":\"result\"" line -> line
+     | Some _ -> result ()
+   in
+   let run text =
+     raw_send fd
+       (Protocol.encode_run ~id:"r" ~deck:(Protocol.Deck_text { text; file = None })
+          ~config:Cnt_spice.Engine.default_config ~progress:false);
+     result ()
+   in
+   List.iter
+     (fun text ->
+       Alcotest.(check string) "bad deck kind" "parse" (error_kind_of_frame (run text)))
+     bad;
+   raw_send fd "{not json";
+   Alcotest.(check string) "bad frame kind" "bad_json" (error_kind_of_frame (result ()));
+   List.iter
+     (fun text ->
+       Alcotest.(check bool) "good deck runs" true
+         (contains ~needle:"\"status\":\"ok\"" (run text)))
+     good;
+   raw_send fd (Protocol.encode_ping ~id:"p");
+   match Option.map Json.parse (raw_read_line fd) with
+   | Some (Ok pong) ->
+       Alcotest.(check (option int)) "ping reports every answered request"
+         (Some answered)
+         (Option.bind (Json.member "server" pong) (fun s ->
+              Option.bind (Json.member "requests_served" s) Json.to_int))
+   | _ -> Alcotest.fail "no pong");
+  Alcotest.(check bool) "drain line reports every answered request" true
+    (contains ~needle:(Printf.sprintf "stopped after %d requests" answered) (read_file log))
 
 let test_deadline_over_wire () =
   with_daemon @@ fun sock ->
@@ -707,6 +1148,9 @@ let () =
           Alcotest.test_case "parser rejects garbage" `Quick
             test_json_parse_rejects;
           Alcotest.test_case "string escapes" `Quick test_json_string_escapes;
+          QCheck_alcotest.to_alcotest prop_num_text;
+          QCheck_alcotest.to_alcotest prop_parse_documents;
+          QCheck_alcotest.to_alcotest prop_parse_mutated_frames;
         ] );
       ( "protocol",
         [
@@ -721,6 +1165,8 @@ let () =
             test_event_roundtrip;
           Alcotest.test_case "listen address parsing" `Quick
             test_listen_parsing;
+          QCheck_alcotest.to_alcotest prop_reader_chunking;
+          Alcotest.test_case "line reader cap" `Quick test_reader_cap;
         ] );
       ( "daemon",
         [
@@ -730,6 +1176,10 @@ let () =
             test_connect_parity_concurrent;
           Alcotest.test_case "parse-error parity" `Quick
             test_connect_error_parity;
+          Alcotest.test_case "print-item error parity" `Quick
+            test_print_error_parity;
+          Alcotest.test_case "requests_served counts every answer" `Quick
+            test_requests_served;
           Alcotest.test_case "connect refused -> exit 4" `Quick
             test_connect_refused;
           Alcotest.test_case "protocol edge cases" `Quick test_edge_cases;
