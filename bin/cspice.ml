@@ -129,12 +129,11 @@ let finish_tables ~epilogue csv_err =
       epilogue ~outcome:(error_outcome e) (Cnt_spice.Diag.exit_code e)
 
 let run_offline ~epilogue ~manifest ~config ~render ~path text =
-  match Cnt_spice.Parser.parse ~file:path text with
-  | exception Cnt_spice.Parser.Parse_error err ->
-      let err = Cnt_spice.Diag.Parse err in
+  match Cnt_spice.Parser.parse_result ~file:path text with
+  | Error err ->
       prerr_endline (Cnt_spice.Diag.error_message err);
-      epilogue ~outcome:(error_outcome err) exit_usage
-  | deck -> (
+      epilogue ~outcome:(error_outcome err) (Cnt_spice.Diag.exit_code err)
+  | Ok deck -> (
       Printf.printf "* title: %s\n" deck.Cnt_spice.Parser.title;
       set_netlist manifest ~path ~title:deck.Cnt_spice.Parser.title;
       match Cnt_spice.Engine.run_deck_result ~config deck with

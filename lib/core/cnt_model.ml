@@ -283,45 +283,51 @@ let range models =
    [io] cells, and the results go straight into the output columns, so
    a row allocates nothing.  [fault_i0] is the [Fault.Nan_eval] site:
    each bias point is evaluated as usual and only the current written
-   to [i0] becomes NaN. *)
-let eval_range r ~first ~fault_i0 ~(vgs : vec) ~(vds : vec) ~(i0 : vec)
+   to [i0] becomes NaN.  A row whose [skip] byte is set is left alone:
+   its cells keep the previous evaluation, and its plan is not
+   touched. *)
+let eval_range r ~first ~fault_i0 ~skip ~(vgs : vec) ~(vds : vec) ~(i0 : vec)
     ~(gm : vec) ~(gds : vec) =
   let n = Array.length r.models in
+  let evaluated = ref 0 in
   for j = 0 to n - 1 do
-    let t = r.models.(j) and plan = r.plans.(j) in
-    let io = Scv_solver.io plan in
     let k = first + j in
-    let flip = match t.polarity with N_type -> false | P_type -> true in
-    let vg = Bigarray.Array1.get vgs k and vd = Bigarray.Array1.get vds k in
-    let ovgs = if flip then -.vg else vg in
-    let ovds = if flip then -.vd else vd in
-    io.vds <- ovds;
-    io.qt <- (t.c_g *. ovgs) +. (t.c_d *. ovds);
-    Scv_solver.solve_io plan;
-    Scv_solver.slopes_io plan;
-    let vsc = io.vsc in
-    let kt = t.kt_ev and scale = t.current_scale in
-    let eta_s = (t.device.Device.fermi -. vsc) /. kt in
-    let eta_d = eta_s -. (ovds /. kt) in
-    let i = scale *. (f0 eta_s -. f0 eta_d) in
-    let sig_d = f0' eta_d in
-    let dqd = io.dqd in
-    let d = Scv_solver.c_sigma t.solver -. io.dqs -. dqd in
-    let a = scale *. (f0' eta_s -. sig_d) /. (kt *. d) in
-    Bigarray.Array1.set i0 k
-      (if fault_i0 then Float.nan else if flip then -.i else i);
-    Bigarray.Array1.set gm k (a *. t.c_g);
-    Bigarray.Array1.set gds k ((a *. (t.c_d -. dqd)) +. (scale *. sig_d /. kt))
+    if Bytes.get skip k = '\000' then begin
+      incr evaluated;
+      let t = r.models.(j) and plan = r.plans.(j) in
+      let io = Scv_solver.io plan in
+      let flip = match t.polarity with N_type -> false | P_type -> true in
+      let vg = Bigarray.Array1.get vgs k and vd = Bigarray.Array1.get vds k in
+      let ovgs = if flip then -.vg else vg in
+      let ovds = if flip then -.vd else vd in
+      io.vds <- ovds;
+      io.qt <- (t.c_g *. ovgs) +. (t.c_d *. ovds);
+      Scv_solver.solve_io plan;
+      Scv_solver.slopes_io plan;
+      let vsc = io.vsc in
+      let kt = t.kt_ev and scale = t.current_scale in
+      let eta_s = (t.device.Device.fermi -. vsc) /. kt in
+      let eta_d = eta_s -. (ovds /. kt) in
+      let i = scale *. (f0 eta_s -. f0 eta_d) in
+      let sig_d = f0' eta_d in
+      let dqd = io.dqd in
+      let d = Scv_solver.c_sigma t.solver -. io.dqs -. dqd in
+      let a = scale *. (f0' eta_s -. sig_d) /. (kt *. d) in
+      Bigarray.Array1.set i0 k
+        (if fault_i0 then Float.nan else if flip then -.i else i);
+      Bigarray.Array1.set gm k (a *. t.c_g);
+      Bigarray.Array1.set gds k ((a *. (t.c_d -. dqd)) +. (scale *. sig_d /. kt))
+    end
   done;
-  Obs.incr ~by:n c_ids_evals
+  Obs.incr ~by:!evaluated c_ids_evals
 
 (* The scalar entry point: the range kernel on a one-row range, so
    scalar and batched evaluation agree bitwise by construction. *)
 let small_signal t ~vgs ~vds =
   let col v = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout 1 (fun _ -> v) in
   let i0 = col 0.0 and gm = col 0.0 and gds = col 0.0 in
-  eval_range (range [| t |]) ~first:0 ~fault_i0:false ~vgs:(col vgs)
-    ~vds:(col vds) ~i0 ~gm ~gds;
+  eval_range (range [| t |]) ~first:0 ~fault_i0:false ~skip:(Bytes.make 1 '\000')
+    ~vgs:(col vgs) ~vds:(col vds) ~i0 ~gm ~gds;
   Bigarray.Array1.(get i0 0, get gm 0, get gds 0)
 
 let gm t ~vgs ~vds =

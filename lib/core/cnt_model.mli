@@ -125,6 +125,7 @@ val eval_range :
   range ->
   first:int ->
   fault_i0:bool ->
+  skip:Bytes.t ->
   vgs:vec ->
   vds:vec ->
   i0:vec ->
@@ -138,6 +139,8 @@ val eval_range :
     no-op when the row's drain bias is unchanged).  Allocates nothing
     per row.  [i0] is bitwise-equal to {!ids}.  [fault_i0] is the
     [Fault.Nan_eval] site: every bias point is evaluated as usual and
-    only [i0] becomes NaN. *)
+    only [i0] becomes NaN.  A row whose byte at slot [first + j] of
+    [skip] is not ['\000'] is not evaluated: its output cells and its
+    plan are left as they are. *)
 
 val pp : Format.formatter -> t -> unit

@@ -131,13 +131,13 @@ let kernel models =
   in
   runs 0 []
 
-let eval kernel ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds =
+let eval kernel ~fault_i0 ~skip ~vgs ~vds ~i0 ~gm ~gds =
   for r = 0 to Array.length kernel - 1 do
     match kernel.(r) with
     | Piecewise_run { first; range } ->
-        Cnt_model.eval_range range ~first ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds
+        Cnt_model.eval_range range ~first ~fault_i0 ~skip ~vgs ~vds ~i0 ~gm ~gds
     | Vs_run { first; models } ->
-        Vs_model.eval_range models ~first ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds
+        Vs_model.eval_range models ~first ~fault_i0 ~skip ~vgs ~vds ~i0 ~gm ~gds
   done
 
 (* ---------------------------------------------------------------- *)

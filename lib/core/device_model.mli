@@ -90,17 +90,20 @@ val kernel : t array -> kernel
 val eval :
   kernel ->
   fault_i0:bool ->
+  skip:Bytes.t ->
   vgs:vec ->
   vds:vec ->
   i0:vec ->
   gm:vec ->
   gds:vec ->
   unit
-(** Evaluate every row: slot [k] of [i0]/[gm]/[gds] gets the
-    {!small_signal} triple of row [k]'s model at slot [k] of
-    [vgs]/[vds], bitwise.  [fault_i0] is the [Fault.Nan_eval] site:
-    every bias point is evaluated as usual and only the currents
-    written to [i0] become NaN. *)
+(** Evaluate every row whose byte in [skip] is ['\000']: slot [k] of
+    [i0]/[gm]/[gds] gets the {!small_signal} triple of row [k]'s model
+    at slot [k] of [vgs]/[vds], bitwise.  A row flagged in [skip] keeps
+    its output cells (the bias bypass of [docs/ASSEMBLY.md]).
+    [fault_i0] is the [Fault.Nan_eval] site: every evaluated bias
+    point is evaluated as usual and only the currents written to [i0]
+    become NaN. *)
 
 (** {1 Registry} *)
 

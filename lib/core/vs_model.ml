@@ -134,49 +134,56 @@ type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
    derivatives at the oriented bias are the n-type ones — so p-type
    needs no sign flip.  There is no per-bias plan to hoist, so the
    range is just its models.  A row allocates nothing.  [fault_i0]
-   makes only the currents written to [i0] NaN. *)
-let eval_range models ~first ~fault_i0 ~(vgs : vec) ~(vds : vec) ~(i0 : vec)
-    ~(gm : vec) ~(gds : vec) =
+   makes only the currents written to [i0] NaN.  A row whose [skip]
+   byte is set is left alone: its cells keep the previous
+   evaluation. *)
+let eval_range models ~first ~fault_i0 ~skip ~(vgs : vec) ~(vds : vec)
+    ~(i0 : vec) ~(gm : vec) ~(gds : vec) =
   let n = Array.length models in
+  let evaluated = ref 0 in
   for j = 0 to n - 1 do
-    let t = models.(j) and k = first + j in
-    let flip = match t.polarity with N_type -> false | P_type -> true in
-    let vg = Bigarray.Array1.get vgs k and vd = Bigarray.Array1.get vds k in
-    let ovgs = if flip then -.vg else vg in
-    let ovds = if flip then -.vd else vd in
-    let rev = ovds < 0.0 in
-    let fvgs = if rev then ovgs -. ovds else ovgs in
-    let fvds = if rev then -.ovds else ovds in
-    let p = t.p in
-    let vt = p.vt0 -. (p.dibl *. fvds) in
-    let nphi = p.n_ss *. t.phi_t in
-    let u = (fvgs -. vt) /. nphi in
-    let qix0 = p.cinv *. nphi *. softplus u in
-    let x = fvds /. p.vdsat in
-    let s = 1.0 +. (x ** p.beta) in
-    let fsat = x /. (s ** (1.0 /. p.beta)) in
-    let i_f = qix0 *. p.vxo *. fsat in
-    let i = if rev then -.i_f else i_f in
-    let dq = p.cinv *. (if u > 40.0 then 1.0 else f0' u) in
-    let g_f = p.vxo *. fsat *. dq in
-    let d_f =
-      (g_f *. p.dibl)
-      +. (p.vxo *. qix0 *. (s ** ((-1.0 /. p.beta) -. 1.0)) /. p.vdsat)
-    in
-    Bigarray.Array1.set i0 k
-      (if fault_i0 then Float.nan else if flip then -.i else i);
-    Bigarray.Array1.set gm k (if rev then -.g_f else g_f);
-    Bigarray.Array1.set gds k (if rev then g_f +. d_f else d_f)
+    let k = first + j in
+    if Bytes.get skip k = '\000' then begin
+      incr evaluated;
+      let t = models.(j) in
+      let flip = match t.polarity with N_type -> false | P_type -> true in
+      let vg = Bigarray.Array1.get vgs k and vd = Bigarray.Array1.get vds k in
+      let ovgs = if flip then -.vg else vg in
+      let ovds = if flip then -.vd else vd in
+      let rev = ovds < 0.0 in
+      let fvgs = if rev then ovgs -. ovds else ovgs in
+      let fvds = if rev then -.ovds else ovds in
+      let p = t.p in
+      let vt = p.vt0 -. (p.dibl *. fvds) in
+      let nphi = p.n_ss *. t.phi_t in
+      let u = (fvgs -. vt) /. nphi in
+      let qix0 = p.cinv *. nphi *. softplus u in
+      let x = fvds /. p.vdsat in
+      let s = 1.0 +. (x ** p.beta) in
+      let fsat = x /. (s ** (1.0 /. p.beta)) in
+      let i_f = qix0 *. p.vxo *. fsat in
+      let i = if rev then -.i_f else i_f in
+      let dq = p.cinv *. (if u > 40.0 then 1.0 else f0' u) in
+      let g_f = p.vxo *. fsat *. dq in
+      let d_f =
+        (g_f *. p.dibl)
+        +. (p.vxo *. qix0 *. (s ** ((-1.0 /. p.beta) -. 1.0)) /. p.vdsat)
+      in
+      Bigarray.Array1.set i0 k
+        (if fault_i0 then Float.nan else if flip then -.i else i);
+      Bigarray.Array1.set gm k (if rev then -.g_f else g_f);
+      Bigarray.Array1.set gds k (if rev then g_f +. d_f else d_f)
+    end
   done;
-  Obs.incr ~by:n c_ids_evals
+  Obs.incr ~by:!evaluated c_ids_evals
 
 (* The scalar entry point: the range kernel on a one-row range, so
    scalar and batched evaluation agree bitwise by construction. *)
 let small_signal t ~vgs ~vds =
   let col v = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout 1 (fun _ -> v) in
   let i0 = col 0.0 and gm = col 0.0 and gds = col 0.0 in
-  eval_range [| t |] ~first:0 ~fault_i0:false ~vgs:(col vgs) ~vds:(col vds) ~i0
-    ~gm ~gds;
+  eval_range [| t |] ~first:0 ~fault_i0:false ~skip:(Bytes.make 1 '\000')
+    ~vgs:(col vgs) ~vds:(col vds) ~i0 ~gm ~gds;
   Bigarray.Array1.(get i0 0, get gm 0, get gds 0)
 
 let gm t ~vgs ~vds =

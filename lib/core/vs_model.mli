@@ -73,6 +73,7 @@ val eval_range :
   t array ->
   first:int ->
   fault_i0:bool ->
+  skip:Bytes.t ->
   vgs:vec ->
   vds:vec ->
   i0:vec ->
@@ -84,4 +85,6 @@ val eval_range :
     triple of model [j] to the same slot of [i0]/[gm]/[gds].  There is
     no per-bias plan to hoist, so a range is just its models.
     Allocates nothing per row.  [i0] is bitwise-equal to {!ids};
-    [fault_i0] makes only [i0] NaN. *)
+    [fault_i0] makes only [i0] NaN.  A row whose byte at slot
+    [first + j] of [skip] is not ['\000'] is not evaluated: its output
+    cells are left as they are. *)

@@ -56,17 +56,17 @@ let find_or_parse ?model ?file t text =
       e.runs <- e.runs + 1;
       Ok (e, true)
   | None -> (
-      match Parser.parse ?file text with
-      | exception Parser.Parse_error err -> Error (Diag.Parse err)
-      | deck -> (
+      match Parser.parse_result ?file text with
+      | Error _ as e -> e
+      | Ok deck -> (
           let remodelled =
             match model with
             | None -> Ok deck
             | Some backend -> (
                 match Circuit.remodel deck.Parser.circuit ~backend with
                 | circuit -> Ok { deck with Parser.circuit }
-                | exception Circuit.Bad_circuit msg ->
-                    Error (Diag.Bad_deck msg))
+                | exception Circuit.Bad_circuit { message; _ } ->
+                    Error (Diag.Bad_deck message))
           in
           match remodelled with
           | Error _ as e -> e

@@ -147,6 +147,7 @@ let stats_to_json (s : Mna.stats) =
       ("newton_iterations", Json.Num (float_of_int s.newton_iterations));
       ("linear_solves", Json.Num (float_of_int s.linear_solves));
       ("device_evals", Json.Num (float_of_int s.device_evals));
+      ("device_bypassed", Json.Num (float_of_int s.device_bypassed));
       ("assemble_s", Json.Num s.assemble_s);
       ("solve_s", Json.Num s.solve_s);
       ("residual", Json.Num s.residual);
@@ -162,6 +163,7 @@ let stats_of_json j =
   s.newton_iterations <- get "newton_iterations" Json.to_int j 0;
   s.linear_solves <- get "linear_solves" Json.to_int j 0;
   s.device_evals <- get "device_evals" Json.to_int j 0;
+  s.device_bypassed <- get "device_bypassed" Json.to_int j 0;
   s.assemble_s <- get "assemble_s" Json.to_float j 0.0;
   s.solve_s <- get "solve_s" Json.to_float j 0.0;
   s.residual <- get "residual" Json.to_float j 0.0;

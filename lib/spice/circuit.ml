@@ -2,7 +2,9 @@
    node.  Elements reference nodes by name; compilation to MNA indices
    happens in Mna. *)
 
-exception Bad_circuit of string
+(* [element]: the position, from 0, of the element [create] rejected
+   in the list it was given; None for a netlist-wide fault. *)
+exception Bad_circuit of { element : int option; message : string }
 
 type cnfet_params = {
   model : Cnt_core.Device_model.t;
@@ -138,30 +140,40 @@ let distinct_nodes elements ~count =
   (List.rev !out, index, terminals)
 
 let create elements =
-  (* validate unique names and positive passive values; the guards are
-     written [not (x > 0.0)] so a NaN value is rejected too *)
+  (* validate unique names, positive passive values and non-negative
+     tube lengths; each guard is a negated comparison, so a NaN value is
+     rejected too *)
   let count = List.length elements in
   (* two bindings a bucket on average: the size [Hashtbl] grows to *)
   let seen = Names.create (count / 2) in
-  List.iter
-    (fun e ->
+  List.iteri
+    (fun k e ->
+      let bad fmt =
+        Printf.ksprintf
+          (fun message -> raise (Bad_circuit { element = Some k; message }))
+          fmt
+      in
       let name = lowercase (element_name e) in
-      if not (add_new seen name) then
-        raise (Bad_circuit (Printf.sprintf "duplicate element name %s" name));
-      (match e with
+      if not (add_new seen name) then bad "duplicate element name %s" name;
+      match e with
       | Resistor r when not (r.ohms > 0.0) ->
-          raise (Bad_circuit (Printf.sprintf "%s: resistance must be positive" r.name))
+          bad "%s: resistance must be positive (got %g)" r.name r.ohms
       | Capacitor c when not (c.farads > 0.0) ->
-          raise (Bad_circuit (Printf.sprintf "%s: capacitance must be positive" c.name))
+          bad "%s: capacitance must be positive (got %g)" c.name c.farads
       | Inductor l when not (l.henries > 0.0) ->
-          raise (Bad_circuit (Printf.sprintf "%s: inductance must be positive" l.name))
-      | Resistor _ | Capacitor _ | Inductor _ | Vsource _ | Isource _ | Cnfet _ -> ()))
+          bad "%s: inductance must be positive (got %g)" l.name l.henries
+      | Cnfet f when not (f.params.length >= 0.0) ->
+          bad "%s: tube length must not be negative (got %g nm)" f.name
+            (f.params.length *. 1e9)
+      | Resistor _ | Capacitor _ | Inductor _ | Vsource _ | Isource _ | Cnfet _ -> ())
     elements;
   (* every circuit needs a ground reference *)
   let grounded = ref false in
   List.iter (iter_nodes (fun n -> if is_ground n then grounded := true)) elements;
   if elements <> [] && not !grounded then
-    raise (Bad_circuit "no element connects to ground (node 0/gnd)");
+    raise
+      (Bad_circuit
+         { element = None; message = "no element connects to ground (node 0/gnd)" });
   let nodes, node_index, terminals = distinct_nodes elements ~count in
   { elements; nodes; node_index; terminals }
 
@@ -189,7 +201,6 @@ let vdc ?ac name npos nneg volts = vsource ?ac name npos nneg (Waveform.dc volts
 let isource ?(ac = 0.0) name npos nneg wave = Isource { name; npos; nneg; wave; ac }
 
 let cnfet_model ?(length = 0.0) name ~drain ~gate ~source model =
-  if length < 0.0 then raise (Bad_circuit (name ^ ": negative tube length"));
   Cnfet { name; drain; gate; source; params = { model; length } }
 
 let cnfet ?length name ~drain ~gate ~source model =
@@ -219,7 +230,9 @@ let remodel t ~backend =
               | Ok model ->
                   changed := true;
                   Cnfet { f with params = { params with model } }
-              | Error msg -> raise (Bad_circuit (f.name ^ ": " ^ msg))
+              | Error msg ->
+                  raise
+                    (Bad_circuit { element = None; message = f.name ^ ": " ^ msg })
             end
         | e -> e)
       t.elements

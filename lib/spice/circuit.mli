@@ -1,7 +1,11 @@
 (** Circuit netlists: elements over named nodes.  Node "0" (or "gnd",
     any case) is ground. *)
 
-exception Bad_circuit of string
+exception Bad_circuit of { element : int option; message : string }
+(** A netlist {!create} or {!remodel} rejects.  [element] is the
+    position, from 0, of the offending element in the list given to
+    {!create} ([None] for a fault of the whole netlist, or from
+    {!remodel}); [message] names the element. *)
 
 type cnfet_params = {
   model : Cnt_core.Device_model.t;
@@ -64,8 +68,9 @@ val lowercase : string -> string
     already lower case. *)
 
 val create : element list -> t
-(** Validates name uniqueness, positive R/C values, and the presence of
-    a ground connection.  Raises {!Bad_circuit} otherwise. *)
+(** Validates name uniqueness, positive R/C/L values, non-negative
+    CNFET tube lengths, and the presence of a ground connection.
+    Raises {!Bad_circuit} otherwise. *)
 
 val elements : t -> element list
 val element_name : element -> string

@@ -107,9 +107,10 @@ let with_progress ~analysis ~label build =
    the unknown it reads (-1: ground, which reads 0), or the CNFET whose
    drain current it evaluates from the solved node voltages.  A drain
    current probe is a one-row device table of its own: the backend's
-   range kernel and five one-cell columns, owned by the table being
-   built.  A read runs the kernel the assembly runs, so it allocates
-   nothing and its current is {!Device_model.ids}'s, bitwise. *)
+   range kernel, five one-cell columns and a skip flag that stays
+   clear, owned by the table being built.  A read runs the kernel the
+   assembly runs, always evaluating, so it allocates nothing and its
+   current is {!Device_model.ids}'s, bitwise. *)
 type probe =
   | Unknown of int
   | Drain_current of {
@@ -117,6 +118,7 @@ type probe =
       g : int;
       s : int;
       kernel : Device_model.kernel;
+      skip : Bytes.t;
       vgs : Device_model.vec;
       vds : Device_model.vec;
       i0 : Device_model.vec;
@@ -140,6 +142,7 @@ let probe circuit compiled = function
               g = Mna.node_id compiled gate;
               s = Mna.node_id compiled source;
               kernel = Device_model.kernel [| params.Circuit.model |];
+              skip = Bytes.make 1 '\000';
               vgs = cell ();
               vds = cell ();
               i0 = cell ();
@@ -159,11 +162,11 @@ let[@inline] volt x i = if i < 0 then 0.0 else x.(i)
 (* The probe's value in solution [x]. *)
 let[@inline] read x = function
   | Unknown i -> volt x i
-  | Drain_current { d; g; s; kernel; vgs; vds; i0; gm; gds } ->
+  | Drain_current { d; g; s; kernel; skip; vgs; vds; i0; gm; gds } ->
       let vs = volt x s in
       Bigarray.Array1.unsafe_set vgs 0 (volt x g -. vs);
       Bigarray.Array1.unsafe_set vds 0 (volt x d -. vs);
-      Device_model.eval kernel ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds;
+      Device_model.eval kernel ~fault_i0:false ~skip ~vgs ~vds ~i0 ~gm ~gds;
       Bigarray.Array1.unsafe_get i0 0
 
 (* One table row: [lead] (the sweep or time value) when given, then
@@ -319,7 +322,8 @@ let apply_model_override config circuit =
                   (Device_model.backend_names ())))
       | Some _ -> (
           try Circuit.remodel circuit ~backend
-          with Circuit.Bad_circuit msg -> raise (Dc.Analysis_error msg)))
+          with Circuit.Bad_circuit { message; _ } ->
+            raise (Dc.Analysis_error message)))
 
 (* The raising core behind [run_deck_result]. *)
 let run_deck_exn ~config (deck : Parser.deck) =
@@ -451,6 +455,7 @@ let table_manifest t =
             ("newton_iterations", Manifest.Int s.Mna.newton_iterations);
             ("linear_solves", Manifest.Int s.Mna.linear_solves);
             ("device_evals", Manifest.Int s.Mna.device_evals);
+            ("device_bypassed", Manifest.Int s.Mna.device_bypassed);
             ("assemble_s", Manifest.Float s.Mna.assemble_s);
             ("solve_s", Manifest.Float s.Mna.solve_s);
             ("residual", Manifest.Float s.Mna.residual);

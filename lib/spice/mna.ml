@@ -16,6 +16,10 @@
    stamp value straight into the solver's CSR value array at the
    program's next slot (a cursor walk over an [int array]: no hashing,
    no closure, no index arithmetic), and overwrite the right-hand side.
+   The gather bypasses a row whose bias has not moved by more than the
+   Newton update tolerance since the row's last evaluation: the row
+   keeps that evaluation, and the scatter stamps the linearisation at
+   the bias where it was taken (see [docs/ASSEMBLY.md], "Bypass").
 
    A refill allocates nothing per device.  Floats stay unboxed because
    the hot helpers are top-level [@inline] functions of this module and
@@ -39,6 +43,7 @@ exception No_convergence of Diag.newton_report
 let c_newton_iters = Obs.counter "mna.newton_iterations"
 let c_linear_solves = Obs.counter "mna.linear_solves"
 let c_device_evals = Obs.counter "mna.device_evals"
+let c_device_bypassed = Obs.counter "mna.device_bypassed"
 let c_damped_backtracks = Obs.counter "mna.damped_backtracks"
 let h_residual = Obs.histogram "mna.newton_residual"
 let h_iters = Obs.histogram "mna.newton_iters_per_solve"
@@ -59,6 +64,7 @@ type stats = {
   mutable newton_iterations : int;
   mutable linear_solves : int;
   mutable device_evals : int;
+  mutable device_bypassed : int;
   mutable assemble_s : float;
   mutable solve_s : float;
   mutable residual : float;
@@ -72,6 +78,7 @@ let fresh_stats ~backend ~unknowns ~nonzeros =
     newton_iterations = 0;
     linear_solves = 0;
     device_evals = 0;
+    device_bypassed = 0;
     assemble_s = 0.0;
     solve_s = 0.0;
     residual = 0.0;
@@ -84,6 +91,7 @@ let add_stats ~into src =
   into.newton_iterations <- into.newton_iterations + src.newton_iterations;
   into.linear_solves <- into.linear_solves + src.linear_solves;
   into.device_evals <- into.device_evals + src.device_evals;
+  into.device_bypassed <- into.device_bypassed + src.device_bypassed;
   into.assemble_s <- into.assemble_s +. src.assemble_s;
   into.solve_s <- into.solve_s +. src.solve_s;
   into.residual <- Float.max into.residual src.residual
@@ -91,11 +99,12 @@ let add_stats ~into src =
 let pp_stats fmt s =
   Format.fprintf fmt
     "@[<v>solver   : %s backend, %d unknowns, %d stored entries@,\
-     newton   : %d iterations, %d linear solves, %d device evals@,\
+     newton   : %d iterations, %d linear solves, %d device evals (%d \
+     bypassed)@,\
      time     : %.3g s assemble, %.3g s factor+solve@,\
      residual : %.3g (inf-norm, last linearisation)@]"
     s.backend s.unknowns s.nonzeros s.newton_iterations s.linear_solves
-    s.device_evals s.assemble_s s.solve_s s.residual
+    s.device_evals s.device_bypassed s.assemble_s s.solve_s s.residual
 
 let now () = Unix.gettimeofday ()
 
@@ -155,25 +164,55 @@ type device =
    and models in parallel arrays, bias and output slots in contiguous
    Bigarray float64 columns.  Row [ti] of every column belongs to the
    device carrying that [ti].  The node/model columns are immutable and
-   shared between clones (see the compile cache); the float columns are
-   per-workspace scratch overwritten every iteration. *)
+   shared between clones (see the compile cache); the float columns and
+   the skip flags are per-workspace state, rewritten row by row as the
+   rows are evaluated. *)
 type cnfet_table = {
   ct_n : int;
   ct_d : int array; (* drain node index, -1 = ground *)
   ct_g : int array;
   ct_s : int array;
   ct_models : Cnt_core.Device_model.t array;
-  ct_vgs : Cnt_core.Device_model.vec; (* gathered bias points *)
+  (* the bias of each row's last evaluation; NaN until the first *)
+  ct_vgs : Cnt_core.Device_model.vec;
   ct_vds : Cnt_core.Device_model.vec;
-  ct_i0 : Cnt_core.Device_model.vec; (* batched kernel outputs *)
+  ct_i0 : Cnt_core.Device_model.vec; (* that evaluation's outputs *)
   ct_gm : Cnt_core.Device_model.vec;
   ct_gds : Cnt_core.Device_model.vec;
+  (* per refill: '\001' where the gather bypassed the row *)
+  ct_skip : Bytes.t;
   (* the rows' range kernels and their scratch (solver plans); never
      shared between clones *)
   ct_kernel : Cnt_core.Device_model.kernel;
 }
 
 let fvec n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+
+(* A bias column that no bias is within any bound of, so that the first
+   refill of a workspace evaluates every row. *)
+let unevaluated n =
+  let v = fvec n in
+  Bigarray.Array1.fill v Float.nan;
+  v
+
+(* The table over immutable node and model columns, with a fresh
+   numeric workspace: compile builds one, and every clone its own. *)
+let cnfet_table ~d ~g ~s ~models =
+  let n = Array.length models in
+  {
+    ct_n = n;
+    ct_d = d;
+    ct_g = g;
+    ct_s = s;
+    ct_models = models;
+    ct_vgs = unevaluated n;
+    ct_vds = unevaluated n;
+    ct_i0 = fvec n;
+    ct_gm = fvec n;
+    ct_gds = fvec n;
+    ct_skip = Bytes.make n '\000';
+    ct_kernel = Cnt_core.Device_model.kernel models;
+  }
 
 type compiled = {
   circuit : Circuit.t;
@@ -430,23 +469,10 @@ let compile_uncached circuit =
               slots.(ti) <- Some model
           | _ -> ())
         devices;
-      let ct_models =
+      let models =
         Array.map (function Some m -> m | None -> assert false) slots
       in
-      Some
-        {
-          ct_n = nt;
-          ct_d;
-          ct_g;
-          ct_s;
-          ct_models;
-          ct_vgs = fvec nt;
-          ct_vds = fvec nt;
-          ct_i0 = fvec nt;
-          ct_gm = fvec nt;
-          ct_gds = fvec nt;
-          ct_kernel = Cnt_core.Device_model.kernel ct_models;
-        }
+      Some (cnfet_table ~d:ct_d ~g:ct_g ~s:ct_s ~models)
     end
   in
   {
@@ -470,8 +496,9 @@ let compile_uncached circuit =
 (* A second numeric workspace over the same symbolic compilation, for
    the compile cache: the netlist, node tables, device array, solver
    permutation and pattern, and so the slot program, are shared
-   (immutable after compile); the solver values and LU workspace, rhs
-   and stats are fresh, so each request's run starts from zeroed stats
+   (immutable after compile); the solver values and LU workspace, rhs,
+   stats and device-table workspace are fresh, so each request's run
+   starts from zeroed stats, evaluates every CNFET on its first refill,
    and leaves the cached template untouched. *)
 let clone c =
   let n = size c in
@@ -482,20 +509,10 @@ let clone c =
     stats =
       fresh_stats ~backend:c.stats.backend ~unknowns:n
         ~nonzeros:c.stats.nonzeros;
-    (* fresh float columns: the bias/output slots are per-workspace
-       scratch; node indices and models are immutable and stay shared *)
     table =
       Option.map
         (fun tb ->
-          {
-            tb with
-            ct_vgs = fvec tb.ct_n;
-            ct_vds = fvec tb.ct_n;
-            ct_i0 = fvec tb.ct_n;
-            ct_gm = fvec tb.ct_n;
-            ct_gds = fvec tb.ct_n;
-            ct_kernel = Cnt_core.Device_model.kernel tb.ct_models;
-          })
+          cnfet_table ~d:tb.ct_d ~g:tb.ct_g ~s:tb.ct_s ~models:tb.ct_models)
         c.table;
   }
 
@@ -607,13 +624,15 @@ let[@inline] stamp_cap_companion vals program rhs cur a b (cc : cap_companion) =
 
 let[@inline] volt x i = if i < 0 then 0.0 else x.(i)
 
-(* Overwrite the matrix values and rhs at candidate solution [x]: every
-   device's stamps in the symbolic pass's order, each added straight
-   into the solver's CSR value array at the next program slot.  A
-   CNFET's (I_0, g_m, g_ds) come from row [ti] of the table's output
-   columns; its bias voltages are recomputed with the gather pass's
-   expressions. *)
-let scatter c ~eval_wave ~caps ~inds ~gmin x =
+(* Overwrite the matrix values and rhs: every device's stamps in the
+   symbolic pass's order, each added straight into the solver's CSR
+   value array at the next program slot.  A CNFET stamps row [ti] of
+   the table: the linearisation (I_0, g_m, g_ds) taken at the row's
+   stored bias.  For a row evaluated in this refill that is the bias
+   the gather just computed from the solution vector; for a bypassed
+   row it is the bias of its last evaluation, so its current moves
+   along that evaluation's tangent. *)
+let scatter c ~eval_wave ~caps ~inds ~gmin =
   let vals = Linear_solver.values c.solver
   and program = c.program
   and rhs = c.rhs in
@@ -652,7 +671,8 @@ let scatter c ~eval_wave ~caps ~inds ~gmin x =
         stamp_current rhs p m (eval_wave name wave)
     | Dcnfet { d; g; s; cgs_i; cgd_i; ti; _ } ->
         let tb = Option.get c.table in
-        let vgs = volt x g -. volt x s and vds = volt x d -. volt x s in
+        let vgs = Bigarray.Array1.get tb.ct_vgs ti
+        and vds = Bigarray.Array1.get tb.ct_vds ti in
         let i0 = Bigarray.Array1.get tb.ct_i0 ti
         and gm = Bigarray.Array1.get tb.ct_gm ti
         and gds = Bigarray.Array1.get tb.ct_gds ti in
@@ -677,33 +697,65 @@ let scatter c ~eval_wave ~caps ~inds ~gmin x =
 
 (* Refill the system in place at [x].  The CNFET work runs first as two
    table passes — gather every device's (vgs, vds) from the solution
-   vector into the contiguous bias columns, then evaluate the whole
-   table through the backends' range kernels — and the scatter reads
-   the output columns.  The [Fault.Nan_eval] decision is made once per
-   refill: [Fault.fires] is a pure function of the installed spec and
-   the rung/point context, none of which change within
-   one refill. *)
-let refill c ~eval_wave ~caps ~inds ~gmin x =
+   vector, then evaluate the table through the backends' range kernels
+   — and the scatter reads the table.
+
+   The gather bypasses a row whose V_GS and V_DS have both moved by at
+   most [tol * max 1 |x_nodes|_inf] since the row's last evaluation —
+   the update [newton_result] calls converged, scaled by the node
+   voltages alone: branch currents are not clamped, and those of a
+   diverging iterate would widen the bound until every row was
+   bypassed for good.  A bypassed row is flagged and keeps its bias and
+   outputs; any other row gets the new bias and is evaluated.  A NaN
+   bias (a fresh workspace, or one invalidated below) is within no
+   bound.
+
+   The [Fault.Nan_eval] decision is made once per refill: [Fault.fires]
+   is a pure function of the installed spec and the rung/point context,
+   none of which change within one refill.  A faulted refill evaluates
+   every row and then invalidates every row's bias, so no later refill
+   reuses its NaN currents. *)
+let refill c ~tol ~eval_wave ~caps ~inds ~gmin x =
   match c.table with
-  | None -> scatter c ~eval_wave ~caps ~inds ~gmin x
+  | None -> scatter c ~eval_wave ~caps ~inds ~gmin
   | Some tb ->
       let span_g = Obs.start_span "assemble.gather" in
+      let fault = Fault.fires Fault.Nan_eval in
+      let norm = ref 0.0 in
+      for i = 0 to c.n_nodes - 1 do
+        norm := Float.max !norm (Float.abs x.(i))
+      done;
+      let eps = if fault then Float.nan else tol *. Float.max 1.0 !norm in
+      let bypassed = ref 0 in
       for k = 0 to tb.ct_n - 1 do
         let d = tb.ct_d.(k) and g = tb.ct_g.(k) and s = tb.ct_s.(k) in
         let vs = volt x s in
-        Bigarray.Array1.set tb.ct_vgs k (volt x g -. vs);
-        Bigarray.Array1.set tb.ct_vds k (volt x d -. vs)
+        let vgs = volt x g -. vs and vds = volt x d -. vs in
+        if
+          Float.abs (vgs -. Bigarray.Array1.get tb.ct_vgs k) <= eps
+          && Float.abs (vds -. Bigarray.Array1.get tb.ct_vds k) <= eps
+        then begin
+          Bytes.set tb.ct_skip k '\001';
+          incr bypassed
+        end
+        else begin
+          Bytes.set tb.ct_skip k '\000';
+          Bigarray.Array1.set tb.ct_vgs k vgs;
+          Bigarray.Array1.set tb.ct_vds k vds
+        end
       done;
       Obs.end_span span_g;
       let span_e = Obs.start_span "assemble.batch_eval" in
-      Cnt_core.Device_model.eval tb.ct_kernel
-        ~fault_i0:(Fault.fires Fault.Nan_eval)
+      Cnt_core.Device_model.eval tb.ct_kernel ~fault_i0:fault ~skip:tb.ct_skip
         ~vgs:tb.ct_vgs ~vds:tb.ct_vds ~i0:tb.ct_i0 ~gm:tb.ct_gm ~gds:tb.ct_gds;
       c.stats.device_evals <- c.stats.device_evals + tb.ct_n;
+      c.stats.device_bypassed <- c.stats.device_bypassed + !bypassed;
       Obs.incr ~by:tb.ct_n c_device_evals;
+      Obs.incr ~by:!bypassed c_device_bypassed;
       Obs.end_span span_e;
       let span_s = Obs.start_span "assemble.scatter" in
-      scatter c ~eval_wave ~caps ~inds ~gmin x;
+      scatter c ~eval_wave ~caps ~inds ~gmin;
+      if fault then Bigarray.Array1.fill tb.ct_vgs Float.nan;
       Obs.end_span span_s
 
 let companions_of_policies c ~cap ~ind =
@@ -759,7 +811,7 @@ let newton_result ?(gmin = 1e-12) ?(tol = 1e-9) ?(max_iter = 200)
   let assemble xv =
     let t0 = now () in
     let span_a = Obs.start_span "mna.assemble" in
-    refill c ~eval_wave ~caps ~inds ~gmin xv;
+    refill c ~tol ~eval_wave ~caps ~inds ~gmin xv;
     Obs.end_span span_a;
     st.assemble_s <- st.assemble_s +. (now () -. t0)
   in
@@ -913,3 +965,20 @@ let newton ?gmin ?tol ?max_iter ?max_step ?damping ?ind c ~eval_wave ~cap x0 =
   with
   | Ok (x, _) -> x
   | Error report -> raise (No_convergence report)
+
+(* ------------------------------------------------------------------ *)
+(* Assembly inspection (tests)                                         *)
+(* ------------------------------------------------------------------ *)
+
+let refill_dc ~tol c x =
+  refill c ~tol
+    ~eval_wave:(fun _ w -> Waveform.dc_value w)
+    ~caps:c.zero_caps ~inds:c.zero_inds ~gmin:1e-12 x
+
+let cnfet_row c k =
+  let tb = Option.get c.table in
+  Array.map
+    (fun col -> Bigarray.Array1.get col k)
+    [| tb.ct_vgs; tb.ct_vds; tb.ct_i0; tb.ct_gm; tb.ct_gds |]
+
+let system c = Array.append (Linear_solver.values c.solver) c.rhs

@@ -26,7 +26,12 @@ type stats = {
   nonzeros : int;  (** stored matrix entries *)
   mutable newton_iterations : int;
   mutable linear_solves : int;
-  mutable device_evals : int;  (** non-linear device model evaluations *)
+  mutable device_evals : int;
+      (** CNFET table rows refilled: one per CNFET per refill, whether
+          evaluated or bypassed *)
+  mutable device_bypassed : int;
+      (** of those, the rows whose bias had not moved since their last
+          evaluation, which kept it instead of evaluating *)
   mutable assemble_s : float;  (** wall time refilling matrix and rhs *)
   mutable solve_s : float;  (** wall time factoring and solving *)
   mutable residual : float;
@@ -52,9 +57,11 @@ val compile : Circuit.t -> compiled
     the CNFET device table are allocated here, once.  Each Newton
     iteration then refills CNFET stamps in three passes over that
     structure-of-arrays table: gather bias points, evaluate every row
-    through {!Cnt_core.Device_model.eval} (one range-kernel call per
-    run of same-backend rows), and scatter every stamp straight into
-    the solver's value array along the recorded program.  A refill
+    whose bias moved through {!Cnt_core.Device_model.eval} (one
+    range-kernel call per run of same-backend rows), and scatter every
+    stamp straight into the solver's value array along the recorded
+    program.  A row whose bias moved by no more than the Newton update
+    tolerance keeps its last evaluation (the bypass).  A refill
     allocates nothing per device (see [docs/ASSEMBLY.md]). *)
 
 (** {2 Compile cache}
@@ -176,3 +183,28 @@ val newton :
   float array
 (** {!newton_result} as a raising shim: returns the solution and raises
     {!No_convergence} with the failure report otherwise. *)
+
+(** {2 Assembly inspection}
+
+    For tests of the numeric refill: a second workspace, one refill,
+    and what that refill leaves behind. *)
+
+val clone : compiled -> compiled
+(** A second numeric workspace over the same symbolic compilation, as a
+    compile-cache hit returns: pattern, node tables and device models
+    shared; solver values, right-hand side, stats and CNFET table
+    columns fresh, so its first refill evaluates every CNFET. *)
+
+val refill_dc : tol:float -> compiled -> float array -> unit
+(** One refill at [x] as {!newton_result} at this [tol] and its default
+    [gmin] performs it, with capacitors open, inductors shorted and
+    every source at its DC value. *)
+
+val cnfet_row : compiled -> int -> float array
+(** [[| vgs; vds; i0; gm; gds |]] of CNFET table row [k] (netlist
+    order): the bias of the row's last evaluation and that evaluation's
+    outputs. *)
+
+val system : compiled -> float array
+(** A copy of the assembled system: the matrix's stored values, then
+    the right-hand side. *)

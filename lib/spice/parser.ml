@@ -849,48 +849,52 @@ let split_ac st env tokens =
   in
   go [] tokens
 
-(* Parse the value part of an independent source card. *)
+(* Parse the value part of an independent source card.  A waveform its
+   constructor rejects (a negative pulse width, say) is located at the
+   waveform's token. *)
 let source_wave st env ~at tokens =
   match tokens with
   | [] -> fail st at "source needs a value"
   | tok :: rest -> begin
       let name, args = call_form tok.text in
       let num a = eval_text st env ~at:tok.at ~coloff:0 a in
-      match (name, args, rest) with
-      | "dc", [], v :: _ -> Waveform.dc (value_of st env v)
-      | "dc", [ v ], _ -> Waveform.dc (num v)
-      | "pulse", args, _ -> begin
-          match List.map num args with
-          | [ v1; v2; td; tr; tf; pw; per ] ->
-              Waveform.pulse ~delay:td ~rise:tr ~fall:tf ~v1 ~v2 ~width:pw
-                ~period:per ()
-          | _ ->
-              fail st tok.at "pulse needs 7 parameters (v1 v2 td tr tf pw per)"
-        end
-      | "sin", args, _ -> begin
-          match List.map num args with
-          | [ vo; va; freq ] ->
-              Waveform.sin_wave ~offset:vo ~amplitude:va ~freq ()
-          | [ vo; va; freq; td ] ->
-              Waveform.sin_wave ~delay:td ~offset:vo ~amplitude:va ~freq ()
-          | [ vo; va; freq; td; damping ] ->
-              Waveform.sin_wave ~delay:td ~damping ~offset:vo ~amplitude:va
-                ~freq ()
-          | _ ->
-              fail st tok.at
-                "sin needs 3-5 parameters (vo va freq [td [damping]])"
-        end
-      | "pwl", args, _ -> begin
-          let nums = List.map num args in
-          let rec pair = function
-            | [] -> []
-            | t :: v :: rest -> (t, v) :: pair rest
-            | [ _ ] -> fail st tok.at "pwl needs an even number of values"
-          in
-          Waveform.pwl (pair nums)
-        end
-      | _, [], _ -> Waveform.dc (value_of st env tok)
-      | _ -> fail st tok.at "unrecognised source value %S" tok.text
+      try
+        match (name, args, rest) with
+        | "dc", [], v :: _ -> Waveform.dc (value_of st env v)
+        | "dc", [ v ], _ -> Waveform.dc (num v)
+        | "pulse", args, _ -> begin
+            match List.map num args with
+            | [ v1; v2; td; tr; tf; pw; per ] ->
+                Waveform.pulse ~delay:td ~rise:tr ~fall:tf ~v1 ~v2 ~width:pw
+                  ~period:per ()
+            | _ ->
+                fail st tok.at "pulse needs 7 parameters (v1 v2 td tr tf pw per)"
+          end
+        | "sin", args, _ -> begin
+            match List.map num args with
+            | [ vo; va; freq ] ->
+                Waveform.sin_wave ~offset:vo ~amplitude:va ~freq ()
+            | [ vo; va; freq; td ] ->
+                Waveform.sin_wave ~delay:td ~offset:vo ~amplitude:va ~freq ()
+            | [ vo; va; freq; td; damping ] ->
+                Waveform.sin_wave ~delay:td ~damping ~offset:vo ~amplitude:va
+                  ~freq ()
+            | _ ->
+                fail st tok.at
+                  "sin needs 3-5 parameters (vo va freq [td [damping]])"
+          end
+        | "pwl", args, _ -> begin
+            let nums = List.map num args in
+            let rec pair = function
+              | [] -> []
+              | t :: v :: rest -> (t, v) :: pair rest
+              | [ _ ] -> fail st tok.at "pwl needs an even number of values"
+            in
+            Waveform.pwl (pair nums)
+          end
+        | _, [], _ -> Waveform.dc (value_of st env tok)
+        | _ -> fail st tok.at "unrecognised source value %S" tok.text
+      with Invalid_argument msg -> fail st tok.at "%s" msg
     end
 
 (* key=value attribute list for device cards: (key, text, value loc). *)
@@ -1238,8 +1242,9 @@ let element_kind = function
 
 (* A print item must name what the finished circuit has: a node for
    v(), a voltage source or inductor (the elements with a branch
-   current) for i(), a CNFET for id(). *)
-let check_print st circuit (item, at) =
+   current) for i(), a CNFET for id() — and an id() item no .ac
+   analysis, whose phasor tables have no drain-current column. *)
+let check_print st circuit ~has_ac (item, at) =
   match item with
   | Print_v n -> (
       match Circuit.node_index circuit n with
@@ -1254,7 +1259,12 @@ let check_print st circuit (item, at) =
       | None -> fail st at "unknown element %S in i(%s)" name name)
   | Print_id name -> (
       match Circuit.find circuit name with
-      | Some (Circuit.Cnfet _) -> ()
+      | Some (Circuit.Cnfet _) ->
+          if has_ac then
+            fail st at
+              "id(%s) cannot be printed by an .ac analysis (print v() or i() \
+               items there)"
+              name
       | Some e ->
           fail st at "%s is %s, not a CNFET, in id(%s)" name (element_kind e)
             name
@@ -1317,20 +1327,14 @@ let find_title lines =
   in
   go 0
 
-let parse ?(file = "<deck>") text =
-  Cnt_obs.Obs.span "spice.parse" @@ fun () ->
-  let st = { sources = Hashtbl.create 4; file_order = [] } in
-  let lines = register_source st file text in
-  let title_opt, from = find_title lines in
-  let cards = ref [] in
-  lex_lines st ~stack:[ file ] ~file ~lines ~from (fun c ->
-      cards := c :: !cards);
-  let cards = List.rev !cards in
-  if title_opt = None && cards = [] then fail_nowhere "empty netlist";
-  let title = Option.value title_opt ~default:"untitled" in
-  let defs, top = extract_subckts st cards in
+(* The top-level cards in order: directives update the parameter
+   binding and add analyses and print items; an element card emits its
+   elements (an instance card its whole expansion) onto [elements],
+   newest first, and then [emitted] sees the card's head token.  Returns
+   the analyses and the print items, in deck order. *)
+let walk st defs top ~elements ~emitted =
   let env = ref Env.empty in
-  let elements = ref [] and analyses = ref [] and prints = ref [] in
+  let analyses = ref [] and prints = ref [] in
   let ended = ref false in
   List.iter
     (fun (card : card) ->
@@ -1381,17 +1385,63 @@ let parse ?(file = "<deck>") text =
             | 'r' | 'c' | 'l' | 'v' | 'i' | 'm' | 'x' ->
                 emit_rcard st defs ~depth:0 ~prefix:"" ~map_node:Fun.id
                   elements
-                  (resolve_card st defs !env toks)
+                  (resolve_card st defs !env toks);
+                emitted head
             | _ -> fail st head.at "unknown card %S" head.text
           end
       end)
     top;
-  let circuit = Circuit.create (List.rev !elements) in
-  List.iter (check_print st circuit) !prints;
+  (List.rev !analyses, !prints)
+
+(* Where the element at [index] (from 0, in emission order) came from:
+   the head of the top-level card that emitted it, found by walking the
+   cards again and counting.  Only a rejected circuit pays for this. *)
+let element_card st defs top index =
+  let exception Found of loc in
+  let elements = ref [] and count = ref 0 in
+  let emitted (head : token) =
+    count := !count + List.length !elements;
+    elements := [];
+    if !count > index then raise (Found head.at)
+  in
+  match walk st defs top ~elements ~emitted with
+  | _ -> None
+  | exception Found at -> Some at
+
+let parse ?(file = "<deck>") text =
+  Cnt_obs.Obs.span "spice.parse" @@ fun () ->
+  let st = { sources = Hashtbl.create 4; file_order = [] } in
+  let lines = register_source st file text in
+  let title_opt, from = find_title lines in
+  let cards = ref [] in
+  lex_lines st ~stack:[ file ] ~file ~lines ~from (fun c ->
+      cards := c :: !cards);
+  let cards = List.rev !cards in
+  if title_opt = None && cards = [] then fail_nowhere "empty netlist";
+  let title = Option.value title_opt ~default:"untitled" in
+  let defs, top = extract_subckts st cards in
+  let elements = ref [] in
+  let analyses, prints = walk st defs top ~elements ~emitted:ignore in
+  let circuit =
+    match Circuit.create (List.rev !elements) with
+    | circuit -> circuit
+    | exception (Circuit.Bad_circuit { element = Some k; message } as e) -> (
+        match element_card st defs top k with
+        | Some at -> fail st at "%s" message
+        | None -> raise e)
+  in
+  let has_ac = List.exists (function Ac_sweep _ -> true | _ -> false) analyses in
+  List.iter (check_print st circuit ~has_ac) prints;
   {
     title;
     circuit;
-    analyses = List.rev !analyses;
-    prints = List.map fst !prints;
+    analyses;
+    prints = List.map fst prints;
     files = List.rev st.file_order;
   }
+
+let parse_result ?file text =
+  match parse ?file text with
+  | deck -> Ok deck
+  | exception Parse_error err -> Error (Diag.Parse err)
+  | exception Circuit.Bad_circuit { message; _ } -> Error (Diag.Bad_deck message)

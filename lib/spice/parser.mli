@@ -62,4 +62,13 @@ val eval_expr :
 val parse : ?file:string -> string -> deck
 (** Parse a netlist text.  [file] (default ["<deck>"]) names the text
     in locations and resolves relative [.include] paths.  Raises
-    {!Parse_error} with a precise location and excerpt. *)
+    {!Parse_error} with a precise location and excerpt, also for an
+    element the finished circuit rejects (a duplicate name, a value
+    out of range: located at the top-level card that emitted it), and
+    {!Circuit.Bad_circuit} for a fault no card causes (no element
+    connects to ground). *)
+
+val parse_result : ?file:string -> string -> (deck, Diag.error) result
+(** {!parse} with its failures as the errors every front end reports:
+    [Diag.Parse] for a located error, [Diag.Bad_deck] for a deck-level
+    one.  Both exit 2. *)

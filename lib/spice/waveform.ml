@@ -23,21 +23,28 @@ type t =
 let dc v = Dc v
 
 let pulse ?(delay = 0.0) ?(rise = 1e-12) ?(fall = 1e-12) ~v1 ~v2 ~width ~period () =
-  if width < 0.0 || period <= 0.0 then invalid_arg "Waveform.pulse";
+  if width < 0.0 then
+    invalid_arg (Printf.sprintf "pulse width must not be negative (got %g)" width);
+  if period <= 0.0 then
+    invalid_arg (Printf.sprintf "pulse period must be positive (got %g)" period);
   Pulse { v1; v2; delay; rise = Float.max rise 1e-15; fall = Float.max fall 1e-15; width; period }
 
 let sin_wave ?(delay = 0.0) ?(damping = 0.0) ~offset ~amplitude ~freq () =
-  if freq <= 0.0 then invalid_arg "Waveform.sin_wave";
+  if freq <= 0.0 then
+    invalid_arg (Printf.sprintf "sin frequency must be positive (got %g)" freq);
   Sin { offset; amplitude; freq; delay; damping }
 
 let pwl points =
-  let rec ascending = function
-    | (t1, _) :: ((t2, _) :: _ as rest) -> t1 <= t2 && ascending rest
-    | _ -> true
+  let rec check = function
+    | (t1, _) :: ((t2, _) :: _ as rest) ->
+        if not (t1 <= t2) then
+          invalid_arg
+            (Printf.sprintf "pwl times must not decrease (%g follows %g)" t2 t1);
+        check rest
+    | _ -> ()
   in
-  if points = [] then invalid_arg "Waveform.pwl: empty";
-  if not (ascending points) then
-    invalid_arg "Waveform.pwl: times must be non-decreasing";
+  if points = [] then invalid_arg "pwl needs at least one (time, value) pair";
+  check points;
   Pwl points
 
 (* Value at time [t]; [Dc] sources are constant, time-varying sources

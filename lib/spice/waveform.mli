@@ -32,13 +32,17 @@ val pulse :
   period:float ->
   unit ->
   t
+(** Raises [Invalid_argument], with a message fit for a user, on a
+    negative [width] or a non-positive [period]. *)
 
 val sin_wave :
   ?delay:float -> ?damping:float -> offset:float -> amplitude:float -> freq:float -> unit -> t
+(** Raises [Invalid_argument] on a non-positive [freq]. *)
 
 val pwl : (float * float) list -> t
 (** Piecewise-linear waveform from (time, value) pairs with
-    non-decreasing times. *)
+    non-decreasing times.  Raises [Invalid_argument] on no pairs or a
+    decreasing time. *)
 
 val eval : t -> float -> float
 (** Waveform value at a given time. *)

@@ -13,8 +13,16 @@
      solutions moved by at most 6.7e-16 V and the AC phasors not at all.
      The four sweep digests were rebased once more when a DC sweep
      became one warm-started continuation: point 8 no longer restarts
-     cold, and the solutions moved by at most 1.1e-16 V.  A digest
-     change means the pipeline changed its floating-point program.  The bits include libm's exp/log1p
+     cold, and the solutions moved by at most 1.1e-16 V.  The dc sweep,
+     transient, both sweep-table and the mixed digests were rebased
+     once more when the refill began to bypass CNFET rows whose bias
+     had not moved (docs/ASSEMBLY.md, "Bypass"): a bypassed row stamps
+     its last linearisation.  The solutions moved by at most 8.8e-18 V
+     on the dc sweep, 2.9e-15 V on the transient, 4.4e-18 V and
+     1.5e-15 V on the piecewise and vs tables (their id() columns by
+     4.4e-22 A and 4.9e-21 A) and 2.4e-16 V on the mixed sweep; the op
+     and AC digests did not move.  A digest change means the pipeline
+     changed its floating-point program.  The bits include libm's exp/log1p
      results: on a platform whose libm rounds differently these pins
      move while the KCL checks below still hold.
    - KCL.  At every solved DC point, each node's net current is rebuilt
@@ -82,13 +90,13 @@ let test_op_equivalence () =
     [| (Dc.operating_point (inverter_circuit ())).Dc.solution |]
 
 let test_dc_sweep_equivalence () =
-  check_digest "sweep" "270fc6a1da47bcd0828432f8f1321dca"
+  check_digest "sweep" "fae37a5cec97291e3c63354d23de1e36"
     (sweep_rows
        (Dc.sweep (inverter_circuit ()) ~source:"vin" ~start:0.0 ~stop:0.6
           ~step:0.05))
 
 let test_transient_equivalence () =
-  check_digest "transient" "3ae7b5b7d8d177b149d86a51a1fcdf4d"
+  check_digest "transient" "f4a82e6c6a09e914967fbf205ed8e16b"
     (tran_rows
        (Transient.run (ring_circuit ~stages:5) ~tstep:1e-12 ~tstop:2e-11))
 
@@ -276,8 +284,10 @@ let test_range_kernels_allocate_nothing () =
       let kernel = Cnt_core.Device_model.kernel (Array.make rows m) in
       let vgs = vec rows and vds = vec rows in
       let i0 = vec rows and gm = vec rows and gds = vec rows in
+      let skip = Bytes.make rows '\000' in
       let eval () =
-        Cnt_core.Device_model.eval kernel ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds
+        Cnt_core.Device_model.eval kernel ~fault_i0:false ~skip ~vgs ~vds ~i0
+          ~gm ~gds
       in
       let words = ref 0.0 in
       for c = 0 to calls do
@@ -369,10 +379,11 @@ let mixed_sweep () =
     ~step:0.05
 
 (* The solution bits of the mixed sweep, frozen from the per-device
-   stencil-closure assembly; KCL holds at every point. *)
+   stencil-closure assembly and rebased for the bypass (see the file
+   header); KCL holds at every point. *)
 let test_mixed_sweep () =
   let r = mixed_sweep () in
-  check_digest "mixed sweep" "5551533585ac9f206cb46cfb64f198ba" (sweep_rows r);
+  check_digest "mixed sweep" "6a6858fab37dee24e1980230d0b5cb98" (sweep_rows r);
   Array.iteri
     (fun i (p : Dc.op_result) ->
       check_kcl
@@ -400,6 +411,7 @@ let test_mixed_table_matches_scalar () =
     Cnt_core.Device_model.kernel (Array.map (fun (_, _, _, m) -> m) devices)
   in
   let vgs = vec n and vds = vec n and i0 = vec n and gm = vec n and gds = vec n in
+  let skip = Bytes.make n '\000' in
   Array.iter
     (fun (p : Dc.op_result) ->
       let v = Mna.voltage compiled p.Dc.solution in
@@ -408,7 +420,8 @@ let test_mixed_table_matches_scalar () =
           Bigarray.Array1.set vgs k (v g -. v s);
           Bigarray.Array1.set vds k (v d -. v s))
         devices;
-      Cnt_core.Device_model.eval kernel ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds;
+      Cnt_core.Device_model.eval kernel ~fault_i0:false ~skip ~vgs ~vds ~i0 ~gm
+        ~gds;
       Array.iteri
         (fun k (_, _, _, m) ->
           let vg = Bigarray.Array1.get vgs k and vd = Bigarray.Array1.get vds k in
@@ -423,6 +436,139 @@ let test_mixed_table_matches_scalar () =
           check "gds" ed (Bigarray.Array1.get gds k))
         devices)
     r.Dc.points
+
+(* ------------------------------------------------------------------ *)
+(* Bias bypass                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The Newton update tolerance the refills below run at.  Every node
+   voltage of these circuits is at most 1 V, so it is also the bypass
+   bound in volts. *)
+let tol = 1e-9
+
+let check_same_bits what expected got =
+  Array.iteri
+    (fun i e ->
+      if not (Int64.equal (bits e) (bits got.(i))) then
+        Alcotest.failf "%s [%d]: %h, previously %h" what i got.(i) e)
+    expected
+
+let check_counts what c ~evals ~bypassed =
+  let st = Mna.stats c in
+  Alcotest.(check int) (what ^ ": device evals") evals st.Mna.device_evals;
+  Alcotest.(check int) (what ^ ": bypassed") bypassed st.Mna.device_bypassed
+
+(* The AC bench's one CNFET (drain d, gate g, source ground) at its
+   operating point.  A drain move within the bound keeps the row's
+   cells and leaves every stamp of the system as it was, bit for bit
+   (the rest of the circuit is linear); a larger move evaluates the row
+   at the new bias. *)
+let test_bypass_within_bound () =
+  let circuit = ac_circuit () in
+  let x = (Dc.operating_point circuit).Dc.solution in
+  let c = Mna.compile circuit in
+  let d = Mna.node_id c "d" in
+  let at dv =
+    let x' = Array.copy x in
+    x'.(d) <- x'.(d) +. dv;
+    x'
+  in
+  Mna.refill_dc ~tol c x;
+  check_counts "first refill" c ~evals:1 ~bypassed:0;
+  let row = Mna.cnfet_row c 0 and system = Mna.system c in
+  Mna.refill_dc ~tol c (at (0.5 *. tol));
+  check_counts "drain moved by tol/2" c ~evals:2 ~bypassed:1;
+  check_same_bits "bypassed row" row (Mna.cnfet_row c 0);
+  check_same_bits "system after a bypass" system (Mna.system c);
+  let x' = at (2.0 *. tol) in
+  Mna.refill_dc ~tol c x';
+  check_counts "drain moved by 2 tol" c ~evals:3 ~bypassed:1;
+  let vgs = x'.(Mna.node_id c "g") and vds = x'.(d) in
+  let m = (Lazy.force fam).Stdcells.n_model in
+  let i0, gm, gds = Cnt_core.Cnt_model.small_signal m ~vgs ~vds in
+  check_same_bits "re-evaluated row" [| vgs; vds; i0; gm; gds |]
+    (Mna.cnfet_row c 0)
+
+(* A fresh compile and a clone start with no evaluation to reuse: each
+   evaluates every row on its first refill, even at a bias the
+   template has just evaluated, while the template bypasses them all. *)
+let test_bypass_fresh_workspaces () =
+  let c = Mna.compile (ring_circuit ~stages:5) in
+  let x = Array.make (Mna.size c) 0.0 in
+  Mna.refill_dc ~tol c x;
+  check_counts "fresh compile" c ~evals:10 ~bypassed:0;
+  Mna.refill_dc ~tol c x;
+  check_counts "template again" c ~evals:20 ~bypassed:10;
+  let clone = Mna.clone c in
+  Mna.refill_dc ~tol clone x;
+  check_counts "clone" clone ~evals:10 ~bypassed:0;
+  for k = 0 to 9 do
+    check_same_bits "clone row" (Mna.cnfet_row c k) (Mna.cnfet_row clone k)
+  done
+
+(* A refill under the NaN-current fault evaluates every row, and the
+   refill after it evaluates every row again instead of reusing a NaN
+   current. *)
+let test_bypass_after_nan_fault () =
+  let c = Mna.compile (ring_circuit ~stages:5) in
+  let x = Array.make (Mna.size c) 0.0 in
+  Mna.refill_dc ~tol c x;
+  let rows = Array.init 10 (Mna.cnfet_row c) in
+  Fault.with_faults { Fault.kind = Fault.Nan_eval; until = None; point = None }
+    (fun () -> Mna.refill_dc ~tol c x);
+  check_counts "faulted refill" c ~evals:20 ~bypassed:0;
+  Mna.refill_dc ~tol c x;
+  check_counts "refill after the fault" c ~evals:30 ~bypassed:0;
+  Array.iteri
+    (fun k row -> check_same_bits "row after the fault" row (Mna.cnfet_row c k))
+    rows
+
+(* Backward-Euler transient steps of 1 ps on one workspace, from its
+   operating point: [step ()] solves the next one and returns it. *)
+let tran_stepper c =
+  let caps = Mna.capacitors c in
+  let x = ref (Dc.solve_compiled c) and k = ref 0 in
+  fun () ->
+    incr k;
+    let h = 1e-12 in
+    let t = h *. float_of_int !k in
+    let comps =
+      Array.map
+        (fun (a, b, farads) ->
+          let v i = if i < 0 then 0.0 else !x.(i) in
+          { Mna.geq = farads /. h; ieq = -.(farads /. h *. (v a -. v b)) })
+        caps
+    in
+    x :=
+      Mna.newton ~tol c
+        ~eval_wave:(fun _ w -> Waveform.eval w t)
+        ~cap:(Mna.Companions comps) !x;
+    !x
+
+(* Two clones of one compiled ring, stepping in turn, each reproduce a
+   solo run bit for bit, bypass counts included: the bypass state
+   belongs to each workspace. *)
+let test_bypass_interleaved_clones () =
+  let template = Mna.compile (ring_circuit ~stages:5) in
+  let steps = 40 in
+  let solo = Mna.clone template in
+  let solo_step = tran_stepper solo in
+  let expected = Array.init steps (fun _ -> solo_step ()) in
+  let a = Mna.clone template and b = Mna.clone template in
+  let step_a = tran_stepper a and step_b = tran_stepper b in
+  for i = 0 to steps - 1 do
+    let xa = step_a () in
+    let xb = step_b () in
+    check_same_bits (Printf.sprintf "clone a, step %d" i) expected.(i) xa;
+    check_same_bits (Printf.sprintf "clone b, step %d" i) expected.(i) xb
+  done;
+  let s = Mna.stats solo in
+  if s.Mna.device_bypassed = 0 then Alcotest.fail "the solo run bypassed no row";
+  List.iter
+    (fun (name, c) ->
+      check_counts name c ~evals:s.Mna.device_evals
+        ~bypassed:s.Mna.device_bypassed)
+    [ ("clone a", a); ("clone b", b) ]
 
 (* ------------------------------------------------------------------ *)
 (* AMD ordering properties                                             *)
@@ -553,10 +699,10 @@ let () =
           Alcotest.test_case "ac scalar=batched" `Quick test_ac_equivalence;
           Alcotest.test_case "sweep table scalar=batched (piecewise)" `Quick
             (test_sweep_table_equivalence
-               ("piecewise", "a16c057bdb0a4ba591bf6d0e50f3aa2d"));
+               ("piecewise", "b321189d4f7d8e10dd87b4d8414d5b44"));
           Alcotest.test_case "sweep table scalar=batched (vs)" `Quick
             (test_sweep_table_equivalence
-               ("vs", "da0fbe0a5936d24190e5f75e27bffea2"));
+               ("vs", "81e063fa7852875435fd4afee93c2e3c"));
         ] );
       ( "kcl",
         [
@@ -587,6 +733,17 @@ let () =
             test_mixed_sweep;
           Alcotest.test_case "mixed table = per-device small_signal" `Quick
             test_mixed_table_matches_scalar;
+        ] );
+      ( "bypass",
+        [
+          Alcotest.test_case "a move within the bound keeps the row" `Quick
+            test_bypass_within_bound;
+          Alcotest.test_case "fresh compile and clone evaluate every row"
+            `Quick test_bypass_fresh_workspaces;
+          Alcotest.test_case "a refill after a NaN fault evaluates every row"
+            `Quick test_bypass_after_nan_fault;
+          Alcotest.test_case "interleaved clones equal a solo run" `Quick
+            test_bypass_interleaved_clones;
         ] );
       ( "ordering",
         [

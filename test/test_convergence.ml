@@ -444,14 +444,14 @@ let test_cli_exit_codes () =
   let bad_print =
     write_temp_deck "t\nV1 a 0 1\nR1 a 0 1k\n.op\n.print id(r1)\n.end\n"
   in
-  (* an AC analysis has no drain-current column and says so by raising
-     [Invalid_argument], so this deck still ends in an internal error *)
-  let internal =
+  (* an AC analysis has no drain-current column: the parser rejects
+     the id() item *)
+  let ac_id =
     write_temp_deck
       "t\nV1 a 0 dc 0 ac 1\nR1 a 0 1k\nM1 a a 0 CNFET\n.ac dec 1 1 10\n\
        .print id(m1)\n.end\n"
   in
-  let cleanup () = List.iter Sys.remove [ easy; garbage; bad_print; internal ] in
+  let cleanup () = List.iter Sys.remove [ easy; garbage; bad_print; ac_id ] in
   Fun.protect ~finally:cleanup @@ fun () ->
   Alcotest.(check int) "success is 0" 0 (fst (run_cspice easy));
   Alcotest.(check int) "missing file is 2" 2
@@ -459,7 +459,10 @@ let test_cli_exit_codes () =
   Alcotest.(check int) "parse error is 2" 2 (fst (run_cspice garbage));
   Alcotest.(check int) "print item naming no CNFET is 2" 2
     (fst (run_cspice bad_print));
-  Alcotest.(check int) "internal error is 4" 4 (fst (run_cspice internal));
+  Alcotest.(check int) "id() in an .ac deck is 2" 2 (fst (run_cspice ac_id));
+  (* no daemon listens there: a failure of the tool, not of the deck *)
+  Alcotest.(check int) "internal error is 4" 4
+    (fst (run_cspice ("--connect /nonexistent/cntd.sock " ^ easy)));
   Alcotest.(check int) "unknown option --cache is 2" 2
     (fst (run_cspice ("--cache 1 " ^ easy)));
   Alcotest.(check int) "unknown option --assembly is 2" 2

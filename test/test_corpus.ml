@@ -84,6 +84,14 @@ let bad_decks =
     "bad_print_not_cnfet";
     "bad_print_no_node";
     "bad_print_no_source";
+    "bad_ac_id";
+    "bad_duplicate_name";
+    "bad_nonpositive_value";
+    "bad_negative_length";
+    "bad_pulse";
+    "bad_sin";
+    "bad_pwl";
+    "bad_no_ground";
   ]
 
 (* Run cspice on corpus/NAME.cir with the test directory as cwd so

@@ -196,12 +196,13 @@ let test_stencil_matches_scalar backend () =
   let vec () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1 in
   let vgs_col = vec () and vds_col = vec () in
   let i0 = vec () and gm = vec () and gds = vec () in
+  let skip = Bytes.make 1 '\000' in
   List.iter
     (fun (vgs, vds) ->
       Bigarray.Array1.set vgs_col 0 vgs;
       Bigarray.Array1.set vds_col 0 vds;
       let eval fault_i0 =
-        DM.eval kernel ~fault_i0 ~vgs:vgs_col ~vds:vds_col ~i0 ~gm ~gds
+        DM.eval kernel ~fault_i0 ~skip ~vgs:vgs_col ~vds:vds_col ~i0 ~gm ~gds
       in
       eval false;
       let at (v : DM.vec) = Bigarray.Array1.get v 0 in

@@ -800,15 +800,13 @@ let test_connect_error_parity () =
   Alcotest.(check int) "parse error exit parity (2)" code_off code_on;
   Alcotest.(check string) "parse error stderr parity" err_off err_on
 
-(* A print item that names nothing in the circuit is a located parse
-   error, the same bytes offline and through the daemon. *)
-let bad_print_decks =
-  [ "bad_print_no_device"; "bad_print_not_cnfet"; "bad_print_no_node"; "bad_print_no_source" ]
-
-let test_print_error_parity () =
+(* Each deck is rejected with exit 2 and a diagnostic of [kind], the
+   same bytes offline and through the daemon; a parse error shows its
+   caret. *)
+let check_error_parity decks =
   with_daemon @@ fun sock ->
   List.iter
-    (fun name ->
+    (fun (name, kind) ->
       let path = in_test_dir (Filename.concat "corpus" (name ^ ".cir")) in
       let code_off, _, err_off = run_command (Printf.sprintf "%s %s" cspice path) in
       let code_on, _, err_on =
@@ -817,10 +815,34 @@ let test_print_error_parity () =
       Alcotest.(check int) (name ^ " offline exit 2") 2 code_off;
       Alcotest.(check int) (name ^ " connect exit 2") 2 code_on;
       Alcotest.(check bool)
-        (name ^ " is a located parse error") true
-        (contains ~needle:"parse error: " err_off && contains ~needle:"^" err_off);
+        (name ^ " is a " ^ kind) true
+        (contains ~needle:kind err_off
+        && (kind <> "parse error: " || contains ~needle:"^" err_off));
       Alcotest.(check string) (name ^ " stderr byte-identical") err_off err_on)
-    bad_print_decks
+    decks
+
+(* A print item that names nothing in the circuit, or a drain current
+   in an .ac deck, is a located parse error. *)
+let test_print_error_parity () =
+  check_error_parity
+    (List.map
+       (fun name -> (name, "parse error: "))
+       [
+         "bad_print_no_device"; "bad_print_not_cnfet"; "bad_print_no_node";
+         "bad_print_no_source"; "bad_ac_id";
+       ])
+
+(* An element or a waveform the circuit rejects is a located parse
+   error at its card; a circuit with no ground is a deck error. *)
+let test_circuit_error_parity () =
+  check_error_parity
+    (List.map
+       (fun name -> (name, "parse error: "))
+       [
+         "bad_duplicate_name"; "bad_nonpositive_value"; "bad_negative_length";
+         "bad_pulse"; "bad_sin"; "bad_pwl";
+       ]
+    @ [ ("bad_no_ground", "deck error: ") ])
 
 let test_connect_refused () =
   let code, _, err =
@@ -1178,6 +1200,8 @@ let () =
             test_connect_error_parity;
           Alcotest.test_case "print-item error parity" `Quick
             test_print_error_parity;
+          Alcotest.test_case "circuit-rejection error parity" `Quick
+            test_circuit_error_parity;
           Alcotest.test_case "requests_served counts every answer" `Quick
             test_requests_served;
           Alcotest.test_case "connect refused -> exit 4" `Quick
